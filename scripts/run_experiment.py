@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from biaslattice import synthdata
 from biaslattice.context import ContextualBiaser, build_class_fst
 from biaslattice.decode import SubwordBiaser, WordBiaser, decode_corpus, synth_oracle
-from biaslattice.fst import build_catalog_fst
+from biaslattice.fst import build_catalog_fst, empty_fst
 from biaslattice.lm import train_kn_lm
 from biaslattice.metrics import normalize_words, oracle_wer, pool, split_label, wer
 from biaslattice.rescore import DomainLms, rescore_corpus, tune
@@ -73,6 +73,10 @@ def main():
     contacts_fst = build_catalog_fst(task.contacts)
     all_fst = build_catalog_fst(task.all_bias_entries())
     class_fst = build_class_fst(task.class_corpus, min_count=10)
+    ctx_contacts = ContextualBiaser(
+        class_fst,
+        {"@contactname": contacts_fst, "@devicename": empty_fst(), "@appname": empty_fst()},
+    )
     ctx_one = ContextualBiaser(
         class_fst,
         {
@@ -102,7 +106,7 @@ def main():
     for lam in (1.0, 1.5, 2.0, 2.5):
         record(f"subwd({lam})", SubwordBiaser(contacts_fst), lam)
     for lam in (1.5, 2.5):
-        record(f"ctxt-subwd({lam})", ctx_one, lam)
+        record(f"ctxt-subwd({lam})", ctx_contacts, lam)
 
     print("\n-- first pass (three biasing catalogs) --")
     for lam in (2.5,):

@@ -7,7 +7,9 @@ binary search.  The start state carries a zero-cost "phi" self-loop that
 absorbs any word not listed on its outgoing arcs.
 
 Automata are immutable after construction and safe to share across threads;
-all mutation happens inside the builder.
+all mutation happens inside the builder.  Derived views (the per-state word
+lists and the band index) are built lazily on first use; threads racing on
+one only compute the same value twice.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import InputFormatError
@@ -25,6 +28,12 @@ DEFAULT_WEIGHT = -1.0
 DEFAULT_DELIMITER = "_"
 
 _MAGIC = b"BLFST1"
+
+# Block size of the band index: states with more than 2 * BAND_BLOCK arcs get
+# per-block summaries, so a band summary costs O(BAND_BLOCK + band/BAND_BLOCK).
+BAND_BLOCK = 32
+
+_weight = itemgetter(1)
 
 
 class CatalogError(InputFormatError, ValueError):
@@ -82,6 +91,28 @@ class WordFst:
         """Per-state sorted input words, parallel to ``arcs`` (for bisect)."""
         return tuple(tuple(a.word for a in state) for state in self.arcs)
 
+    @cached_property
+    def _band_index(self) -> dict[int, tuple[list, list, list, list]]:
+        """Per-state (word lengths, weights, block max length, block min weight).
+
+        Only states with more than ``2 * BAND_BLOCK`` arcs are indexed; shorter
+        bands are summarized straight from their slice.
+        """
+        b = BAND_BLOCK
+        index = {}
+        for state, arcs in enumerate(self.arcs):
+            if len(arcs) <= 2 * b:
+                continue
+            lengths = [len(a.word) for a in arcs]
+            weights = [a.weight for a in arcs]
+            index[state] = (
+                lengths,
+                weights,
+                [max(lengths[i : i + b]) for i in range(0, len(arcs), b)],
+                [min(weights[i : i + b]) for i in range(0, len(arcs), b)],
+            )
+        return index
+
     @property
     def num_states(self) -> int:
         return len(self.arcs)
@@ -89,6 +120,27 @@ class WordFst:
     @property
     def num_arcs(self) -> int:
         return sum(len(state) for state in self.arcs)
+
+    def band_summary(self, state: int, lo: int, hi: int) -> tuple[int, float]:
+        """``(longest word length, minimum weight)`` over arcs ``[lo, hi)`` of ``state``.
+
+        The band must be non-empty.  Ties on the weight resolve to the first
+        arc in positional order, as a left-to-right scan would.
+        """
+        if hi - lo <= 2 * BAND_BLOCK:
+            return (
+                max(map(len, self.words[state][lo:hi])),
+                min(map(_weight, self.arcs[state][lo:hi])),
+            )
+        lengths, weights, block_len, block_weight = self._band_index[state]
+        # Head slice up to the first block boundary, whole blocks, tail slice.
+        b0 = -(-lo // BAND_BLOCK)
+        b1 = hi // BAND_BLOCK
+        head, tail = b0 * BAND_BLOCK, b1 * BAND_BLOCK
+        return (
+            max(lengths[lo:head] + block_len[b0:b1] + lengths[tail:hi]),
+            min(weights[lo:head] + block_weight[b0:b1] + weights[tail:hi]),
+        )
 
     def find_arc(self, state: int, word: str) -> Arc | None:
         """Exact-match lookup of ``word`` among the arcs of ``state``."""

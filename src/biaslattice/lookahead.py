@@ -24,6 +24,11 @@ token stream ``pl ay er_``:
 
 Increments sum to -8, the word-level weight of "player".
 
+A step that misses the cache costs two C-level bisects over the state's
+sorted words plus :meth:`WordFst.band_summary`, which finds the band's
+longest word and strongest weight in O(B + band/B) for the automaton's
+block size B.  No step scans the band in Python.
+
 :class:`ExpandSession` scores a single word from a fixed automaton state;
 :class:`PhraseSession` chains sessions along multi-word phrases and handles
 completion, restart, and end-of-stream cleanup.  Sessions are single-threaded
@@ -38,8 +43,10 @@ from enum import Enum
 
 from .fst import DEFAULT_DELIMITER, WordFst
 
+_MAX_CHAR = chr(0x10FFFF)
+
 # A cache maps (state, prefix) -> (lo, hi, longest, lookahead) so repeated
-# walks over popular prefixes skip both the binary search and the band scan.
+# walks over popular prefixes skip the two bisects and the band summary.
 # Scope a cache to one decode session; it is keyed on state ids of a single
 # automaton.
 LookaheadCache = dict
@@ -60,11 +67,23 @@ def prefix_range(arcs, lo: int, hi: int, prefix: str, *, counter: ProbeCounter |
     ``arcs`` may hold plain strings or :class:`~biaslattice.fst.Arc` tuples;
     it must be sorted by word.  Returns the (possibly empty) sub-range, which
     always satisfies lo <= lo' <= hi' <= hi.
+
+    Plain strings without a counter are searched by direct comparison: the
+    words starting with ``prefix`` are exactly those in [prefix, successor),
+    where the successor increments the last code point of ``prefix`` that is
+    below U+10FFFF and drops the rest.  Otherwise each probe compares a
+    ``[:len(prefix)]`` key, and ``counter`` counts the probes.
     """
     if lo > hi:
         raise ValueError(f"invalid range: lo={lo} > hi={hi}")
     if not prefix:
         return lo, hi
+    if counter is None and (lo == hi or isinstance(arcs[lo], str)):
+        new_lo = bisect.bisect_left(arcs, prefix, lo, hi)
+        succ = _successor(prefix)
+        if succ is None:
+            return new_lo, hi
+        return new_lo, bisect.bisect_left(arcs, succ, new_lo, hi)
     k = len(prefix)
     if counter is None:
         def key(a):
@@ -76,6 +95,14 @@ def prefix_range(arcs, lo: int, hi: int, prefix: str, *, counter: ProbeCounter |
     new_lo = bisect.bisect_left(arcs, prefix, lo, hi, key=key)
     new_hi = bisect.bisect_right(arcs, prefix, new_lo, hi, key=key)
     return new_lo, new_hi
+
+
+def _successor(prefix: str) -> str | None:
+    """Least string above every string starting with ``prefix`` (None if none)."""
+    stem = prefix.rstrip(_MAX_CHAR)
+    if not stem:
+        return None
+    return stem[:-1] + chr(ord(stem[-1]) + 1)
 
 
 def pushed_weight(length: int, longest: int, lookahead: float) -> float:
@@ -169,14 +196,7 @@ class ExpandSession:
                 counter=self.counter,
             )
             if lo < hi:
-                longest = 0
-                lookahead = None
-                for arc in self.fst.arcs[self.state][lo:hi]:
-                    if len(arc.word) > longest:
-                        longest = len(arc.word)
-                    if lookahead is None or arc.weight < lookahead:
-                        lookahead = arc.weight
-                hit = (lo, hi, longest, lookahead)
+                hit = (lo, hi) + self.fst.band_summary(self.state, lo, hi)
             else:
                 hit = (lo, hi, 0, 0.0)
             if self.cache is not None:

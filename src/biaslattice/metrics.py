@@ -257,9 +257,10 @@ def read_refs(path) -> dict[str, str]:
             utt_id, sep, text = line.partition("\t")
             if not sep or not utt_id.strip() or not text.strip():
                 raise InputFormatError(f"{path}:{lineno}: expected 'id<TAB>transcript'")
+            utt_id = utt_id.strip()
             if utt_id in refs:
                 raise InputFormatError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
-            refs[utt_id.strip()] = text.strip()
+            refs[utt_id] = text.strip()
     if not refs:
         raise InputFormatError(f"{path}: no references found")
     return refs

@@ -39,6 +39,17 @@ def linear_prefix_filter(words, lo: int, hi: int, prefix: str) -> tuple[int, int
 # -- lookahead weight pushing -----------------------------------------------------
 
 
+def band_scan(arcs, lo: int, hi: int) -> tuple[int, float]:
+    """(longest word, first minimum weight) of ``arcs[lo:hi]``, left to right."""
+    longest = 0
+    best = None
+    for word, weight, _ in arcs[lo:hi]:
+        longest = max(longest, len(word))
+        if best is None or weight < best:
+            best = weight
+    return longest, best
+
+
 def pushed_profile(catalog: list[tuple[str, float]], chunks: list[str]):
     """Per-chunk score increments for one word, recomputed from scratch.
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaslattice.fst import CatalogEntry, build_catalog_fst
+from biaslattice.fst import BAND_BLOCK, CatalogEntry, build_catalog_fst
 from biaslattice.lookahead import (
     ExpandSession,
     PhraseSession,
@@ -15,7 +15,7 @@ from biaslattice.lookahead import (
     pushed_weight,
 )
 from conftest import random_catalog
-from oracles import all_chunkings, linear_prefix_filter, pushed_profile
+from oracles import all_chunkings, band_scan, linear_prefix_filter, pushed_profile
 
 
 class TestPrefixRange:
@@ -354,3 +354,84 @@ class TestPhraseSession:
         inc, outcome = s.finish_word("_")
         assert inc == 0.0
         assert outcome == WordOutcome.FAILED
+
+
+def _random_chunks(rng, word):
+    """``word`` split at random cut points into non-empty chunks."""
+    cuts = sorted(rng.sample(range(1, len(word)), rng.randint(0, len(word) - 1)))
+    return [word[i:j] for i, j in zip([0] + cuts, cuts + [len(word)])]
+
+
+def _large_catalog(rng, prefixed=0):
+    """100-3000 random words with mixed-sign weights, plus ``prefixed`` "q" words.
+
+    The "q" words sort after every random word, so their band starts at an
+    arbitrary offset within a block and has exactly ``prefixed`` arcs.
+    """
+    entries = []
+    while len(entries) < 100:
+        entries = random_catalog(rng, max_words=3000, weights=(-10.0, 10.0))
+    q_words = set()
+    while len(q_words) < prefixed:
+        q_words.add("q" + "".join(rng.choice("abcdef") for _ in range(rng.randint(0, 6))))
+    return entries + [CatalogEntry((w,), rng.uniform(-10.0, 10.0)) for w in sorted(q_words)]
+
+
+class TestLargeBands:
+    """Catalogs big enough for the keyless prefix search and the band index."""
+
+    B = BAND_BLOCK
+
+    def test_band_summary_matches_scan(self):
+        rng = random.Random(2024)
+        for _ in range(4):
+            f = build_catalog_fst(_large_catalog(rng))
+            arcs = f.arcs[f.start]
+            n = len(arcs)
+            widths = {1, self.B, 2 * self.B, 2 * self.B + 1, 2 * self.B + 2, 5 * self.B + 7, n}
+            for width in sorted(w for w in widths if w <= n):
+                starts = {0, self.B - 1, self.B, self.B + 1, n - width}
+                starts |= {rng.randrange(n - width + 1) for _ in range(20)}
+                for lo in sorted(s for s in starts if 0 <= s <= n - width):
+                    hi = lo + width
+                    assert f.band_summary(f.start, lo, hi) == band_scan(arcs, lo, hi)
+
+    def test_increments_match_reference_profile(self):
+        rng = random.Random(77)
+        for size in (2 * self.B - 1, 2 * self.B, 2 * self.B + 1, 3 * self.B + 5):
+            entries = _large_catalog(rng, prefixed=size)
+            f = build_catalog_fst(entries)
+            q_lo, q_hi = prefix_range(f.words[f.start], 0, len(f.arcs[f.start]), "q")
+            assert q_hi - q_lo == size
+            catalog = [(e.phrase[0], e.weight) for e in entries]
+            words = [w for w, _ in catalog]
+            probes = rng.sample(words, 25) + [w for w in words if w.startswith("q")][:10]
+            probes += ["".join(rng.choice("abcdefq") for _ in range(rng.randint(1, 9)))
+                       for _ in range(10)]
+            for word in probes:
+                chunks = _random_chunks(rng, word)
+                want_incs, want_final, want_match = pushed_profile(catalog, chunks)
+                s = open_session(f, f.start)
+                got = [0.0 if s.dead else s.expand(c) for c in chunks]
+                inc, nxt = s.finish_word("_")
+                assert got == want_incs
+                assert inc == want_final
+                assert (nxt is not None) == want_match
+
+    @given(
+        st.lists(st.text(alphabet="az\u00e9\u4e2d\U0001f600\U0010fffe\U0010ffff",
+                         min_size=1, max_size=5), max_size=40, unique=True),
+        st.text(alphabet="az\u00e9\U0010fffe\U0010ffff", min_size=1, max_size=4),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_keyless_prefix_range_matches_counted(self, words, prefix, data):
+        words = sorted(words)
+        if words and data.draw(st.booleans()):
+            word = data.draw(st.sampled_from(words))
+            prefix = word[: data.draw(st.integers(1, len(word)))]
+        lo = data.draw(st.integers(0, len(words)))
+        hi = data.draw(st.integers(lo, len(words)))
+        for p in (prefix, prefix + "\U0010ffff", "\U0010ffff" * len(prefix)):
+            want = prefix_range(words, lo, hi, p, counter=ProbeCounter())
+            assert prefix_range(words, lo, hi, p) == want

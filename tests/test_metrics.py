@@ -186,6 +186,12 @@ class TestRefsFile:
         with pytest.raises(InputFormatError, match="duplicate"):
             read_refs(p)
 
+    def test_duplicate_id_after_stripping(self, tmp_path):
+        p = tmp_path / "refs.tsv"
+        p.write_text(" u\ta\nu \tb\n")
+        with pytest.raises(InputFormatError, match="2: duplicate utterance id 'u'"):
+            read_refs(p)
+
 
 class TestPool:
     def test_pool_sums_counts(self):
