@@ -19,6 +19,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -92,8 +93,8 @@ class WordFst:
         return tuple(tuple(a.word for a in state) for state in self.arcs)
 
     @cached_property
-    def _band_index(self) -> dict[int, tuple[list, list, list, list]]:
-        """Per-state (word lengths, weights, block max length, block min weight).
+    def _band_index(self) -> dict[int, tuple[list[int], list[float]]]:
+        """Per-state (block max word length, block min weight).
 
         Only states with more than ``2 * BAND_BLOCK`` arcs are indexed; shorter
         bands are summarized straight from their slice.
@@ -103,13 +104,10 @@ class WordFst:
         for state, arcs in enumerate(self.arcs):
             if len(arcs) <= 2 * b:
                 continue
-            lengths = [len(a.word) for a in arcs]
-            weights = [a.weight for a in arcs]
+            words = self.words[state]
             index[state] = (
-                lengths,
-                weights,
-                [max(lengths[i : i + b]) for i in range(0, len(arcs), b)],
-                [min(weights[i : i + b]) for i in range(0, len(arcs), b)],
+                [max(map(len, words[i : i + b])) for i in range(0, len(arcs), b)],
+                [min(map(_weight, arcs[i : i + b])) for i in range(0, len(arcs), b)],
             )
         return index
 
@@ -127,19 +125,19 @@ class WordFst:
         The band must be non-empty.  Ties on the weight resolve to the first
         arc in positional order, as a left-to-right scan would.
         """
+        words, arcs = self.words[state], self.arcs[state]
         if hi - lo <= 2 * BAND_BLOCK:
-            return (
-                max(map(len, self.words[state][lo:hi])),
-                min(map(_weight, self.arcs[state][lo:hi])),
-            )
-        lengths, weights, block_len, block_weight = self._band_index[state]
+            return max(map(len, words[lo:hi])), min(map(_weight, arcs[lo:hi]))
+        block_len, block_weight = self._band_index[state]
         # Head slice up to the first block boundary, whole blocks, tail slice.
         b0 = -(-lo // BAND_BLOCK)
         b1 = hi // BAND_BLOCK
         head, tail = b0 * BAND_BLOCK, b1 * BAND_BLOCK
         return (
-            max(lengths[lo:head] + block_len[b0:b1] + lengths[tail:hi]),
-            min(weights[lo:head] + block_weight[b0:b1] + weights[tail:hi]),
+            max(chain(map(len, words[lo:head]), block_len[b0:b1], map(len, words[tail:hi]))),
+            min(chain(
+                map(_weight, arcs[lo:head]), block_weight[b0:b1], map(_weight, arcs[tail:hi])
+            )),
         )
 
     def find_arc(self, state: int, word: str) -> Arc | None:

@@ -68,33 +68,27 @@ def prefix_range(arcs, lo: int, hi: int, prefix: str, *, counter: ProbeCounter |
     it must be sorted by word.  Returns the (possibly empty) sub-range, which
     always satisfies lo <= lo' <= hi' <= hi.
 
-    Plain strings without a counter are searched by direct comparison: the
-    words starting with ``prefix`` are exactly those in [prefix, successor),
-    where the successor increments the last code point of ``prefix`` that is
-    below U+10FFFF and drops the rest.  Otherwise each probe compares a
-    ``[:len(prefix)]`` key, and ``counter`` counts the probes.
+    The entries starting with ``prefix`` are exactly those in
+    [prefix, successor), where the successor increments the last code point
+    of ``prefix`` that is below U+10FFFF and drops the rest, so two bisects
+    find them.  Plain strings without a counter are compared directly, in C;
+    otherwise a key function reads the word and ``counter`` counts the probes.
     """
     if lo > hi:
         raise ValueError(f"invalid range: lo={lo} > hi={hi}")
     if not prefix:
         return lo, hi
-    if counter is None and (lo == hi or isinstance(arcs[lo], str)):
-        new_lo = bisect.bisect_left(arcs, prefix, lo, hi)
-        succ = _successor(prefix)
-        if succ is None:
-            return new_lo, hi
-        return new_lo, bisect.bisect_left(arcs, succ, new_lo, hi)
-    k = len(prefix)
-    if counter is None:
+    key = None
+    if counter is not None or (lo < hi and not isinstance(arcs[lo], str)):
         def key(a):
-            return (a if isinstance(a, str) else a[0])[:k]
-    else:
-        def key(a):
-            counter.probes += 1
-            return (a if isinstance(a, str) else a[0])[:k]
+            if counter is not None:
+                counter.probes += 1
+            return a if isinstance(a, str) else a[0]
     new_lo = bisect.bisect_left(arcs, prefix, lo, hi, key=key)
-    new_hi = bisect.bisect_right(arcs, prefix, new_lo, hi, key=key)
-    return new_lo, new_hi
+    succ = _successor(prefix)
+    if succ is None:
+        return new_lo, hi
+    return new_lo, bisect.bisect_left(arcs, succ, new_lo, hi, key=key)
 
 
 def _successor(prefix: str) -> str | None:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaslattice.fst import BAND_BLOCK, CatalogEntry, build_catalog_fst
+from biaslattice.fst import BAND_BLOCK, Arc, CatalogEntry, build_catalog_fst
 from biaslattice.lookahead import (
     ExpandSession,
     PhraseSession,
@@ -396,6 +396,20 @@ class TestLargeBands:
                     hi = lo + width
                     assert f.band_summary(f.start, lo, hi) == band_scan(arcs, lo, hi)
 
+    def test_band_summary_finds_a_lone_extreme_anywhere(self):
+        # One longer, lower-weighted word among equal ones, at every position
+        # of the head, block and tail parts of every indexed band around it.
+        n = 3 * self.B + 5
+        words = [f"a{i:03d}" for i in range(n)]
+        for i in range(n):
+            f = build_catalog_fst([
+                CatalogEntry((w + "zz",), -5.0) if j == i else CatalogEntry((w,), 1.0)
+                for j, w in enumerate(words)
+            ])
+            for lo in range(0, i + 1):
+                for hi in range(max(i + 1, lo + 2 * self.B + 1), n + 1):
+                    assert f.band_summary(f.start, lo, hi) == (6, -5.0)
+
     def test_increments_match_reference_profile(self):
         rng = random.Random(77)
         for size in (2 * self.B - 1, 2 * self.B, 2 * self.B + 1, 3 * self.B + 5):
@@ -432,6 +446,9 @@ class TestLargeBands:
             prefix = word[: data.draw(st.integers(1, len(word)))]
         lo = data.draw(st.integers(0, len(words)))
         hi = data.draw(st.integers(lo, len(words)))
+        arcs = [Arc(w, 0.0, 0) for w in words]
         for p in (prefix, prefix + "\U0010ffff", "\U0010ffff" * len(prefix)):
             want = prefix_range(words, lo, hi, p, counter=ProbeCounter())
             assert prefix_range(words, lo, hi, p) == want
+            assert prefix_range(arcs, lo, hi, p) == want
+            assert prefix_range(arcs, lo, hi, p, counter=ProbeCounter()) == want
