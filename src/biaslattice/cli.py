@@ -1,14 +1,15 @@
 """Command-line driver: build-fst | decode | rescore | tune | eval | train-lm.
 
-Exit codes: 0 on success, 2 on input-format errors.  The environment
-variable ``BIASLATTICE_SEED`` overrides every ``--seed``/``--oracle-seed``
-default for full-pipeline reproducibility.
+Exit codes: 0 on success, 2 on input-format errors and invalid flag values.
+The environment variable ``BIASLATTICE_SEED`` overrides every
+``--seed``/``--oracle-seed`` default for full-pipeline reproducibility.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -24,6 +25,27 @@ def _env_seed(default: int) -> int:
         return int(raw)
     except ValueError:
         raise InputFormatError(f"BIASLATTICE_SEED={raw!r} is not an integer") from None
+
+
+def _number(kind, ok: str, test):
+    """An argparse ``type=`` that parses ``kind`` and rejects values failing ``test``."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a valid {kind.__name__}: {text!r}") from None
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {ok}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _number(int, ">= 1", lambda v: v >= 1)
+_finite = _number(float, "finite", math.isfinite)
+_non_negative = _number(float, "finite and >= 0", lambda v: 0 <= v < math.inf)
+_probability = _number(float, "in [0, 1]", lambda v: 0 <= v <= 1)
 
 
 def _cmd_build_fst(args) -> int:
@@ -61,6 +83,8 @@ def _load_biaser(args, vocab, entries):
 
 
 def _cmd_decode(args) -> int:
+    if args.nbest > args.beam:
+        raise InputFormatError(f"--nbest {args.nbest} exceeds --beam {args.beam}")
     vocab = wordpiece.load_vocab(args.vocab)
     refs = metrics.read_refs(args.refs)
     entries = fst.load_catalog(args.catalog) if args.catalog else None
@@ -104,16 +128,20 @@ def _cmd_rescore(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    try:
+        a_lo, a_hi, b_lo, b_hi = bounds = tuple(float(x) for x in args.bounds.split(","))
+    except ValueError:
+        raise InputFormatError(f"--bounds must be 'a0,a1,b0,b1', got {args.bounds!r}") from None
+    if not (all(map(math.isfinite, bounds)) and a_lo <= a_hi and b_lo <= b_hi):
+        raise InputFormatError(
+            f"--bounds must be finite with a0 <= a1 and b0 <= b1, got {args.bounds!r}"
+        )
     dev = decode.read_nbest(args.dev)
     refs = metrics.read_refs(args.refs) if args.refs else {nb.utt_id: nb.ref for nb in dev}
     lms = _load_domain_lms(args)
-    try:
-        a_lo, a_hi, b_lo, b_hi = (float(x) for x in args.bounds.split(","))
-    except ValueError:
-        raise InputFormatError(f"--bounds must be 'a0,a1,b0,b1', got {args.bounds!r}") from None
     result = rescore.tune(
         dev, refs, lms,
-        bounds=(a_lo, a_hi, b_lo, b_hi),
+        bounds=bounds,
         budget=args.budget,
         seed=_env_seed(args.seed),
         fix_alpha=args.fix_alpha,
@@ -167,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-fst", help="compile a catalog or class corpus into an automaton")
     p.add_argument("--catalog", help="catalog file: 'phrase<TAB>weight' per line")
     p.add_argument("--class-corpus", help="annotated corpus with @tag(...) spans")
-    p.add_argument("--min-count", type=int, default=10,
+    p.add_argument("--min-count", type=_positive_int, default=10,
                    help="template count threshold for --class-corpus")
     p.add_argument("--out", required=True, help="output automaton path")
     p.set_defaults(func=_cmd_build_fst)
@@ -178,11 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class-fst", help="serialized class-template automaton")
     p.add_argument("--bindings", help="manifest binding '@tag<TAB>automaton-path'")
     p.add_argument("--refs", required=True, help="references: 'id<TAB>transcript'")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0,
+    p.add_argument("--lambda", dest="lam", type=_non_negative, default=0.0,
                    help="shallow-fusion scale")
-    p.add_argument("--beam", type=int, default=16)
-    p.add_argument("--nbest", type=int, default=8)
-    p.add_argument("--noise", type=float, default=0.3, help="oracle confusion level")
+    p.add_argument("--beam", type=_positive_int, default=16)
+    p.add_argument("--nbest", type=_positive_int, default=8)
+    p.add_argument("--noise", type=_probability, default=0.3, help="oracle confusion level")
     p.add_argument("--oracle-seed", type=int, default=0)
     p.add_argument("--word-level", action="store_true",
                    help="apply biasing at word boundaries only")
@@ -195,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm-contacts", help="contacts back-off model file")
     p.add_argument("--lm-members", help="class members sidecar for --lm-contacts")
     p.add_argument("--catalog", help="catalog whose words route to the contacts model")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--alpha", type=_finite, default=1.0)
+    p.add_argument("--beta", type=_finite, default=0.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_rescore)
 
@@ -208,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm-members")
     p.add_argument("--catalog")
     p.add_argument("--bounds", default="-2,4,0,4", help="alpha/beta box: a0,a1,b0,b1")
-    p.add_argument("--budget", type=int, default=400, help="objective evaluations")
+    p.add_argument("--budget", type=_positive_int, default=400, help="objective evaluations")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fix-alpha", action="store_true",
                    help="pin alpha at 1 (tune beta only)")
@@ -224,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-lm", help="train a Kneser-Ney back-off model")
     p.add_argument("--corpus", required=True, help="text corpus, @tag(...) spans allowed")
-    p.add_argument("--order", type=int, default=4)
+    p.add_argument("--order", type=_positive_int, default=4)
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--members", help="also write the class members sidecar")
     p.set_defaults(func=_cmd_train_lm)

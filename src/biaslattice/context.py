@@ -26,7 +26,7 @@ from .fst import (
     empty_fst,
     load_fst,
 )
-from .lookahead import PhraseSession, WordOutcome
+from .lookahead import PhraseWalk, Session, WordOutcome, token_content
 
 _SPAN = re.compile(r"@([A-Za-z0-9]+)\(([^()]*)\)")
 
@@ -153,186 +153,143 @@ def load_bindings(path, class_fst: ClassFst | None = None) -> dict[str, WordFst]
     return bindings
 
 
-class RaceResult(NamedTuple):
-    increment: float
-    resolved: bool
-    tag: str | None      # winning tag; None when the whole tag attempt failed
-    consumed: bool       # False: the closing word still needs a skeleton step
+class _ContextScorer:
+    """Contextual scoring transitions for one decoded utterance.
 
+    The state is ``(pos, race, word_chars)``: the template position, the
+    open tag race or None, and the content of the current word so far.
+    Outside a tag, completed words step the position along plain arcs at
+    weight zero (missing words reset it, and cost nothing at the start
+    state).  When the position offers class tags, the next word opens a race
+    of nested phrase walks over the bound automata.
 
-class _TagRace:
-    """Parallel nested walks over the automata bound to one template position.
-
-    When a template position offers several class tags, each tag's automaton
-    walks the incoming word independently; the race emits the running minimum
-    of their cumulative scores so the strongest candidate is paid out early,
-    and trues up when a winner completes.  With a single tag this reduces to
-    passing the nested session's increments straight through.  A walk that
-    completed a phrase keeps that banked score even if it is later dropped in
-    favor of a sibling that ultimately dies.
+    A race is ``(entries, a_prev, dropped_bank)`` with one ``(tag, walk
+    state, total)`` entry per contending tag.  It emits the running minimum
+    of the totals, so the strongest candidate is paid out early, and trues
+    up when a winner completes; with a single tag the nested walk's
+    increments pass straight through.  ``dropped_bank`` is the best
+    ``(total, tag)`` of walks that completed a phrase and were then dropped:
+    that banked score is kept even if every sibling later dies.
     """
 
-    __slots__ = ("entries", "a_prev", "dropped_bank")
+    __slots__ = ("biaser", "walks")
 
-    def __init__(self, contenders: list[tuple[str, PhraseSession]]):
-        self.entries = [[tag, session, 0.0] for tag, session in contenders]
-        self.a_prev = 0.0
-        self.dropped_bank: tuple[float, str] | None = None
-
-    def clone(self) -> "_TagRace":
-        r = _TagRace.__new__(_TagRace)
-        r.entries = [[tag, s.clone(), t] for tag, s, t in self.entries]
-        r.a_prev = self.a_prev
-        r.dropped_bank = self.dropped_bank
-        return r
-
-    def _settle(self) -> float:
-        agg = min(t for _, _, t in self.entries)
-        increment = agg - self.a_prev
-        self.a_prev = agg
-        return increment
-
-    def _remember_bank(self, entry) -> None:
-        candidate = (entry[2], entry[0])
-        if self.dropped_bank is None or candidate < self.dropped_bank:
-            self.dropped_bank = candidate
-
-    def expand(self, subword: str) -> float:
-        for entry in self.entries:
-            entry[2] += entry[1].expand(subword)
-        return self._settle()
-
-    def finish_word(self, token: str) -> RaceResult:
-        outcomes = []
-        for entry in self.entries:
-            inc, outcome = entry[1].finish_word(token)
-            entry[2] += inc
-            outcomes.append(outcome)
-        completed = [e for e, o in zip(self.entries, outcomes) if o is WordOutcome.COMPLETED]
-        if completed:
-            winner = min(completed, key=lambda e: (e[2], e[0]))
-            return RaceResult(winner[2] - self.a_prev, True, winner[0], True)
-        kept = []
-        for entry, outcome in zip(self.entries, outcomes):
-            if outcome in (WordOutcome.CONTINUED, WordOutcome.COMPLETED_OPEN):
-                kept.append(entry)
-            elif entry[1].phrases_done > 0:
-                self._remember_bank(entry)
-        if kept:
-            self.entries = kept
-            return RaceResult(self._settle(), False, None, False)
-        candidates = [(e[2], e[0]) for e in self.entries if e[1].phrases_done > 0]
-        if self.dropped_bank is not None:
-            candidates.append(self.dropped_bank)
-        if candidates:
-            total, tag = min(candidates)
-            return RaceResult(total - self.a_prev, True, tag, False)
-        return RaceResult(0.0 - self.a_prev, True, None, False)
-
-    def finalize(self) -> float:
-        # Keep the best banked total; pay back everything unsettled.
-        best_banked = min(t - s.emitted for _, s, t in self.entries)
-        if self.dropped_bank is not None:
-            best_banked = min(best_banked, self.dropped_bank[0])
-        return best_banked - self.a_prev
-
-
-class ContextSession:
-    """Scores one hypothesis against the template trie with tag injection.
-
-    The session holds a single template position per hypothesis.  Outside a
-    tag, completed words step the position along plain arcs at weight zero
-    (missing words reset it, and cost nothing at the start state).  When the
-    position offers class tags, the next word opens nested lookahead walks
-    over the bound automata and their increments pass through.
-    """
-
-    __slots__ = ("biaser", "pos", "race", "race_targets", "word_chars", "caches")
-
-    def __init__(self, biaser: "ContextualBiaser", caches: dict):
+    def __init__(self, biaser: "ContextualBiaser"):
         self.biaser = biaser
-        self.pos = biaser.class_fst.fst.start
-        self.race: _TagRace | None = None
-        self.race_targets: dict[str, int] = {}
-        self.word_chars = ""
-        self.caches = caches  # id(fst) -> LookaheadCache, shared across clones
+        caches: dict[int, dict] = {}  # id(fst) -> lookahead cache, per utterance
+        self.walks = {
+            tag: PhraseWalk(fst, delimiter=biaser.delimiter, cache=caches.setdefault(id(fst), {}))
+            for tag, fst in biaser.bindings.items()
+        }
 
-    def clone(self) -> "ContextSession":
-        s = ContextSession.__new__(ContextSession)
-        s.biaser = self.biaser
-        s.pos = self.pos
-        s.race = self.race.clone() if self.race is not None else None
-        s.race_targets = self.race_targets
-        s.word_chars = self.word_chars
-        s.caches = self.caches
-        return s
+    def expand(self, state, subword):
+        pos, race, chars = state
+        if race is None:
+            if chars:
+                return 0.0, (pos, None, chars + subword)
+            pos, race = self._word_start(pos)
+            if race is None:
+                return 0.0, (pos, None, subword)
+        entries, a_prev, dropped = race
+        walks = self.walks
+        stepped = []
+        agg = None
+        for tag, ws, total in entries:
+            increment, ws = walks[tag].expand(ws, subword)
+            total += increment
+            stepped.append((tag, ws, total))
+            if agg is None or total < agg:
+                agg = total
+        return agg - a_prev, (pos, (tuple(stepped), agg, dropped), chars + subword)
 
-    def _word_start(self) -> None:
+    def finish_word(self, state, token):
+        """Returns ``(increment, winning tag or None, state)``."""
+        pos, race, chars = state
+        content = token_content(token, self.biaser.delimiter)
+        if race is None and not chars and content:
+            pos, race = self._word_start(pos)
+        word = chars + content
+        if race is None:
+            if word:
+                pos = self._skeleton_step(pos, word)
+            return 0.0, None, (pos, None, "")
+        increment, race, tag, consumed = self._race_finish(race, token)
+        if race is not None:
+            return increment, None, (pos, race, "")
+        if tag is not None:
+            pos = next(target for t, target in self.biaser.tag_arcs(pos) if t == tag)
+        if not consumed and word:
+            pos = self._skeleton_step(pos, word)
+        return increment, tag, (pos, None, "")
+
+    def finalize(self, state):
+        pos, race, chars = state
+        if race is None:
+            return 0.0, state
+        # Keep the best banked total; pay back everything unsettled.
+        entries, a_prev, dropped = race
+        best_banked = min(t - (ws[6] + ws[4]) for _, ws, t in entries)
+        if dropped is not None:
+            best_banked = min(best_banked, dropped[0])
+        return best_banked - a_prev, (pos, None, chars)
+
+    def _word_start(self, pos):
         # A dead-end template position can match nothing: restart the walk
         # before this word rather than after it.
         fst = self.biaser.class_fst.fst
-        if not fst.arcs[self.pos]:
-            self.pos = fst.start
-        self._open_race_if_tagged()
+        if not fst.arcs[pos]:
+            pos = fst.start
+        return pos, self.biaser._races.get(pos)
 
-    def _open_race_if_tagged(self) -> None:
-        tag_arcs = self.biaser.tag_arcs(self.pos)
-        if not tag_arcs:
-            return
-        contenders = []
-        for tag, target in tag_arcs:
-            fst = self.biaser.bindings[tag]
-            cache = self.caches.setdefault(id(fst), {})
-            contenders.append(
-                (tag, PhraseSession(fst, delimiter=self.biaser.delimiter, cache=cache))
-            )
-        self.race = _TagRace(contenders)
-        self.race_targets = dict(tag_arcs)
+    def _race_finish(self, race, token):
+        """``(increment, race or None once resolved, tag, consumed)``.
 
-    def expand(self, subword: str) -> float:
-        if self.race is None and not self.word_chars:
-            self._word_start()
-        self.word_chars += subword
-        if self.race is not None:
-            return self.race.expand(subword)
-        return 0.0
+        ``consumed`` is False when the closing word still needs a skeleton
+        step; ``tag`` is None when the whole tag attempt failed.
+        """
+        entries, a_prev, dropped = race
+        walks = self.walks
+        closed = []
+        for tag, ws, total in entries:
+            increment, outcome, ws = walks[tag].finish_word(ws, token)
+            closed.append((tag, ws, total + increment, outcome))
+        winner = min(
+            ((t, tag) for tag, _, t, outcome in closed if outcome is WordOutcome.COMPLETED),
+            default=None,
+        )
+        if winner is not None:
+            return winner[0] - a_prev, None, winner[1], True
+        kept = []
+        for tag, ws, total, outcome in closed:
+            if outcome is not WordOutcome.FAILED:
+                kept.append((tag, ws, total))
+            elif ws[7] and (dropped is None or (total, tag) < dropped):
+                dropped = (total, tag)
+        if kept:
+            agg = min(t for _, _, t in kept)
+            return agg - a_prev, (tuple(kept), agg, dropped), None, False
+        if dropped is not None:
+            return dropped[0] - a_prev, None, dropped[1], False
+        return 0.0 - a_prev, None, None, False
 
-    def finish_word(self, token: str) -> float:
-        d = self.biaser.delimiter
-        content = "" if token == d else token[: -len(d)] if token.endswith(d) else None
-        if content is None:
-            raise ValueError(f"{token!r} does not carry the delimiter {d!r}")
-        if self.race is None and not self.word_chars and content:
-            self._word_start()
-        word = self.word_chars + content
-        self.word_chars = ""
-        if self.race is None:
-            if word:
-                self._skeleton_step(word)
-            return 0.0
-        result = self.race.finish_word(token)
-        if not result.resolved:
-            return result.increment
-        self.race = None
-        if result.tag is not None:
-            self.pos = self.race_targets[result.tag]
-        if not result.consumed and word:
-            self._skeleton_step(word)
-        return result.increment
+    def _skeleton_step(self, pos, word):
+        fst = self.biaser.class_fst.fst
+        arc = fst.find_arc(pos, word)
+        return fst.start if arc is None else arc.nextstate
 
-    def finalize(self) -> float:
-        if self.race is None:
-            return 0.0
-        increment = self.race.finalize()
-        self.race = None
-        return increment
 
-    def _skeleton_step(self, word: str) -> None:
-        arc = self.biaser.class_fst.fst.find_arc(self.pos, word)
-        if arc is not None:
-            self.pos = arc.nextstate
-        else:
-            self.pos = self.biaser.class_fst.fst.start
+class ContextSession(Session):
+    """Scores one hypothesis against the template trie with tag injection.
+
+    A :class:`Session` over the utterance's contextual scorer; ``pos`` is the
+    current template position.
+    """
+
+    __slots__ = ()
+
+    @property
+    def pos(self) -> int:
+        return self.state[0]
 
 
 class ContextualBiaser:
@@ -358,13 +315,18 @@ class ContextualBiaser:
             )
             if tagged:
                 self._tag_arcs[state] = tagged
+        # The race each tagged position opens: every tag's walk at its start.
+        self._races = {
+            state: (
+                tuple((tag, PhraseWalk(bindings[tag]).initial(), 0.0) for tag, _ in tagged),
+                0.0,
+                None,
+            )
+            for state, tagged in self._tag_arcs.items()
+        }
 
     def tag_arcs(self, state: int) -> tuple[tuple[str, int], ...]:
         return self._tag_arcs.get(state, ())
 
     def open_session(self) -> ContextSession:
-        return ContextSession(self, caches={})
-
-
-def open_context_session(biaser: ContextualBiaser) -> ContextSession:
-    return biaser.open_session()
+        return ContextSession(_ContextScorer(self), (self.class_fst.fst.start, None, ""))

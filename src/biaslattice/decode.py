@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Protocol
 from .context import ContextualBiaser
 from .errors import InputFormatError
 from .fst import WordFst
-from .lookahead import PhraseSession
+from .lookahead import PhraseWalk, Session, WordWalk
 from .wordpiece import WordpieceVocab, detokenize, is_delimiter, segment
 
 END = "</s>"
@@ -78,9 +78,10 @@ class NBestList:
 
 # -- biasers ------------------------------------------------------------------
 #
-# A biaser opens one scoring session per decoded utterance; beam search clones
-# the session at every hypothesis extension.  Sessions expose expand /
-# finish_word / finalize, all returning score increments.
+# A biaser opens one scoring session per decoded utterance.  A session is a
+# shared, immutable scorer plus a plain-tuple state, so the clone beam search
+# takes for every candidate token copies two references.  Sessions expose
+# expand / finish_word / finalize, all returning score increments.
 
 
 class _NullSession:
@@ -104,94 +105,27 @@ class NullBiaser:
         return _NullSession()
 
 
-class _SubwordSession:
-    __slots__ = ("walker",)
+class _AutomatonBiaser:
+    _walk = PhraseWalk
 
-    def __init__(self, walker: PhraseSession):
-        self.walker = walker
+    def __init__(self, fst: WordFst, *, delimiter: str = "_"):
+        self.fst = fst
+        self.delimiter = delimiter
 
-    def expand(self, subword):
-        return self.walker.expand(subword)
-
-    def finish_word(self, token):
-        increment, _ = self.walker.finish_word(token)
-        return increment
-
-    def finalize(self):
-        return self.walker.finalize()
-
-    def clone(self):
-        return _SubwordSession(self.walker.clone())
+    def open_session(self):
+        # The cache is scoped to this decoded utterance and shared by clones.
+        walk = self._walk(self.fst, delimiter=self.delimiter, cache={})
+        return Session(walk, walk.initial())
 
 
-class SubwordBiaser:
+class SubwordBiaser(_AutomatonBiaser):
     """Applies a biasing automaton at the subword level with lookahead."""
 
-    def __init__(self, fst: WordFst, *, delimiter: str = "_"):
-        self.fst = fst
-        self.delimiter = delimiter
 
-    def open_session(self):
-        cache = {}  # scoped to this decoded utterance, shared by clones
-        return _SubwordSession(PhraseSession(self.fst, delimiter=self.delimiter, cache=cache))
-
-
-class _WordSession:
-    """Word-boundary biasing: the full arc weight lands on the delimiter."""
-
-    __slots__ = ("fst", "delimiter", "state", "chars", "pending")
-
-    def __init__(self, fst, delimiter, state, chars="", pending=0.0):
-        self.fst = fst
-        self.delimiter = delimiter
-        self.state = state
-        self.chars = chars
-        self.pending = pending
-
-    def expand(self, subword):
-        self.chars += subword
-        return 0.0
-
-    def finish_word(self, token):
-        d = self.delimiter
-        word = self.chars + (token[: -len(d)] if token != d else "")
-        self.chars = ""
-        if not word:
-            return 0.0
-        arc = self.fst.find_arc(self.state, word)
-        if arc is None:
-            increment = -self.pending  # unwind any unfinished phrase
-            self.pending = 0.0
-            self.state = self.fst.start
-            return increment
-        increment = arc.weight
-        self.pending += arc.weight
-        if arc.nextstate in self.fst.finals:
-            self.pending = 0.0
-            self.state = arc.nextstate if self.fst.arcs[arc.nextstate] else self.fst.start
-        else:
-            self.state = arc.nextstate
-        return increment
-
-    def finalize(self):
-        increment = -self.pending
-        self.pending = 0.0
-        self.state = self.fst.start
-        return increment
-
-    def clone(self):
-        return _WordSession(self.fst, self.delimiter, self.state, self.chars, self.pending)
-
-
-class WordBiaser:
+class WordBiaser(_AutomatonBiaser):
     """Applies a biasing automaton at word boundaries only (no lookahead)."""
 
-    def __init__(self, fst: WordFst, *, delimiter: str = "_"):
-        self.fst = fst
-        self.delimiter = delimiter
-
-    def open_session(self):
-        return _WordSession(self.fst, self.delimiter, self.fst.start)
+    _walk = WordWalk
 
 
 # ContextualBiaser already implements open_session() with the same session

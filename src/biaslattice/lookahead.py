@@ -29,11 +29,17 @@ sorted words plus :meth:`WordFst.band_summary`, which finds the band's
 longest word and strongest weight in O(B + band/B) for the automaton's
 block size B.  No step scans the band in Python.
 
-:class:`ExpandSession` scores a single word from a fixed automaton state;
-:class:`PhraseSession` chains sessions along multi-word phrases and handles
-completion, restart, and end-of-stream cleanup.  Sessions are single-threaded
-and cheap to clone; many sessions may share one immutable automaton and one
-cache.
+Scoring is a set of pure transitions.  :class:`PhraseWalk` maps a walk state,
+a plain hashable tuple, and a token to ``(increment, new state)``.  It holds
+the automaton, the delimiter, a lookahead cache and an optional probe
+counter, none of which belongs to one hypothesis, so any number of
+hypotheses share one walk and one cache.  :class:`WordWalk` is the
+same walk with pushing switched off, for word-boundary biasing.
+:class:`Session` pairs a scorer with its current state; cloning one copies
+two references, which is all beam search pays per hypothesis extension.
+:class:`ExpandSession` (one word from a fixed state) and
+:class:`PhraseSession` (multi-word phrases with completion, restart and
+end-of-stream cleanup) are thin facades over the walk.
 """
 
 from __future__ import annotations
@@ -45,8 +51,8 @@ from .fst import DEFAULT_DELIMITER, WordFst
 
 _MAX_CHAR = chr(0x10FFFF)
 
-# A cache maps (state, prefix) -> (lo, hi, longest, lookahead) so repeated
-# walks over popular prefixes skip the two bisects and the band summary.
+# A cache maps (state, prefix) -> (lo, hi, pushed weight) so repeated walks
+# over popular prefixes skip the two bisects and the band summary.
 # Scope a cache to one decode session; it is keyed on state ids of a single
 # automaton.
 LookaheadCache = dict
@@ -99,6 +105,18 @@ def _successor(prefix: str) -> str | None:
     return stem[:-1] + chr(ord(stem[-1]) + 1)
 
 
+def token_content(token: str, delimiter: str) -> str:
+    """The content of a delimiter-bearing token (``er_`` -> ``er``, ``_`` -> "")."""
+    if token == delimiter:
+        return ""
+    if not token.endswith(delimiter):
+        raise ValueError(f"{token!r} does not carry the delimiter {delimiter!r}")
+    content = token[: -len(delimiter)]
+    if not content or delimiter in content:
+        raise ValueError(f"malformed fused delimiter token {token!r}")
+    return content
+
+
 def pushed_weight(length: int, longest: int, lookahead: float) -> float:
     """Share of ``lookahead`` owed after covering ``length`` of ``longest`` chars."""
     if longest <= 0:
@@ -108,6 +126,201 @@ def pushed_weight(length: int, longest: int, lookahead: float) -> float:
     return lookahead * length / longest
 
 
+class WordOutcome(Enum):
+    """What a word boundary did to a phrase walk."""
+
+    CONTINUED = "continued"          # matched an arc into a non-final state
+    COMPLETED = "completed"          # phrase done; no longer phrase continues it
+    COMPLETED_OPEN = "completed_open"  # phrase done but a longer phrase continues
+    FAILED = "failed"                # no match; everything unsettled was paid back
+
+
+# Global loads: an Enum attribute lookup costs about ten of them per step.
+_CONTINUED = WordOutcome.CONTINUED
+_COMPLETED = WordOutcome.COMPLETED
+_COMPLETED_OPEN = WordOutcome.COMPLETED_OPEN
+_FAILED = WordOutcome.FAILED
+
+
+class PhraseWalk:
+    """Walks multi-word phrases over a biasing automaton, token by token.
+
+    The walk is a set of pure transitions over the state tuple
+
+        (q, prefix, lo, hi, pushed, dead, pending, banked)
+
+    ``q`` is the automaton state the current word started from, ``prefix``
+    the word's content so far and ``[lo, hi)`` the band of ``q``'s arcs it
+    still matches.  ``pushed`` is the score paid out for the word so far; it
+    drops to 0.0 when the word dies, i.e. its prefix falls out of every arc.
+    ``pending`` holds arc weights of completed words that no final state has
+    banked yet, and ``banked`` records that the walk completed a phrase.
+
+    A failed word pays back the pending amount along with its own pushed
+    weight, so any walk that never completes a phrase is score-neutral.
+    After completing a phrase at a final state with outgoing arcs the walk
+    greedily continues toward longer phrases; otherwise it restarts at the
+    start state.  Words that miss while the walk sits at the start state cost
+    nothing (the phi self-loop).
+    """
+
+    __slots__ = ("fst", "delimiter", "cache", "counter")
+
+    def __init__(
+        self,
+        fst: WordFst,
+        *,
+        delimiter: str = DEFAULT_DELIMITER,
+        cache: LookaheadCache | None = None,
+        counter: ProbeCounter | None = None,
+    ):
+        self.fst = fst
+        self.delimiter = delimiter
+        self.cache = cache
+        self.counter = counter
+
+    def initial(self, q: int | None = None) -> tuple:
+        """The state of a walk about to read its first word from ``q``."""
+        if q is None:
+            q = self.fst.start
+        return (q, "", 0, len(self.fst.arcs[q]), 0.0, False, 0.0, False)
+
+    def expand(self, state: tuple, subword: str) -> tuple[float, tuple]:
+        """Extend the word by one content token: ``(increment, state)``.
+
+        A dead word scores nothing until its delimiter.
+        """
+        q, prefix, lo, hi, pushed, dead, pending, banked = state
+        if dead:
+            return 0.0, state
+        if not subword:
+            raise ValueError("empty subword")
+        if subword.endswith(self.delimiter):
+            raise ValueError(f"{subword!r} is a delimiter token; use finish_word")
+        prefix += subword
+        key = (q, prefix)
+        cache = self.cache
+        hit = cache.get(key) if cache is not None else None
+        if hit is None:
+            lo, hi = prefix_range(self.fst.words[q], lo, hi, prefix, counter=self.counter)
+            new = pushed_weight(len(prefix), *self.fst.band_summary(q, lo, hi)) if lo < hi else 0.0
+            hit = (lo, hi, new)
+            if cache is not None:
+                cache[key] = hit
+        lo, hi, new = hit
+        if lo == hi:
+            return -pushed, (q, prefix, lo, hi, 0.0, True, pending, banked)
+        return new - pushed, (q, prefix, lo, hi, new, False, pending, banked)
+
+    def close_word(self, state: tuple, token: str):
+        """End the word alone: ``(increment, matched arc or None, state)``.
+
+        A fused token first applies its content as an expand step.  An exact
+        match trues the word's total up to the arc weight; a miss pays back
+        what was pushed and leaves the word dead.  A word that already died
+        closes as a miss with no further score.
+        """
+        content = "" if token == self.delimiter else token_content(token, self.delimiter)
+        increment = 0.0
+        if content and not state[5]:
+            increment, state = self.expand(state, content)
+        q, prefix, lo, hi, pushed, dead, pending, banked = state
+        if dead:
+            return increment, None, state
+        if lo < hi and self.fst.words[q][lo] == prefix:
+            arc = self.fst.arcs[q][lo]
+            return (increment + (arc.weight - pushed), arc,
+                    (q, prefix, lo, hi, arc.weight, False, pending, banked))
+        return increment - pushed, None, (q, prefix, lo, hi, 0.0, True, pending, banked)
+
+    def finish_word(self, state: tuple, token: str) -> tuple[float, WordOutcome, tuple]:
+        """Close the word and step the phrase: ``(increment, outcome, state)``."""
+        increment, arc, state = self.close_word(state, token)
+        fst = self.fst
+        pending, banked = state[6], state[7]
+        if arc is None:
+            q, outcome, increment, pending = fst.start, _FAILED, increment - pending, 0.0
+        elif arc.nextstate not in fst.finals:
+            q, outcome, pending = arc.nextstate, _CONTINUED, pending + arc.weight
+        elif fst.arcs[arc.nextstate]:
+            q, outcome, pending, banked = arc.nextstate, _COMPLETED_OPEN, 0.0, True
+        else:
+            q, outcome, pending, banked = fst.start, _COMPLETED, 0.0, True
+        return increment, outcome, (q, "", 0, len(fst.arcs[q]), 0.0, False, pending, banked)
+
+    def finalize(self, state: tuple) -> tuple[float, tuple]:
+        """End of stream: pay back everything no final state banked."""
+        q = self.fst.start
+        return (-state[6] - state[4],
+                (q, "", 0, len(self.fst.arcs[q]), 0.0, False, 0.0, state[7]))
+
+
+class WordWalk(PhraseWalk):
+    """The phrase walk with pushing switched off: word-boundary biasing.
+
+    Content tokens only extend the prefix; the delimiter resolves the whole
+    word with one exact lookup, so a matched word's full arc weight lands on
+    its delimiter.  An empty word (a delimiter right after another) leaves
+    the walk as it was.
+    """
+
+    __slots__ = ()
+
+    def expand(self, state, subword):
+        q, prefix, lo, hi, pushed, dead, pending, banked = state
+        return 0.0, (q, prefix + subword, lo, hi, pushed, dead, pending, banked)
+
+    def close_word(self, state, token):
+        q, prefix, lo, hi, pushed, dead, pending, banked = state
+        word = prefix if token == self.delimiter else prefix + token_content(token, self.delimiter)
+        arc = self.fst.find_arc(q, word)
+        if arc is None:
+            return 0.0, None, (q, word, lo, hi, 0.0, True, pending, banked)
+        return arc.weight, arc, (q, word, lo, hi, arc.weight, False, pending, banked)
+
+    def finish_word(self, state, token):
+        if not state[1] and token == self.delimiter:
+            return 0.0, None, state
+        return PhraseWalk.finish_word(self, state, token)
+
+
+_new = object.__new__
+
+
+class Session:
+    """A scorer and its current state: the one mutable biasing session.
+
+    The scorer (a :class:`PhraseWalk`, a :class:`WordWalk` or a contextual
+    scorer) is shared and never changes; each method replaces ``state`` with
+    the transition's result and returns the score increment.  A clone copies
+    the two references, so clones are independent at no further cost.
+    """
+
+    __slots__ = ("scorer", "state")
+
+    def __init__(self, scorer, state: tuple):
+        self.scorer = scorer
+        self.state = state
+
+    def clone(self):
+        s = _new(type(self))
+        s.scorer = self.scorer
+        s.state = self.state
+        return s
+
+    def expand(self, subword: str) -> float:
+        increment, self.state = self.scorer.expand(self.state, subword)
+        return increment
+
+    def finish_word(self, token: str) -> float:
+        increment, _, self.state = self.scorer.finish_word(self.state, token)
+        return increment
+
+    def finalize(self) -> float:
+        increment, self.state = self.scorer.finalize(self.state)
+        return increment
+
+
 class ExpandSession:
     """Incremental scorer for one word's subword tokens from a fixed state.
 
@@ -115,13 +328,11 @@ class ExpandSession:
     (standalone or fused) to :meth:`finish_word`.  ``emitted`` always equals
     the cumulative weight paid out so far for this word.  Once the prefix
     stops matching the session is dead for the word: the fallback increment
-    has already been returned and later tokens are rejected.
+    has already been returned and later tokens are rejected.  The scoring
+    is :class:`PhraseWalk`'s; this facade checks calls and records ``trace``.
     """
 
-    __slots__ = (
-        "fst", "state", "delimiter", "cache", "counter", "trace",
-        "prefix", "lo", "hi", "w_prev", "emitted", "dead", "finished",
-    )
+    __slots__ = ("walk", "state", "trace", "finished")
 
     def __init__(
         self,
@@ -135,40 +346,26 @@ class ExpandSession:
     ):
         if not 0 <= state < fst.num_states:
             raise IndexError(f"state {state} out of range (0..{fst.num_states - 1})")
-        self.fst = fst
-        self.state = state
-        self.delimiter = delimiter
-        self.cache = cache
-        self.counter = counter
+        self.walk = PhraseWalk(fst, delimiter=delimiter, cache=cache, counter=counter)
+        self.state = self.walk.initial(state)
         self.trace = trace
-        self.prefix = ""
-        self.lo = 0
-        self.hi = len(fst.arcs[state])
-        self.w_prev = 0.0
-        self.emitted = 0.0
-        self.dead = False
         self.finished = False
 
-    def clone(self) -> "ExpandSession":
-        s = ExpandSession.__new__(ExpandSession)
-        s.fst = self.fst
-        s.state = self.state
-        s.delimiter = self.delimiter
-        s.cache = self.cache
-        s.counter = self.counter
-        s.trace = None  # traces are not carried across clones
-        s.prefix = self.prefix
-        s.lo = self.lo
-        s.hi = self.hi
-        s.w_prev = self.w_prev
-        s.emitted = self.emitted
-        s.dead = self.dead
-        s.finished = self.finished
-        return s
+    @property
+    def prefix(self) -> str:
+        return self.state[1]
 
     @property
     def range(self) -> tuple[int, int]:
-        return self.lo, self.hi
+        return self.state[2], self.state[3]
+
+    @property
+    def emitted(self) -> float:
+        return self.state[4]
+
+    @property
+    def dead(self) -> bool:
+        return self.state[5]
 
     def expand(self, subword: str) -> float:
         """Extend the prefix by one content token; returns the score increment."""
@@ -176,39 +373,9 @@ class ExpandSession:
             raise ValueError("word already finished; open a new session")
         if self.dead:
             raise ValueError("session is dead for this word (prefix fell out)")
-        if not subword:
-            raise ValueError("empty subword")
-        if subword.endswith(self.delimiter):
-            raise ValueError(f"{subword!r} is a delimiter token; use finish_word")
-
-        self.prefix += subword
-        key = (self.state, self.prefix)
-        hit = self.cache.get(key) if self.cache is not None else None
-        if hit is None:
-            lo, hi = prefix_range(
-                self.fst.words[self.state], self.lo, self.hi, self.prefix,
-                counter=self.counter,
-            )
-            if lo < hi:
-                hit = (lo, hi) + self.fst.band_summary(self.state, lo, hi)
-            else:
-                hit = (lo, hi, 0, 0.0)
-            if self.cache is not None:
-                self.cache[key] = hit
-        lo, hi, longest, lookahead = hit
-        self.lo = lo
-        self.hi = hi
-        if lo == hi:
-            increment = -self.emitted
-            self.emitted = 0.0
-            self.dead = True
-            self._record(increment, None, None)
-            return increment
-        pushed = pushed_weight(len(self.prefix), longest, lookahead)
-        increment = pushed - self.w_prev
-        self.w_prev = pushed
-        self.emitted = pushed
-        self._record(increment, longest, lookahead)
+        increment, self.state = self.walk.expand(self.state, subword)
+        if self.trace is not None:
+            self._record(increment)
         return increment
 
     def finish_word(self, token: str) -> tuple[float, int | None]:
@@ -223,54 +390,39 @@ class ExpandSession:
         """
         if self.finished:
             raise ValueError("word already finished; open a new session")
-        d = self.delimiter
-        if token == d:
-            content = ""
-        elif token.endswith(d):
-            content = token[: -len(d)]
-            if not content or d in content:
-                raise ValueError(f"malformed fused delimiter token {token!r}")
-        else:
-            raise ValueError(f"{token!r} does not carry the delimiter {d!r}")
-
+        content = token_content(token, self.walk.delimiter)
         increment = 0.0
         if content and not self.dead:
             increment = self.expand(content)
         self.finished = True
         if self.dead:
             return increment, None
-
-        words = self.fst.words[self.state]
-        if self.lo < self.hi and words[self.lo] == self.prefix:
-            arc = self.fst.arcs[self.state][self.lo]
-            step = arc.weight - self.w_prev
-            self.w_prev = arc.weight
-            self.emitted = arc.weight
-            self._record(step, None, arc.weight, matched=arc.word)
-            return increment + step, arc.nextstate
-        step = -self.emitted
-        self.emitted = 0.0
-        self.dead = True
-        self._record(step, None, None)
-        return increment + step, None
+        step, arc, self.state = self.walk.close_word(self.state, self.walk.delimiter)
+        if self.trace is not None:
+            self._record(step, closing=True, arc=arc)
+        return increment + step, None if arc is None else arc.nextstate
 
     def fallback_weight(self) -> float:
         """The correction that would zero everything emitted so far."""
         return -self.emitted
 
-    def _record(self, increment, longest, lookahead, matched=None):
-        if self.trace is None:
-            return
+    def _record(self, increment, *, closing=False, arc=None):
+        q, prefix, lo, hi, pushed, dead = self.state[:6]
+        longest = lookahead = None
+        if closing:
+            lookahead = None if arc is None else arc.weight
+        elif not dead:
+            longest, lookahead = self.walk.fst.band_summary(q, lo, hi)
         self.trace.append(
             {
-                "prefix": self.prefix,
-                "range": (self.lo, self.hi),
-                "length": len(self.prefix),
+                "prefix": prefix,
+                "range": (lo, hi),
+                "length": len(prefix),
                 "longest": longest,
                 "lookahead": lookahead,
-                "pushed": self.w_prev if not self.dead else None,
+                "pushed": None if dead else pushed,
                 "increment": increment,
-                "matched": matched,
+                "matched": None if arc is None else arc.word,
             }
         )
 
@@ -280,30 +432,15 @@ def open_session(fst: WordFst, state: int, **kwargs) -> ExpandSession:
     return ExpandSession(fst, state, **kwargs)
 
 
-class WordOutcome(Enum):
-    """What a word boundary did to a phrase walk."""
+class PhraseSession(Session):
+    """A :class:`PhraseWalk` session over multi-word phrases.
 
-    CONTINUED = "continued"          # matched an arc into a non-final state
-    COMPLETED = "completed"          # phrase done; no longer phrase continues it
-    COMPLETED_OPEN = "completed_open"  # phrase done but a longer phrase continues
-    FAILED = "failed"                # no match; everything unsettled was paid back
-
-
-class PhraseSession:
-    """Walks multi-word phrases over a biasing automaton, token by token.
-
-    Wraps one :class:`ExpandSession` per word and carries phrase-level state:
-    arc weights of completed words stay "pending" until a final state banks
-    them, and a failed word pays back the pending amount along with its own
-    pushed weight, so any walk that never completes a phrase is score-neutral.
-    After completing a phrase at a final state with outgoing arcs the walk
-    greedily continues toward longer phrases; otherwise it restarts at the
-    start state.  Words that miss while the walk sits at the start state cost
-    nothing (the phi self-loop).
+    ``expand`` and ``finalize`` return score increments; ``finish_word``
+    returns ``(increment, WordOutcome)``.  See :class:`PhraseWalk` for the
+    scoring rules.
     """
 
-    __slots__ = ("fst", "delimiter", "cache", "counter", "state", "word",
-                 "pending", "phrases_done", "last_final")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -314,82 +451,16 @@ class PhraseSession:
         counter: ProbeCounter | None = None,
         state: int | None = None,
     ):
-        self.fst = fst
-        self.delimiter = delimiter
-        self.cache = cache
-        self.counter = counter
-        self.state = fst.start if state is None else state
-        self.word = ExpandSession(
-            fst, self.state, delimiter=delimiter, cache=cache, counter=counter
-        )
-        self.pending = 0.0
-        self.phrases_done = 0
-        self.last_final: int | None = None
-
-    def clone(self) -> "PhraseSession":
-        s = PhraseSession.__new__(PhraseSession)
-        s.fst = self.fst
-        s.delimiter = self.delimiter
-        s.cache = self.cache
-        s.counter = self.counter
-        s.state = self.state
-        s.word = self.word.clone()
-        s.pending = self.pending
-        s.phrases_done = self.phrases_done
-        s.last_final = self.last_final
-        return s
+        walk = PhraseWalk(fst, delimiter=delimiter, cache=cache, counter=counter)
+        super().__init__(walk, walk.initial(state))
 
     @property
-    def emitted(self) -> float:
-        """Unsettled score paid out so far (pending arcs + current pushes)."""
-        return self.pending + self.word.emitted
-
-    def expand(self, subword: str) -> float:
-        if self.word.dead:
-            return 0.0  # word already failed; remaining tokens score nothing
-        return self.word.expand(subword)
+    def word(self) -> ExpandSession:
+        """A snapshot of the current word as a single-word session."""
+        view = _new(ExpandSession)
+        view.walk, view.state, view.trace, view.finished = self.scorer, self.state, None, False
+        return view
 
     def finish_word(self, token: str) -> tuple[float, WordOutcome]:
-        if self.word.dead:
-            self.word.finished = True
-            increment, matched = 0.0, None
-        else:
-            increment, matched = self.word.finish_word(token)
-        if matched is None:
-            increment += -self.pending
-            self.pending = 0.0
-            self.state = self.fst.start
-            outcome = WordOutcome.FAILED
-        else:
-            self.pending += self.word.emitted
-            if matched in self.fst.finals:
-                self.pending = 0.0
-                self.phrases_done += 1
-                self.last_final = matched
-                if self.fst.arcs[matched]:
-                    self.state = matched
-                    outcome = WordOutcome.COMPLETED_OPEN
-                else:
-                    self.state = self.fst.start
-                    outcome = WordOutcome.COMPLETED
-            else:
-                self.state = matched
-                outcome = WordOutcome.CONTINUED
-        self.word = ExpandSession(
-            self.fst, self.state, delimiter=self.delimiter,
-            cache=self.cache, counter=self.counter,
-        )
+        increment, outcome, self.state = self.scorer.finish_word(self.state, token)
         return increment, outcome
-
-    def finalize(self) -> float:
-        """End-of-stream correction: pay back anything not banked by a final."""
-        increment = -self.pending
-        if not self.word.dead:
-            increment += self.word.fallback_weight()
-        self.pending = 0.0
-        self.state = self.fst.start
-        self.word = ExpandSession(
-            self.fst, self.state, delimiter=self.delimiter,
-            cache=self.cache, counter=self.counter,
-        )
-        return increment

@@ -174,3 +174,52 @@ class TestPipeline:
         assert run("tune", "--dev", workdir / "d.jsonl",
                    "--lm-generic", workdir / "g.arpa",
                    "--bounds", "nope", "--budget", 40) == 2
+
+
+def exit_code(*argv):
+    """``main``'s return value, or the code argparse exits with."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestBadFlags:
+    """Out-of-range numeric flags exit with code 2 and name the flag."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--beam", 0), ("--nbest", 20), ("--lambda", -1), ("--noise", 2),
+        ("--lambda", "nan"), ("--beam", "1.5"),
+    ])
+    def test_decode(self, workdir, capsys, flag, value):
+        assert exit_code("decode", "--vocab", workdir / "vocab.txt",
+                         "--refs", workdir / "refs.tsv", "--out", workdir / "x.jsonl",
+                         flag, value) == 2
+        assert flag in capsys.readouterr().err
+        assert not (workdir / "x.jsonl").exists()
+
+    def test_train_lm(self, workdir, capsys):
+        assert exit_code("train-lm", "--corpus", workdir / "lmcorpus.txt",
+                         "--order", 0, "--out", workdir / "x.arpa") == 2
+        assert "--order" in capsys.readouterr().err
+
+    def test_build_fst(self, workdir, capsys):
+        assert exit_code("build-fst", "--class-corpus", workdir / "class.txt",
+                         "--min-count", 0, "--out", workdir / "x.fst") == 2
+        assert "--min-count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--budget", 0), ("--bounds", "4,-2,0,4"), ("--bounds", "nan,1,0,4"),
+        ("--bounds", "0,1,inf,4"),
+    ])
+    def test_tune(self, workdir, capsys, flag, value):
+        assert exit_code("tune", "--dev", workdir / "d.jsonl",
+                         "--lm-generic", workdir / "g.arpa", flag, value) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_rescore(self, workdir, capsys, flag):
+        assert exit_code("rescore", "--nbest", workdir / "d.jsonl",
+                         "--lm-generic", workdir / "g.arpa", flag, "nan",
+                         "--out", workdir / "x.jsonl") == 2
+        assert flag in capsys.readouterr().err

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biaslattice.decode import (
     NullBiaser,
@@ -273,6 +275,69 @@ class TestWordLevelBiaser:
         total = session.finish_word("_")
         total += session.finalize()
         assert total == 0.0
+
+
+_words = st.text(alphabet="abc", min_size=1, max_size=4)
+
+
+@st.composite
+def _catalogs(draw):
+    """Mixed-sign one- and two-word catalogs; a phrase weighs what its first word does,
+    so phrases sharing a prefix agree on its arc weight."""
+    firsts = draw(st.dictionaries(_words, st.floats(-5.0, 5.0), min_size=1, max_size=8))
+    seconds = draw(st.sets(st.tuples(st.sampled_from(sorted(firsts)), _words), max_size=4))
+    return [CatalogEntry((w,), x) for w, x in firsts.items()] + [
+        CatalogEntry(p, firsts[p[0]]) for p in sorted(seconds)
+    ]
+
+
+@st.composite
+def _streams(draw, catalog):
+    """Token streams mostly over catalog words, cut into random pieces, each word
+    closed by a bare or fused delimiter, with stray delimiters (empty words)."""
+    words = st.one_of(st.sampled_from(sorted({w for e in catalog for w in e.phrase})), _words)
+    tokens = []
+    for _ in range(draw(st.integers(0, 6))):
+        word = draw(words)
+        cuts = sorted(draw(st.sets(st.integers(1, len(word) - 1)))) if len(word) > 1 else []
+        pieces = [word[i:j] for i, j in zip([0] + cuts, cuts + [len(word)])]
+        if draw(st.booleans()):
+            pieces[-1] += "_"
+        else:
+            pieces.append("_")
+        if draw(st.integers(0, 4)) == 0:
+            pieces.append("_")
+        tokens += pieces
+    return tokens
+
+
+def _feed(session, tokens, *, final=True):
+    """Increments for ``tokens`` (delimiter tokens close words), then finalize."""
+    out = [session.finish_word(t) if t.endswith("_") else session.expand(t) for t in tokens]
+    if final:
+        out.append(session.finalize())
+    return out
+
+
+class TestCloneIndependence:
+    """Beam search clones a session per candidate; clones must never interact."""
+
+    @pytest.mark.parametrize("biaser_cls", [WordBiaser, SubwordBiaser])
+    @given(catalog=_catalogs(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mid_stream_clone(self, biaser_cls, catalog, data):
+        biaser = biaser_cls(build_catalog_fst(catalog))
+        stream, detour = data.draw(_streams(catalog)), data.draw(_streams(catalog))
+        want = _feed(biaser.open_session(), stream)
+        cut = data.draw(st.integers(0, len(stream)))
+        session = biaser.open_session()
+        assert _feed(session, stream[:cut], final=False) == want[:cut]
+        detoured, twin = session.clone(), session.clone()
+        _feed(detoured, detour)
+        # the clone scores the remaining tokens exactly as the original ...
+        assert _feed(twin, stream[cut:]) == want[cut:]
+        # ... and feeding clones leaves the original's increments unchanged
+        assert _feed(session, stream[cut:]) == want[cut:]
 
 
 class TestNBestIO:
