@@ -79,9 +79,11 @@ class NBestList:
 # -- biasers ------------------------------------------------------------------
 #
 # A biaser opens one scoring session per decoded utterance.  A session is a
-# shared, immutable scorer plus a plain-tuple state, so the clone beam search
-# takes for every candidate token copies two references.  Sessions expose
-# expand / finish_word / finalize, all returning score increments.
+# shared, immutable scorer plus a plain-tuple state, so a clone copies two
+# references.  Beam search clones a hypothesis's session for every candidate
+# token but the last, which takes the parent's session over: a step with one
+# candidate clones nothing.  Sessions expose expand / finish_word / finalize,
+# all returning score increments.
 
 
 class _NullSession:
@@ -147,6 +149,13 @@ class SynthOracle:
     ``noisy_words`` (when given), delimiters, and end-of-sequence are emitted
     cleanly.  Score maps depend only on (seed, utterance, position), so
     decoding is bit-reproducible.
+
+    Every live hypothesis at a beam-search step has the same length, so
+    :meth:`score` keeps a one-entry memo keyed on (utterance, position) and
+    builds each step's map once, not once per hypothesis.  The memo is one
+    attribute holding a ``(key, map)`` tuple, replaced whole, and each call
+    returns a fresh copy of the map; threads sharing an oracle can at worst
+    race to rebuild the same map.
     """
 
     def __init__(
@@ -191,6 +200,7 @@ class SynthOracle:
             self.tokens[utt] = tuple(toks)
             self._noisy_pos[utt] = frozenset(noisy)
         self._confusions = _confusion_sets(vocab)
+        self._memo: tuple = (None, None)
 
     def utterances(self) -> list[tuple[str, str]]:
         return list(self.refs.items())
@@ -199,8 +209,14 @@ class SynthOracle:
         return len(self.tokens[utt_id]) + 2
 
     def score(self, utt_id: str, history: tuple[str, ...]) -> dict[str, float]:
+        key = (utt_id, len(history))
+        memo = self._memo
+        if memo[0] != key:
+            memo = self._memo = (key, self._build(*key))
+        return dict(memo[1])
+
+    def _build(self, utt_id: str, pos: int) -> dict[str, float]:
         toks = self.tokens[utt_id]
-        pos = len(history)
         intended = toks[pos] if pos < len(toks) else END
         if self.noise == 0.0 or pos not in self._noisy_pos[utt_id]:
             return {intended: 0.0}
@@ -261,16 +277,6 @@ def synth_oracle(
 # -- beam search ---------------------------------------------------------------
 
 
-class _Beam:
-    __slots__ = ("tokens", "rnnt", "sf", "session")
-
-    def __init__(self, tokens, rnnt, sf, session):
-        self.tokens = tokens
-        self.rnnt = rnnt
-        self.sf = sf
-        self.session = session
-
-
 def _check_normalized(scores: Mapping[str, float], utt_id: str) -> None:
     if not scores:
         raise OracleError(f"{utt_id}: oracle returned no candidates")
@@ -302,55 +308,63 @@ def beam_search(
         raise ValueError(f"need beam_size >= n_best >= 1, got {beam_size}, {n_best}")
     if not vocab.pieces:
         raise ValueError("empty vocabulary")
+    fuse_step(0.0, 0.0, lam)  # rejects a negative or non-finite scale up front
     if biaser is None:
         biaser = NullBiaser()
-    live = [_Beam((), 0.0, 0.0, biaser.open_session())]
-    done: list[_Beam] = []
+    delimiter = vocab.delimiter
+    # A beam is (-fused, tokens, rnnt_logp, sf_score, session).  Token
+    # sequences are unique, so sorting the tuples orders by descending fused
+    # score, then by tokens, and never compares two sessions.
+    live = [(0.0, (), 0.0, 0.0, biaser.open_session())]
+    done = []
     for _ in range(max_steps):
         if not live:
             break
-        extended: list[_Beam] = []
-        for beam in live:
-            scores = oracle.score(utt_id, beam.tokens)
+        extended = []
+        for _, tokens, rnnt, sf, parent in live:
+            scores = oracle.score(utt_id, tokens)
             _check_normalized(scores, utt_id)
-            for token in sorted(scores):
-                logp = scores[token]
-                session = beam.session.clone()
+            ranked = sorted(scores)
+            last = ranked[-1]
+            for token in ranked:
+                # An extended beam's session is never stepped again, so its
+                # last child takes it and only the other children clone it.
+                session = parent if token == last else parent.clone()
                 if token == END:
                     increment = session.finalize()
-                    done.append(
-                        _Beam(beam.tokens, beam.rnnt + logp, beam.sf + increment, session)
-                    )
-                    continue
-                if is_delimiter(vocab, token):
-                    increment = session.finish_word(token)
+                    child, out = tokens, done
                 else:
-                    increment = session.expand(token)
-                extended.append(
-                    _Beam(
-                        beam.tokens + (token,),
-                        beam.rnnt + logp,
-                        beam.sf + increment,
-                        session,
-                    )
-                )
-        extended.sort(key=lambda b: (-fuse_step(b.rnnt, b.sf, lam), b.tokens))
+                    if token.endswith(delimiter):
+                        increment = session.finish_word(token)
+                    else:
+                        increment = session.expand(token)
+                    child, out = tokens + (token,), extended
+                r = rnnt + scores[token]
+                b = sf + increment
+                f = r + lam * b  # fuse_step(r, b, lam), checked below
+                if not math.isfinite(f):
+                    raise ValueError("non-finite input to fuse_step")
+                out.append((-f, child, r, b, session))
+        extended.sort()
         live = extended[:beam_size]
     else:
         # Step cap reached: settle whatever is still on the beam.
-        for beam in live:
-            beam.sf += beam.session.finalize()
-            done.append(beam)
-    done.sort(key=lambda b: (-fuse_step(b.rnnt, b.sf, lam), b.tokens))
+        for _, tokens, r, sf, session in live:
+            b = sf + session.finalize()
+            f = r + lam * b
+            if not math.isfinite(f):
+                raise ValueError("non-finite input to fuse_step")
+            done.append((-f, tokens, r, b, session))
+    done.sort()
     hyps = [
         Hypothesis(
-            tokens=b.tokens,
-            text=detokenize(vocab, b.tokens),
-            rnnt_logp=b.rnnt,
-            sf_score=b.sf,
-            fused=fuse_step(b.rnnt, b.sf, lam),
+            tokens=tokens,
+            text=detokenize(vocab, tokens),
+            rnnt_logp=r,
+            sf_score=b,
+            fused=-neg_f,
         )
-        for b in done[:n_best]
+        for neg_f, tokens, r, b, _ in done[:n_best]
     ]
     return NBestList(utt_id=utt_id, ref=ref, lam=lam, hyps=hyps)
 

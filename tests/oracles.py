@@ -2,7 +2,8 @@
 
 Everything here is written the slow, obvious way (linear scans, plain
 recursion, full enumeration) and deliberately shares no code with the
-package modules it checks.
+package modules it checks; only the reference beam search reuses the
+decoder's value types and checks.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+
+from biaslattice.decode import END, Hypothesis, NBestList, NullBiaser, _check_normalized, fuse_step
+from biaslattice.wordpiece import detokenize, is_delimiter
 
 
 # -- tries ----------------------------------------------------------------------
@@ -223,3 +227,90 @@ class RefKN:
             total += math.log(self.prob(ctx, tok))
             ctx = (ctx + (tok,))[-(self.order - 1):] if self.order > 1 else ()
         return total + math.log(self.prob(ctx, EOS))
+
+
+# -- beam search, one clone and one fuse_step per candidate --------------------------
+#
+# The beam search loop as it stood before per-step work was hoisted out of it:
+# one oracle call per live hypothesis, one session clone per candidate, and a
+# sort key that re-runs fuse_step.  It reuses the package's value types, its
+# oracle check and fuse_step, none of which that rewrite changed.
+
+
+class _Beam:
+    __slots__ = ("tokens", "rnnt", "sf", "session")
+
+    def __init__(self, tokens, rnnt, sf, session):
+        self.tokens = tokens
+        self.rnnt = rnnt
+        self.sf = sf
+        self.session = session
+
+
+def reference_beam_search(
+    oracle,
+    biaser,
+    vocab,
+    lam: float,
+    beam_size: int = 16,
+    n_best: int = 8,
+    *,
+    utt_id: str = "utt-0",
+    ref: str = "",
+    max_steps: int = 512,
+):
+    if n_best < 1 or beam_size < n_best:
+        raise ValueError(f"need beam_size >= n_best >= 1, got {beam_size}, {n_best}")
+    if not vocab.pieces:
+        raise ValueError("empty vocabulary")
+    if biaser is None:
+        biaser = NullBiaser()
+    live = [_Beam((), 0.0, 0.0, biaser.open_session())]
+    done: list[_Beam] = []
+    for _ in range(max_steps):
+        if not live:
+            break
+        extended: list[_Beam] = []
+        for beam in live:
+            scores = oracle.score(utt_id, beam.tokens)
+            _check_normalized(scores, utt_id)
+            for token in sorted(scores):
+                logp = scores[token]
+                session = beam.session.clone()
+                if token == END:
+                    increment = session.finalize()
+                    done.append(
+                        _Beam(beam.tokens, beam.rnnt + logp, beam.sf + increment, session)
+                    )
+                    continue
+                if is_delimiter(vocab, token):
+                    increment = session.finish_word(token)
+                else:
+                    increment = session.expand(token)
+                extended.append(
+                    _Beam(
+                        beam.tokens + (token,),
+                        beam.rnnt + logp,
+                        beam.sf + increment,
+                        session,
+                    )
+                )
+        extended.sort(key=lambda b: (-fuse_step(b.rnnt, b.sf, lam), b.tokens))
+        live = extended[:beam_size]
+    else:
+        # Step cap reached: settle whatever is still on the beam.
+        for beam in live:
+            beam.sf += beam.session.finalize()
+            done.append(beam)
+    done.sort(key=lambda b: (-fuse_step(b.rnnt, b.sf, lam), b.tokens))
+    hyps = [
+        Hypothesis(
+            tokens=b.tokens,
+            text=detokenize(vocab, b.tokens),
+            rnnt_logp=b.rnnt,
+            sf_score=b.sf,
+            fused=fuse_step(b.rnnt, b.sf, lam),
+        )
+        for b in done[:n_best]
+    ]
+    return NBestList(utt_id=utt_id, ref=ref, lam=lam, hyps=hyps)

@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biaslattice.decode import (
+    END,
     NullBiaser,
     OracleError,
     SubwordBiaser,
@@ -19,6 +21,7 @@ from biaslattice.decode import (
 from biaslattice.fst import CatalogEntry, build_catalog_fst
 from biaslattice.metrics import normalize_words, wer
 from biaslattice.wordpiece import make_vocab
+from oracles import reference_beam_search
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +93,27 @@ class TestSynthOracle:
     def test_single_transcript_shorthand(self, mini_vocab):
         oracle = synth_oracle(mini_vocab, "bado", noise=0.0)
         assert oracle.utterances() == [("utt-0", "bado")]
+
+    def test_interleaved_queries_match_a_fresh_oracle(self, mini_vocab):
+        refs = {"u-1": "bado kela", "u-2": "rosu bado"}
+        oracle = synth_oracle(mini_vocab, refs, noise=0.6, seed=9)
+        queries = [(u, pos) for u in refs for pos in range(oracle.max_steps(u))] * 2
+        random.Random(3).shuffle(queries)
+        for utt, pos in queries:
+            fresh = synth_oracle(mini_vocab, refs, noise=0.6, seed=9)
+            # twice in a row, so the second call can be served from a memo
+            for history in (("ba",) * pos, tuple(oracle.tokens[utt][:pos])):
+                assert oracle.score(utt, history) == fresh.score(utt, ("do",) * pos)
+
+    def test_returned_map_belongs_to_the_caller(self, mini_vocab):
+        oracle = synth_oracle(mini_vocab, {"u": "bado"}, noise=0.6, seed=9)
+        for pos in range(3):
+            history = ("ba",) * pos
+            first = oracle.score("u", history)
+            want = dict(first)
+            first.clear()
+            first["zz"] = 0.0
+            assert oracle.score("u", history) == want
 
 
 class TestBeamSearch:
@@ -338,6 +362,96 @@ class TestCloneIndependence:
         assert _feed(twin, stream[cut:]) == want[cut:]
         # ... and feeding clones leaves the original's increments unchanged
         assert _feed(session, stream[cut:]) == want[cut:]
+
+
+class _Fixed:
+    """An oracle offering the same map at every step."""
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def score(self, utt_id, history):
+        return dict(self.scores)
+
+
+class TestBeamSearchEdges:
+    @pytest.mark.parametrize("token", ["do", END])
+    @pytest.mark.parametrize("beam", [1, 8])
+    def test_non_finite_candidate_raises(self, mini_vocab, token, beam):
+        # at beam 1 the -inf candidate is pruned, or sorts below the 1-best,
+        # so only a check on every candidate catches it
+        oracle = _Fixed({"ba": 0.0, token: -math.inf})
+        with pytest.raises(ValueError, match="non-finite"):
+            beam_search(oracle, None, mini_vocab, 1.0, beam, 1, max_steps=3)
+
+    @pytest.mark.parametrize("lam", [-1.0, math.nan])
+    @pytest.mark.parametrize("scores", [{"ba": 0.0}, {END: 0.0}])
+    def test_invalid_scale_raises(self, mini_vocab, lam, scores):
+        with pytest.raises(ValueError):
+            beam_search(_Fixed(scores), None, mini_vocab, lam, 8, 4, max_steps=3)
+
+    @pytest.mark.parametrize("max_steps", [0, 1, 3])
+    def test_step_cap_settles_a_single_candidate(self, mini_vocab, max_steps):
+        biaser = SubwordBiaser(build_catalog_fst([CatalogEntry(("babababa",), 1.5)]))
+        nbest = beam_search(_Fixed({"ba": 0.0}), biaser, mini_vocab, 2.0, 8, 4,
+                            max_steps=max_steps)
+        (hyp,) = nbest.hyps
+        assert hyp.tokens == ("ba",) * max_steps
+        assert hyp.fused == hyp.rnnt_logp + 2.0 * hyp.sf_score
+
+
+_PIECES = ("a", "b", "c", "ab", "ca", "_", "a_", "bc_", END)
+
+
+class _LastTokenOracle:
+    """Scores depend on the last token of the history, so hypotheses at one step
+    get different maps; END is forced once the history reaches ``length``."""
+
+    def __init__(self, table, length):
+        self.table = table
+        self.length = length
+
+    def score(self, utt_id, history):
+        if len(history) >= self.length:
+            return {END: 0.0}
+        return dict(self.table[history[-1] if history else None])
+
+
+@st.composite
+def _last_token_oracles(draw):
+    # small integer weights, so equal log-probs (and fused-score ties) are common
+    table = {}
+    for last in (None,) + _PIECES[:-1]:
+        weights = draw(st.dictionaries(st.sampled_from(_PIECES), st.integers(1, 3),
+                                       min_size=1, max_size=5))
+        total = sum(weights.values())
+        table[last] = {t: math.log(w / total) for t, w in weights.items()}
+    return _LastTokenOracle(table, draw(st.integers(0, 6)))
+
+
+def _bits(nbest):
+    return [(h.tokens, h.text, h.rnnt_logp.hex(), h.sf_score.hex(), h.fused.hex())
+            for h in nbest.hyps]
+
+
+class TestReferenceEquivalence:
+    """Beam search returns exactly what the one-clone-per-candidate loop returns."""
+
+    @pytest.mark.parametrize("biaser_cls", [None, WordBiaser, SubwordBiaser])
+    @given(oracle=_last_token_oracles(), catalog=_catalogs(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, mini_vocab, biaser_cls, oracle, catalog, data):
+        biaser = biaser_cls and biaser_cls(build_catalog_fst(catalog))
+        lam = data.draw(st.one_of(st.just(0.0), st.floats(0.1, 5.0)))
+        n_best = data.draw(st.integers(1, 4))
+        beam = n_best + data.draw(st.integers(0, 4))
+        max_steps = data.draw(st.integers(0, oracle.length + 2))
+        args = (oracle, biaser, mini_vocab, lam, beam, n_best)
+        kwargs = dict(utt_id="u", ref="r", max_steps=max_steps)
+        want = reference_beam_search(*args, **kwargs)
+        got = beam_search(*args, **kwargs)
+        assert _bits(got) == _bits(want)
+        assert got == want
 
 
 class TestNBestIO:
