@@ -79,11 +79,9 @@ class NBestList:
 # -- biasers ------------------------------------------------------------------
 #
 # A biaser opens one scoring session per decoded utterance.  A session is a
-# shared, immutable scorer plus a plain-tuple state, so a clone copies two
-# references.  Beam search clones a hypothesis's session for every candidate
-# token but the last, which takes the parent's session over: a step with one
-# candidate clones nothing.  Sessions expose expand / finish_word / finalize,
-# all returning score increments.
+# shared, immutable scorer plus a plain-tuple state, so the clone beam search
+# takes for every candidate token copies two references.  Sessions expose
+# expand / finish_word / finalize, all returning score increments.
 
 
 class _NullSession:
@@ -308,7 +306,6 @@ def beam_search(
         raise ValueError(f"need beam_size >= n_best >= 1, got {beam_size}, {n_best}")
     if not vocab.pieces:
         raise ValueError("empty vocabulary")
-    fuse_step(0.0, 0.0, lam)  # rejects a negative or non-finite scale up front
     if biaser is None:
         biaser = NullBiaser()
     delimiter = vocab.delimiter
@@ -324,12 +321,8 @@ def beam_search(
         for _, tokens, rnnt, sf, parent in live:
             scores = oracle.score(utt_id, tokens)
             _check_normalized(scores, utt_id)
-            ranked = sorted(scores)
-            last = ranked[-1]
-            for token in ranked:
-                # An extended beam's session is never stepped again, so its
-                # last child takes it and only the other children clone it.
-                session = parent if token == last else parent.clone()
+            for token in sorted(scores):
+                session = parent.clone()
                 if token == END:
                     increment = session.finalize()
                     child, out = tokens, done
@@ -341,20 +334,14 @@ def beam_search(
                     child, out = tokens + (token,), extended
                 r = rnnt + scores[token]
                 b = sf + increment
-                f = r + lam * b  # fuse_step(r, b, lam), checked below
-                if not math.isfinite(f):
-                    raise ValueError("non-finite input to fuse_step")
-                out.append((-f, child, r, b, session))
+                out.append((-fuse_step(r, b, lam), child, r, b, session))
         extended.sort()
         live = extended[:beam_size]
     else:
         # Step cap reached: settle whatever is still on the beam.
         for _, tokens, r, sf, session in live:
             b = sf + session.finalize()
-            f = r + lam * b
-            if not math.isfinite(f):
-                raise ValueError("non-finite input to fuse_step")
-            done.append((-f, tokens, r, b, session))
+            done.append((-fuse_step(r, b, lam), tokens, r, b, session))
     done.sort()
     hyps = [
         Hypothesis(

@@ -36,9 +36,7 @@ counter, none of which belongs to one hypothesis, so any number of
 hypotheses share one walk and one cache.  :class:`WordWalk` is the
 same walk with pushing switched off, for word-boundary biasing.
 :class:`Session` pairs a scorer with its current state; cloning one copies
-two references, which is all beam search pays per hypothesis extension, and
-only for the extensions of a hypothesis other than its last, which takes the
-parent's session over.
+two references, which is all beam search pays per hypothesis extension.
 :class:`ExpandSession` (one word from a fixed state) and
 :class:`PhraseSession` (multi-word phrases with completion, restart and
 end-of-stream cleanup) are thin facades over the walk.
