@@ -6,6 +6,11 @@ a state are kept in strict lexicographic order so prefix lookups can use
 binary search.  The start state carries a zero-cost "phi" self-loop that
 absorbs any word not listed on its outgoing arcs.
 
+The builder maps every word path of the catalog to its arc weight and
+numbers the states by sorting those paths, which is the preorder walk of the
+trie; no node objects are made.  The ``BLFST1`` reader is one loop over the
+buffer with precompiled ``struct`` unpacks and explicit bounds checks.
+
 Automata are immutable after construction and safe to share across threads;
 all mutation happens inside the builder.  Derived views (the per-state word
 lists and the band index) are built lazily on first use; threads racing on
@@ -175,14 +180,6 @@ class WordFst:
                 stack.append((arc.nextstate, words + (arc.word,)))
 
 
-class _Node:
-    __slots__ = ("edges", "final")
-
-    def __init__(self):
-        self.edges: dict[str, tuple[float, "_Node"]] = {}
-        self.final = False
-
-
 def build_catalog_fst(
     entries: Iterable[CatalogEntry], *, delimiter: str = DEFAULT_DELIMITER
 ) -> WordFst:
@@ -192,6 +189,15 @@ def build_catalog_fst(
     agree on the shared prefix.  Each phrase ends in a final state and the sum
     of arc weights along its path equals ``len(phrase) * entry.weight``.
 
+    One pass over the catalog maps every word path ``phrase[:i]`` to the
+    weight of its last arc, in input order, so the checks below fire on the
+    first offending entry.  States are numbered in the order of the sorted
+    paths, after the start state (the empty path): sorted word tuples list
+    each path before its extensions and its later siblings, which is the
+    preorder walk of the trie over sorted edges.  One more pass over the
+    sorted paths appends each arc to its parent's list, so every list comes
+    out sorted.
+
     Raises CatalogError on an empty catalog, duplicate phrases, words
     containing the subword delimiter, or conflicting weights on a shared
     prefix arc.
@@ -199,52 +205,41 @@ def build_catalog_fst(
     entries = list(entries)
     if not entries:
         raise CatalogError("catalog is empty")
-    seen: set[tuple[str, ...]] = set()
-    root = _Node()
+    phrases: set[tuple[str, ...]] = set()
+    paths: dict[tuple[str, ...], float] = {}
     for entry in entries:
-        if entry.phrase in seen:
+        phrase, weight = entry.phrase, entry.weight
+        if phrase in phrases:
             raise CatalogError(f"duplicate catalog phrase: {entry.text!r}")
-        seen.add(entry.phrase)
-        node = root
-        for word in entry.phrase:
+        phrases.add(phrase)
+        for i, word in enumerate(phrase, 1):
             if delimiter in word:
                 raise CatalogError(
                     f"word {word!r} contains the subword delimiter {delimiter!r}"
                 )
-            edge = node.edges.get(word)
-            if edge is None:
-                child = _Node()
-                node.edges[word] = (entry.weight, child)
-            else:
-                weight, child = edge
-                if weight != entry.weight:
-                    raise CatalogError(
-                        f"conflicting weights {weight} vs {entry.weight} on shared "
-                        f"prefix arc {word!r} (phrase {entry.text!r})"
-                    )
-            node = node.edges[word][1]
-        node.final = True
+            shared = paths.setdefault(phrase[:i], weight)
+            if shared != weight:
+                raise CatalogError(
+                    f"conflicting weights {shared} vs {weight} on shared "
+                    f"prefix arc {word!r} (phrase {entry.text!r})"
+                )
 
-    # Deterministic numbering: preorder walk with edges in sorted order.
-    order: list[_Node] = []
-    ids: dict[int, int] = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        ids[id(node)] = len(order)
-        order.append(node)
-        for word in sorted(node.edges, reverse=True):
-            stack.append(node.edges[word][1])
-
-    arcs = tuple(
-        tuple(
-            Arc(word, node.edges[word][0], ids[id(node.edges[word][1])])
-            for word in sorted(node.edges)
-        )
-        for node in order
+    arcs: list[list[Arc]] = [[] for _ in range(len(paths) + 1)]
+    finals = []
+    # The states along the current path; in preorder a path's parent is the
+    # latest state one word shorter.
+    stack = [0]
+    new = tuple.__new__
+    for state, (path, weight) in enumerate(sorted(paths.items()), 1):
+        del stack[len(path):]
+        arcs[stack[-1]].append(new(Arc, (path[-1], weight, state)))
+        stack.append(state)
+        if path in phrases:
+            finals.append(state)
+    return WordFst(
+        start=0, finals=frozenset(finals), arcs=tuple(map(tuple, arcs)),
+        phi_states=frozenset({0}),
     )
-    finals = frozenset(ids[id(n)] for n in order if n.final)
-    return WordFst(start=0, finals=finals, arcs=arcs, phi_states=frozenset({0}))
 
 
 def empty_fst() -> WordFst:
@@ -348,38 +343,8 @@ def load_catalog(path) -> list[CatalogEntry]:
 
 _U32 = struct.Struct("<I")
 _F64 = struct.Struct("<d")
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise InputFormatError(
-                f"truncated automaton: needed {n} bytes at offset {self.pos}"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def f64(self) -> float:
-        return _F64.unpack(self.take(8))[0]
-
-    def string(self) -> str:
-        n = self.u32()
-        at = self.pos
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError:
-            raise InputFormatError(f"invalid UTF-8 string at offset {at}") from None
+_STATE = struct.Struct("<BI")  # flags, num_arcs
+_ARC_TAIL = struct.Struct("<dI")  # weight, nextstate
 
 
 def serialize(fst: WordFst) -> bytes:
@@ -399,33 +364,74 @@ def serialize(fst: WordFst) -> bytes:
     return bytes(out)
 
 
+def _truncated(n: int, at: int) -> InputFormatError:
+    return InputFormatError(f"truncated automaton: needed {n} bytes at offset {at}")
+
+
+def _bad_flags(flags: int, at: int) -> InputFormatError:
+    return InputFormatError(f"unknown state flags {flags:#x} at offset {at}")
+
+
 def deserialize(data: bytes) -> WordFst:
-    r = _Reader(data)
-    if r.take(len(_MAGIC)) != _MAGIC:
+    """Parse a ``BLFST1`` buffer in one loop over it.
+
+    Each state header and each arc's weight and next state is one
+    precompiled ``unpack_from``.  Fields are checked in file order, so the
+    first field that runs past the end of ``data``, or fails its check,
+    names the error and its byte offset.
+    """
+    end = len(data)
+    pos = len(_MAGIC)
+    if pos > end:
+        raise _truncated(pos, 0)
+    if data[:pos] != _MAGIC:
         raise InputFormatError("bad magic: not a serialized biasing automaton")
-    num_states = r.u32()
-    start = r.u32()
-    finals = set()
-    phi = set()
+    if pos + 8 > end:
+        raise _truncated(4, pos if pos + 4 > end else pos + 4)
+    num_states, start = struct.unpack_from("<II", data, pos)
+    pos += 8
+    unpack_state, unpack_u32, unpack_tail = (
+        _STATE.unpack_from, _U32.unpack_from, _ARC_TAIL.unpack_from
+    )
+    new = tuple.__new__
+    finals = []
+    phi = []
     arcs = []
     for s in range(num_states):
-        at = r.pos
-        flags = r.u8()
+        if pos + 5 > end:
+            # A short header: report the flag byte first, as a field-by-field read would.
+            if pos < end and data[pos] & ~3:
+                raise _bad_flags(data[pos], pos)
+            raise _truncated(1, pos) if pos >= end else _truncated(4, pos + 1)
+        flags, num_arcs = unpack_state(data, pos)
         if flags & ~3:
-            raise InputFormatError(f"unknown state flags {flags:#x} at offset {at}")
+            raise _bad_flags(flags, pos)
         if flags & 1:
-            finals.add(s)
+            finals.append(s)
         if flags & 2:
-            phi.add(s)
+            phi.append(s)
+        pos += 5
         state_arcs = []
-        for _ in range(r.u32()):
-            word = r.string()
-            weight = r.f64()
-            nextstate = r.u32()
-            state_arcs.append(Arc(word, weight, nextstate))
+        for _ in range(num_arcs):
+            if pos + 4 > end:
+                raise _truncated(4, pos)
+            (n,) = unpack_u32(data, pos)
+            pos += 4
+            stop = pos + n
+            if stop > end:
+                raise _truncated(n, pos)
+            try:
+                word = data[pos:stop].decode("utf-8")
+            except UnicodeDecodeError:
+                raise InputFormatError(f"invalid UTF-8 string at offset {pos}") from None
+            pos = stop + 12
+            if pos > end:
+                raise _truncated(8, stop) if stop + 8 > end else _truncated(4, stop + 8)
+            weight, nextstate = unpack_tail(data, stop)
+            state_arcs.append(new(Arc, (word, weight, nextstate)))
         arcs.append(tuple(state_arcs))
-    if r.pos != len(data):
-        raise InputFormatError(f"{len(data) - r.pos} trailing bytes at offset {r.pos}")
+    if pos != end:
+        raise InputFormatError(f"{end - pos} trailing bytes at offset {pos}")
     fst = WordFst(
         start=start, finals=frozenset(finals), arcs=tuple(arcs), phi_states=frozenset(phi)
     )
@@ -442,5 +448,10 @@ def save_fst(fst: WordFst, path) -> None:
 
 
 def load_fst(path) -> WordFst:
+    """Read a serialized automaton; an InputFormatError names ``path``."""
     with open(path, "rb") as f:
-        return deserialize(f.read())
+        data = f.read()
+    try:
+        return deserialize(data)
+    except InputFormatError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None

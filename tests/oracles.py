@@ -2,17 +2,28 @@
 
 Everything here is written the slow, obvious way (linear scans, plain
 recursion, full enumeration) and deliberately shares no code with the
-package modules it checks; only the reference beam search reuses the
-decoder's value types and checks.
+package modules it checks; only the reference beam search, automaton
+builder and automaton reader reuse the package's value types and checks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from collections import Counter
+from typing import Iterable
 
 from biaslattice.decode import END, Hypothesis, NBestList, NullBiaser, _check_normalized, fuse_step
+from biaslattice.errors import InputFormatError
+from biaslattice.fst import (
+    DEFAULT_DELIMITER,
+    Arc,
+    CatalogEntry,
+    CatalogError,
+    WordFst,
+    validate_fst,
+)
 from biaslattice.wordpiece import detokenize, is_delimiter
 
 
@@ -314,3 +325,150 @@ def reference_beam_search(
         for b in done[:n_best]
     ]
     return NBestList(utt_id=utt_id, ref=ref, lam=lam, hyps=hyps)
+
+
+# -- catalog automata, built through an object trie ------------------------------
+#
+# The builder as it stood before the sorted-path construction: one node object
+# per state, then a preorder walk over sorted edges to number the states.
+
+
+class _Node:
+    __slots__ = ("edges", "final")
+
+    def __init__(self):
+        self.edges: dict[str, tuple[float, "_Node"]] = {}
+        self.final = False
+
+
+def reference_build_catalog_fst(
+    entries: Iterable[CatalogEntry], *, delimiter: str = DEFAULT_DELIMITER
+) -> WordFst:
+    entries = list(entries)
+    if not entries:
+        raise CatalogError("catalog is empty")
+    seen: set[tuple[str, ...]] = set()
+    root = _Node()
+    for entry in entries:
+        if entry.phrase in seen:
+            raise CatalogError(f"duplicate catalog phrase: {entry.text!r}")
+        seen.add(entry.phrase)
+        node = root
+        for word in entry.phrase:
+            if delimiter in word:
+                raise CatalogError(
+                    f"word {word!r} contains the subword delimiter {delimiter!r}"
+                )
+            edge = node.edges.get(word)
+            if edge is None:
+                child = _Node()
+                node.edges[word] = (entry.weight, child)
+            else:
+                weight, child = edge
+                if weight != entry.weight:
+                    raise CatalogError(
+                        f"conflicting weights {weight} vs {entry.weight} on shared "
+                        f"prefix arc {word!r} (phrase {entry.text!r})"
+                    )
+            node = node.edges[word][1]
+        node.final = True
+
+    # Deterministic numbering: preorder walk with edges in sorted order.
+    order: list[_Node] = []
+    ids: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        ids[id(node)] = len(order)
+        order.append(node)
+        for word in sorted(node.edges, reverse=True):
+            stack.append(node.edges[word][1])
+
+    arcs = tuple(
+        tuple(
+            Arc(word, node.edges[word][0], ids[id(node.edges[word][1])])
+            for word in sorted(node.edges)
+        )
+        for node in order
+    )
+    finals = frozenset(ids[id(n)] for n in order if n.final)
+    return WordFst(start=0, finals=finals, arcs=arcs, phi_states=frozenset({0}))
+
+
+# -- BLFST1 automata, read field by field -----------------------------------------
+#
+# The reader as it stood before the one-loop rewrite: one bounds-checked
+# ``take`` per field.  It keeps its own copy of the format constants.
+
+_MAGIC = b"BLFST1"
+_U32 = struct.Struct("<I")
+_F64 = struct.Struct("<d")
+
+
+class _Reader:
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise InputFormatError(
+                f"truncated automaton: needed {n} bytes at offset {self.pos}"
+            )
+        out = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def u8(self) -> int:
+        return self.take(1)[0]
+
+    def u32(self) -> int:
+        return _U32.unpack(self.take(4))[0]
+
+    def f64(self) -> float:
+        return _F64.unpack(self.take(8))[0]
+
+    def string(self) -> str:
+        n = self.u32()
+        at = self.pos
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise InputFormatError(f"invalid UTF-8 string at offset {at}") from None
+
+
+def reference_deserialize(data: bytes) -> WordFst:
+    r = _Reader(data)
+    if r.take(len(_MAGIC)) != _MAGIC:
+        raise InputFormatError("bad magic: not a serialized biasing automaton")
+    num_states = r.u32()
+    start = r.u32()
+    finals = set()
+    phi = set()
+    arcs = []
+    for s in range(num_states):
+        at = r.pos
+        flags = r.u8()
+        if flags & ~3:
+            raise InputFormatError(f"unknown state flags {flags:#x} at offset {at}")
+        if flags & 1:
+            finals.add(s)
+        if flags & 2:
+            phi.add(s)
+        state_arcs = []
+        for _ in range(r.u32()):
+            word = r.string()
+            weight = r.f64()
+            nextstate = r.u32()
+            state_arcs.append(Arc(word, weight, nextstate))
+        arcs.append(tuple(state_arcs))
+    if r.pos != len(data):
+        raise InputFormatError(f"{len(data) - r.pos} trailing bytes at offset {r.pos}")
+    fst = WordFst(
+        start=start, finals=frozenset(finals), arcs=tuple(arcs), phi_states=frozenset(phi)
+    )
+    try:
+        validate_fst(fst)
+    except ValueError as exc:
+        raise InputFormatError(f"malformed automaton: {exc}") from None
+    return fst

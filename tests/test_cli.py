@@ -223,3 +223,44 @@ class TestBadFlags:
                          "--lm-generic", workdir / "g.arpa", flag, "nan",
                          "--out", workdir / "x.jsonl") == 2
         assert flag in capsys.readouterr().err
+
+
+class TestCorruptAutomata:
+    """A malformed automaton file exits with code 2, naming the file and offset."""
+
+    def build(self, workdir):
+        assert run("build-fst", "--class-corpus", workdir / "class.txt",
+                   "--min-count", 10, "--out", workdir / "class.fst") == 0
+        assert run("build-fst", "--catalog", workdir / "catalog.tsv",
+                   "--out", workdir / "contacts.fst") == 0
+        (workdir / "bindings.tsv").write_text("@contactname\tcontacts.fst\n")
+
+    def decode(self, workdir):
+        return run("decode", "--vocab", workdir / "vocab.txt",
+                   "--refs", workdir / "refs.tsv",
+                   "--class-fst", workdir / "class.fst",
+                   "--bindings", workdir / "bindings.tsv",
+                   "--out", workdir / "x.jsonl")
+
+    def test_truncated_class_fst(self, workdir, capsys):
+        self.build(workdir)
+        path = workdir / "class.fst"
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 3])
+        assert self.decode(workdir) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert f"needed 4 bytes at offset {len(data) - 4}" in err
+        assert not (workdir / "x.jsonl").exists()
+
+    def test_bound_automaton_with_corrupt_flags(self, workdir, capsys):
+        self.build(workdir)
+        path = workdir / "contacts.fst"
+        data = bytearray(path.read_bytes())
+        data[14] = 0x80  # the start state's flag byte, after magic and two u32s
+        path.write_bytes(bytes(data))
+        assert self.decode(workdir) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "unknown state flags 0x80 at offset 14" in err
+        assert not (workdir / "x.jsonl").exists()

@@ -20,7 +20,7 @@ from biaslattice.fst import (
     validate_fst,
 )
 from conftest import random_catalog
-from oracles import trie_arc_count
+from oracles import reference_build_catalog_fst, reference_deserialize, trie_arc_count
 
 
 class TestBuild:
@@ -215,3 +215,127 @@ class TestValidate:
         )
         with pytest.raises(ValueError, match="dead end"):
             validate_fst(f)
+
+
+# Words over a small alphabet with a non-ASCII letter, so phrases share
+# leading words and words share leading letters; weights of both signs,
+# zeros of both signs among them.
+WORDS = st.text(alphabet="abé", min_size=1, max_size=3)
+WEIGHTS = st.sampled_from([0.0, -0.0, 1.8, -1.8, -8.0]) | st.floats(
+    min_value=-10, max_value=10, allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def catalogs(draw):
+    """Distinct 1-3-word phrases in random order.
+
+    Phrases with the same first word get that word's weight, so shared
+    prefix arcs agree; a zero weight takes a random sign per phrase.
+    """
+    phrases = dict.fromkeys(draw(st.lists(
+        st.lists(WORDS, min_size=1, max_size=3).map(tuple), min_size=1, max_size=12,
+    )))
+    by_first: dict[str, float] = {}
+    entries = []
+    for phrase in phrases:
+        weight = by_first.setdefault(phrase[0], draw(WEIGHTS))
+        if weight == 0.0:
+            weight = draw(st.sampled_from([0.0, -0.0]))
+        entries.append(CatalogEntry(phrase, weight))
+    return entries
+
+
+def outcome(fn, *args):
+    """``fn``'s result, or the InputFormatError it raised."""
+    try:
+        return fn(*args)
+    except InputFormatError as exc:
+        return exc
+
+
+class TestBuildParity:
+    """The sorted-path builder against the object-trie reference."""
+
+    @given(catalogs())
+    @settings(max_examples=200, deadline=None)
+    def test_same_automaton(self, entries):
+        built = build_catalog_fst(entries)
+        expected = reference_build_catalog_fst(entries)
+        assert built == expected
+        # Bytewise too: ``==`` does not tell -0.0 from 0.0.
+        assert serialize(built) == serialize(expected)
+
+    @given(catalogs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_error(self, entries, data):
+        entries = list(entries)
+        for _ in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(["duplicate", "delimiter", "conflict"]))
+            base = data.draw(st.sampled_from(entries))
+            keep = data.draw(st.integers(0, len(base.phrase)))
+            if kind == "duplicate":
+                bad = CatalogEntry(base.phrase, data.draw(WEIGHTS))
+            elif kind == "delimiter":
+                bad = CatalogEntry(base.phrase[:keep] + ("a_é",), base.weight)
+            else:
+                tail = tuple(data.draw(st.lists(WORDS, min_size=1, max_size=2)))
+                bad = CatalogEntry(base.phrase[:max(keep, 1)] + tail, base.weight + 1.0)
+            entries.insert(data.draw(st.integers(0, len(entries))), bad)
+        expected = outcome(reference_build_catalog_fst, entries)
+        assert isinstance(expected, CatalogError)
+        with pytest.raises(CatalogError) as info:
+            build_catalog_fst(entries)
+        assert str(info.value) == str(expected)
+
+
+class TestReaderParity:
+    """The one-loop reader against the field-by-field reference."""
+
+    def check(self, data: bytes):
+        expected = outcome(reference_deserialize, data)
+        got = outcome(deserialize, data)
+        assert type(got) is type(expected)
+        if isinstance(expected, InputFormatError):
+            assert str(got) == str(expected)
+        else:
+            assert got == expected
+
+    @given(catalogs())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_and_every_truncation(self, entries):
+        data = serialize(build_catalog_fst(entries))
+        assert serialize(deserialize(data)) == data
+        for cut in range(len(data)):
+            self.check(data[:cut])
+            # The same prefix ending in a byte that is neither a valid flag
+            # byte nor valid UTF-8, so a bad field and a short one compete.
+            self.check(data[:cut] + b"\x80")
+
+    @given(catalogs())
+    @settings(max_examples=30, deadline=None)
+    def test_every_single_byte_flag_value(self, entries):
+        """Each byte set to each flag value, so any state may gain the final
+        and phi bits, and to an invalid one."""
+        data = serialize(build_catalog_fst(entries))
+        for at in range(len(data)):
+            for value in (0, 1, 2, 3, 0x80):
+                self.check(data[:at] + bytes([value]) + data[at + 1 :])
+
+    @given(catalogs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_corrupt_bytes(self, entries, data):
+        buf = bytearray(serialize(build_catalog_fst(entries)))
+        hits = data.draw(st.lists(
+            st.tuples(st.integers(0, len(buf) - 1), st.integers(0, 255)),
+            min_size=1, max_size=3,
+        ))
+        for at, value in hits:
+            buf[at] = value
+        self.check(bytes(buf))
+        self.check(bytes(buf[: data.draw(st.integers(0, len(buf)))]))
+
+    def test_empty_automaton_truncations(self):
+        data = serialize(empty_fst())
+        for cut in range(len(data) + 1):
+            self.check(data[:cut])
