@@ -72,7 +72,7 @@ def main():
 
     contacts_fst = build_catalog_fst(task.contacts)
     all_fst = build_catalog_fst(task.all_bias_entries())
-    class_fst = build_class_fst(task.class_corpus, min_count=10)
+    class_fst = build_class_fst(task.class_corpus, min_count=synthdata.CLASS_MIN_COUNT)
     ctx_contacts = ContextualBiaser(
         class_fst,
         {"@contactname": contacts_fst, "@devicename": empty_fst(), "@appname": empty_fst()},

@@ -136,6 +136,9 @@ def _cmd_tune(args) -> int:
         raise InputFormatError(
             f"--bounds must be finite with a0 <= a1 and b0 <= b1, got {args.bounds!r}"
         )
+    seeds = len(rescore.seed_points(bounds, args.fix_alpha))
+    if args.budget < seeds:
+        raise InputFormatError(f"--budget must be >= {seeds}, the seed grid, got {args.budget}")
     dev = decode.read_nbest(args.dev)
     refs = metrics.read_refs(args.refs) if args.refs else {nb.utt_id: nb.ref for nb in dev}
     lms = _load_domain_lms(args)

@@ -30,6 +30,11 @@ END = "</s>"
 
 _NORM_TOL = 1e-6
 
+_PEAK = 0.75
+_SWAP_PEAK = 0.5
+_SWAP_TRUE = 0.045
+_CONFUSABLES = 8
+
 
 class OracleError(ValueError):
     """An emission oracle broke its contract (e.g. unnormalized scores)."""
@@ -71,9 +76,6 @@ class NBestList:
     ref: str
     lam: float
     hyps: list[Hypothesis]
-
-    def best(self) -> Hypothesis:
-        return self.hyps[0]
 
 
 # -- biasers ------------------------------------------------------------------
@@ -145,7 +147,16 @@ class SynthOracle:
     reference piece drops near the bottom of the candidate list, which is
     what creates recognition errors for the decoder to fix.  Words outside
     ``noisy_words`` (when given), delimiters, and end-of-sequence are emitted
-    cleanly.  Score maps depend only on (seed, utterance, position), so
+    cleanly.  Module constants fix the shape of a noisy position's map:
+
+    - ``_CONFUSABLES`` (8): at most this many similar pieces are sampled;
+    - ``_PEAK`` (0.75): the reference piece's probability, the confusables
+      sharing the rest evenly;
+    - ``_SWAP_PEAK`` (0.5) and ``_SWAP_TRUE`` (0.045): after a swap, the
+      lucky confusable's and the reference piece's probabilities, the other
+      confusables sharing the rest evenly.
+
+    Score maps depend only on (seed, utterance, position), so
     decoding is bit-reproducible.
 
     Every live hypothesis at a beam-search step has the same length, so
@@ -163,10 +174,6 @@ class SynthOracle:
         noise: float = 0.0,
         seed: int = 0,
         *,
-        peak: float = 0.75,
-        swap_peak: float = 0.5,
-        swap_true: float = 0.045,
-        confusables: int = 8,
         noisy_words: frozenset[str] | None = None,
     ):
         if isinstance(refs, str):
@@ -177,11 +184,6 @@ class SynthOracle:
             raise ValueError("noise must be in [0, 1]")
         self.noise = noise
         self.seed = seed
-        self.peak = peak
-        self.swap_peak = swap_peak
-        self.swap_true = swap_true
-        self.n_confusables = confusables
-        self.noisy_words = noisy_words
         self.tokens: dict[str, tuple[str, ...]] = {}
         self._noisy_pos: dict[str, frozenset[int]] = {}
         for utt, ref in self.refs.items():
@@ -220,7 +222,7 @@ class SynthOracle:
             return {intended: 0.0}
         rng = random.Random(f"{self.seed}:{utt_id}:{pos}:{intended}")
         pool = self._confusions.get(intended, ())
-        others = rng.sample(pool, min(self.n_confusables, len(pool))) if pool else []
+        others = rng.sample(pool, min(_CONFUSABLES, len(pool))) if pool else []
         if not others:
             return {intended: 0.0}
         if rng.random() < self.noise:
@@ -228,14 +230,14 @@ class SynthOracle:
             # bottom: without mid-word biasing it falls off narrow beams.
             lucky = rng.choice(others)
             rest = [t for t in others if t != lucky]
-            weights = {lucky: self.swap_peak, intended: self.swap_true}
-            share = (1.0 - self.swap_peak - self.swap_true) / len(rest) if rest else 0.0
+            weights = {lucky: _SWAP_PEAK, intended: _SWAP_TRUE}
+            share = (1.0 - _SWAP_PEAK - _SWAP_TRUE) / len(rest) if rest else 0.0
             for t in rest:
                 weights[t] = share
         else:
-            weights = {intended: self.peak}
+            weights = {intended: _PEAK}
             for t in others:
-                weights[t] = (1.0 - self.peak) / len(others)
+                weights[t] = (1.0 - _PEAK) / len(others)
         total = sum(weights.values())
         return {t: math.log(w / total) for t, w in sorted(weights.items()) if w > 0.0}
 
@@ -266,10 +268,11 @@ def _edit1(a: str, b: str) -> bool:
 
 
 def synth_oracle(
-    vocab: WordpieceVocab, refs, noise: float = 0.0, seed: int = 0, **kwargs
+    vocab: WordpieceVocab, refs, noise: float = 0.0, seed: int = 0,
+    noisy_words: frozenset[str] | None = None,
 ) -> SynthOracle:
     """Build a deterministic synthetic emission oracle (see SynthOracle)."""
-    return SynthOracle(vocab, refs, noise, seed, **kwargs)
+    return SynthOracle(vocab, refs, noise, seed, noisy_words=noisy_words)
 
 
 # -- beam search ---------------------------------------------------------------
@@ -425,6 +428,8 @@ def read_nbest(path) -> list[NBestList]:
                     )
                     for h in obj["hyps"]
                 ]
+                if not hyps:
+                    raise ValueError('empty "hyps" list')
                 out.append(NBestList(utt_id=obj["id"], ref=obj["ref"], lam=lam, hyps=hyps))
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputFormatError(f"{path}:{lineno}: bad n-best record: {exc}") from None

@@ -29,9 +29,9 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import InputFormatError
+from .wordpiece import DEFAULT_DELIMITER
 
 DEFAULT_WEIGHT = -1.0
-DEFAULT_DELIMITER = "_"
 
 _MAGIC = b"BLFST1"
 

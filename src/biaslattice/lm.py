@@ -47,10 +47,6 @@ class NGramLM:
     vocab: frozenset[str]
     classes: dict[str, dict[str, float]] = field(default_factory=dict)
 
-    @property
-    def tags(self) -> frozenset[str]:
-        return frozenset(self.classes)
-
     def logprob(self, words: Iterable[str]) -> float:
         """Sequence log-probability; the interface rescoring models plug into."""
         return lm_logprob(self, words)

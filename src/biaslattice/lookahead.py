@@ -34,7 +34,11 @@ a plain hashable tuple, and a token to ``(increment, new state)``.  It holds
 the automaton, the delimiter, a lookahead cache and an optional probe
 counter, none of which belongs to one hypothesis, so any number of
 hypotheses share one walk and one cache.  :class:`WordWalk` is the
-same walk with pushing switched off, for word-boundary biasing.
+same walk with pushing switched off, for word-boundary biasing: it differs
+only in when a word's weight is paid, never in how a phrase is walked.  So
+word-level, subword and contextual biasing share one phrase-level rule, and
+an empty word (a delimiter right after another) is a word that matches no
+arc: it fails the phrase in progress and pays back its pending weight.
 :class:`Session` pairs a scorer with its current state; cloning one copies
 two references, which is all beam search pays per hypothesis extension.
 :class:`ExpandSession` (one word from a fixed state) and
@@ -161,7 +165,8 @@ class PhraseWalk:
     After completing a phrase at a final state with outgoing arcs the walk
     greedily continues toward longer phrases; otherwise it restarts at the
     start state.  Words that miss while the walk sits at the start state cost
-    nothing (the phi self-loop).
+    nothing (the phi self-loop).  An empty word, a delimiter right after
+    another, matches no arc and so fails like any other miss.
     """
 
     __slots__ = ("fst", "delimiter", "cache", "counter")
@@ -260,8 +265,8 @@ class WordWalk(PhraseWalk):
 
     Content tokens only extend the prefix; the delimiter resolves the whole
     word with one exact lookup, so a matched word's full arc weight lands on
-    its delimiter.  An empty word (a delimiter right after another) leaves
-    the walk as it was.
+    its delimiter.  The phrase step is :meth:`PhraseWalk.finish_word`'s, so an
+    empty word (a delimiter right after another) fails the phrase here too.
     """
 
     __slots__ = ()
@@ -277,11 +282,6 @@ class WordWalk(PhraseWalk):
         if arc is None:
             return 0.0, None, (q, word, lo, hi, 0.0, True, pending, banked)
         return arc.weight, arc, (q, word, lo, hi, arc.weight, False, pending, banked)
-
-    def finish_word(self, state, token):
-        if not state[1] and token == self.delimiter:
-            return 0.0, None, state
-        return PhraseWalk.finish_word(self, state, token)
 
 
 _new = object.__new__

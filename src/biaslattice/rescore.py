@@ -6,11 +6,12 @@ Each hypothesis is rescored as
 
 where ``lam`` is the first-pass fusion scale stored with the n-best list, so
 alpha = 1, beta = 0 reproduces first-pass ranking exactly, and alpha != 1
-re-weights ("de-biases") the first-pass biasing contribution.  A simple
-domain router picks the contacts model whenever any hypothesis mentions a
-catalog word.  The (alpha, beta) pair is tuned by simulated annealing against
-corpus WER of the rescored 1-best, with a coarse seed grid evaluated first so
-the result can never be worse than the seeds.
+re-weights ("de-biases") the first-pass biasing contribution.  A bound
+contacts model rescores every list in which a hypothesis mentions a catalog
+word, and the generic model the rest.  The (alpha, beta) pair is tuned by
+simulated annealing against corpus WER of the rescored 1-best, with a
+coarse seed grid evaluated first so the result can never be worse than the
+seeds.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from .metrics import normalize_words, wer
 log = logging.getLogger(__name__)
 
 DEFAULT_BOUNDS = (-2.0, 4.0, 0.0, 4.0)  # alpha_lo, alpha_hi, beta_lo, beta_hi
+_SEED_GRID = 5  # points per axis of the coarse seed grid
 
 
 @dataclass(frozen=True)
 class RescoreConfig:
     alpha: float = 1.0   # re-weight of the first-pass biasing contribution
     beta: float = 0.0    # rescoring LM weight
-    router: str = "catalog-hit"
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
@@ -65,6 +66,11 @@ def route_lm(nbest: NBestList, lms: DomainLms) -> NGramLM:
     return lms.generic
 
 
+def _pick_lm(nbest: NBestList, lms: DomainLms) -> NGramLM:
+    """The routed model when the contacts domain is bound, else the generic one."""
+    return lms.generic if lms.contacts is None else route_lm(nbest, lms)
+
+
 def second_pass_score(hyp: Hypothesis, lam: float, config: RescoreConfig, lm_lp: float) -> float:
     return hyp.rnnt_logp + config.alpha * (lam * hyp.sf_score) + config.beta * lm_lp
 
@@ -83,12 +89,7 @@ def rescore(nbest: NBestList, config: RescoreConfig, lm: NGramLM) -> NBestList:
 def rescore_corpus(
     lists: list[NBestList], config: RescoreConfig, lms: DomainLms
 ) -> list[NBestList]:
-    picked = (
-        (route_lm(nb, lms) for nb in lists)
-        if config.router == "catalog-hit" and lms.contacts is not None
-        else (lms.generic for _ in lists)
-    )
-    return [rescore(nb, config, lm) for nb, lm in zip(lists, picked)]
+    return [rescore(nb, config, _pick_lm(nb, lms)) for nb in lists]
 
 
 # -- tuning ---------------------------------------------------------------------
@@ -115,7 +116,7 @@ class _Objective:
         for nb in dev:
             ref = refs.get(nb.utt_id, nb.ref)
             ref_words = normalize_words(ref)
-            lm = route_lm(nb, lms) if lms.contacts is not None else lms.generic
+            lm = _pick_lm(nb, lms)
             rows = []
             for rank, hyp in enumerate(nb.hyps):
                 b = wer(ref_words, normalize_words(hyp.text))
@@ -139,7 +140,8 @@ class _Objective:
         return errors / self.total_ref
 
 
-def _seed_points(bounds, fix_alpha: bool, grid: int = 5) -> list[tuple[float, float]]:
+def seed_points(bounds, fix_alpha: bool) -> list[tuple[float, float]]:
+    """The points :func:`tune` evaluates first, in order, without duplicates."""
     a_lo, a_hi, b_lo, b_hi = bounds
     clip = lambda v, lo, hi: min(max(v, lo), hi)
     points = [(clip(1.0, a_lo, a_hi), clip(0.0, b_lo, b_hi)),
@@ -147,17 +149,11 @@ def _seed_points(bounds, fix_alpha: bool, grid: int = 5) -> list[tuple[float, fl
     alphas = (
         [clip(1.0, a_lo, a_hi)]
         if fix_alpha
-        else [a_lo + (a_hi - a_lo) * i / (grid - 1) for i in range(grid)]
+        else [a_lo + (a_hi - a_lo) * i / (_SEED_GRID - 1) for i in range(_SEED_GRID)]
     )
-    betas = [b_lo + (b_hi - b_lo) * i / (grid - 1) for i in range(grid)]
+    betas = [b_lo + (b_hi - b_lo) * i / (_SEED_GRID - 1) for i in range(_SEED_GRID)]
     points.extend((a, b) for a in alphas for b in betas)
-    seen = set()
-    out = []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    return list(dict.fromkeys(points))
 
 
 def tune(
@@ -198,7 +194,7 @@ def tune(
         evaluated.append((a, b, w))
         return w
 
-    seeds = _seed_points(bounds, fix_alpha)
+    seeds = seed_points(bounds, fix_alpha)
     seeds.extend(
         (min(max(a, a_lo), a_hi), min(max(b, b_lo), b_hi)) for a, b in extra_seeds
     )

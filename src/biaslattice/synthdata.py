@@ -53,6 +53,11 @@ GENERAL_SENTENCES = (
     "show me my photos",
 )
 
+TWO_WORD_SHARE = 0.25  # share of generated contact names with a second word
+# The class corpus repeats each carrier template CLASS_MIN_COUNT + 5 times
+# and one decoy template CLASS_MIN_COUNT - 1 times.
+CLASS_MIN_COUNT = 10
+
 # General words eligible for trap-name derivation and emission confusion;
 # they stand in for rare-word lookalikes in real traffic.
 TRAP_SOURCES = ("demo", "time", "timer", "radio", "peru", "piano", "moon", "seven")
@@ -112,12 +117,12 @@ class SynthTask:
         return out
 
 
-def _unique_names(rng, count, existing, two_word_frac=0.0, syllables=(2, 4)):
+def _unique_names(rng, count, existing, two_word_share=0.0, syllables=(2, 4)):
     names: list[str] = []
     taken = set(existing)
     while len(names) < count:
         name = make_name(rng, syllables)
-        if two_word_frac and rng.random() < two_word_frac:
+        if two_word_share and rng.random() < two_word_share:
             name = f"{name} {make_name(rng, (2, 3))}"
         if name not in taken and all(w not in taken for w in name.split()):
             taken.add(name)
@@ -134,9 +139,7 @@ def make_task(
     n_apps: int = 70,
     n_test: int = 100,
     n_dev: int = 60,
-    two_word_frac: float = 0.25,
     catalog_weight: float = 1.8,
-    min_count: int = 10,
 ) -> SynthTask:
     """Generate a complete synthetic task from one seed.
 
@@ -158,7 +161,7 @@ def make_task(
             traps.append(t)
             reserved.add(t)
     contact_names = traps + _unique_names(
-        rng, n_contacts - len(traps), reserved, two_word_frac
+        rng, n_contacts - len(traps), reserved, TWO_WORD_SHARE
     )
     reserved.update(w for n in contact_names for w in n.split())
     device_names = _unique_names(rng, n_devices, reserved, 0.0, (2, 3))
@@ -183,16 +186,16 @@ def make_task(
 
     class_corpus: list[str] = []
     for carrier in CONTACT_CARRIERS:
-        for _ in range(min_count + 5):
+        for _ in range(CLASS_MIN_COUNT + 5):
             class_corpus.append(f"{carrier} @contactname({rng.choice(contact_names)})")
     for carrier in DEVICE_CARRIERS:
-        for _ in range(min_count + 5):
+        for _ in range(CLASS_MIN_COUNT + 5):
             class_corpus.append(f"{carrier} @devicename({rng.choice(device_names)})")
     for carrier in APP_CARRIERS:
-        for _ in range(min_count + 5):
+        for _ in range(CLASS_MIN_COUNT + 5):
             class_corpus.append(f"{carrier} @appname({rng.choice(app_names)})")
     # Below-threshold templates that must not survive the count filter.
-    for _ in range(min_count - 1):
+    for _ in range(CLASS_MIN_COUNT - 1):
         class_corpus.append(f"maybe call @contactname({rng.choice(contact_names)})")
     rng.shuffle(class_corpus)
 

@@ -51,10 +51,6 @@ class WordpieceVocab:
                 )
 
     @cached_property
-    def alphabet(self) -> frozenset[str]:
-        return frozenset(p for p in self.pieces if len(p) == 1 and p != self.delimiter)
-
-    @cached_property
     def _max_piece_len(self) -> int:
         return max((len(p) for p in self.pieces if p != self.delimiter), default=0)
 

@@ -210,7 +210,7 @@ class TestBadFlags:
 
     @pytest.mark.parametrize("flag,value", [
         ("--budget", 0), ("--bounds", "4,-2,0,4"), ("--bounds", "nan,1,0,4"),
-        ("--bounds", "0,1,inf,4"),
+        ("--bounds", "0,1,inf,4"), ("--budget", 10),
     ])
     def test_tune(self, workdir, capsys, flag, value):
         assert exit_code("tune", "--dev", workdir / "d.jsonl",
@@ -223,6 +223,30 @@ class TestBadFlags:
                          "--lm-generic", workdir / "g.arpa", flag, "nan",
                          "--out", workdir / "x.jsonl") == 2
         assert flag in capsys.readouterr().err
+
+
+class TestEmptyNBestRecord:
+    """An n-best record without hypotheses exits with code 2, naming its line."""
+
+    @pytest.mark.parametrize("command", ["eval", "tune", "rescore"])
+    def test_exits_2(self, workdir, capsys, command):
+        assert run("train-lm", "--corpus", workdir / "lmcorpus.txt",
+                   "--order", 2, "--out", workdir / "g.arpa") == 0
+        good = {"id": "general-t0000", "ref": "play some music", "lambda": 1.0,
+                "hyps": [{"text": "play some music", "tokens": ["play_", "some_", "music_"],
+                          "rnnt_logp": -1.0, "sf_score": 0.0}]}
+        empty = dict(good, id="general-t0001", hyps=[])
+        path = workdir / "d.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(empty) + "\n")
+        lm = ("--lm-generic", workdir / "g.arpa")
+        argv = {
+            "eval": ("--nbest", path),
+            "tune": ("--dev", path, *lm),
+            "rescore": ("--nbest", path, *lm, "--out", workdir / "x.jsonl"),
+        }[command]
+        assert run(command, *argv) == 2
+        assert f"{path}:2" in capsys.readouterr().err
+        assert not (workdir / "x.jsonl").exists()
 
 
 class TestCorruptAutomata:

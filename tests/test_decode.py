@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biaslattice.decode import (
@@ -362,6 +362,50 @@ class TestCloneIndependence:
         assert _feed(twin, stream[cut:]) == want[cut:]
         # ... and feeding clones leaves the original's increments unchanged
         assert _feed(session, stream[cut:]) == want[cut:]
+
+
+@st.composite
+def _phrases_and_stream(draw):
+    """A mixed-sign catalog of 1-3-word phrases and a token stream over it.
+
+    A phrase weighs what its first word does, so phrases sharing a prefix
+    agree on its arc weights.  The stream strings whole phrases and stray
+    words together, cuts each word into random pieces closed by a bare or
+    fused delimiter, and drops in empty words (a delimiter after another)."""
+    firsts = draw(st.dictionaries(_words, st.floats(-5.0, 5.0), min_size=1, max_size=6))
+    phrases = draw(st.sets(
+        st.tuples(st.sampled_from(sorted(firsts)), st.lists(_words, max_size=2)).map(
+            lambda fw: (fw[0], *fw[1])),
+        min_size=1, max_size=8))
+    catalog = [CatalogEntry(p, firsts[p[0]]) for p in sorted(phrases)]
+    units = st.one_of(st.sampled_from(sorted(phrases)), _words.map(lambda w: (w,)))
+    tokens = draw(st.lists(st.just("_"), max_size=1))
+    for words in draw(st.lists(units, max_size=5)):
+        for word in words:
+            cuts = sorted(draw(st.sets(st.integers(1, len(word) - 1)))) if len(word) > 1 else []
+            pieces = [word[i:j] for i, j in zip([0] + cuts, cuts + [len(word)])]
+            if draw(st.booleans()):
+                pieces[-1] += "_"
+            else:
+                pieces.append("_")
+            tokens += pieces + draw(st.lists(st.just("_"), max_size=2))
+    return catalog, tokens
+
+
+class TestOnePhraseRule:
+    """Word-level and subword biasing differ only in when a word's weight is
+    paid, never in how a phrase is walked."""
+
+    @given(case=_phrases_and_stream())
+    @example(case=([CatalogEntry(("mora", "tivu"), 1.8)],
+                   ["mo", "ra", "_", "_", "ti", "vu", "_"]))
+    @settings(max_examples=300, deadline=None)
+    def test_word_and_subword_net_the_same(self, case):
+        catalog, tokens = case
+        fst = build_catalog_fst(catalog)
+        word = sum(_feed(WordBiaser(fst).open_session(), tokens))
+        subword = sum(_feed(SubwordBiaser(fst).open_session(), tokens))
+        assert word == pytest.approx(subword, abs=1e-9)
 
 
 class _Fixed:

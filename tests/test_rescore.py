@@ -3,8 +3,16 @@ import random
 
 import pytest
 
-from biaslattice.decode import Hypothesis, NBestList
+from biaslattice.decode import (
+    Hypothesis,
+    NBestList,
+    SubwordBiaser,
+    decode_corpus,
+    synth_oracle,
+)
+from biaslattice.fst import build_catalog_fst
 from biaslattice.lm import train_kn_lm
+from biaslattice.metrics import normalize_words, pool, wer
 from biaslattice.rescore import (
     DomainLms,
     RescoreConfig,
@@ -14,6 +22,7 @@ from biaslattice.rescore import (
     route_lm,
     tune,
 )
+from biaslattice.synthdata import make_task
 
 
 def hyp(text, rnnt, sf, lam):
@@ -239,3 +248,42 @@ class TestCorpusRescore:
         out = rescore_corpus(lists, RescoreConfig(alpha=0.2, beta=1.0), lms)
         assert out[0].hyps[0].text == "call ada"
         assert out[1].hyps[0].text == "play some music"
+
+
+@pytest.fixture(scope="module")
+def synth_dev():
+    """A small decoded dev split of a synthetic task, with its rescoring models."""
+    task = make_task(5, n_contacts=40, n_devices=5, n_apps=5, n_test=1, n_dev=15)
+    oracle = synth_oracle(task.vocab, task.refs_dev, noise=0.3, seed=5,
+                          noisy_words=task.noisy_words)
+    biaser = SubwordBiaser(build_catalog_fst(task.all_bias_entries()))
+    dev = decode_corpus(oracle, biaser, task.vocab, 2.5, beam_size=8, n_best=8)
+    generic = train_kn_lm(task.generic_lm_corpus, order=3)
+    contacts = train_kn_lm(task.contacts_lm_corpus, order=3)
+    return task, dev, generic, contacts
+
+
+class TestTuneMatchesRescore:
+    """``tune`` scores a config exactly as ``rescore_corpus`` ranks with it:
+    same language model per utterance, same tie-break by first-pass rank."""
+
+    @pytest.mark.parametrize("bound", [True, False], ids=["contacts", "generic-only"])
+    def test_tuned_wer_is_the_rescored_wer(self, synth_dev, bound):
+        task, dev, generic, contacts = synth_dev
+        lms = (DomainLms(generic=generic, contacts=contacts,
+                         catalog_words=task.contact_words)
+               if bound else DomainLms(generic=generic))
+        # Two hypotheses that tie wherever beta = 0: first-pass rank decides.
+        dev = dev + [mk_list("contacts-tie", "call ada",
+                             [("call adda", -1.0, 0.5), ("call ada", -1.0, 0.5)])]
+
+        def rescored_wer(config):
+            return pool(
+                wer(normalize_words(nb.ref), normalize_words(nb.hyps[0].text))
+                for nb in rescore_corpus(dev, config, lms)
+            ).wer
+
+        result = tune(dev, {}, lms, budget=40, seed=2)
+        assert result.wer == rescored_wer(result.config)
+        for alpha, beta, w in result.evaluated:
+            assert w == rescored_wer(RescoreConfig(alpha=alpha, beta=beta)), (alpha, beta)
