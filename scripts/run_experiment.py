@@ -23,26 +23,8 @@ from biaslattice.context import ContextualBiaser, build_class_fst
 from biaslattice.decode import SubwordBiaser, WordBiaser, decode_corpus, synth_oracle
 from biaslattice.fst import build_catalog_fst, empty_fst
 from biaslattice.lm import train_kn_lm
-from biaslattice.metrics import normalize_words, oracle_wer, pool, split_label, wer
+from biaslattice.metrics import evaluate
 from biaslattice.rescore import DomainLms, rescore_corpus, tune
-
-
-def corpus_wer(lists, split=None):
-    tops = [
-        wer(normalize_words(nb.ref), normalize_words(nb.hyps[0].text))
-        for nb in lists
-        if split is None or split_label(nb.utt_id) == split
-    ]
-    return pool(tops).wer
-
-
-def corpus_oracle(lists, split=None):
-    oras = [
-        oracle_wer(nb)
-        for nb in lists
-        if split is None or split_label(nb.utt_id) == split
-    ]
-    return pool(oras).wer
 
 
 def decode_split(task, refs, biaser, lam, *, noise, seed, beam, n_best=8):
@@ -93,10 +75,12 @@ def main():
         lists = decode_split(task, task.refs_test, biaser, lam,
                              noise=args.noise, seed=args.seed, beam=args.beam)
         runs[name] = lists
-        print(f"{name:<22} contacts {100 * corpus_wer(lists, 'contacts'):6.2f} "
-              f"(oracle {100 * corpus_oracle(lists, 'contacts'):6.2f})   "
-              f"general {100 * corpus_wer(lists, 'general'):6.2f} "
-              f"(oracle {100 * corpus_oracle(lists, 'general'):6.2f})   "
+        report = evaluate(lists)
+        c, g = report.split("contacts"), report.split("general")
+        print(f"{name:<22} contacts {100 * c.breakdown.wer:6.2f} "
+              f"(oracle {100 * c.oracle.wer:6.2f})   "
+              f"general {100 * g.breakdown.wer:6.2f} "
+              f"(oracle {100 * g.oracle.wer:6.2f})   "
               f"[{time.time() - t:.1f}s]")
 
     print("\n-- first pass (contacts-only biasing catalog) --")
@@ -132,9 +116,9 @@ def main():
           f"[{time.time() - t:.1f}s]")
 
     for name, cfg in (("2p-fixed", fixed.config), ("2p-free", free.config)):
-        rescored = rescore_corpus(runs["subwd3(2.5)"], cfg, lms)
-        print(f"{name:<22} contacts {100 * corpus_wer(rescored, 'contacts'):6.2f}   "
-              f"general {100 * corpus_wer(rescored, 'general'):6.2f}")
+        report = evaluate(rescore_corpus(runs["subwd3(2.5)"], cfg, lms))
+        print(f"{name:<22} contacts {100 * report.split('contacts').breakdown.wer:6.2f}   "
+              f"general {100 * report.split('general').breakdown.wer:6.2f}")
 
     print(f"\ntotal {time.time() - t0:.1f}s")
 

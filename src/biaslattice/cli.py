@@ -108,8 +108,7 @@ def _load_domain_lms(args) -> rescore.DomainLms:
     generic = lm.load_lm(args.lm_generic)
     contacts = None
     if args.lm_contacts:
-        members = args.lm_members if getattr(args, "lm_members", None) else None
-        contacts = lm.load_lm(args.lm_contacts, members)
+        contacts = lm.load_lm(args.lm_contacts, args.lm_members)
     catalog_words = frozenset()
     if args.catalog:
         entries = fst.load_catalog(args.catalog)
@@ -140,7 +139,8 @@ def _cmd_tune(args) -> int:
     if args.budget < seeds:
         raise InputFormatError(f"--budget must be >= {seeds}, the seed grid, got {args.budget}")
     dev = decode.read_nbest(args.dev)
-    refs = metrics.read_refs(args.refs) if args.refs else {nb.utt_id: nb.ref for nb in dev}
+    refs = metrics.read_refs(args.refs) if args.refs else None
+    refs = {nb.utt_id: metrics.ref_for(nb, refs) for nb in dev}
     lms = _load_domain_lms(args)
     result = rescore.tune(
         dev, refs, lms,

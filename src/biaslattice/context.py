@@ -228,7 +228,7 @@ class _ContextScorer:
             return 0.0, state
         # Keep the best banked total; pay back everything unsettled.
         entries, a_prev, dropped = race
-        best_banked = min(t - (ws[6] + ws[4]) for _, ws, t in entries)
+        best_banked = min(t + self.walks[tag].finalize(ws)[0] for tag, ws, t in entries)
         if dropped is not None:
             best_banked = min(best_banked, dropped[0])
         return best_banked - a_prev, (pos, None, chars)

@@ -119,15 +119,10 @@ def train_kn_lm(
                 gram = tuple(padded[i : i + k])
                 if gram[-1] != BOS:
                     raw_sets[k].add(gram)
-        if order == 1:
-            for tok in padded:
-                if tok != BOS:
-                    raw_n[(tok,)] += 1
-        else:
-            for i in range(len(padded) - order + 1):
-                gram = tuple(padded[i : i + order])
-                if gram[-1] != BOS:
-                    raw_n[gram] += 1
+        for i in range(len(padded) - order + 1):
+            gram = tuple(padded[i : i + order])
+            if gram[-1] != BOS:
+                raw_n[gram] += 1
 
     # Count system per order: raw counts at the top, continuation counts
     # (distinct left extensions) below.

@@ -38,9 +38,14 @@ class WerBreakdown:
 
     @property
     def wer(self) -> float:
-        if self.ref_len > 0:
-            return self.errors / self.ref_len
-        return 0.0 if self.errors == 0 else math.inf
+        return error_rate(self.errors, self.ref_len)
+
+
+def error_rate(errors: int, ref_len: int) -> float:
+    """Errors per reference word; with no reference words, 0 or infinity."""
+    if ref_len > 0:
+        return errors / ref_len
+    return 0.0 if errors == 0 else math.inf
 
 
 def wer(reference: list[str], hypothesis: list[str]) -> WerBreakdown:
@@ -95,17 +100,31 @@ def pool(breakdowns: Iterable[WerBreakdown]) -> WerBreakdown:
     return WerBreakdown(substitutions=s, deletions=d, insertions=i, ref_len=n)
 
 
-def oracle_wer(nbest: NBestList) -> WerBreakdown:
-    """Breakdown of the minimum-error hypothesis; ties break by rank."""
+def align_hyps(nbest: NBestList, ref: str | None = None) -> list[WerBreakdown]:
+    """One breakdown per hypothesis, in rank order; ``ref`` defaults to the list's."""
     if not nbest.hyps:
         raise ValueError(f"empty n-best list for {nbest.utt_id}")
-    ref = normalize_words(nbest.ref)
-    best = None
-    for rank, hyp in enumerate(nbest.hyps):
-        b = wer(ref, normalize_words(hyp.text))
-        if best is None or b.errors < best[0]:
-            best = (b.errors, rank, b)
-    return best[2]
+    ref_words = normalize_words(nbest.ref if ref is None else ref)
+    return [wer(ref_words, normalize_words(h.text)) for h in nbest.hyps]
+
+
+def _oracle(table: list[WerBreakdown]) -> WerBreakdown:
+    """The minimum-error entry of an alignment table; ties break by rank."""
+    return min(table, key=lambda b: b.errors)
+
+
+def oracle_wer(nbest: NBestList) -> WerBreakdown:
+    """Breakdown of the minimum-error hypothesis; ties break by rank."""
+    return _oracle(align_hyps(nbest))
+
+
+def ref_for(nbest: NBestList, refs: dict[str, str] | None) -> str:
+    """The list's own transcript, or its entry in ``refs``, which must exist."""
+    if refs is None:
+        return nbest.ref
+    if nbest.utt_id not in refs:
+        raise InputFormatError(f"utterance {nbest.utt_id} missing from references")
+    return refs[nbest.utt_id]
 
 
 def werr(baseline_wer: float, system_wer: float) -> float:
@@ -158,24 +177,11 @@ def evaluate(
     baseline run, relative change of both rates is reported per split (the
     baseline must contain the same utterance ids).
     """
-    def ref_for(nb: NBestList) -> str:
-        if refs is None:
-            return nb.ref
-        if nb.utt_id not in refs:
-            raise InputFormatError(f"utterance {nb.utt_id} missing from references")
-        return refs[nb.utt_id]
-
     def accumulate(run: list[NBestList]):
         per_split: dict[str, tuple[list[WerBreakdown], list[WerBreakdown]]] = {}
         for nb in run:
-            if not nb.hyps:
-                raise ValueError(f"empty n-best list for {nb.utt_id}")
-            ref_words = normalize_words(ref_for(nb))
-            top = wer(ref_words, normalize_words(nb.hyps[0].text))
-            ora = min(
-                (wer(ref_words, normalize_words(h.text)) for h in nb.hyps),
-                key=lambda b: b.errors,
-            )
+            table = align_hyps(nb, ref_for(nb, refs))
+            top, ora = table[0], _oracle(table)
             for label in (split_label(nb.utt_id), "all"):
                 tops, oras = per_split.setdefault(label, ([], []))
                 tops.append(top)

@@ -9,9 +9,11 @@ alpha = 1, beta = 0 reproduces first-pass ranking exactly, and alpha != 1
 re-weights ("de-biases") the first-pass biasing contribution.  A bound
 contacts model rescores every list in which a hypothesis mentions a catalog
 word, and the generic model the rest.  The (alpha, beta) pair is tuned by
-simulated annealing against corpus WER of the rescored 1-best, with a
-coarse seed grid evaluated first so the result can never be worse than the
-seeds.
+simulated annealing against the WER of the rescored 1-best, with a coarse
+seed grid evaluated first so the result can never be worse than the seeds.
+The tuned WER (``tune --out``'s ``dev_wer``) is the pooled 1-best WER that
+:func:`metrics.evaluate` (``eval``) reports for the rescored dev lists: both
+rank as :func:`rescore` does and pool errors as :func:`metrics.pool` does.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .decode import Hypothesis, NBestList
 from .lm import NGramLM
-from .metrics import normalize_words, wer
+from .metrics import align_hyps, error_rate
 
 log = logging.getLogger(__name__)
 
@@ -103,41 +105,33 @@ class TuneResult:
 
 
 class _Objective:
-    """Corpus WER of the rescored 1-best as a function of (alpha, beta).
+    """Pooled WER of the rescored 1-best as a function of (alpha, beta).
 
-    LM log-probabilities, error counts, and reference lengths do not depend
-    on (alpha, beta), so they are computed once; each probe is then just an
-    argmax per utterance.
+    This is :func:`rescore_corpus` followed by :func:`metrics.pool`, with
+    everything that does not depend on (alpha, beta) computed once: each row
+    is ``(rnnt_logp, lam * sf_score, lm_logprob, errors)``, and ``ref_len``
+    sums the reference lengths as ``pool`` does.  ``max`` returns the first
+    maximal row, which heads ``rescore``'s stable sort.
     """
 
     def __init__(self, dev: list[NBestList], refs: dict[str, str], lms: DomainLms):
         self.items = []
-        self.total_ref = 0
+        self.ref_len = 0
         for nb in dev:
-            ref = refs.get(nb.utt_id, nb.ref)
-            ref_words = normalize_words(ref)
             lm = _pick_lm(nb, lms)
-            rows = []
-            for rank, hyp in enumerate(nb.hyps):
-                b = wer(ref_words, normalize_words(hyp.text))
-                rows.append(
-                    (
-                        hyp.rnnt_logp,
-                        nb.lam * hyp.sf_score,
-                        lm.logprob(hyp.text.split()),
-                        rank,
-                        b.errors,
-                    )
-                )
-            self.items.append(rows)
-            self.total_ref += max(len(ref_words), 1)
+            table = align_hyps(nb, refs.get(nb.utt_id))
+            self.items.append([
+                (hyp.rnnt_logp, nb.lam * hyp.sf_score, lm.logprob(hyp.text.split()), b.errors)
+                for hyp, b in zip(nb.hyps, table)
+            ])
+            self.ref_len += table[0].ref_len
 
     def __call__(self, alpha: float, beta: float) -> float:
-        errors = 0
-        for rows in self.items:
-            best = min(rows, key=lambda r: (-(r[0] + alpha * r[1] + beta * r[2]), r[3]))
-            errors += best[4]
-        return errors / self.total_ref
+        errors = sum(
+            max(rows, key=lambda r: r[0] + alpha * r[1] + beta * r[2])[3]
+            for rows in self.items
+        )
+        return error_rate(errors, self.ref_len)
 
 
 def seed_points(bounds, fix_alpha: bool) -> list[tuple[float, float]]:

@@ -225,6 +225,29 @@ class TestBadFlags:
         assert flag in capsys.readouterr().err
 
 
+class TestRefsCoverDev:
+    """``tune --refs`` rejects a dev id the references lack, as ``eval`` does."""
+
+    @pytest.mark.parametrize("command", ["eval", "tune"])
+    def test_missing_id_exits_2(self, workdir, capsys, command):
+        assert run("train-lm", "--corpus", workdir / "lmcorpus.txt",
+                   "--order", 2, "--out", workdir / "g.arpa") == 0
+        path = workdir / "d.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": utt_id, "ref": "play some music", "lambda": 1.0,
+                        "hyps": [{"text": "play some music",
+                                  "tokens": ["play_", "some_", "music_"],
+                                  "rnnt_logp": -1.0, "sf_score": 0.0}]}) + "\n"
+            for utt_id in ("general-t0000", "general-t0009")
+        ))
+        argv = {
+            "eval": ("--nbest", path),
+            "tune": ("--dev", path, "--lm-generic", workdir / "g.arpa", "--budget", 30),
+        }[command]
+        assert run(command, *argv, "--refs", workdir / "refs.tsv") == 2
+        assert "utterance general-t0009 missing from references" in capsys.readouterr().err
+
+
 class TestEmptyNBestRecord:
     """An n-best record without hypotheses exits with code 2, naming its line."""
 

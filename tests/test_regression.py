@@ -1,9 +1,11 @@
-"""Regression oracle: the seed-7 n-best files, pinned byte for byte.
+"""Regression oracle: the seed-7 n-best files and tuned configs, pinned.
 
 A refactor of the scoring layer must reproduce every hypothesis, score and
 float formatting exactly, so each biaser kind's ``write_nbest`` output is
-pinned by its sha256.  If a change alters these on purpose, explain each
-difference before updating a digest.
+pinned by its sha256.  A refactor of the second pass must reproduce the
+tuner's result, so the fixed- and free-alpha ``tune`` outputs on a decoded
+dev split are pinned too.  If a change alters these on purpose, explain each
+difference before updating a pin.
 """
 
 import hashlib
@@ -19,6 +21,8 @@ from biaslattice.decode import (
     write_nbest,
 )
 from biaslattice.fst import build_catalog_fst
+from biaslattice.lm import train_kn_lm
+from biaslattice.rescore import DomainLms, tune
 from biaslattice.synthdata import make_task
 
 SEED = 7
@@ -67,3 +71,29 @@ def test_seed7_nbest_is_byte_identical(seed7, kind, tmp_path):
     path = tmp_path / f"{kind}.nbest"
     write_nbest(lists, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[kind]
+
+
+# (alpha, beta, dev WER, evaluations) of the fixed- and free-alpha tunes.
+TUNED = {
+    "fixed": (1.0, 0.2908076546347872, 0.04926108374384237, 60),
+    "free": (1.0, 0.2908076546347872, 0.04926108374384237, 60),
+}
+
+
+def test_seed7_tune_is_unchanged():
+    task = make_task(SEED, n_dev=30)
+    oracle = synth_oracle(
+        task.vocab, task.refs_dev, noise=0.3, seed=SEED + 1, noisy_words=task.noisy_words
+    )
+    biaser = SubwordBiaser(build_catalog_fst(task.all_bias_entries()))
+    dev = decode_corpus(oracle, biaser, task.vocab, LAM, beam_size=8, n_best=N_BEST)
+    lms = DomainLms(
+        generic=train_kn_lm(task.generic_lm_corpus, order=4),
+        contacts=train_kn_lm(task.contacts_lm_corpus, order=4),
+        catalog_words=task.contact_words,
+    )
+    fixed = tune(dev, task.refs_dev, lms, budget=60, seed=1, fix_alpha=True)
+    free = tune(dev, task.refs_dev, lms, budget=60, seed=1,
+                extra_seeds=((fixed.config.alpha, fixed.config.beta),))
+    for name, r in (("fixed", fixed), ("free", free)):
+        assert (r.config.alpha, r.config.beta, r.wer, len(r.evaluated)) == TUNED[name], name

@@ -264,8 +264,9 @@ def synth_dev():
 
 
 class TestTuneMatchesRescore:
-    """``tune`` scores a config exactly as ``rescore_corpus`` ranks with it:
-    same language model per utterance, same tie-break by first-pass rank."""
+    """``tune`` scores a config exactly as ``rescore_corpus`` ranks with it and
+    ``pool`` counts: same language model per utterance, same tie-break by
+    first-pass rank, an empty reference counted as zero words."""
 
     @pytest.mark.parametrize("bound", [True, False], ids=["contacts", "generic-only"])
     def test_tuned_wer_is_the_rescored_wer(self, synth_dev, bound):
@@ -274,8 +275,10 @@ class TestTuneMatchesRescore:
                          catalog_words=task.contact_words)
                if bound else DomainLms(generic=generic))
         # Two hypotheses that tie wherever beta = 0: first-pass rank decides.
+        # An empty reference adds errors but no reference words.
         dev = dev + [mk_list("contacts-tie", "call ada",
-                             [("call adda", -1.0, 0.5), ("call ada", -1.0, 0.5)])]
+                             [("call adda", -1.0, 0.5), ("call ada", -1.0, 0.5)]),
+                     mk_list("general-empty", "", [("play", -1.0, 0.0)])]
 
         def rescored_wer(config):
             return pool(
