@@ -154,7 +154,7 @@ def load_bindings(path, class_fst: ClassFst | None = None) -> dict[str, WordFst]
 
 
 class _ContextScorer:
-    """Contextual scoring transitions for one decoded utterance.
+    """Contextual scoring transitions, shared by every utterance a biaser decodes.
 
     The state is ``(pos, race, word_chars)``: the template position, the
     open tag race or None, and the content of the current word so far.
@@ -170,13 +170,17 @@ class _ContextScorer:
     increments pass straight through.  ``dropped_bank`` is the best
     ``(total, tag)`` of walks that completed a phrase and were then dropped:
     that banked score is kept even if every sibling later dies.
+
+    Each bound automaton has one lookahead cache, shared by the walks of
+    every tag bound to it and by every utterance; it keeps live bands only,
+    so its size is bounded by the automaton's (state, arc-word prefix) pairs.
     """
 
     __slots__ = ("biaser", "walks")
 
     def __init__(self, biaser: "ContextualBiaser"):
         self.biaser = biaser
-        caches: dict[int, dict] = {}  # id(fst) -> lookahead cache, per utterance
+        caches: dict[int, dict] = {}  # id(fst) -> lookahead cache
         self.walks = {
             tag: PhraseWalk(fst, delimiter=biaser.delimiter, cache=caches.setdefault(id(fst), {}))
             for tag, fst in biaser.bindings.items()
@@ -315,10 +319,11 @@ class ContextualBiaser:
             )
             if tagged:
                 self._tag_arcs[state] = tagged
+        self._scorer = _ContextScorer(self)
         # The race each tagged position opens: every tag's walk at its start.
         self._races = {
             state: (
-                tuple((tag, PhraseWalk(bindings[tag]).initial(), 0.0) for tag, _ in tagged),
+                tuple((tag, self._scorer.walks[tag].initial(), 0.0) for tag, _ in tagged),
                 0.0,
                 None,
             )
@@ -329,4 +334,4 @@ class ContextualBiaser:
         return self._tag_arcs.get(state, ())
 
     def open_session(self) -> ContextSession:
-        return ContextSession(_ContextScorer(self), (self.class_fst.fst.start, None, ""))
+        return ContextSession(self._scorer, (self.class_fst.fst.start, None, ""))

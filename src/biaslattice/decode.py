@@ -24,7 +24,7 @@ from .context import ContextualBiaser
 from .errors import InputFormatError
 from .fst import WordFst
 from .lookahead import PhraseWalk, Session, WordWalk
-from .wordpiece import WordpieceVocab, detokenize, is_delimiter, segment
+from .wordpiece import DEFAULT_DELIMITER, WordpieceVocab, detokenize, is_delimiter, segment
 
 END = "</s>"
 
@@ -81,9 +81,12 @@ class NBestList:
 # -- biasers ------------------------------------------------------------------
 #
 # A biaser opens one scoring session per decoded utterance.  A session is a
-# shared, immutable scorer plus a plain-tuple state, so the clone beam search
-# takes for every candidate token copies two references.  Sessions expose
-# expand / finish_word / finalize, all returning score increments.
+# shared scorer plus a plain-tuple state, so the clone beam search takes for
+# every candidate token copies two references.  Sessions expose
+# expand / finish_word / finalize, all returning score increments.  A biaser
+# builds its scorer once, so every utterance it decodes shares the scorer's
+# lookahead cache.  The cache keeps live bands only, so the automaton bounds
+# its size: one entry per (state, prefix of one of that state's arc words).
 
 
 class _NullSession:
@@ -110,14 +113,13 @@ class NullBiaser:
 class _AutomatonBiaser:
     _walk = PhraseWalk
 
-    def __init__(self, fst: WordFst, *, delimiter: str = "_"):
+    def __init__(self, fst: WordFst, *, delimiter: str = DEFAULT_DELIMITER):
         self.fst = fst
         self.delimiter = delimiter
+        self.walk = self._walk(fst, delimiter=delimiter, cache={})
 
     def open_session(self):
-        # The cache is scoped to this decoded utterance and shared by clones.
-        walk = self._walk(self.fst, delimiter=self.delimiter, cache={})
-        return Session(walk, walk.initial())
+        return Session(self.walk, self.walk.initial())
 
 
 class SubwordBiaser(_AutomatonBiaser):

@@ -32,8 +32,10 @@ block size B.  No step scans the band in Python.
 Scoring is a set of pure transitions.  :class:`PhraseWalk` maps a walk state,
 a plain hashable tuple, and a token to ``(increment, new state)``.  It holds
 the automaton, the delimiter, a lookahead cache and an optional probe
-counter, none of which belongs to one hypothesis, so any number of
-hypotheses share one walk and one cache.  :class:`WordWalk` is the
+counter, none of which belongs to one hypothesis or one utterance, so a
+biaser builds one walk and shares it, cache and all, with every hypothesis
+of every utterance it decodes.  The cache keeps live bands only, so the
+automaton, not the traffic, bounds its size.  :class:`WordWalk` is the
 same walk with pushing switched off, for word-boundary biasing: it differs
 only in when a word's weight is paid, never in how a phrase is walked.  So
 word-level, subword and contextual biasing share one phrase-level rule, and
@@ -56,9 +58,12 @@ from .fst import DEFAULT_DELIMITER, WordFst
 _MAX_CHAR = chr(0x10FFFF)
 
 # A cache maps (state, prefix) -> (lo, hi, pushed weight) so repeated walks
-# over popular prefixes skip the two bisects and the band summary.
-# Scope a cache to one decode session; it is keyed on state ids of a single
-# automaton.
+# over popular prefixes skip the two bisects and the band summary.  It is
+# keyed on state ids of a single automaton, so a biaser keeps one cache per
+# automaton and shares it with every utterance it decodes.  Only live bands
+# (lo < hi) are stored; a prefix that matches no arc is recomputed each time
+# it recurs.  So a cache never holds more than one entry per (state, prefix
+# of one of that state's arc words), however long it is used.
 LookaheadCache = dict
 
 
@@ -167,6 +172,12 @@ class PhraseWalk:
     start state.  Words that miss while the walk sits at the start state cost
     nothing (the phi self-loop).  An empty word, a delimiter right after
     another, matches no arc and so fails like any other miss.
+
+    ``cache``, when given, is read and filled by every expand step, so a
+    biaser's one walk shares it across all the utterances it decodes.  It
+    stores ``(lo, hi, pushed)`` for live bands only, never for a prefix that
+    matches no arc, so it holds at most one entry per (state, prefix of one
+    of that state's arc words).
     """
 
     __slots__ = ("fst", "delimiter", "cache", "counter")
@@ -206,15 +217,15 @@ class PhraseWalk:
         key = (q, prefix)
         cache = self.cache
         hit = cache.get(key) if cache is not None else None
-        if hit is None:
+        if hit is not None:
+            lo, hi, new = hit
+        else:
             lo, hi = prefix_range(self.fst.words[q], lo, hi, prefix, counter=self.counter)
-            new = pushed_weight(len(prefix), *self.fst.band_summary(q, lo, hi)) if lo < hi else 0.0
-            hit = (lo, hi, new)
+            if lo == hi:
+                return -pushed, (q, prefix, lo, hi, 0.0, True, pending, banked)
+            new = pushed_weight(len(prefix), *self.fst.band_summary(q, lo, hi))
             if cache is not None:
-                cache[key] = hit
-        lo, hi, new = hit
-        if lo == hi:
-            return -pushed, (q, prefix, lo, hi, 0.0, True, pending, banked)
+                cache[key] = (lo, hi, new)
         return new - pushed, (q, prefix, lo, hi, new, False, pending, banked)
 
     def close_word(self, state: tuple, token: str):

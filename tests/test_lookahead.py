@@ -8,6 +8,7 @@ from biaslattice.fst import BAND_BLOCK, Arc, CatalogEntry, build_catalog_fst
 from biaslattice.lookahead import (
     ExpandSession,
     PhraseSession,
+    PhraseWalk,
     ProbeCounter,
     WordOutcome,
     open_session,
@@ -452,3 +453,69 @@ class TestLargeBands:
             assert prefix_range(words, lo, hi, p) == want
             assert prefix_range(arcs, lo, hi, p) == want
             assert prefix_range(arcs, lo, hi, p, counter=ProbeCounter()) == want
+
+
+_cache_words = st.text(alphabet="abc", min_size=1, max_size=4)
+
+
+@st.composite
+def _catalog_and_streams(draw):
+    """A mixed-sign catalog of one- and two-word phrases and several token
+    streams over its words and stray words, each word cut into random pieces
+    and closed by a bare or fused delimiter."""
+    firsts = draw(st.dictionaries(_cache_words, st.floats(-5.0, 5.0), min_size=1, max_size=8))
+    seconds = draw(st.sets(st.tuples(st.sampled_from(sorted(firsts)), _cache_words), max_size=4))
+    catalog = [CatalogEntry((w,), x) for w, x in firsts.items()] + [
+        CatalogEntry(p, firsts[p[0]]) for p in sorted(seconds)
+    ]
+    words = st.one_of(
+        st.sampled_from(sorted({w for e in catalog for w in e.phrase})), _cache_words)
+    streams = []
+    for _ in range(draw(st.integers(1, 4))):
+        tokens = []
+        for word in draw(st.lists(words, max_size=6)):
+            cuts = sorted(draw(st.sets(st.integers(1, len(word) - 1)))) if len(word) > 1 else []
+            pieces = [word[i:j] for i, j in zip([0] + cuts, cuts + [len(word)])]
+            if draw(st.booleans()):
+                pieces[-1] += "_"
+            else:
+                pieces.append("_")
+            tokens += pieces
+        streams.append(tokens)
+    return catalog, streams
+
+
+def _walk_stream(walk, tokens):
+    """Every ``(increment, state)`` a walk passes through, ending with finalize."""
+    out = []
+    state = walk.initial()
+    for t in tokens:
+        if t.endswith("_"):
+            inc, _, state = walk.finish_word(state, t)
+        else:
+            inc, state = walk.expand(state, t)
+        out.append((inc, state))
+    out.append(walk.finalize(state))
+    return out
+
+
+class TestSharedWalkCache:
+    """One cache shared by many streams holds live bands only, each equal to
+    an uncached lookup, and never more than the automaton's prefix pairs."""
+
+    @given(case=_catalog_and_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_cache_holds_live_exact_bands_within_bound(self, case):
+        catalog, streams = case
+        f = build_catalog_fst(catalog)
+        shared = PhraseWalk(f, cache={})
+        for tokens in streams:
+            assert _walk_stream(shared, tokens) == _walk_stream(PhraseWalk(f), tokens)
+        prefixes = {(q, a.word[:i]) for q, arcs in enumerate(f.arcs)
+                    for a in arcs for i in range(1, len(a.word) + 1)}
+        assert len(shared.cache) <= len(prefixes)
+        for (q, prefix), (lo, hi, pushed) in shared.cache.items():
+            assert lo < hi
+            assert (q, prefix) in prefixes
+            assert (lo, hi) == prefix_range(f.words[q], 0, len(f.arcs[q]), prefix)
+            assert pushed == pushed_weight(len(prefix), *f.band_summary(q, lo, hi))
