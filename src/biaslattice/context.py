@@ -114,9 +114,7 @@ def build_class_fst(
 
 def load_class_fst(path) -> ClassFst:
     fst = load_fst(path)
-    tags = frozenset(
-        arc.word for arcs in fst.arcs for arc in arcs if arc.word.startswith("@")
-    )
+    tags = frozenset(word for word in fst.arc_words if word.startswith("@"))
     return ClassFst(fst, tags)
 
 
@@ -241,7 +239,7 @@ class _ContextScorer:
         # A dead-end template position can match nothing: restart the walk
         # before this word rather than after it.
         fst = self.biaser.class_fst.fst
-        if not fst.arcs[pos]:
+        if not fst.arc_count(pos):
             pos = fst.start
         return pos, self.biaser._races.get(pos)
 
@@ -278,8 +276,8 @@ class _ContextScorer:
 
     def _skeleton_step(self, pos, word):
         fst = self.biaser.class_fst.fst
-        arc = fst.find_arc(pos, word)
-        return fst.start if arc is None else arc.nextstate
+        i = fst.arc_id(pos, word)
+        return fst.start if i is None else fst.targets[i]
 
 
 class ContextSession(Session):

@@ -6,15 +6,28 @@ a state are kept in strict lexicographic order so prefix lookups can use
 binary search.  The start state carries a zero-cost "phi" self-loop that
 absorbs any word not listed on its outgoing arcs.
 
+An automaton is stored as flat columns, the layout of OpenFst's ``ConstFst``
+(Allauzen et al. 2007): the arcs of every state sit one after another in a
+list of words, an ``array('d')`` of weights and an ``array('I')`` of next
+states, and ``offsets[s]:offsets[s + 1]`` are the positions of state ``s``'s
+arcs.  A position in the columns is an arc id.  No tuple or list exists per
+arc or per state (the words are strings, which the cyclic garbage collector
+does not track), so building or loading a large catalog leaves it almost
+nothing to walk.
+
 The builder maps every word path of the catalog to its arc weight and
 numbers the states by sorting those paths, which is the preorder walk of the
 trie; no node objects are made.  The ``BLFST1`` reader is one loop over the
-buffer with precompiled ``struct`` unpacks and explicit bounds checks.
+buffer with precompiled ``struct`` unpacks and explicit bounds checks, which
+appends each arc to the columns and checks it as it goes.
 
 Automata are immutable after construction and safe to share across threads;
-all mutation happens inside the builder.  Derived views (the per-state word
-lists and the band index) are built lazily on first use; threads racing on
-one only compute the same value twice.
+all mutation happens inside the builder and the reader.  The columns are a
+list and arrays, shared rather than copied, so callers must not change them
+either.  ``arcs[s]`` and ``words[s]`` are
+views that slice the columns on each access.  The one derived structure,
+the band index, is built lazily on first use; threads racing on it only
+compute the same value twice.
 """
 
 from __future__ import annotations
@@ -22,10 +35,10 @@ from __future__ import annotations
 import bisect
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
+from itertools import accumulate, chain
 from typing import Iterable, NamedTuple
 
 from .errors import InputFormatError
@@ -35,11 +48,9 @@ DEFAULT_WEIGHT = -1.0
 
 _MAGIC = b"BLFST1"
 
-# Block size of the band index: states with more than 2 * BAND_BLOCK arcs get
-# per-block summaries, so a band summary costs O(BAND_BLOCK + band/BAND_BLOCK).
+# Block size of the band index: bands of more than 2 * BAND_BLOCK arcs are
+# summarized from per-block summaries, in O(BAND_BLOCK + band/BAND_BLOCK).
 BAND_BLOCK = 32
-
-_weight = itemgetter(1)
 
 
 class CatalogError(InputFormatError, ValueError):
@@ -77,52 +88,142 @@ class CatalogEntry:
         return " ".join(self.phrase)
 
 
-@dataclass(frozen=True)
-class WordFst:
-    """Trie-shaped weighted automaton over whole words.
+class _PerState:
+    """``view[s]`` slices state ``s``'s arcs out of an automaton's columns."""
 
-    ``arcs[s]`` holds the outgoing arcs of state ``s`` in strict lexicographic
-    order of their input word (no duplicate words at one state).  ``finals``
-    mark phrase ends; ``phi_states`` mark states carrying the zero-cost
-    any-word self-loop (the start state, by construction).
+    __slots__ = ("_fst", "_get")
+
+    def __init__(self, fst: "WordFst", get):
+        self._fst = fst
+        self._get = get
+
+    def __len__(self) -> int:
+        return self._fst.num_states
+
+    def __getitem__(self, state: int):
+        offsets = self._fst.offsets
+        state = range(len(offsets) - 1)[state]
+        return self._get(self._fst, offsets[state], offsets[state + 1])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def _arc_slice(fst: "WordFst", lo: int, hi: int) -> tuple[Arc, ...]:
+    return tuple(map(Arc, fst.arc_words[lo:hi], fst.weights[lo:hi], fst.targets[lo:hi]))
+
+
+def _word_slice(fst: "WordFst", lo: int, hi: int) -> list[str]:
+    return fst.arc_words[lo:hi]
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class WordFst:
+    """Trie-shaped weighted automaton over whole words, stored as columns.
+
+    ``arc_words``, ``weights`` and ``targets`` hold every arc's input word,
+    weight and next state; state ``s`` owns positions
+    ``offsets[s]:offsets[s + 1]``, in strict lexicographic order of their
+    word (no duplicate words at one state).  ``finals`` mark phrase ends;
+    ``phi_states`` mark states carrying the zero-cost any-word self-loop (the
+    start state, by construction).
+
+    ``arcs[s]`` (a tuple of :class:`Arc`) and ``words[s]`` (a list of words)
+    are per-state views, sliced from the columns on each access; hot paths
+    read the columns directly.  The constructor takes per-state arc lists,
+    for automata built by hand; :meth:`from_columns` wraps ready columns.
     """
 
     start: int
     finals: frozenset[int]
-    arcs: tuple[tuple[Arc, ...], ...]
     phi_states: frozenset[int]
+    offsets: array  # 'I', num_states + 1 entries
+    arc_words: list[str]
+    weights: array  # 'd'
+    targets: array  # 'I'
+
+    def __init__(
+        self,
+        *,
+        start: int,
+        finals: Iterable[int],
+        arcs: Iterable[Iterable[tuple[str, float, int]]],
+        phi_states: Iterable[int],
+    ):
+        arc_words, weights, targets, offsets = [], array("d"), array("I"), array("I", [0])
+        for state_arcs in arcs:
+            for word, weight, nextstate in state_arcs:
+                arc_words.append(word)
+                weights.append(weight)
+                targets.append(nextstate)
+            offsets.append(len(arc_words))
+        self._assign(start, finals, phi_states, offsets, arc_words, weights, targets)
+
+    @classmethod
+    def from_columns(
+        cls,
+        *,
+        start: int,
+        finals: Iterable[int],
+        phi_states: Iterable[int],
+        offsets: array,
+        arc_words: list[str],
+        weights: array,
+        targets: array,
+    ) -> "WordFst":
+        """An automaton over the given columns, which it keeps without copying."""
+        fst = cls.__new__(cls)
+        fst._assign(start, finals, phi_states, offsets, arc_words, weights, targets)
+        return fst
+
+    def _assign(self, start, finals, phi_states, offsets, arc_words, weights, targets):
+        # Past the frozen dataclass's __setattr__, once, at construction.
+        self.__dict__.update(
+            start=start, finals=frozenset(finals), phi_states=frozenset(phi_states),
+            offsets=offsets, arc_words=arc_words, weights=weights, targets=targets,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"WordFst(start={self.start}, finals={sorted(self.finals)}, "
+            f"arcs={list(self.arcs)}, phi_states={sorted(self.phi_states)})"
+        )
+
+    @property
+    def arcs(self) -> _PerState:
+        """``arcs[s]``: the arcs of state ``s`` as a tuple of :class:`Arc`."""
+        return _PerState(self, _arc_slice)
+
+    @property
+    def words(self) -> _PerState:
+        """``words[s]``: the sorted input words of state ``s`` (for bisect)."""
+        return _PerState(self, _word_slice)
 
     @cached_property
-    def words(self) -> tuple[tuple[str, ...], ...]:
-        """Per-state sorted input words, parallel to ``arcs`` (for bisect)."""
-        return tuple(tuple(a.word for a in state) for state in self.arcs)
+    def _band_index(self) -> tuple[array, array]:
+        """(max word length, min weight) of each ``BAND_BLOCK`` arcs of the columns.
 
-    @cached_property
-    def _band_index(self) -> dict[int, tuple[list[int], list[float]]]:
-        """Per-state (block max word length, block min weight).
-
-        Only states with more than ``2 * BAND_BLOCK`` arcs are indexed; shorter
-        bands are summarized straight from their slice.
+        Blocks are aligned to column positions, not to states; a band summary
+        uses only the blocks that lie wholly inside its band.
         """
-        b = BAND_BLOCK
-        index = {}
-        for state, arcs in enumerate(self.arcs):
-            if len(arcs) <= 2 * b:
-                continue
-            words = self.words[state]
-            index[state] = (
-                [max(map(len, words[i : i + b])) for i in range(0, len(arcs), b)],
-                [min(map(_weight, arcs[i : i + b])) for i in range(0, len(arcs), b)],
-            )
-        return index
+        b, words, weights = BAND_BLOCK, self.arc_words, self.weights
+        starts = range(0, len(words), b)
+        return (
+            array("I", [max(map(len, words[i : i + b])) for i in starts]),
+            array("d", [min(weights[i : i + b]) for i in starts]),
+        )
 
     @property
     def num_states(self) -> int:
-        return len(self.arcs)
+        return len(self.offsets) - 1
 
     @property
     def num_arcs(self) -> int:
-        return sum(len(state) for state in self.arcs)
+        return len(self.arc_words)
+
+    def arc_count(self, state: int) -> int:
+        """The number of arcs leaving ``state``."""
+        return self.offsets[state + 1] - self.offsets[state]
 
     def band_summary(self, state: int, lo: int, hi: int) -> tuple[int, float]:
         """``(longest word length, minimum weight)`` over arcs ``[lo, hi)`` of ``state``.
@@ -130,28 +231,37 @@ class WordFst:
         The band must be non-empty.  Ties on the weight resolve to the first
         arc in positional order, as a left-to-right scan would.
         """
-        words, arcs = self.words[state], self.arcs[state]
+        base = self.offsets[state]
+        lo += base
+        hi += base
+        words, weights = self.arc_words, self.weights
         if hi - lo <= 2 * BAND_BLOCK:
-            return max(map(len, words[lo:hi])), min(map(_weight, arcs[lo:hi]))
-        block_len, block_weight = self._band_index[state]
+            return max(map(len, words[lo:hi])), min(weights[lo:hi])
+        block_len, block_weight = self._band_index
         # Head slice up to the first block boundary, whole blocks, tail slice.
         b0 = -(-lo // BAND_BLOCK)
         b1 = hi // BAND_BLOCK
         head, tail = b0 * BAND_BLOCK, b1 * BAND_BLOCK
         return (
             max(chain(map(len, words[lo:head]), block_len[b0:b1], map(len, words[tail:hi]))),
-            min(chain(
-                map(_weight, arcs[lo:head]), block_weight[b0:b1], map(_weight, arcs[tail:hi])
-            )),
+            min(chain(weights[lo:head], block_weight[b0:b1], weights[tail:hi])),
         )
+
+    def arc(self, i: int) -> Arc:
+        """The arc at column position ``i``."""
+        return Arc(self.arc_words[i], self.weights[i], self.targets[i])
+
+    def arc_id(self, state: int, word: str) -> int | None:
+        """Column position of ``state``'s arc labelled ``word``, or None."""
+        lo, hi = self.offsets[state], self.offsets[state + 1]
+        words = self.arc_words
+        i = bisect.bisect_left(words, word, lo, hi)
+        return i if i < hi and words[i] == word else None
 
     def find_arc(self, state: int, word: str) -> Arc | None:
         """Exact-match lookup of ``word`` among the arcs of ``state``."""
-        ws = self.words[state]
-        i = bisect.bisect_left(ws, word)
-        if i < len(ws) and ws[i] == word:
-            return self.arcs[state][i]
-        return None
+        i = self.arc_id(state, word)
+        return None if i is None else self.arc(i)
 
     def phrase_path(self, phrase: Iterable[str]) -> tuple[int, float] | None:
         """Follow whole-word arcs from the start state.
@@ -162,22 +272,23 @@ class WordFst:
         state = self.start
         total = 0.0
         for word in phrase:
-            arc = self.find_arc(state, word)
-            if arc is None:
+            i = self.arc_id(state, word)
+            if i is None:
                 return None
-            total += arc.weight
-            state = arc.nextstate
+            total += self.weights[i]
+            state = self.targets[i]
         return state, total
 
     def iter_phrases(self):
         """Yield ``(phrase_words, end_state)`` for every path ending final."""
+        offsets, arc_words, targets = self.offsets, self.arc_words, self.targets
         stack = [(self.start, ())]
         while stack:
             state, words = stack.pop()
             if state in self.finals and words:
                 yield words, state
-            for arc in reversed(self.arcs[state]):
-                stack.append((arc.nextstate, words + (arc.word,)))
+            for i in reversed(range(offsets[state], offsets[state + 1])):
+                stack.append((targets[i], words + (arc_words[i],)))
 
 
 def build_catalog_fst(
@@ -194,9 +305,11 @@ def build_catalog_fst(
     first offending entry.  States are numbered in the order of the sorted
     paths, after the start state (the empty path): sorted word tuples list
     each path before its extensions and its later siblings, which is the
-    preorder walk of the trie over sorted edges.  One more pass over the
-    sorted paths appends each arc to its parent's list, so every list comes
-    out sorted.
+    preorder walk of the trie over sorted edges.  Every state but the start
+    is the target of exactly one arc, labelled with its path's last word, so
+    one more pass records each state's parent, and a stable sort of the
+    states on their parent lays the arcs out state by state, each state's
+    arcs in word order.
 
     Raises CatalogError on an empty catalog, duplicate phrases, words
     containing the subword delimiter, or conflicting weights on a shared
@@ -224,21 +337,31 @@ def build_catalog_fst(
                     f"prefix arc {word!r} (phrase {entry.text!r})"
                 )
 
-    arcs: list[list[Arc]] = [[] for _ in range(len(paths) + 1)]
+    items = sorted(paths.items())
+    n = len(items) + 1
+    parents = [0] * n
+    degrees = [0] * n
     finals = []
     # The states along the current path; in preorder a path's parent is the
     # latest state one word shorter.
     stack = [0]
-    new = tuple.__new__
-    for state, (path, weight) in enumerate(sorted(paths.items()), 1):
+    for state, (path, _) in enumerate(items, 1):
         del stack[len(path):]
-        arcs[stack[-1]].append(new(Arc, (path[-1], weight, state)))
+        parent = stack[-1]
+        parents[state] = parent
+        degrees[parent] += 1
         stack.append(state)
         if path in phrases:
             finals.append(state)
-    return WordFst(
-        start=0, finals=frozenset(finals), arcs=tuple(map(tuple, arcs)),
-        phi_states=frozenset({0}),
+    targets = array("I", sorted(range(1, n), key=parents.__getitem__))
+    return WordFst.from_columns(
+        start=0,
+        finals=finals,
+        phi_states=(0,),
+        offsets=array("I", accumulate(degrees, initial=0)),
+        arc_words=[items[t - 1][0][-1] for t in targets],
+        weights=array("d", [items[t - 1][1] for t in targets]),
+        targets=targets,
     )
 
 
@@ -251,46 +374,69 @@ def arcs_in_range(fst: WordFst, state: int, lo: int, hi: int) -> tuple[Arc, ...]
     """The half-open slice [lo, hi) of the sorted arc list of ``state``."""
     if not 0 <= state < fst.num_states:
         raise IndexError(f"state {state} out of range (0..{fst.num_states - 1})")
-    arcs = fst.arcs[state]
+    n = fst.arc_count(state)
     if lo > hi:
         raise ValueError(f"invalid arc range: lo={lo} > hi={hi}")
-    if lo < 0 or hi > len(arcs):
-        raise ValueError(f"arc range [{lo}, {hi}) out of bounds for {len(arcs)} arcs")
-    return arcs[lo:hi]
+    if lo < 0 or hi > n:
+        raise ValueError(f"arc range [{lo}, {hi}) out of bounds for {n} arcs")
+    return fst.arcs[state][lo:hi]
+
+
+def _arc_problem(state: int, prev: str, word: str, weight: float, nextstate: int) -> str:
+    """The first check an arc fails, given the previous word at its state
+    (``""`` for a state's first arc) and that it fails one of them."""
+    if not word:
+        return f"state {state}: empty arc word"
+    if word <= prev:
+        return f"state {state}: arcs not strictly sorted at {word!r}"
+    if not math.isfinite(weight):
+        return f"state {state}: non-finite weight on {word!r}"
+    return f"state {state}: next state {nextstate} out of range"
+
+
+def _count_reachable(start: int, offsets: array, targets: array) -> int:
+    """The number of states reachable from ``start`` (next states in range)."""
+    seen = bytearray(len(offsets) - 1)
+    seen[start] = 1
+    count = 1
+    frontier = [start]
+    while frontier:
+        s = frontier.pop()
+        for t in targets[offsets[s] : offsets[s + 1]]:
+            if not seen[t]:
+                seen[t] = 1
+                count += 1
+                frontier.append(t)
+    return count
 
 
 def validate_fst(fst: WordFst) -> None:
-    """Check structural invariants; raises ValueError on the first violation."""
+    """Check structural invariants; raises ValueError on the first violation.
+
+    The ``BLFST1`` reader makes the same checks, in the same order, as it
+    reads; this is for automata built by hand.
+    """
     n = fst.num_states
     if not 0 <= fst.start < n:
         raise ValueError(f"start state {fst.start} out of range")
-    for s, arcs in enumerate(fst.arcs):
-        prev = None
-        for arc in arcs:
-            if not arc.word:
-                raise ValueError(f"state {s}: empty arc word")
-            if prev is not None and arc.word <= prev:
-                raise ValueError(f"state {s}: arcs not strictly sorted at {arc.word!r}")
-            prev = arc.word
-            if not math.isfinite(arc.weight):
-                raise ValueError(f"state {s}: non-finite weight on {arc.word!r}")
-            if not 0 <= arc.nextstate < n:
-                raise ValueError(f"state {s}: next state {arc.nextstate} out of range")
-        if not arcs and s not in fst.finals and s != fst.start:
+    offsets, words, weights, targets = fst.offsets, fst.arc_words, fst.weights, fst.targets
+    isfinite = math.isfinite
+    for s in range(n):
+        lo, hi = offsets[s], offsets[s + 1]
+        prev = ""
+        for i in range(lo, hi):
+            word = words[i]
+            if word <= prev or not isfinite(weights[i]) or targets[i] >= n:
+                raise ValueError(_arc_problem(s, prev, word, weights[i], targets[i]))
+            prev = word
+        if lo == hi and s not in fst.finals and s != fst.start:
             raise ValueError(f"state {s} is a non-final dead end")
     for s in fst.finals | fst.phi_states:
         if not 0 <= s < n:
             raise ValueError(f"state {s} out of range")
-    reached = {fst.start}
-    frontier = [fst.start]
-    while frontier:
-        s = frontier.pop()
-        for arc in fst.arcs[s]:
-            if arc.nextstate not in reached:
-                reached.add(arc.nextstate)
-                frontier.append(arc.nextstate)
-    if len(reached) != n:
-        raise ValueError(f"{n - len(reached)} states unreachable from start")
+    unreachable = n - _count_reachable(fst.start, offsets, targets)
+    if unreachable:
+        raise ValueError(f"{unreachable} states unreachable from start")
 
 
 # -- catalog files ----------------------------------------------------------
@@ -342,25 +488,27 @@ def load_catalog(path) -> list[CatalogEntry]:
 #     per arc: u32 len | bytes word | f64 weight | u32 nextstate
 
 _U32 = struct.Struct("<I")
-_F64 = struct.Struct("<d")
+_HEADER = struct.Struct("<II")  # num_states, start
 _STATE = struct.Struct("<BI")  # flags, num_arcs
 _ARC_TAIL = struct.Struct("<dI")  # weight, nextstate
 
 
 def serialize(fst: WordFst) -> bytes:
     out = bytearray(_MAGIC)
-    out += _U32.pack(fst.num_states)
-    out += _U32.pack(fst.start)
+    out += _HEADER.pack(fst.num_states, fst.start)
+    pack_state, pack_u32, pack_tail = _STATE.pack, _U32.pack, _ARC_TAIL.pack
+    finals, phi, offsets = fst.finals, fst.phi_states, fst.offsets
+    words, weights, targets = fst.arc_words, fst.weights, fst.targets
+    i = 0
     for s in range(fst.num_states):
-        flags = (1 if s in fst.finals else 0) | (2 if s in fst.phi_states else 0)
-        out.append(flags)
-        out += _U32.pack(len(fst.arcs[s]))
-        for arc in fst.arcs[s]:
-            raw = arc.word.encode("utf-8")
-            out += _U32.pack(len(raw))
+        hi = offsets[s + 1]
+        out += pack_state((1 if s in finals else 0) | (2 if s in phi else 0), hi - i)
+        while i < hi:
+            raw = words[i].encode("utf-8")
+            out += pack_u32(len(raw))
             out += raw
-            out += _F64.pack(arc.weight)
-            out += _U32.pack(arc.nextstate)
+            out += pack_tail(weights[i], targets[i])
+            i += 1
     return bytes(out)
 
 
@@ -372,13 +520,21 @@ def _bad_flags(flags: int, at: int) -> InputFormatError:
     return InputFormatError(f"unknown state flags {flags:#x} at offset {at}")
 
 
+def _malformed(problem: str) -> InputFormatError:
+    return InputFormatError(f"malformed automaton: {problem}")
+
+
 def deserialize(data: bytes) -> WordFst:
-    """Parse a ``BLFST1`` buffer in one loop over it.
+    """Parse a ``BLFST1`` buffer in one loop over it, straight into columns.
 
     Each state header and each arc's weight and next state is one
-    precompiled ``unpack_from``.  Fields are checked in file order, so the
-    first field that runs past the end of ``data``, or fails its check,
-    names the error and its byte offset.
+    precompiled ``unpack_from``.  Fields are read in file order, so the first
+    field that runs past the end of ``data``, or is not a field of the
+    format, names the error and its byte offset.  The structural checks of
+    :func:`validate_fst` run in the same loop; each records only the first
+    violation, which is raised once the whole buffer has read cleanly, so
+    every error and its precedence are those of reading the buffer and then
+    validating it.
     """
     end = len(data)
     pos = len(_MAGIC)
@@ -388,15 +544,17 @@ def deserialize(data: bytes) -> WordFst:
         raise InputFormatError("bad magic: not a serialized biasing automaton")
     if pos + 8 > end:
         raise _truncated(4, pos if pos + 4 > end else pos + 4)
-    num_states, start = struct.unpack_from("<II", data, pos)
+    num_states, start = _HEADER.unpack_from(data, pos)
     pos += 8
     unpack_state, unpack_u32, unpack_tail = (
         _STATE.unpack_from, _U32.unpack_from, _ARC_TAIL.unpack_from
     )
-    new = tuple.__new__
+    isfinite = math.isfinite
     finals = []
     phi = []
-    arcs = []
+    arc_words, weights, targets, offsets = [], array("d"), array("I"), array("I", [0])
+    add_word, add_weight, add_target = arc_words.append, weights.append, targets.append
+    problem = None
     for s in range(num_states):
         if pos + 5 > end:
             # A short header: report the flag byte first, as a field-by-field read would.
@@ -411,7 +569,7 @@ def deserialize(data: bytes) -> WordFst:
         if flags & 2:
             phi.append(s)
         pos += 5
-        state_arcs = []
+        prev = ""
         for _ in range(num_arcs):
             if pos + 4 > end:
                 raise _truncated(4, pos)
@@ -428,18 +586,29 @@ def deserialize(data: bytes) -> WordFst:
             if pos > end:
                 raise _truncated(8, stop) if stop + 8 > end else _truncated(4, stop + 8)
             weight, nextstate = unpack_tail(data, stop)
-            state_arcs.append(new(Arc, (word, weight, nextstate)))
-        arcs.append(tuple(state_arcs))
+            if word <= prev or not isfinite(weight) or nextstate >= num_states:
+                if problem is None:
+                    problem = _arc_problem(s, prev, word, weight, nextstate)
+            prev = word
+            add_word(word)
+            add_weight(weight)
+            add_target(nextstate)
+        if not num_arcs and not flags & 1 and s != start and problem is None:
+            problem = f"state {s} is a non-final dead end"
+        offsets.append(len(arc_words))
     if pos != end:
         raise InputFormatError(f"{end - pos} trailing bytes at offset {pos}")
-    fst = WordFst(
-        start=start, finals=frozenset(finals), arcs=tuple(arcs), phi_states=frozenset(phi)
+    if not start < num_states:
+        raise _malformed(f"start state {start} out of range")
+    if problem is not None:
+        raise _malformed(problem)
+    unreachable = num_states - _count_reachable(start, offsets, targets)
+    if unreachable:
+        raise _malformed(f"{unreachable} states unreachable from start")
+    return WordFst.from_columns(
+        start=start, finals=finals, phi_states=phi,
+        offsets=offsets, arc_words=arc_words, weights=weights, targets=targets,
     )
-    try:
-        validate_fst(fst)
-    except ValueError as exc:
-        raise InputFormatError(f"malformed automaton: {exc}") from None
-    return fst
 
 
 def save_fst(fst: WordFst, path) -> None:

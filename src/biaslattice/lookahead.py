@@ -25,9 +25,12 @@ token stream ``pl ay er_``:
 Increments sum to -8, the word-level weight of "player".
 
 A step that misses the cache costs two C-level bisects over the state's
-sorted words plus :meth:`WordFst.band_summary`, which finds the band's
-longest word and strongest weight in O(B + band/B) for the automaton's
-block size B.  No step scans the band in Python.
+sorted words, a slice of the automaton's word column, plus
+:meth:`WordFst.band_summary`, which finds the band's longest word and
+strongest weight in O(B + band/B) for the automaton's block size B.  No
+step scans the band in Python.  A walk state's band ``[lo, hi)`` counts
+from the state's first arc; only these lookups add the state's column
+offset.
 
 Scoring is a set of pure transitions.  :class:`PhraseWalk` maps a walk state,
 a plain hashable tuple, and a token to ``(increment, new state)``.  It holds
@@ -199,7 +202,7 @@ class PhraseWalk:
         """The state of a walk about to read its first word from ``q``."""
         if q is None:
             q = self.fst.start
-        return (q, "", 0, len(self.fst.arcs[q]), 0.0, False, 0.0, False)
+        return (q, "", 0, self.fst.arc_count(q), 0.0, False, 0.0, False)
 
     def expand(self, state: tuple, subword: str) -> tuple[float, tuple]:
         """Extend the word by one content token: ``(increment, state)``.
@@ -220,21 +223,28 @@ class PhraseWalk:
         if hit is not None:
             lo, hi, new = hit
         else:
-            lo, hi = prefix_range(self.fst.words[q], lo, hi, prefix, counter=self.counter)
+            fst = self.fst
+            base = fst.offsets[q]
+            lo, hi = prefix_range(
+                fst.arc_words, base + lo, base + hi, prefix, counter=self.counter
+            )
+            lo -= base
+            hi -= base
             if lo == hi:
                 return -pushed, (q, prefix, lo, hi, 0.0, True, pending, banked)
-            new = pushed_weight(len(prefix), *self.fst.band_summary(q, lo, hi))
+            new = pushed_weight(len(prefix), *fst.band_summary(q, lo, hi))
             if cache is not None:
                 cache[key] = (lo, hi, new)
         return new - pushed, (q, prefix, lo, hi, new, False, pending, banked)
 
     def close_word(self, state: tuple, token: str):
-        """End the word alone: ``(increment, matched arc or None, state)``.
+        """End the word alone: ``(increment, matched arc id or None, state)``.
 
         A fused token first applies its content as an expand step.  An exact
         match trues the word's total up to the arc weight; a miss pays back
         what was pushed and leaves the word dead.  A word that already died
-        closes as a miss with no further score.
+        closes as a miss with no further score.  The arc id is the matched
+        arc's position in the automaton's columns.
         """
         content = "" if token == self.delimiter else token_content(token, self.delimiter)
         increment = 0.0
@@ -243,32 +253,38 @@ class PhraseWalk:
         q, prefix, lo, hi, pushed, dead, pending, banked = state
         if dead:
             return increment, None, state
-        if lo < hi and self.fst.words[q][lo] == prefix:
-            arc = self.fst.arcs[q][lo]
-            return (increment + (arc.weight - pushed), arc,
-                    (q, prefix, lo, hi, arc.weight, False, pending, banked))
+        fst = self.fst
+        i = fst.offsets[q] + lo
+        if lo < hi and fst.arc_words[i] == prefix:
+            weight = fst.weights[i]
+            return (increment + (weight - pushed), i,
+                    (q, prefix, lo, hi, weight, False, pending, banked))
         return increment - pushed, None, (q, prefix, lo, hi, 0.0, True, pending, banked)
 
     def finish_word(self, state: tuple, token: str) -> tuple[float, WordOutcome, tuple]:
         """Close the word and step the phrase: ``(increment, outcome, state)``."""
-        increment, arc, state = self.close_word(state, token)
+        increment, i, state = self.close_word(state, token)
         fst = self.fst
+        offsets = fst.offsets
         pending, banked = state[6], state[7]
-        if arc is None:
+        if i is None:
             q, outcome, increment, pending = fst.start, _FAILED, increment - pending, 0.0
-        elif arc.nextstate not in fst.finals:
-            q, outcome, pending = arc.nextstate, _CONTINUED, pending + arc.weight
-        elif fst.arcs[arc.nextstate]:
-            q, outcome, pending, banked = arc.nextstate, _COMPLETED_OPEN, 0.0, True
         else:
-            q, outcome, pending, banked = fst.start, _COMPLETED, 0.0, True
-        return increment, outcome, (q, "", 0, len(fst.arcs[q]), 0.0, False, pending, banked)
+            q = fst.targets[i]
+            if q not in fst.finals:
+                outcome, pending = _CONTINUED, pending + fst.weights[i]
+            elif offsets[q] != offsets[q + 1]:
+                outcome, pending, banked = _COMPLETED_OPEN, 0.0, True
+            else:
+                q, outcome, pending, banked = fst.start, _COMPLETED, 0.0, True
+        return (increment, outcome,
+                (q, "", 0, offsets[q + 1] - offsets[q], 0.0, False, pending, banked))
 
     def finalize(self, state: tuple) -> tuple[float, tuple]:
         """End of stream: pay back everything no final state banked."""
         q = self.fst.start
         return (-state[6] - state[4],
-                (q, "", 0, len(self.fst.arcs[q]), 0.0, False, 0.0, state[7]))
+                (q, "", 0, self.fst.arc_count(q), 0.0, False, 0.0, state[7]))
 
 
 class WordWalk(PhraseWalk):
@@ -289,10 +305,11 @@ class WordWalk(PhraseWalk):
     def close_word(self, state, token):
         q, prefix, lo, hi, pushed, dead, pending, banked = state
         word = prefix if token == self.delimiter else prefix + token_content(token, self.delimiter)
-        arc = self.fst.find_arc(q, word)
-        if arc is None:
+        i = self.fst.arc_id(q, word)
+        if i is None:
             return 0.0, None, (q, word, lo, hi, 0.0, True, pending, banked)
-        return arc.weight, arc, (q, word, lo, hi, arc.weight, False, pending, banked)
+        weight = self.fst.weights[i]
+        return weight, i, (q, word, lo, hi, weight, False, pending, banked)
 
 
 _new = object.__new__
@@ -408,7 +425,8 @@ class ExpandSession:
         self.finished = True
         if self.dead:
             return increment, None
-        step, arc, self.state = self.walk.close_word(self.state, self.walk.delimiter)
+        step, i, self.state = self.walk.close_word(self.state, self.walk.delimiter)
+        arc = None if i is None else self.walk.fst.arc(i)
         if self.trace is not None:
             self._record(step, closing=True, arc=arc)
         return increment + step, None if arc is None else arc.nextstate

@@ -182,7 +182,8 @@ def evaluate(
         for nb in run:
             table = align_hyps(nb, ref_for(nb, refs))
             top, ora = table[0], _oracle(table)
-            for label in (split_label(nb.utt_id), "all"):
+            # An id with no split prefix already belongs to "all" alone.
+            for label in {split_label(nb.utt_id), "all"}:
                 tops, oras = per_split.setdefault(label, ([], []))
                 tops.append(top)
                 oras.append(ora)

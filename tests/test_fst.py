@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biaslattice.context import build_class_fst
 from biaslattice.errors import InputFormatError
 from biaslattice.fst import (
     Arc,
@@ -19,6 +21,7 @@ from biaslattice.fst import (
     serialize,
     validate_fst,
 )
+from biaslattice.synthdata import make_task
 from conftest import random_catalog
 from oracles import reference_build_catalog_fst, reference_deserialize, trie_arc_count
 
@@ -339,3 +342,79 @@ class TestReaderParity:
         data = serialize(empty_fst())
         for cut in range(len(data) + 1):
             self.check(data[:cut])
+
+
+def _hand_built(state_arcs, finals) -> bytes:
+    """``BLFST1`` bytes of an automaton built by hand, unchecked."""
+    return serialize(WordFst(start=0, finals=finals, arcs=state_arcs, phi_states={0}))
+
+
+class TestReaderPrecedence:
+    """The reader checks arcs as it reads them but raises only once the whole
+    buffer has read cleanly, reporting the first violation in file order."""
+
+    def reject(self, data: bytes, match: str):
+        with pytest.raises(InputFormatError) as info:
+            deserialize(data)
+        assert str(info.value) == str(outcome(reference_deserialize, data))
+        assert match in str(info.value)
+
+    def test_truncation_beats_an_earlier_sort_violation(self):
+        data = _hand_built(
+            [[("a", -1.0, 1), ("c", -1.0, 4)], [("z", -1.0, 2), ("b", -1.0, 3)], [], [], []],
+            finals={2, 3, 4},
+        )
+        self.reject(data, "state 1: arcs not strictly sorted at 'b'")
+        self.reject(data[:-1], "truncated automaton")
+        self.reject(data + b"\x00", "trailing bytes")
+
+    def test_earlier_violation_wins(self):
+        unsorted = [("z", -1.0, 3), ("b", -1.0, 4)]
+        infinite = [("c", math.inf, 5)]
+        leaves = [[], [], []]
+        self.reject(
+            _hand_built([[("a", -1.0, 1), ("b", -1.0, 2)], unsorted, infinite] + leaves,
+                        finals={3, 4, 5}),
+            "state 1: arcs not strictly sorted at 'b'",
+        )
+        self.reject(
+            _hand_built([[("a", -1.0, 1), ("b", -1.0, 2)], infinite, unsorted] + leaves,
+                        finals={3, 4, 5}),
+            "state 1: non-finite weight on 'c'",
+        )
+        # Within one arc the checks keep validate_fst's order.
+        self.reject(
+            _hand_built([[("a", -1.0, 1)], [("z", -1.0, 2), ("b", math.nan, 9)], []],
+                        finals={2}),
+            "state 1: arcs not strictly sorted at 'b'",
+        )
+
+    def test_dead_end_beats_a_later_arc_violation(self):
+        self.reject(
+            _hand_built([[("a", -1.0, 1), ("b", -1.0, 2)], [], [("z", -1.0, 3), ("c", -1.0, 4)],
+                         [], []], finals={3, 4}),
+            "state 1 is a non-final dead end",
+        )
+
+    def test_start_out_of_range_beats_arc_violations(self):
+        data = bytearray(_hand_built([[("b", -1.0, 1), ("a", -1.0, 2)], [], []], finals={1, 2}))
+        data[10:14] = (7).to_bytes(4, "little")
+        self.reject(bytes(data), "start state 7 out of range")
+
+
+class TestFormatPin:
+    """``BLFST1`` bytes of the seed-7 task's automata, pinned by sha256.
+
+    The values were recorded from the writer that kept one tuple per arc, so
+    a change of in-memory layout cannot drift the file format unnoticed."""
+
+    def test_seed7_bytes(self):
+        task = make_task(7)
+        catalog = serialize(build_catalog_fst(task.all_bias_entries()))
+        classes = serialize(build_class_fst(task.class_corpus, min_count=10).fst)
+        assert (len(catalog), hashlib.sha256(catalog).hexdigest()) == (
+            23409, "72803fbdc7530ef8202d5dbdf93bdf188728f42097c428816ec425c539b2efe3")
+        assert (len(classes), hashlib.sha256(classes).hexdigest()) == (
+            527, "e15e69a9bc506a3bd59aa26c6907f6a5e297af4c9e2bf828a5f3b87538232583")
+        assert serialize(deserialize(catalog)) == catalog
+        assert serialize(deserialize(classes)) == classes

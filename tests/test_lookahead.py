@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,13 @@ from biaslattice.lookahead import (
     pushed_weight,
 )
 from conftest import random_catalog
-from oracles import all_chunkings, band_scan, linear_prefix_filter, pushed_profile
+from oracles import (
+    all_chunkings,
+    band_scan,
+    linear_prefix_filter,
+    pushed_profile,
+    reference_build_catalog_fst,
+)
 
 
 class TestPrefixRange:
@@ -410,6 +417,41 @@ class TestLargeBands:
             for lo in range(0, i + 1):
                 for hi in range(max(i + 1, lo + 2 * self.B + 1), n + 1):
                     assert f.band_summary(f.start, lo, hi) == (6, -5.0)
+
+    def test_bands_at_a_state_past_the_start(self):
+        # The state after "x" has more than 3 * B arcs and starts at a column
+        # offset off every block boundary, behind states whose words are
+        # longer and whose weights differ, so an offset slip shows.
+        rng = random.Random(5)
+        seconds = set()
+        while len(seconds) < 3 * self.B + 9:
+            seconds.add("".join(rng.choice("abcdef") for _ in range(rng.randint(1, 9))))
+        entries = [CatalogEntry(("x", w), -2.5) for w in sorted(seconds)]
+        for first, count in (("a", 7), ("b", 11), ("c", 20), ("y", 3)):
+            entries += [CatalogEntry((first, f"longword{i:02d}"), 4.0) for i in range(count)]
+        f = build_catalog_fst(entries)
+        q = f.find_arc(f.start, "x").nextstate
+        assert f.offsets[q] % self.B != 0
+        arcs = reference_build_catalog_fst(entries).arcs[q]
+        words = [a.word for a in arcs]
+        n = len(arcs)
+        assert n > 3 * self.B and f.arcs[q] == arcs
+        for lo in range(n):
+            for hi in range(lo + 1, n + 1):
+                assert f.band_summary(q, lo, hi) == band_scan(arcs, lo, hi)
+        probes = {w[:i] for w in words for i in range(1, len(w) + 1)}
+        probes |= {"".join(rng.choice("abcdefg") for _ in range(rng.randint(1, 4)))
+                   for _ in range(50)}
+        for prefix in sorted(probes):
+            want = linear_prefix_filter(words, 0, n, prefix)
+            assert prefix_range(f.words[q], 0, n, prefix) == want
+            for walk in (PhraseWalk(f), PhraseWalk(f, counter=ProbeCounter())):
+                inc, state = walk.expand(walk.initial(q), prefix)
+                assert state[2:4] == want
+                if want[0] < want[1]:
+                    assert inc == pushed_weight(len(prefix), *band_scan(arcs, *want))
+            i = bisect_left(words, prefix)
+            assert f.find_arc(q, prefix) == (arcs[i] if i < n and words[i] == prefix else None)
 
     def test_increments_match_reference_profile(self):
         rng = random.Random(77)

@@ -140,6 +140,21 @@ class TestEvaluate:
         assert split_label("contacts-t0001") == "contacts"
         assert split_label("x") == "all"
 
+    def test_ids_without_split_count_once(self):
+        report = evaluate([mk_nbest("r1", "a b", ["a b"]), mk_nbest("r2", "c", ["x"])])
+        assert [s.label for s in report.splits] == ["all"]
+        assert report.split("all").utts == 2
+        assert report.split("all").breakdown.ref_len == 3
+        assert "all 2" in " ".join(format_report(report).split())
+
+    def test_split_named_all_pools_with_the_rest(self):
+        report = evaluate([mk_nbest("contacts-1", "a b", ["a x"]), mk_nbest("all-2", "c", ["c"])])
+        assert report.split("contacts").utts == 1
+        assert report.split("contacts").breakdown.errors == 1
+        assert report.split("all").utts == 2
+        assert report.split("all").breakdown.ref_len == 3
+        assert report.split("all").breakdown.errors == 1
+
     def test_json_and_text_agree(self):
         lists = [mk_nbest("contacts-1", "a b", ["a b", "a x"]),
                  mk_nbest("general-1", "c d", ["c x", "c d"])]
