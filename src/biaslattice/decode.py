@@ -410,6 +410,12 @@ def write_nbest(lists: Iterable[NBestList], path) -> None:
             f.write(json.dumps(obj) + "\n")
 
 
+def _typed(value, kind: type, field: str):
+    if not isinstance(value, kind):
+        raise TypeError(f'"{field}" needs a {kind.__name__}, got {value!r}')
+    return value
+
+
 def read_nbest(path) -> list[NBestList]:
     out = []
     with open(path, encoding="utf-8") as f:
@@ -422,8 +428,10 @@ def read_nbest(path) -> list[NBestList]:
                 lam = float(obj.get("lambda", 1.0))
                 hyps = [
                     Hypothesis(
-                        tokens=tuple(h["tokens"]),
-                        text=h["text"],
+                        tokens=tuple(
+                            _typed(t, str, "tokens") for t in _typed(h["tokens"], list, "tokens")
+                        ),
+                        text=_typed(h["text"], str, "text"),
                         rnnt_logp=float(h["rnnt_logp"]),
                         sf_score=float(h["sf_score"]),
                         fused=fuse_step(float(h["rnnt_logp"]), float(h["sf_score"]), lam),
@@ -432,7 +440,8 @@ def read_nbest(path) -> list[NBestList]:
                 ]
                 if not hyps:
                     raise ValueError('empty "hyps" list')
-                out.append(NBestList(utt_id=obj["id"], ref=obj["ref"], lam=lam, hyps=hyps))
+                utt_id, ref = _typed(obj["id"], str, "id"), _typed(obj["ref"], str, "ref")
+                out.append(NBestList(utt_id=utt_id, ref=ref, lam=lam, hyps=hyps))
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputFormatError(f"{path}:{lineno}: bad n-best record: {exc}") from None
     if not out:

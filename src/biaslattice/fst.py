@@ -17,17 +17,17 @@ nothing to walk.
 
 The builder maps every word path of the catalog to its arc weight and
 numbers the states by sorting those paths, which is the preorder walk of the
-trie; no node objects are made.  The ``BLFST1`` reader is one loop over the
-buffer with precompiled ``struct`` unpacks and explicit bounds checks, which
-appends each arc to the columns and checks it as it goes.
+trie; no node objects are made.  The ``BLFST2`` file holds the same columns:
+writing it joins their bytes, and reading it copies them back into arrays
+and splits one block of words.  One routine checks every automaton, loaded
+or built by hand, with C-level loops over the columns.
 
 Automata are immutable after construction and safe to share across threads;
 all mutation happens inside the builder and the reader.  The columns are a
 list and arrays, shared rather than copied, so callers must not change them
-either.  ``arcs[s]`` and ``words[s]`` are
-views that slice the columns on each access.  The one derived structure,
-the band index, is built lazily on first use; threads racing on it only
-compute the same value twice.
+either.  ``arcs[s]`` and ``words[s]`` are views that slice the columns on
+each access.  The one derived structure, the band index, is built lazily on
+first use; threads racing on it only compute the same value twice.
 """
 
 from __future__ import annotations
@@ -35,10 +35,12 @@ from __future__ import annotations
 import bisect
 import math
 import struct
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import ge, gt, not_, sub
 from typing import Iterable, NamedTuple
 
 from .errors import InputFormatError
@@ -46,7 +48,7 @@ from .wordpiece import DEFAULT_DELIMITER
 
 DEFAULT_WEIGHT = -1.0
 
-_MAGIC = b"BLFST1"
+_MAGIC = b"BLFST2"
 
 # Block size of the band index: bands of more than 2 * BAND_BLOCK arcs are
 # summarized from per-block summaries, in O(BAND_BLOCK + band/BAND_BLOCK).
@@ -73,7 +75,7 @@ class CatalogEntry:
     def __post_init__(self):
         if not self.phrase:
             raise CatalogError("catalog phrase must contain at least one word")
-        if any(not w or w != w.strip() or " " in w for w in self.phrase):
+        if any(w.split() != [w] for w in self.phrase):  # empty, or holds whitespace
             raise CatalogError(f"malformed catalog phrase: {self.phrase!r}")
         if not math.isfinite(self.weight):
             raise CatalogError(f"non-finite weight for phrase {self.phrase!r}")
@@ -370,73 +372,85 @@ def empty_fst() -> WordFst:
     return WordFst(start=0, finals=frozenset(), arcs=((),), phi_states=frozenset({0}))
 
 
-def arcs_in_range(fst: WordFst, state: int, lo: int, hi: int) -> tuple[Arc, ...]:
-    """The half-open slice [lo, hi) of the sorted arc list of ``state``."""
-    if not 0 <= state < fst.num_states:
-        raise IndexError(f"state {state} out of range (0..{fst.num_states - 1})")
-    n = fst.arc_count(state)
-    if lo > hi:
-        raise ValueError(f"invalid arc range: lo={lo} > hi={hi}")
-    if lo < 0 or hi > n:
-        raise ValueError(f"arc range [{lo}, {hi}) out of bounds for {n} arcs")
-    return fst.arcs[state][lo:hi]
-
-
-def _arc_problem(state: int, prev: str, word: str, weight: float, nextstate: int) -> str:
-    """The first check an arc fails, given the previous word at its state
-    (``""`` for a state's first arc) and that it fails one of them."""
-    if not word:
-        return f"state {state}: empty arc word"
-    if word <= prev:
-        return f"state {state}: arcs not strictly sorted at {word!r}"
-    if not math.isfinite(weight):
-        return f"state {state}: non-finite weight on {word!r}"
-    return f"state {state}: next state {nextstate} out of range"
-
-
 def _count_reachable(start: int, offsets: array, targets: array) -> int:
     """The number of states reachable from ``start`` (next states in range)."""
-    seen = bytearray(len(offsets) - 1)
-    seen[start] = 1
-    count = 1
+    seen = {start}
     frontier = [start]
     while frontier:
         s = frontier.pop()
-        for t in targets[offsets[s] : offsets[s + 1]]:
-            if not seen[t]:
-                seen[t] = 1
-                count += 1
-                frontier.append(t)
-    return count
+        new = set(targets[offsets[s] : offsets[s + 1]]) - seen
+        seen |= new
+        frontier += new
+    return len(seen)
 
 
-def validate_fst(fst: WordFst) -> None:
-    """Check structural invariants; raises ValueError on the first violation.
+def _check_columns(fst: WordFst) -> str | None:
+    """The first structural problem of ``fst``, or None if it has none.
 
-    The ``BLFST1`` reader makes the same checks, in the same order, as it
-    reads; this is for automata built by hand.
+    The normal path proves soundness with C-level loops over whole columns,
+    for automata numbered as the builder numbers them.  Every state is
+    reachable when the start is 0, every arc points to a higher state and
+    ``num_states - 1`` states are targets, by induction on the state number.
+    Any failure, or any other numbering, falls to :func:`_first_problem`.
     """
-    n = fst.num_states
+    n, start, finals = fst.num_states, fst.start, fst.finals
+    offsets, words, targets = fst.offsets, fst.arc_words, fst.targets
+    sizes = list(map(sub, islice(offsets, 1, None), offsets))
+    # Adjacent words may fall only where a state's arcs begin.
+    falls = compress(range(1, len(words)), map(ge, words, islice(words, 1, None)))
+    sources = chain.from_iterable(map(repeat, range(n), sizes))
+    if (
+        offsets[0] == 0 and offsets[n] == len(words) and min(sizes, default=0) >= 0
+        and start == 0 < n
+        and all(words) and set(offsets).issuperset(falls)
+        and all(map(math.isfinite, fst.weights))
+        and max(targets, default=0) < n
+        and (finals | {0}).issuperset(compress(range(n), map(not_, sizes)))
+        and all(map(range(n).__contains__, chain(finals, fst.phi_states)))
+        and len(set(targets)) == n - 1 and all(map(gt, targets, sources))
+    ):
+        return None
+    return _first_problem(fst)
+
+
+def _first_problem(fst: WordFst) -> str | None:
+    """The first violation in state order, found one state at a time."""
+    n, offsets, words = fst.num_states, fst.offsets, fst.arc_words
+    if offsets[0] != 0 or offsets[n] != len(words):
+        return f"arc offsets run {offsets[0]}..{offsets[n]}, not 0..{len(words)}"
+    for s in range(n):
+        if offsets[s] > offsets[s + 1]:
+            return f"state {s}: arc offsets decrease"
     if not 0 <= fst.start < n:
-        raise ValueError(f"start state {fst.start} out of range")
-    offsets, words, weights, targets = fst.offsets, fst.arc_words, fst.weights, fst.targets
-    isfinite = math.isfinite
+        return f"start state {fst.start} out of range"
     for s in range(n):
         lo, hi = offsets[s], offsets[s + 1]
         prev = ""
         for i in range(lo, hi):
-            word = words[i]
-            if word <= prev or not isfinite(weights[i]) or targets[i] >= n:
-                raise ValueError(_arc_problem(s, prev, word, weights[i], targets[i]))
+            word, weight, nextstate = words[i], fst.weights[i], fst.targets[i]
+            if not word:
+                return f"state {s}: empty arc word"
+            if word <= prev:
+                return f"state {s}: arcs not strictly sorted at {word!r}"
+            if not math.isfinite(weight):
+                return f"state {s}: non-finite weight on {word!r}"
+            if nextstate >= n:
+                return f"state {s}: next state {nextstate} out of range"
             prev = word
         if lo == hi and s not in fst.finals and s != fst.start:
-            raise ValueError(f"state {s} is a non-final dead end")
+            return f"state {s} is a non-final dead end"
     for s in fst.finals | fst.phi_states:
         if not 0 <= s < n:
-            raise ValueError(f"state {s} out of range")
-    unreachable = n - _count_reachable(fst.start, offsets, targets)
-    if unreachable:
-        raise ValueError(f"{unreachable} states unreachable from start")
+            return f"state {s} out of range"
+    unreachable = n - _count_reachable(fst.start, offsets, fst.targets)
+    return f"{unreachable} states unreachable from start" if unreachable else None
+
+
+def validate_fst(fst: WordFst) -> None:
+    """Check structural invariants; raises ValueError on the first violation."""
+    problem = _check_columns(fst)
+    if problem:
+        raise ValueError(problem)
 
 
 # -- catalog files ----------------------------------------------------------
@@ -480,135 +494,99 @@ def load_catalog(path) -> list[CatalogEntry]:
 
 # -- binary serialization ----------------------------------------------------
 #
-# Versioned layout, magic ``BLFST1``, little-endian integers, length-prefixed
-# UTF-8 strings:
+# Versioned columnar layout, magic ``BLFST2``, little-endian throughout:
 #
-#   magic | u32 num_states | u32 start |
-#   per state: u8 flags (bit0 final, bit1 phi) | u32 num_arcs |
-#     per arc: u32 len | bytes word | f64 weight | u32 nextstate
+#   magic | u32 num_states | u32 start | u32 num_arcs |
+#   u8 flags[num_states] (bit0 final, bit1 phi) |
+#   u32 offsets[num_states + 1] | u32 targets[num_arcs] | f64 weights[num_arcs] |
+#   u32 len | UTF-8 arc words joined by "\n"
+#
+# The header fixes every length but the word blob's.  ``BLFST1``, which
+# interleaved each arc's word, weight and target, is no longer read.
 
+_HEADER = struct.Struct("<6sIII")  # magic, num_states, start, num_arcs
 _U32 = struct.Struct("<I")
-_HEADER = struct.Struct("<II")  # num_states, start
-_STATE = struct.Struct("<BI")  # flags, num_arcs
-_ARC_TAIL = struct.Struct("<dI")  # weight, nextstate
+_FINAL_BIT = bytes(b & 1 for b in range(256))
+_PHI_BIT = bytes(b & 2 for b in range(256))
+
+
+def _little_endian(column: array) -> array:
+    """``column`` on a little-endian host; elsewhere a byte-swapped copy."""
+    if sys.byteorder == "big":
+        column = array(column.typecode, column)
+        column.byteswap()
+    return column
 
 
 def serialize(fst: WordFst) -> bytes:
-    out = bytearray(_MAGIC)
-    out += _HEADER.pack(fst.num_states, fst.start)
-    pack_state, pack_u32, pack_tail = _STATE.pack, _U32.pack, _ARC_TAIL.pack
-    finals, phi, offsets = fst.finals, fst.phi_states, fst.offsets
-    words, weights, targets = fst.arc_words, fst.weights, fst.targets
-    i = 0
-    for s in range(fst.num_states):
-        hi = offsets[s + 1]
-        out += pack_state((1 if s in finals else 0) | (2 if s in phi else 0), hi - i)
-        while i < hi:
-            raw = words[i].encode("utf-8")
-            out += pack_u32(len(raw))
-            out += raw
-            out += pack_tail(weights[i], targets[i])
-            i += 1
-    return bytes(out)
-
-
-def _truncated(n: int, at: int) -> InputFormatError:
-    return InputFormatError(f"truncated automaton: needed {n} bytes at offset {at}")
-
-
-def _bad_flags(flags: int, at: int) -> InputFormatError:
-    return InputFormatError(f"unknown state flags {flags:#x} at offset {at}")
-
-
-def _malformed(problem: str) -> InputFormatError:
-    return InputFormatError(f"malformed automaton: {problem}")
+    """``BLFST2`` bytes of ``fst``; raises ValueError for a word holding a newline."""
+    blob = "\n".join(fst.arc_words).encode("utf-8")
+    if blob.count(b"\n") != max(fst.num_arcs - 1, 0):
+        word = next(w for w in fst.arc_words if "\n" in w)
+        raise ValueError(f"arc word {word!r} contains a newline")
+    flags = bytearray(map(fst.finals.__contains__, range(fst.num_states)))
+    for s in fst.phi_states:
+        flags[s] |= 2
+    columns = (_little_endian(c).tobytes() for c in (fst.offsets, fst.targets, fst.weights))
+    header = _HEADER.pack(_MAGIC, fst.num_states, fst.start, fst.num_arcs)
+    return b"".join([header, flags, *columns, _U32.pack(len(blob)), blob])
 
 
 def deserialize(data: bytes) -> WordFst:
-    """Parse a ``BLFST1`` buffer in one loop over it, straight into columns.
+    """Parse a ``BLFST2`` buffer: one length check, array copies, one column check.
 
-    Each state header and each arc's weight and next state is one
-    precompiled ``unpack_from``.  Fields are read in file order, so the first
-    field that runs past the end of ``data``, or is not a field of the
-    format, names the error and its byte offset.  The structural checks of
-    :func:`validate_fst` run in the same loop; each records only the first
-    violation, which is raised once the whole buffer has read cleanly, so
-    every error and its precedence are those of reading the buffer and then
-    validating it.
+    Byte-level errors name their offset and come first: bad magic, then
+    truncation or trailing bytes, then unknown state flags, invalid UTF-8
+    and a word count that differs from the header's arc count.  Structural
+    errors are :func:`validate_fst`'s and name the first offending state.
     """
-    end = len(data)
-    pos = len(_MAGIC)
-    if pos > end:
-        raise _truncated(pos, 0)
-    if data[:pos] != _MAGIC:
+    if data[: len(_MAGIC)] != _MAGIC:
+        if data[: len(_MAGIC)] == b"BLFST1":
+            raise InputFormatError(
+                "BLFST1 automata are no longer read; rebuild with `biaslattice build-fst`"
+            )
         raise InputFormatError("bad magic: not a serialized biasing automaton")
-    if pos + 8 > end:
-        raise _truncated(4, pos if pos + 4 > end else pos + 4)
-    num_states, start = _HEADER.unpack_from(data, pos)
-    pos += 8
-    unpack_state, unpack_u32, unpack_tail = (
-        _STATE.unpack_from, _U32.unpack_from, _ARC_TAIL.unpack_from
+    end, need = len(data), _HEADER.size
+    if end >= need:
+        _, n, start, num_arcs = _HEADER.unpack_from(data)
+        blob_at = need + n + 4 * (n + 1 + num_arcs) + 8 * num_arcs
+        need = blob_at + 4
+        if end >= need:
+            need += _U32.unpack_from(data, blob_at)[0]
+    if end < need:
+        raise InputFormatError(f"truncated automaton: ends at offset {end}, needed {need} bytes")
+    if end > need:
+        raise InputFormatError(f"{end - need} trailing bytes at offset {need}")
+    at = _HEADER.size
+    flags = data[at : at + n]
+    if flags.translate(None, b"\0\1\2\3"):
+        s = next(s for s, f in enumerate(flags) if f > 3)
+        raise InputFormatError(f"unknown state flags {flags[s]:#x} at offset {at + s}")
+    at += n
+    columns = []
+    for typecode, count in ("I", n + 1), ("I", num_arcs), ("d", num_arcs):
+        column = array(typecode)
+        column.frombytes(memoryview(data)[at : at + column.itemsize * count])
+        columns.append(_little_endian(column))
+        at += column.itemsize * count
+    offsets, targets, weights = columns
+    try:
+        text = data[blob_at + 4 :].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"invalid UTF-8 at offset {blob_at + 4 + exc.start}") from None
+    words = text.split("\n") if text or num_arcs else []
+    if len(words) != num_arcs:
+        raise InputFormatError(f"{len(words)} arc words for {num_arcs} arcs")
+    fst = WordFst.from_columns(
+        start=start,
+        finals=compress(range(n), flags.translate(_FINAL_BIT)),
+        phi_states=compress(range(n), flags.translate(_PHI_BIT)),
+        offsets=offsets, arc_words=words, weights=weights, targets=targets,
     )
-    isfinite = math.isfinite
-    finals = []
-    phi = []
-    arc_words, weights, targets, offsets = [], array("d"), array("I"), array("I", [0])
-    add_word, add_weight, add_target = arc_words.append, weights.append, targets.append
-    problem = None
-    for s in range(num_states):
-        if pos + 5 > end:
-            # A short header: report the flag byte first, as a field-by-field read would.
-            if pos < end and data[pos] & ~3:
-                raise _bad_flags(data[pos], pos)
-            raise _truncated(1, pos) if pos >= end else _truncated(4, pos + 1)
-        flags, num_arcs = unpack_state(data, pos)
-        if flags & ~3:
-            raise _bad_flags(flags, pos)
-        if flags & 1:
-            finals.append(s)
-        if flags & 2:
-            phi.append(s)
-        pos += 5
-        prev = ""
-        for _ in range(num_arcs):
-            if pos + 4 > end:
-                raise _truncated(4, pos)
-            (n,) = unpack_u32(data, pos)
-            pos += 4
-            stop = pos + n
-            if stop > end:
-                raise _truncated(n, pos)
-            try:
-                word = data[pos:stop].decode("utf-8")
-            except UnicodeDecodeError:
-                raise InputFormatError(f"invalid UTF-8 string at offset {pos}") from None
-            pos = stop + 12
-            if pos > end:
-                raise _truncated(8, stop) if stop + 8 > end else _truncated(4, stop + 8)
-            weight, nextstate = unpack_tail(data, stop)
-            if word <= prev or not isfinite(weight) or nextstate >= num_states:
-                if problem is None:
-                    problem = _arc_problem(s, prev, word, weight, nextstate)
-            prev = word
-            add_word(word)
-            add_weight(weight)
-            add_target(nextstate)
-        if not num_arcs and not flags & 1 and s != start and problem is None:
-            problem = f"state {s} is a non-final dead end"
-        offsets.append(len(arc_words))
-    if pos != end:
-        raise InputFormatError(f"{end - pos} trailing bytes at offset {pos}")
-    if not start < num_states:
-        raise _malformed(f"start state {start} out of range")
-    if problem is not None:
-        raise _malformed(problem)
-    unreachable = num_states - _count_reachable(start, offsets, targets)
-    if unreachable:
-        raise _malformed(f"{unreachable} states unreachable from start")
-    return WordFst.from_columns(
-        start=start, finals=finals, phi_states=phi,
-        offsets=offsets, arc_words=arc_words, weights=weights, targets=targets,
-    )
+    problem = _check_columns(fst)
+    if problem:
+        raise InputFormatError(f"malformed automaton: {problem}")
+    return fst
 
 
 def save_fst(fst: WordFst, path) -> None:

@@ -3,7 +3,8 @@
 Everything here is written the slow, obvious way (linear scans, plain
 recursion, full enumeration) and deliberately shares no code with the
 package modules it checks; only the reference beam search, automaton
-builder and automaton reader reuse the package's value types and checks.
+builder and automaton readers reuse the package's value types, and the
+beam search its oracle check.
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ from typing import Iterable
 
 from biaslattice.decode import END, Hypothesis, NBestList, NullBiaser, _check_normalized, fuse_step
 from biaslattice.errors import InputFormatError
-from biaslattice.fst import (
-    DEFAULT_DELIMITER,
-    Arc,
-    CatalogEntry,
-    CatalogError,
-    WordFst,
-    validate_fst,
-)
+from biaslattice.fst import DEFAULT_DELIMITER, Arc, CatalogEntry, CatalogError, WordFst
 from biaslattice.wordpiece import detokenize, is_delimiter
 
 
@@ -395,14 +389,75 @@ def reference_build_catalog_fst(
     return WordFst(start=0, finals=finals, arcs=arcs, phi_states=frozenset({0}))
 
 
-# -- BLFST1 automata, read field by field -----------------------------------------
+# -- automaton checks, state by state ---------------------------------------------
 #
-# The reader as it stood before the one-loop rewrite: one bounds-checked
-# ``take`` per field.  It keeps its own copy of the format constants.
+# The structural checks as one loop per state, in the order whose first
+# violation the package reports; reachability is a plain graph walk.
+
+
+def reference_validate(fst: WordFst) -> None:
+    n = fst.num_states
+    if not 0 <= fst.start < n:
+        raise ValueError(f"start state {fst.start} out of range")
+    for s, arcs in enumerate(fst.arcs):
+        prev = ""
+        for word, weight, nextstate in arcs:
+            if not word:
+                raise ValueError(f"state {s}: empty arc word")
+            if word <= prev:
+                raise ValueError(f"state {s}: arcs not strictly sorted at {word!r}")
+            if not math.isfinite(weight):
+                raise ValueError(f"state {s}: non-finite weight on {word!r}")
+            if nextstate >= n:
+                raise ValueError(f"state {s}: next state {nextstate} out of range")
+            prev = word
+        if not arcs and s not in fst.finals and s != fst.start:
+            raise ValueError(f"state {s} is a non-final dead end")
+    for s in fst.finals | fst.phi_states:
+        if not 0 <= s < n:
+            raise ValueError(f"state {s} out of range")
+    seen = {fst.start}
+    frontier = [fst.start]
+    while frontier:
+        for arc in fst.arcs[frontier.pop()]:
+            if arc.nextstate not in seen:
+                seen.add(arc.nextstate)
+                frontier.append(arc.nextstate)
+    if len(seen) < n:
+        raise ValueError(f"{n - len(seen)} states unreachable from start")
+
+
+def _validated(fst: WordFst) -> WordFst:
+    try:
+        reference_validate(fst)
+    except ValueError as exc:
+        raise InputFormatError(f"malformed automaton: {exc}") from None
+    return fst
+
+
+# -- BLFST1 automata, written and read field by field ---------------------------
+#
+# The retired interleaved format: one length-prefixed word, weight and next
+# state per arc.  The reader is the one-``take``-per-field reader it had
+# before the one-loop rewrite.  Both keep their own copy of the format
+# constants.
 
 _MAGIC = b"BLFST1"
 _U32 = struct.Struct("<I")
 _F64 = struct.Struct("<d")
+
+
+def reference_serialize(fst: WordFst) -> bytes:
+    """``BLFST1`` bytes of ``fst``."""
+    out = bytearray(_MAGIC)
+    out += struct.pack("<II", fst.num_states, fst.start)
+    for s, arcs in enumerate(fst.arcs):
+        flags = (1 if s in fst.finals else 0) | (2 if s in fst.phi_states else 0)
+        out += struct.pack("<BI", flags, len(arcs))
+        for word, weight, nextstate in arcs:
+            raw = word.encode("utf-8")
+            out += _U32.pack(len(raw)) + raw + struct.pack("<dI", weight, nextstate)
+    return bytes(out)
 
 
 class _Reader:
@@ -438,6 +493,7 @@ class _Reader:
 
 
 def reference_deserialize(data: bytes) -> WordFst:
+    """The automaton of ``BLFST1`` bytes."""
     r = _Reader(data)
     if r.take(len(_MAGIC)) != _MAGIC:
         raise InputFormatError("bad magic: not a serialized biasing automaton")
@@ -464,11 +520,75 @@ def reference_deserialize(data: bytes) -> WordFst:
         arcs.append(tuple(state_arcs))
     if r.pos != len(data):
         raise InputFormatError(f"{len(data) - r.pos} trailing bytes at offset {r.pos}")
-    fst = WordFst(
+    return _validated(WordFst(
         start=start, finals=frozenset(finals), arcs=tuple(arcs), phi_states=frozenset(phi)
-    )
-    try:
-        validate_fst(fst)
-    except ValueError as exc:
-        raise InputFormatError(f"malformed automaton: {exc}") from None
-    return fst
+    ))
+
+
+# -- BLFST2 automata, read element by element -------------------------------------
+#
+# The columnar format read one struct unpack per value into per-state arc
+# lists, with the package's error messages and their precedence.
+
+
+def reference_deserialize_columnar(data: bytes) -> WordFst:
+    """The automaton of ``BLFST2`` bytes."""
+    if data[:6] == b"BLFST1":
+        raise InputFormatError(
+            "BLFST1 automata are no longer read; rebuild with `biaslattice build-fst`"
+        )
+    if data[:6] != b"BLFST2":
+        raise InputFormatError("bad magic: not a serialized biasing automaton")
+    need = 18
+    if len(data) >= need:
+        n, start, num_arcs = struct.unpack_from("<III", data, 6)
+        blob_at = need + n + 4 * (n + 1) + 4 * num_arcs + 8 * num_arcs
+        need = blob_at + 4
+        if len(data) >= need:
+            need += _U32.unpack_from(data, blob_at)[0]
+    if len(data) < need:
+        raise InputFormatError(
+            f"truncated automaton: ends at offset {len(data)}, needed {need} bytes"
+        )
+    if len(data) > need:
+        raise InputFormatError(f"{len(data) - need} trailing bytes at offset {need}")
+    for s in range(n):
+        if data[18 + s] > 3:
+            raise InputFormatError(
+                f"unknown state flags {data[18 + s]:#x} at offset {18 + s}"
+            )
+    at = 18 + n
+    offsets = [_U32.unpack_from(data, at + 4 * i)[0] for i in range(n + 1)]
+    at += 4 * (n + 1)
+    targets = [_U32.unpack_from(data, at + 4 * i)[0] for i in range(num_arcs)]
+    at += 4 * num_arcs
+    weights = [_F64.unpack_from(data, at + 8 * i)[0] for i in range(num_arcs)]
+    raw = data[blob_at + 4 :]
+    words = []
+    for piece in raw.split(b"\n") if raw or num_arcs else []:
+        try:
+            words.append(piece.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(
+                f"invalid UTF-8 at offset {len(data) - len(raw) + exc.start}"
+            ) from None
+        raw = raw[len(piece) + 1 :]
+    if len(words) != num_arcs:
+        raise InputFormatError(f"{len(words)} arc words for {num_arcs} arcs")
+    if offsets[0] != 0 or offsets[n] != num_arcs:
+        raise InputFormatError(
+            f"malformed automaton: arc offsets run {offsets[0]}..{offsets[n]}, not 0..{num_arcs}"
+        )
+    for s in range(n):
+        if offsets[s] > offsets[s + 1]:
+            raise InputFormatError(f"malformed automaton: state {s}: arc offsets decrease")
+    arcs = [
+        [Arc(words[i], weights[i], targets[i]) for i in range(offsets[s], offsets[s + 1])]
+        for s in range(n)
+    ]
+    return _validated(WordFst(
+        start=start,
+        finals={s for s in range(n) if data[18 + s] & 1},
+        arcs=arcs,
+        phi_states={s for s in range(n) if data[18 + s] & 2},
+    ))

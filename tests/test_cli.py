@@ -7,6 +7,7 @@ from biaslattice.fst import load_fst
 from biaslattice.metrics import write_refs
 from biaslattice.wordpiece import save_vocab
 from biaslattice.synthdata import default_vocab
+from oracles import reference_serialize
 
 
 @pytest.fixture()
@@ -297,17 +298,73 @@ class TestCorruptAutomata:
         assert self.decode(workdir) == 2
         err = capsys.readouterr().err
         assert str(path) in err
-        assert f"needed 4 bytes at offset {len(data) - 4}" in err
+        assert f"ends at offset {len(data) - 3}, needed {len(data)} bytes" in err
         assert not (workdir / "x.jsonl").exists()
 
     def test_bound_automaton_with_corrupt_flags(self, workdir, capsys):
         self.build(workdir)
         path = workdir / "contacts.fst"
         data = bytearray(path.read_bytes())
-        data[14] = 0x80  # the start state's flag byte, after magic and two u32s
+        data[18] = 0x80  # the start state's flag byte, after magic and three u32s
         path.write_bytes(bytes(data))
         assert self.decode(workdir) == 2
         err = capsys.readouterr().err
         assert str(path) in err
-        assert "unknown state flags 0x80 at offset 14" in err
+        assert "unknown state flags 0x80 at offset 18" in err
         assert not (workdir / "x.jsonl").exists()
+
+    def test_blfst1_class_fst_asks_for_a_rebuild(self, workdir, capsys):
+        self.build(workdir)
+        path = workdir / "class.fst"
+        path.write_bytes(reference_serialize(load_fst(path)))
+        assert self.decode(workdir) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "rebuild with `biaslattice build-fst`" in err
+        assert not (workdir / "x.jsonl").exists()
+
+
+class TestNBestFieldTypes:
+    """An n-best record whose text fields are not strings exits with code 2."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("tokens", [1, 2]), ("tokens", "play_"), ("text", 3), ("id", 7), ("ref", None),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "rescore"])
+    def test_exits_2(self, workdir, capsys, command, field, value):
+        assert run("train-lm", "--corpus", workdir / "lmcorpus.txt",
+                   "--order", 2, "--out", workdir / "g.arpa") == 0
+        hyp = {"text": "play some music", "tokens": ["play_", "some_", "music_"],
+               "rnnt_logp": -1.0, "sf_score": 0.0}
+        record = {"id": "general-t0000", "ref": "play some music", "lambda": 1.0}
+        if field in hyp:
+            hyp[field] = value
+        else:
+            record[field] = value
+        path = workdir / "d.jsonl"
+        path.write_text(json.dumps(dict(record, hyps=[hyp])) + "\n")
+        argv = {
+            "eval": ("--nbest", path),
+            "rescore": ("--nbest", path, "--lm-generic", workdir / "g.arpa",
+                        "--out", workdir / "x.jsonl"),
+        }[command]
+        assert run(command, *argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:1" in err and f'"{field}"' in err
+        assert not (workdir / "x.jsonl").exists()
+
+
+class TestScoreRange:
+    """A catalog weight that could overflow decode scores exits with code 2."""
+
+    @pytest.mark.parametrize("extra", [(), ("--lambda", 10), ("--word-level",)])
+    def test_huge_weight_exits_2(self, tmp_path, capsys, extra):
+        (tmp_path / "catalog.tsv").write_text("kate\t1e308\n")
+        (tmp_path / "vocab.txt").write_text("_\nka\nte\nk\na\nt\ne\n")
+        (tmp_path / "refs.tsv").write_text("contacts-1\tkate\n")
+        assert run("decode", "--vocab", tmp_path / "vocab.txt",
+                   "--catalog", tmp_path / "catalog.tsv", "--refs", tmp_path / "refs.tsv",
+                   "--noise", 0.5, *extra, "--out", tmp_path / "x.jsonl") == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'catalog.tsv'}: catalog weight 1e+308" in err
+        assert not (tmp_path / "x.jsonl").exists()

@@ -13,7 +13,6 @@ from biaslattice.fst import (
     CatalogEntry,
     CatalogError,
     WordFst,
-    arcs_in_range,
     build_catalog_fst,
     deserialize,
     empty_fst,
@@ -23,7 +22,14 @@ from biaslattice.fst import (
 )
 from biaslattice.synthdata import make_task
 from conftest import random_catalog
-from oracles import reference_build_catalog_fst, reference_deserialize, trie_arc_count
+from oracles import (
+    reference_build_catalog_fst,
+    reference_deserialize,
+    reference_deserialize_columnar,
+    reference_serialize,
+    reference_validate,
+    trie_arc_count,
+)
 
 
 class TestBuild:
@@ -106,24 +112,10 @@ class TestBuild:
         with pytest.raises(CatalogError):
             CatalogEntry(("a",), math.inf)
 
-
-class TestArcsInRange:
-    def test_full_range(self, play_fst):
-        arcs = arcs_in_range(play_fst, play_fst.start, 0, 3)
-        assert [a.word for a in arcs] == ["play", "player", "playground"]
-
-    def test_empty_range(self, play_fst):
-        assert arcs_in_range(play_fst, play_fst.start, 2, 2) == ()
-
-    def test_state_out_of_range(self, play_fst):
-        with pytest.raises(IndexError):
-            arcs_in_range(play_fst, 99, 0, 0)
-
-    def test_bad_bounds(self, play_fst):
-        with pytest.raises(ValueError):
-            arcs_in_range(play_fst, play_fst.start, 2, 1)
-        with pytest.raises(ValueError):
-            arcs_in_range(play_fst, play_fst.start, 0, 4)
+    @pytest.mark.parametrize("word", ["a b", "a\nb", "a\tb", " a", "a\u2028b", ""])
+    def test_whitespace_in_word_rejected(self, word):
+        with pytest.raises(CatalogError, match="malformed"):
+            CatalogEntry((word,), -1.0)
 
 
 class TestSerialization:
@@ -152,6 +144,21 @@ class TestSerialization:
     def test_trailing_bytes_rejected(self, play_fst):
         with pytest.raises(InputFormatError, match="trailing"):
             deserialize(serialize(play_fst) + b"\x00")
+
+    def test_blfst1_asks_for_a_rebuild(self, play_fst):
+        with pytest.raises(InputFormatError, match="rebuild with `biaslattice build-fst`"):
+            deserialize(reference_serialize(play_fst))
+
+    def test_newline_in_word_rejected_by_writer(self):
+        f = WordFst(start=0, finals={1}, arcs=[[("a\nb", -1.0, 1)], []], phi_states={0})
+        with pytest.raises(ValueError, match="newline"):
+            serialize(f)
+
+    def test_word_count_must_match_arc_count(self, play_fst):
+        data = serialize(play_fst)
+        cut = data.rindex(b"\n")
+        with pytest.raises(InputFormatError, match="2 arc words for 3 arcs"):
+            deserialize(data[:cut] + b"x" + data[cut + 1 :])
 
     @given(st.lists(
         st.tuples(
@@ -292,11 +299,70 @@ class TestBuildParity:
         assert str(info.value) == str(expected)
 
 
+def _message(fn, fst):
+    try:
+        fn(fst)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestCheckParity:
+    """``validate_fst`` names the same first violation as the state-by-state
+    reference, under any state numbering, sound or broken."""
+
+    @given(catalogs(), st.randoms(use_true_random=False), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_first_problem(self, entries, rnd, data):
+        f = build_catalog_fst(entries)
+        n = f.num_states
+        number = list(range(n))
+        if data.draw(st.booleans()):
+            rnd.shuffle(number)
+        arcs = [None] * n
+        for s in range(n):
+            arcs[number[s]] = [[w, wt, number[t]] for w, wt, t in f.arcs[s]]
+        finals = {number[s] for s in f.finals}
+        start = number[f.start]
+        flat = [arc for state_arcs in arcs for arc in state_arcs]
+        for _ in range(data.draw(st.integers(0, 2))):
+            kind = data.draw(st.sampled_from(
+                ["word", "weight", "target", "drop arc", "unfinal", "start", "stray final"]))
+            if kind == "word" and flat:
+                rnd.choice(flat)[0] = data.draw(st.sampled_from(["", "a", "zz", "é"]))
+            elif kind == "weight" and flat:
+                rnd.choice(flat)[1] = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+            elif kind == "target" and flat:
+                rnd.choice(flat)[2] = data.draw(st.integers(0, n + 1))
+            elif kind == "drop arc" and any(arcs):
+                state_arcs = rnd.choice([a for a in arcs if a])
+                state_arcs.remove(rnd.choice(state_arcs))
+            elif kind == "unfinal":
+                finals.discard(rnd.choice(range(n)))
+            elif kind == "start":
+                start = data.draw(st.integers(0, n))
+            else:
+                finals.add(n + 3)
+        g = WordFst(start=start, finals=finals, arcs=arcs, phi_states={start})
+        assert _message(validate_fst, g) == _message(reference_validate, g)
+
+    def test_cycle_behind_distinct_targets(self):
+        """Start 0 and every state but 0 a target once, yet 2 -> 3 -> 2 is cut off."""
+        f = WordFst(
+            start=0,
+            finals={1, 4},
+            arcs=[[("a", -1.0, 1)], [], [("a", -1.0, 3)], [("a", -1.0, 4), ("b", -1.0, 2)], []],
+            phi_states={0},
+        )
+        assert _message(validate_fst, f) == "3 states unreachable from start"
+        assert _message(reference_validate, f) == "3 states unreachable from start"
+
+
 class TestReaderParity:
-    """The one-loop reader against the field-by-field reference."""
+    """The columnar reader against the element-by-element reference."""
 
     def check(self, data: bytes):
-        expected = outcome(reference_deserialize, data)
+        expected = outcome(reference_deserialize_columnar, data)
         got = outcome(deserialize, data)
         assert type(got) is type(expected)
         if isinstance(expected, InputFormatError):
@@ -314,6 +380,14 @@ class TestReaderParity:
             # The same prefix ending in a byte that is neither a valid flag
             # byte nor valid UTF-8, so a bad field and a short one compete.
             self.check(data[:cut] + b"\x80")
+
+    @given(catalogs())
+    @settings(max_examples=200, deadline=None)
+    def test_same_automaton_as_blfst1(self, entries):
+        f = build_catalog_fst(entries)
+        data = serialize(f)
+        assert deserialize(data) == reference_deserialize(reference_serialize(f)) == f
+        assert serialize(deserialize(data)) == data
 
     @given(catalogs())
     @settings(max_examples=30, deadline=None)
@@ -345,18 +419,26 @@ class TestReaderParity:
 
 
 def _hand_built(state_arcs, finals) -> bytes:
-    """``BLFST1`` bytes of an automaton built by hand, unchecked."""
-    return serialize(WordFst(start=0, finals=finals, arcs=state_arcs, phi_states={0}))
+    """``BLFST2`` bytes of an automaton built by hand, unchecked.
+
+    The ``BLFST1`` reference must report the same structural error on its
+    own bytes of the automaton."""
+    f = WordFst(start=0, finals=finals, arcs=state_arcs, phi_states={0})
+    data = serialize(f)
+    assert str(outcome(reference_deserialize, reference_serialize(f))) == str(
+        outcome(deserialize, data))
+    return data
 
 
 class TestReaderPrecedence:
-    """The reader checks arcs as it reads them but raises only once the whole
-    buffer has read cleanly, reporting the first violation in file order."""
+    """Byte-level errors come first, with truncation and trailing bytes found
+    by one length check; structural errors then name the first violation in
+    state order."""
 
     def reject(self, data: bytes, match: str):
         with pytest.raises(InputFormatError) as info:
             deserialize(data)
-        assert str(info.value) == str(outcome(reference_deserialize, data))
+        assert str(info.value) == str(outcome(reference_deserialize_columnar, data))
         assert match in str(info.value)
 
     def test_truncation_beats_an_earlier_sort_violation(self):
@@ -398,23 +480,38 @@ class TestReaderPrecedence:
 
     def test_start_out_of_range_beats_arc_violations(self):
         data = bytearray(_hand_built([[("b", -1.0, 1), ("a", -1.0, 2)], [], []], finals={1, 2}))
-        data[10:14] = (7).to_bytes(4, "little")
+        data[10:14] = (7).to_bytes(4, "little")  # the start, after magic and num_states
         self.reject(bytes(data), "start state 7 out of range")
 
 
 class TestFormatPin:
-    """``BLFST1`` bytes of the seed-7 task's automata, pinned by sha256.
+    """Bytes of the seed-7 task's automata, pinned by sha256.
 
-    The values were recorded from the writer that kept one tuple per arc, so
-    a change of in-memory layout cannot drift the file format unnoticed."""
+    The ``BLFST1`` values were recorded from the writer that kept one tuple
+    per arc, now the reference writer; the ``BLFST2`` values from an
+    element-by-element writer, before the columnar writer existed."""
+
+    def automata(self):
+        task = make_task(7)
+        return (build_catalog_fst(task.all_bias_entries()),
+                build_class_fst(task.class_corpus, min_count=10).fst)
 
     def test_seed7_bytes(self):
-        task = make_task(7)
-        catalog = serialize(build_catalog_fst(task.all_bias_entries()))
-        classes = serialize(build_class_fst(task.class_corpus, min_count=10).fst)
+        catalog, classes = map(reference_serialize, self.automata())
         assert (len(catalog), hashlib.sha256(catalog).hexdigest()) == (
             23409, "72803fbdc7530ef8202d5dbdf93bdf188728f42097c428816ec425c539b2efe3")
         assert (len(classes), hashlib.sha256(classes).hexdigest()) == (
             527, "e15e69a9bc506a3bd59aa26c6907f6a5e297af4c9e2bf828a5f3b87538232583")
+        assert reference_serialize(reference_deserialize(catalog)) == catalog
+        assert reference_serialize(reference_deserialize(classes)) == classes
+
+    def test_seed7_columnar_bytes(self):
+        automata = self.automata()
+        catalog, classes = map(serialize, automata)
+        assert (len(catalog), hashlib.sha256(catalog).hexdigest()) == (
+            20792, "902c90c7ef78fa3755428dccf4a042f9d67b027c617224ec5359b0b3a766c216")
+        assert (len(classes), hashlib.sha256(classes).hexdigest()) == (
+            484, "c16d967341f675ac8e1bb092113cab471157813cd2497a600e66cf7b2822ea28")
+        assert (deserialize(catalog), deserialize(classes)) == automata
         assert serialize(deserialize(catalog)) == catalog
         assert serialize(deserialize(classes)) == classes
