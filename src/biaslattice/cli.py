@@ -95,19 +95,25 @@ def _cmd_decode(args) -> int:
         vocab, refs, noise=args.noise, seed=_env_seed(args.oracle_seed),
         noisy_words=noisy,
     )
-    if entries is not None and not args.class_fst:
-        # A biasing score sums catalog arc weights: one per word completed and
-        # not paid back, plus the share pushed for the word in progress.  A
-        # word takes at least one token, so a hypothesis of at most `steps`
-        # tokens scores within (steps + 1) * W of zero, W the largest |weight|.
-        # An increment is the difference of two scores and fusion scales a
-        # score by lambda: all stay finite if 2 * max(lambda, 1) * (steps + 1) * W is.
-        steps = max(map(oracle.max_steps, oracle.refs), default=0)
-        top = max(abs(e.weight) for e in entries)
-        if not math.isfinite(2 * max(args.lam, 1.0) * (steps + 1) * top):
-            raise InputFormatError(f"{args.catalog}: catalog weight {top:g} could overflow "
-                                   f"{steps}-token hypothesis scores at --lambda {args.lam:g}")
     biaser = _load_biaser(args, vocab, entries)
+    # A biasing score sums arc weights: one per word completed and not paid
+    # back, plus the share pushed for the word in progress.  A word takes at
+    # least one token, so a hypothesis of at most `steps` tokens scores within
+    # (steps + 1) * W of zero, W the largest |weight| that can score.  An
+    # increment is the difference of two scores and fusion scales a score by
+    # lambda: all stay finite if 2 * max(lambda, 1) * (steps + 1) * W is.
+    # Contextual decode scores with the bound automata, not the catalog.
+    steps = max(map(oracle.max_steps, oracle.refs), default=0)
+    tops = []
+    if args.class_fst:
+        tops = [(f"{args.bindings}: {tag} automaton weight", max(map(abs, a.weights), default=0.0))
+                for tag, a in sorted(biaser.bindings.items())]
+    elif entries is not None:
+        tops = [(f"{args.catalog}: catalog weight", max(abs(e.weight) for e in entries))]
+    for where, top in tops:
+        if not math.isfinite(2 * max(args.lam, 1.0) * (steps + 1) * top):
+            raise InputFormatError(f"{where} {top:g} could overflow "
+                                   f"{steps}-token hypothesis scores at --lambda {args.lam:g}")
     lists = decode.decode_corpus(
         oracle, biaser, vocab, args.lam, beam_size=args.beam, n_best=args.nbest
     )

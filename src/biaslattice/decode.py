@@ -47,7 +47,10 @@ class EmissionOracle(Protocol):
         """Log-probabilities over candidate next tokens (and ``END``).
 
         Only tokens with nonzero probability need appear; the values must
-        log-sum-exp to 0 within 1e-6.
+        log-sum-exp to 0 within 1e-6.  Beam search calls this once per live
+        hypothesis and checks each distinct map once: it compares a map by
+        value with the last one that passed, never by identity, so an
+        oracle may return one object and mutate it between calls.
         """
         ...
 
@@ -314,34 +317,52 @@ def beam_search(
     if biaser is None:
         biaser = NullBiaser()
     delimiter = vocab.delimiter
-    # A beam is (-fused, tokens, rnnt_logp, sf_score, session).  Token
-    # sequences are unique, so sorting the tuples orders by descending fused
-    # score, then by tokens, and never compares two sessions.
+    # A beam, live or done, is (-fused, tokens, rnnt_logp, sf_score, session).
+    # Token sequences are unique, so sorting the tuples orders by descending
+    # fused score, then by tokens, and never compares two sessions.
+    #
+    # Search is breadth-synchronous: every live hypothesis at a step has the
+    # same length.  So an extended candidate is (-fused, tokens, token, r, b,
+    # session), and comparing (tokens, token) orders exactly as comparing
+    # tokens + (token,) would; the child tuple is built for the survivors only.
+    #
+    # Oracles such as SynthOracle hand every hypothesis at a step a map equal
+    # in value, so the last map that passed _check_normalized is kept, as a
+    # private copy with its sorted (token, logp, is_end, is_delimiter) items,
+    # and a map is checked and sorted again only when it differs in value.
+    # An equal map is normalized too, so every map is still verified; maps
+    # are never compared by identity, since an oracle may mutate and return
+    # one object.
     live = [(0.0, (), 0.0, 0.0, biaser.open_session())]
     done = []
+    checked = items = None
     for _ in range(max_steps):
         if not live:
             break
         extended = []
         for _, tokens, rnnt, sf, parent in live:
             scores = oracle.score(utt_id, tokens)
-            _check_normalized(scores, utt_id)
-            for token in sorted(scores):
+            if scores != checked:
+                scores = dict(scores)
+                _check_normalized(scores, utt_id)
+                checked = scores
+                items = [(token, logp, token == END, token.endswith(delimiter))
+                         for token, logp in sorted(scores.items())]
+            for token, logp, is_end, is_delim in items:
                 session = parent.clone()
-                if token == END:
-                    increment = session.finalize()
-                    child, out = tokens, done
+                r = rnnt + logp
+                if is_end:
+                    b = sf + session.finalize()
+                    done.append((-fuse_step(r, b, lam), tokens, r, b, session))
+                    continue
+                if is_delim:
+                    b = sf + session.finish_word(token)
                 else:
-                    if token.endswith(delimiter):
-                        increment = session.finish_word(token)
-                    else:
-                        increment = session.expand(token)
-                    child, out = tokens + (token,), extended
-                r = rnnt + scores[token]
-                b = sf + increment
-                out.append((-fuse_step(r, b, lam), child, r, b, session))
+                    b = sf + session.expand(token)
+                extended.append((-fuse_step(r, b, lam), tokens, token, r, b, session))
         extended.sort()
-        live = extended[:beam_size]
+        live = [(neg_f, tokens + (token,), r, b, session)
+                for neg_f, tokens, token, r, b, session in extended[:beam_size]]
     else:
         # Step cap reached: settle whatever is still on the beam.
         for _, tokens, r, sf, session in live:

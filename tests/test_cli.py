@@ -368,3 +368,29 @@ class TestScoreRange:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'catalog.tsv'}: catalog weight 1e+308" in err
         assert not (tmp_path / "x.jsonl").exists()
+
+
+class TestBoundScoreRange:
+    """An automaton bound through --bindings whose weight could overflow
+    contextual decode scores exits with code 2, naming the bindings file."""
+
+    @pytest.mark.parametrize("with_catalog", [False, True])
+    def test_huge_bound_weight_exits_2(self, tmp_path, capsys, with_catalog):
+        (tmp_path / "catalog.tsv").write_text("kate\t1e308\n")
+        (tmp_path / "class.txt").write_text("call @contactname(kate)\n")
+        (tmp_path / "vocab.txt").write_text("_\ncall\nka\nte\nk\na\nt\ne\nc\nl\n")
+        (tmp_path / "refs.tsv").write_text("contacts-1\tcall kate\n")
+        (tmp_path / "bindings.tsv").write_text("@contactname\tc.fst\n")
+        assert run("build-fst", "--catalog", tmp_path / "catalog.tsv",
+                   "--out", tmp_path / "c.fst") == 0
+        assert run("build-fst", "--class-corpus", tmp_path / "class.txt",
+                   "--min-count", 1, "--out", tmp_path / "class.fst") == 0
+        catalog = ("--catalog", tmp_path / "catalog.tsv") if with_catalog else ()
+        assert run("decode", "--vocab", tmp_path / "vocab.txt", *catalog,
+                   "--refs", tmp_path / "refs.tsv",
+                   "--class-fst", tmp_path / "class.fst",
+                   "--bindings", tmp_path / "bindings.tsv",
+                   "--noise", 0.5, "--lambda", 10, "--out", tmp_path / "x.jsonl") == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'bindings.tsv'}: @contactname automaton weight 1e+308" in err
+        assert not (tmp_path / "x.jsonl").exists()

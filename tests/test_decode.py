@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from biaslattice import decode
 from biaslattice.context import ContextualBiaser, build_class_fst
 from biaslattice.decode import (
     END,
@@ -14,6 +15,7 @@ from biaslattice.decode import (
     OracleError,
     SubwordBiaser,
     WordBiaser,
+    _check_normalized,
     beam_search,
     decode_corpus,
     fuse_step,
@@ -556,6 +558,131 @@ class TestSharedCache:
         assert got[0] == want[::2]
         assert got[1] == want[1::2]
         assert shared.walk.cache
+
+
+class _OneObjectOracle:
+    """Returns one dict object for every call; at the ``mutate_at``-th call it
+    first rewrites that dict in place to ``into``."""
+
+    def __init__(self, mutate_at, into):
+        self.scores = {"ba": math.log(0.5), "do": math.log(0.5)}
+        self.mutate_at = mutate_at
+        self.into = into
+        self.calls = 0
+
+    def score(self, utt_id, history):
+        self.calls += 1
+        if self.calls == self.mutate_at:
+            self.scores.clear()
+            self.scores.update(self.into)
+        return self.scores
+
+
+class TestMapCheckByValue:
+    """Beam search checks each distinct map once, comparing maps by value."""
+
+    def test_in_place_mutation_is_still_checked(self, mini_vocab):
+        # Call 1 scores the root; calls 2 and 3 score the two live
+        # hypotheses of step 1, and the dict turns unnormalized between them.
+        oracle = _OneObjectOracle(3, {"ba": -0.5, "do": -0.5})
+        with pytest.raises(OracleError, match="log-sum-exp"):
+            beam_search(oracle, None, mini_vocab, 0.0, 8, 4, max_steps=4)
+        assert oracle.calls == 3
+
+    def test_in_place_mutation_is_scored_by_its_new_values(self, mini_vocab):
+        into = {"ba": math.log(0.25), "do": math.log(0.75)}
+        args = (mini_vocab, 0.0, 8, 4)
+        got = beam_search(_OneObjectOracle(3, into), None, *args, max_steps=3)
+        want = reference_beam_search(_OneObjectOracle(3, into), None, *args, max_steps=3)
+        assert _bits(got) == _bits(want)
+
+
+class _CountingOracle:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = self.candidates = 0
+        self.lengths = set()
+
+    def score(self, utt_id, history):
+        scores = self.inner.score(utt_id, history)
+        self.calls += 1
+        self.candidates += len(scores)
+        self.lengths.add(len(history))
+        return scores
+
+
+class _CountingSession:
+    def __init__(self, inner, clones):
+        self.inner = inner
+        self.clones = clones
+
+    def clone(self):
+        self.clones.append(1)
+        return _CountingSession(self.inner.clone(), self.clones)
+
+    def expand(self, token):
+        return self.inner.expand(token)
+
+    def finish_word(self, token):
+        return self.inner.finish_word(token)
+
+    def finalize(self):
+        return self.inner.finalize()
+
+
+class _CountingBiaser:
+    def __init__(self, inner):
+        self.inner = inner
+        self.clones = []
+
+    def open_session(self):
+        return _CountingSession(self.inner.open_session(), self.clones)
+
+
+class TestDecodeContract:
+    """Every biaser kind decodes exactly as the reference loop does, with one
+    oracle call per live hypothesis, one clone and one fusion per candidate,
+    and at most one normalization check per step for SynthOracle."""
+
+    @pytest.mark.parametrize("kind", ["none", "word", "subword", "context"])
+    def test_matches_reference_with_the_same_calls(self, small_task, kind, monkeypatch):
+        task, synth, factories = small_task
+        factories = {
+            "none": NullBiaser,
+            "word": lambda: WordBiaser(build_catalog_fst(task.all_bias_entries())),
+            **factories,
+        }
+        checks, fusions = [], []
+
+        def check(scores, utt_id):
+            checks.append(utt_id)
+            return _check_normalized(scores, utt_id)
+
+        def fuse(*args):
+            fusions.append(1)
+            return fuse_step(*args)
+
+        for utt, ref in sorted(synth.utterances()):
+            runs = {}
+            for search in (reference_beam_search, beam_search):
+                oracle = _CountingOracle(synth)
+                biaser = _CountingBiaser(factories[kind]())
+                checks.clear()
+                fusions.clear()
+                with monkeypatch.context() as patch:
+                    if search is beam_search:
+                        patch.setattr(decode, "_check_normalized", check)
+                        patch.setattr(decode, "fuse_step", fuse)
+                    nbest = search(oracle, biaser, task.vocab, 2.5, 8, 4, utt_id=utt,
+                                   ref=ref, max_steps=synth.max_steps(utt))
+                runs[search] = (nbest, oracle.calls, oracle.candidates, len(biaser.clones))
+            want, got = runs[reference_beam_search], runs[beam_search]
+            assert _bits(got[0]) == _bits(want[0])
+            assert got[0] == want[0]
+            assert got[1:] == want[1:]
+            # beam_search ran last, so these counters are its own
+            assert len(biaser.clones) == oracle.candidates == len(fusions)
+            assert len(checks) <= len(oracle.lengths)
 
 
 class TestNBestIO:
