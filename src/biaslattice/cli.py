@@ -1,8 +1,6 @@
 """Command-line driver: build-fst | decode | rescore | tune | eval | train-lm.
 
 Exit codes: 0 on success, 2 on input-format errors and invalid flag values.
-The environment variable ``BIASLATTICE_SEED`` overrides every
-``--seed``/``--oracle-seed`` default for full-pipeline reproducibility.
 """
 
 from __future__ import annotations
@@ -10,21 +8,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import context, decode, fst, lm, metrics, rescore, wordpiece
 from .errors import InputFormatError
-
-
-def _env_seed(default: int) -> int:
-    raw = os.environ.get("BIASLATTICE_SEED")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputFormatError(f"BIASLATTICE_SEED={raw!r} is not an integer") from None
 
 
 def _number(kind, ok: str, test):
@@ -92,7 +79,7 @@ def _cmd_decode(args) -> int:
     if entries is not None:
         noisy = frozenset(w for e in entries for w in e.phrase)
     oracle = decode.synth_oracle(
-        vocab, refs, noise=args.noise, seed=_env_seed(args.oracle_seed),
+        vocab, refs, noise=args.noise, seed=args.oracle_seed,
         noisy_words=noisy,
     )
     biaser = _load_biaser(args, vocab, entries)
@@ -164,7 +151,7 @@ def _cmd_tune(args) -> int:
         dev, refs, lms,
         bounds=bounds,
         budget=args.budget,
-        seed=_env_seed(args.seed),
+        seed=args.seed,
         fix_alpha=args.fix_alpha,
     )
     payload = {

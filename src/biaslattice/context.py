@@ -4,10 +4,12 @@ An annotated corpus ("call @contactname(ada lovelace)") is reduced to class
 templates ("call @contactname"), and templates frequent enough are compiled
 into an unweighted trie.  At scoring time each class tag is backed by a
 personalized biasing automaton: while a hypothesis walks a template, words
-under a tag are scored by a nested subword lookahead session over the bound
+under a tag are scored by a nested subword phrase walk over the bound
 automaton, and the template skeleton itself contributes exactly zero.  Words
 that leave the template reset the walk at no cost, so contextual biasing
-boosts catalog phrases only where a template licenses them.
+boosts catalog phrases only where a template licenses them.  Like the walks
+it nests, :class:`ContextualBiaser` is its own scorer: a set of pure
+transitions over plain state tuples.
 """
 
 from __future__ import annotations
@@ -151,15 +153,18 @@ def load_bindings(path, class_fst: ClassFst | None = None) -> dict[str, WordFst]
     return bindings
 
 
-class _ContextScorer:
-    """Contextual scoring transitions, shared by every utterance a biaser decodes.
+class ContextualBiaser:
+    """A class-template trie with a personalized automaton bound to each tag.
 
-    The state is ``(pos, race, word_chars)``: the template position, the
-    open tag race or None, and the content of the current word so far.
-    Outside a tag, completed words step the position along plain arcs at
-    weight zero (missing words reset it, and cost nothing at the start
-    state).  When the position offers class tags, the next word opens a race
-    of nested phrase walks over the bound automata.
+    The biaser is its own scorer: :meth:`initial` and the pure transitions
+    :meth:`expand`, :meth:`finish_word` and :meth:`finalize` map a plain,
+    hashable state ``(pos, race, word_chars)`` (the template position, the
+    open tag race or None, and the content of the current word so far) and a
+    token to a score increment and a new state.  Outside a tag, completed
+    words step the position along plain arcs at weight zero (missing words
+    reset it, and cost nothing at the start state).  When the position
+    offers class tags, the next word opens a race of nested phrase walks
+    over the bound automata.
 
     A race is ``(entries, a_prev, dropped_bank)`` with one ``(tag, walk
     state, total)`` entry per contending tag.  It emits the running minimum
@@ -174,15 +179,42 @@ class _ContextScorer:
     so its size is bounded by the automaton's (state, arc-word prefix) pairs.
     """
 
-    __slots__ = ("biaser", "walks")
-
-    def __init__(self, biaser: "ContextualBiaser"):
-        self.biaser = biaser
+    def __init__(
+        self,
+        class_fst: ClassFst,
+        bindings: dict[str, WordFst],
+        *,
+        delimiter: str = DEFAULT_DELIMITER,
+    ):
+        missing = class_fst.tags - bindings.keys()
+        if missing:
+            raise ValueError(f"unbound class tags: {sorted(missing)}")
+        self.class_fst = class_fst
+        self.bindings = dict(bindings)
+        self.delimiter = delimiter
         caches: dict[int, dict] = {}  # id(fst) -> lookahead cache
         self.walks = {
-            tag: PhraseWalk(fst, delimiter=biaser.delimiter, cache=caches.setdefault(id(fst), {}))
-            for tag, fst in biaser.bindings.items()
+            tag: PhraseWalk(fst, delimiter=delimiter, cache=caches.setdefault(id(fst), {}))
+            for tag, fst in self.bindings.items()
         }
+        # Each tagged position's tag -> target arcs, and the race it opens:
+        # every tag's walk at its start.
+        self._tag_targets: dict[int, dict[str, int]] = {}
+        for state, arcs in enumerate(class_fst.fst.arcs):
+            tagged = {arc.word: arc.nextstate for arc in arcs if arc.word.startswith("@")}
+            if tagged:
+                self._tag_targets[state] = tagged
+        self._races = {
+            state: (tuple((tag, self.walks[tag].initial(), 0.0) for tag in tagged), 0.0, None)
+            for state, tagged in self._tag_targets.items()
+        }
+
+    def initial(self) -> tuple:
+        """The state of a hypothesis before its first token."""
+        return (self.class_fst.fst.start, None, "")
+
+    def open_session(self) -> Session:
+        return Session(self, self.initial())
 
     def expand(self, state, subword):
         pos, race, chars = state
@@ -207,7 +239,7 @@ class _ContextScorer:
     def finish_word(self, state, token):
         """Returns ``(increment, winning tag or None, state)``."""
         pos, race, chars = state
-        content = token_content(token, self.biaser.delimiter)
+        content = token_content(token, self.delimiter)
         if race is None and not chars and content:
             pos, race = self._word_start(pos)
         word = chars + content
@@ -219,7 +251,7 @@ class _ContextScorer:
         if race is not None:
             return increment, None, (pos, race, "")
         if tag is not None:
-            pos = next(target for t, target in self.biaser.tag_arcs(pos) if t == tag)
+            pos = self._tag_targets[pos][tag]
         if not consumed and word:
             pos = self._skeleton_step(pos, word)
         return increment, tag, (pos, None, "")
@@ -238,10 +270,10 @@ class _ContextScorer:
     def _word_start(self, pos):
         # A dead-end template position can match nothing: restart the walk
         # before this word rather than after it.
-        fst = self.biaser.class_fst.fst
+        fst = self.class_fst.fst
         if not fst.arc_count(pos):
             pos = fst.start
-        return pos, self.biaser._races.get(pos)
+        return pos, self._races.get(pos)
 
     def _race_finish(self, race, token):
         """``(increment, race or None once resolved, tag, consumed)``.
@@ -275,61 +307,6 @@ class _ContextScorer:
         return 0.0 - a_prev, None, None, False
 
     def _skeleton_step(self, pos, word):
-        fst = self.biaser.class_fst.fst
+        fst = self.class_fst.fst
         i = fst.arc_id(pos, word)
         return fst.start if i is None else fst.targets[i]
-
-
-class ContextSession(Session):
-    """Scores one hypothesis against the template trie with tag injection.
-
-    A :class:`Session` over the utterance's contextual scorer; ``pos`` is the
-    current template position.
-    """
-
-    __slots__ = ()
-
-    @property
-    def pos(self) -> int:
-        return self.state[0]
-
-
-class ContextualBiaser:
-    """A class-template trie with a personalized automaton bound to each tag."""
-
-    def __init__(
-        self,
-        class_fst: ClassFst,
-        bindings: dict[str, WordFst],
-        *,
-        delimiter: str = DEFAULT_DELIMITER,
-    ):
-        missing = class_fst.tags - bindings.keys()
-        if missing:
-            raise ValueError(f"unbound class tags: {sorted(missing)}")
-        self.class_fst = class_fst
-        self.bindings = dict(bindings)
-        self.delimiter = delimiter
-        self._tag_arcs: dict[int, tuple[tuple[str, int], ...]] = {}
-        for state, arcs in enumerate(class_fst.fst.arcs):
-            tagged = tuple(
-                (arc.word, arc.nextstate) for arc in arcs if arc.word.startswith("@")
-            )
-            if tagged:
-                self._tag_arcs[state] = tagged
-        self._scorer = _ContextScorer(self)
-        # The race each tagged position opens: every tag's walk at its start.
-        self._races = {
-            state: (
-                tuple((tag, self._scorer.walks[tag].initial(), 0.0) for tag, _ in tagged),
-                0.0,
-                None,
-            )
-            for state, tagged in self._tag_arcs.items()
-        }
-
-    def tag_arcs(self, state: int) -> tuple[tuple[str, int], ...]:
-        return self._tag_arcs.get(state, ())
-
-    def open_session(self) -> ContextSession:
-        return ContextSession(self._scorer, (self.class_fst.fst.start, None, ""))

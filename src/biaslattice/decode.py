@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Protocol
 from .context import ContextualBiaser
 from .errors import InputFormatError
 from .fst import WordFst
-from .lookahead import PhraseWalk, Session, WordWalk
+from .lookahead import PhraseWalk, WordWalk
 from .wordpiece import DEFAULT_DELIMITER, WordpieceVocab, detokenize, is_delimiter, segment
 
 END = "</s>"
@@ -83,16 +83,29 @@ class NBestList:
 
 # -- biasers ------------------------------------------------------------------
 #
-# A biaser opens one scoring session per decoded utterance.  A session is a
-# shared scorer plus a plain-tuple state, so the clone beam search takes for
-# every candidate token copies two references.  Sessions expose
-# expand / finish_word / finalize, all returning score increments.  A biaser
-# builds its scorer once, so every utterance it decodes shares the scorer's
-# lookahead cache.  The cache keeps live bands only, so the automaton bounds
-# its size: one entry per (state, prefix of one of that state's arc words).
+# A biaser is its own scorer: initial() gives the plain, hashable state a
+# hypothesis starts from, and expand / finish_word / finalize are pure
+# transitions from a state and a token to a score increment and a new state.
+# open_session() pairs the biaser with its initial state in a
+# lookahead.Session, whose clone, taken by beam search for every candidate
+# token, copies two references.  A biaser is built once, so every utterance
+# it decodes shares its lookahead cache.  The cache keeps live bands only,
+# so the automaton bounds its size: one entry per (state, prefix of one of
+# that state's arc words).
 
 
-class _NullSession:
+class NullBiaser:
+    """Biasing disabled: every increment is exactly zero.
+
+    It has no state, so it is its own session and its own clone.
+    """
+
+    def open_session(self):
+        return self
+
+    def clone(self):
+        return self
+
     def expand(self, subword):
         return 0.0
 
@@ -102,41 +115,28 @@ class _NullSession:
     def finalize(self):
         return 0.0
 
-    def clone(self):
-        return self  # stateless
 
+class SubwordBiaser(PhraseWalk):
+    """Applies a biasing automaton at the subword level with lookahead.
 
-class NullBiaser:
-    """Biasing disabled: every increment is exactly zero."""
+    The biaser is the automaton's phrase walk, with its own lookahead cache.
+    """
 
-    def open_session(self):
-        return _NullSession()
-
-
-class _AutomatonBiaser:
-    _walk = PhraseWalk
+    __slots__ = ()
 
     def __init__(self, fst: WordFst, *, delimiter: str = DEFAULT_DELIMITER):
-        self.fst = fst
-        self.delimiter = delimiter
-        self.walk = self._walk(fst, delimiter=delimiter, cache={})
-
-    def open_session(self):
-        return Session(self.walk, self.walk.initial())
+        super().__init__(fst, delimiter=delimiter, cache={})
 
 
-class SubwordBiaser(_AutomatonBiaser):
-    """Applies a biasing automaton at the subword level with lookahead."""
-
-
-class WordBiaser(_AutomatonBiaser):
+class WordBiaser(WordWalk):
     """Applies a biasing automaton at word boundaries only (no lookahead)."""
 
-    _walk = WordWalk
+    __slots__ = ()
+
+    def __init__(self, fst: WordFst, *, delimiter: str = DEFAULT_DELIMITER):
+        super().__init__(fst, delimiter=delimiter)
 
 
-# ContextualBiaser already implements open_session() with the same session
-# surface, so it plugs in directly.
 Biaser = NullBiaser | SubwordBiaser | WordBiaser | ContextualBiaser
 
 

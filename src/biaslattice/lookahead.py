@@ -35,10 +35,12 @@ offset.
 Scoring is a set of pure transitions.  :class:`PhraseWalk` maps a walk state,
 a plain hashable tuple, and a token to ``(increment, new state)``.  It holds
 the automaton, the delimiter, a lookahead cache and an optional probe
-counter, none of which belongs to one hypothesis or one utterance, so a
-biaser builds one walk and shares it, cache and all, with every hypothesis
-of every utterance it decodes.  The cache keeps live bands only, so the
-automaton, not the traffic, bounds its size.  :class:`WordWalk` is the
+counter, none of which belongs to one hypothesis or one utterance, so one
+walk, cache and all, serves every hypothesis of every utterance a biaser
+decodes: the subword biaser is a walk, the word-level biaser a
+:class:`WordWalk`, and the contextual biaser races one walk per tag.  The
+cache keeps live bands only, so the automaton, not the traffic, bounds its
+size.  :class:`WordWalk` is the
 same walk with pushing switched off, for word-boundary biasing: it differs
 only in when a word's weight is paid, never in how a phrase is walked.  So
 word-level, subword and contextual biasing share one phrase-level rule, and
@@ -46,6 +48,7 @@ an empty word (a delimiter right after another) is a word that matches no
 arc: it fails the phrase in progress and pays back its pending weight.
 :class:`Session` pairs a scorer with its current state; cloning one copies
 two references, which is all beam search pays per hypothesis extension.
+A biaser is its own scorer, so its session is a plain :class:`Session`.
 :class:`ExpandSession` (one word from a fixed state) and
 :class:`PhraseSession` (multi-word phrases with completion, restart and
 end-of-stream cleanup) are thin facades over the walk.
@@ -199,10 +202,20 @@ class PhraseWalk:
         self.counter = counter
 
     def initial(self, q: int | None = None) -> tuple:
-        """The state of a walk about to read its first word from ``q``."""
+        """The state of a walk about to read its first word from ``q``.
+
+        ``q`` defaults to the start state; any other value must name a state.
+        """
+        fst = self.fst
         if q is None:
-            q = self.fst.start
-        return (q, "", 0, self.fst.arc_count(q), 0.0, False, 0.0, False)
+            q = fst.start
+        elif not 0 <= q < fst.num_states:
+            raise IndexError(f"state {q} out of range (0..{fst.num_states - 1})")
+        return (q, "", 0, fst.arc_count(q), 0.0, False, 0.0, False)
+
+    def open_session(self) -> Session:
+        """A session scoring one hypothesis from the start state."""
+        return Session(self, self.initial())
 
     def expand(self, state: tuple, subword: str) -> tuple[float, tuple]:
         """Extend the word by one content token: ``(increment, state)``.
@@ -319,9 +332,10 @@ class Session:
     """A scorer and its current state: the one mutable biasing session.
 
     The scorer (a :class:`PhraseWalk`, a :class:`WordWalk` or a contextual
-    scorer) is shared and never changes; each method replaces ``state`` with
-    the transition's result and returns the score increment.  A clone copies
-    the two references, so clones are independent at no further cost.
+    biaser, each its own set of transitions) is shared and never changes;
+    each method replaces ``state`` with the transition's result and returns
+    the score increment.  A clone copies the two references, so clones are
+    independent at no further cost.
     """
 
     __slots__ = ("scorer", "state")
@@ -372,8 +386,6 @@ class ExpandSession:
         counter: ProbeCounter | None = None,
         trace: list | None = None,
     ):
-        if not 0 <= state < fst.num_states:
-            raise IndexError(f"state {state} out of range (0..{fst.num_states - 1})")
         self.walk = PhraseWalk(fst, delimiter=delimiter, cache=cache, counter=counter)
         self.state = self.walk.initial(state)
         self.trace = trace

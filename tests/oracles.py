@@ -3,8 +3,9 @@
 Everything here is written the slow, obvious way (linear scans, plain
 recursion, full enumeration) and deliberately shares no code with the
 package modules it checks; only the reference beam search, automaton
-builder and automaton readers reuse the package's value types, and the
-beam search its oracle check.
+builder and automaton readers reuse the package's value types, the beam
+search its oracle check, and the tag-race reference the phrase walk it
+races.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Iterable
 from biaslattice.decode import END, Hypothesis, NBestList, NullBiaser, _check_normalized, fuse_step
 from biaslattice.errors import InputFormatError
 from biaslattice.fst import DEFAULT_DELIMITER, Arc, CatalogEntry, CatalogError, WordFst
+from biaslattice.lookahead import PhraseWalk, WordOutcome
 from biaslattice.wordpiece import detokenize, is_delimiter
 
 
@@ -319,6 +321,74 @@ def reference_beam_search(
         for b in done[:n_best]
     ]
     return NBestList(utt_id=utt_id, ref=ref, lam=lam, hyps=hyps)
+
+
+# -- contextual tag race, defined cumulatively ------------------------------------
+#
+# The race among the class tags one template position offers, written from its
+# definition instead of the contextual biaser's running bookkeeping: each tag's
+# PhraseWalk runs alone over the race's span and keeps its own total, and the
+# race's total is read off those totals.  "Best" is the least total, the
+# convention the contextual biaser uses.
+
+
+def reference_tag_race(
+    fsts: dict[str, WordFst], tokens: list[str], delimiter: str = DEFAULT_DELIMITER
+) -> list[float]:
+    """Running biasing total after each token, and last after end of stream,
+    under a template whose start state offers exactly the tags of ``fsts``
+    and leads nowhere further.
+
+    A race opens at a non-empty word and runs every tag's walk alone.  While
+    tags are alive (no word has failed them) its total is the best alive
+    total.  A word that completes some tags' phrases settles it at the best
+    completed total; once every tag has failed it settles at the best total
+    of a failed tag that had banked a phrase (a word completed it while a
+    longer phrase stayed open), or 0.  The next non-empty word opens a new
+    race.  End of stream ends every alive tag's walk, and a tag that banked
+    a phrase counts as a banked failure.
+    """
+    walks = {tag: PhraseWalk(fst, delimiter=delimiter) for tag, fst in fsts.items()}
+    settled = 0.0
+    alive = None  # tag -> [walk state, total, banked] while a race is open
+    dropped: list[float] = []
+    out = []
+    for token in tokens:
+        if alive is None and token != delimiter:
+            alive = {tag: [walk.initial(), 0.0, False] for tag, walk in walks.items()}
+            dropped = []
+        if alive is None:
+            out.append(settled)
+            continue
+        completed = []
+        for tag, run in list(alive.items()):
+            if not token.endswith(delimiter):
+                increment, run[0] = walks[tag].expand(run[0], token)
+                run[1] += increment
+                continue
+            increment, outcome, run[0] = walks[tag].finish_word(run[0], token)
+            run[1] += increment
+            if outcome is WordOutcome.COMPLETED:
+                completed.append(run[1])
+            elif outcome is WordOutcome.COMPLETED_OPEN:
+                run[2] = True
+            elif outcome is WordOutcome.FAILED:
+                del alive[tag]
+                if run[2]:
+                    dropped.append(run[1])
+        if completed or not alive:
+            settled += min(completed or dropped, default=0.0)
+            alive = None
+            out.append(settled)
+        else:
+            out.append(settled + min(run[1] for run in alive.values()))
+    if alive is not None:
+        for tag, (state, total, banked) in alive.items():
+            if banked:
+                dropped.append(total + walks[tag].finalize(state)[0])
+        settled += min(dropped, default=0.0)
+    out.append(settled)
+    return out
 
 
 # -- catalog automata, built through an object trie ------------------------------

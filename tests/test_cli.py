@@ -151,18 +151,6 @@ class TestPipeline:
         out = workdir / "word.jsonl"
         assert self.decode(workdir, out, 1.0, extra=["--word-level"]) == 0
 
-    def test_env_seed_overrides(self, workdir, monkeypatch):
-        a = workdir / "a.jsonl"
-        b = workdir / "b.jsonl"
-        c = workdir / "c.jsonl"
-        self.decode(workdir, a, 0.0)
-        monkeypatch.setenv("BIASLATTICE_SEED", "99")
-        self.decode(workdir, b, 0.0)
-        monkeypatch.delenv("BIASLATTICE_SEED")
-        self.decode(workdir, c, 0.0)
-        assert a.read_text() == c.read_text()
-        assert a.read_text() != b.read_text()
-
     def test_missing_refs_exits_2(self, workdir, capsys):
         assert run("decode", "--vocab", workdir / "vocab.txt",
                    "--refs", workdir / "norefs.tsv",

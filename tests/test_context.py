@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biaslattice.context import (
     ContextualBiaser,
@@ -15,6 +17,7 @@ from biaslattice.errors import InputFormatError
 from biaslattice.fst import CatalogEntry, build_catalog_fst
 from biaslattice.lookahead import PhraseSession
 from conftest import random_catalog
+from oracles import reference_tag_race
 
 
 class TestParseAnnotated:
@@ -219,7 +222,7 @@ class TestContextSession:
         drive(session, "call ada now")
         # after "now" the skeleton should sit at the template end
         end_state, _ = biaser.class_fst.fst.phrase_path(("call", "@contactname", "now"))
-        assert session.pos == end_state
+        assert session.state[0] == end_state
 
     def test_two_tags_at_one_state(self):
         biaser = make_biaser(
@@ -327,6 +330,86 @@ class TestFuzz:
             fin = s1.finalize()
             assert math.isfinite(fin)
             assert s1.finalize() == 0.0  # idempotent once settled
+
+
+_race_words = st.text(alphabet="abc", min_size=1, max_size=3)
+
+
+@st.composite
+def _tag_races(draw):
+    """1-3 tags offered at the template's start, each bound to a mixed-sign
+    catalog of one- to three-word phrases over a shared pool of words, and a
+    token stream over the pool and stray words.  Each word is cut into
+    random pieces and closed by a bare or fused delimiter; empty words (a
+    delimiter after another) drop in between, and the stream may end in the
+    middle of a word."""
+    pool = sorted(draw(st.sets(_race_words, min_size=1, max_size=4)))
+    catalogs = {}
+    for tag in ("@a", "@b", "@c")[: draw(st.integers(1, 3))]:
+        # A phrase weighs what its first word does, so phrases sharing a
+        # prefix agree on its arc weights.
+        firsts = draw(st.dictionaries(st.sampled_from(pool), st.floats(-5.0, 5.0), min_size=1))
+        phrases = draw(st.sets(
+            st.tuples(st.sampled_from(sorted(firsts)), st.lists(st.sampled_from(pool), max_size=2))
+            .map(lambda fw: (fw[0], *fw[1])),
+            min_size=1, max_size=4))
+        catalogs[tag] = [CatalogEntry(p, firsts[p[0]]) for p in sorted(phrases)]
+    tokens = []
+    for word in draw(st.lists(st.one_of(st.sampled_from(pool), _race_words), max_size=6)):
+        cuts = sorted(draw(st.sets(st.integers(1, len(word) - 1)))) if len(word) > 1 else []
+        pieces = [word[i:j] for i, j in zip([0] + cuts, cuts + [len(word)])]
+        if draw(st.booleans()):
+            pieces[-1] += "_"
+        else:
+            pieces.append("_")
+        tokens += pieces + draw(st.lists(st.just("_"), max_size=1))
+    tokens += draw(st.lists(_race_words, max_size=1))
+    return catalogs, tokens
+
+
+def _race_totals(case):
+    """The contextual biaser's running totals over the stream, then after
+    finalize, and the cumulative reference's."""
+    catalogs, tokens = case
+    biaser = make_biaser(catalogs, [f"{tag}(x)" for tag in catalogs])
+    session = biaser.open_session()
+    got, total = [], 0.0
+    for token in tokens:
+        total += session.finish_word(token) if token.endswith("_") else session.expand(token)
+        got.append(total)
+    got.append(total + session.finalize())
+    fsts = {tag: build_catalog_fst(entries) for tag, entries in catalogs.items()}
+    return got, reference_tag_race(fsts, tokens)
+
+
+# @a banks "a" (+1) with "a a" still open while @b is mid-way through "a a".
+_BANKED_AND_OPEN = (
+    {"@a": [CatalogEntry(("a",), 1.0), CatalogEntry(("a", "a"), 1.0)],
+     "@b": [CatalogEntry(("a", "a"), 0.0)]},
+    ["a", "_"],
+)
+
+
+class TestTagRaceReference:
+    """The contextual biaser's running total against the cumulative tag-race
+    reference."""
+
+    @given(case=_tag_races())
+    @example(case=_BANKED_AND_OPEN)
+    @settings(max_examples=400, deadline=None)
+    def test_running_total_matches_after_every_token(self, case):
+        got, want = _race_totals(case)
+        assert got[:-1] == pytest.approx(want[:-1], abs=1e-9)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "finalize weighs a tag that banked nothing as a 0 candidate, so an open "
+        "race ending at end of stream can drop a banked phrase"))
+    @given(case=_tag_races())
+    @example(case=_BANKED_AND_OPEN)
+    @settings(max_examples=400, deadline=None)
+    def test_total_matches_after_finalize(self, case):
+        got, want = _race_totals(case)
+        assert got[-1] == pytest.approx(want[-1], abs=1e-9)
 
 
 class TestBindings:

@@ -349,16 +349,45 @@ def _feed(session, tokens, *, final=True):
     return out
 
 
-class TestCloneIndependence:
-    """Beam search clones a session per candidate; clones must never interact."""
+def _twice(step, *args):
+    """``step(*args)``, checked to return the same result, states and all,
+    when called again, and a state that hashes."""
+    first, again = step(*args), step(*args)
+    assert again == first and hash(again[-1]) == hash(first[-1])
+    return first
 
-    @pytest.mark.parametrize("biaser_cls", [WordBiaser, SubwordBiaser])
+
+def _transitions(biaser, tokens):
+    """Increments from the biaser's own transitions, then finalize's, each
+    transition applied twice to the same state."""
+    state, out = biaser.initial(), []
+    for token in tokens:
+        step = biaser.finish_word if token.endswith("_") else biaser.expand
+        increment, *_, state = _twice(step, state, token)
+        out.append(increment)
+    out.append(_twice(biaser.finalize, state)[0])
+    return out
+
+
+def _tag_only_context(fst):
+    """Contextual biasing whose one template is a single tag bound to ``fst``."""
+    return ContextualBiaser(build_class_fst(["@x(w)"], min_count=1), {"@x": fst})
+
+
+class TestCloneIndependence:
+    """Beam search clones a session per candidate; clones must never interact,
+    and the transitions under every session are pure."""
+
+    @pytest.mark.parametrize("biaser_cls", [
+        WordBiaser, SubwordBiaser, pytest.param(_tag_only_context, id="ContextualBiaser"),
+    ])
     @given(catalog=_catalogs(), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_mid_stream_clone(self, biaser_cls, catalog, data):
         biaser = biaser_cls(build_catalog_fst(catalog))
         stream, detour = data.draw(_streams(catalog)), data.draw(_streams(catalog))
         want = _feed(biaser.open_session(), stream)
+        assert _transitions(biaser, stream) == want
         cut = data.draw(st.integers(0, len(stream)))
         session = biaser.open_session()
         assert _feed(session, stream[:cut], final=False) == want[:cut]
@@ -557,7 +586,7 @@ class TestSharedCache:
             sys.setswitchinterval(interval)
         assert got[0] == want[::2]
         assert got[1] == want[1::2]
-        assert shared.walk.cache
+        assert shared.cache
 
 
 class _OneObjectOracle:

@@ -96,6 +96,15 @@ class TestExpandSession:
         with pytest.raises(IndexError):
             open_session(play_fst, 99)
 
+    @pytest.mark.parametrize("past_end", [False, True])
+    def test_both_facades_reject_a_state_outside_the_automaton(self, play_fst, past_end):
+        # -1 would otherwise index the last state's columns from the end.
+        q = play_fst.num_states if past_end else -1
+        with pytest.raises(IndexError, match=f"state {q} out of range"):
+            open_session(play_fst, q)
+        with pytest.raises(IndexError, match=f"state {q} out of range"):
+            PhraseSession(play_fst, state=q)
+
     def test_open_single_arc_state(self):
         f = build_catalog_fst([CatalogEntry(("call",), -1.0)])
         assert open_session(f, f.start).range == (0, 1)
