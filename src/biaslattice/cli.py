@@ -35,12 +35,20 @@ _non_negative = _number(float, "finite and >= 0", lambda v: 0 <= v < math.inf)
 _probability = _number(float, "in [0, 1]", lambda v: 0 <= v <= 1)
 
 
+def _catalog_fst(path, entries, delimiter=fst.DEFAULT_DELIMITER) -> fst.WordFst:
+    """The automaton of the catalog ``entries`` read from ``path``; errors name it."""
+    try:
+        return fst.build_catalog_fst(entries, delimiter=delimiter)
+    except fst.CatalogError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
+
+
 def _cmd_build_fst(args) -> int:
     if bool(args.catalog) == bool(args.class_corpus):
         raise InputFormatError("build-fst needs exactly one of --catalog / --class-corpus")
     if args.catalog:
         entries = fst.load_catalog(args.catalog)
-        automaton = fst.build_catalog_fst(entries)
+        automaton = _catalog_fst(args.catalog, entries)
         print(f"built catalog automaton: {len(entries)} phrases, "
               f"{automaton.num_states} states, {automaton.num_arcs} arcs")
     else:
@@ -63,7 +71,7 @@ def _load_biaser(args, vocab, entries):
         return context.ContextualBiaser(cfst, bindings, delimiter=delimiter)
     if entries is None:
         return None
-    automaton = fst.build_catalog_fst(entries, delimiter=delimiter)
+    automaton = _catalog_fst(args.catalog, entries, delimiter)
     if args.word_level:
         return decode.WordBiaser(automaton, delimiter=delimiter)
     return decode.SubwordBiaser(automaton, delimiter=delimiter)
@@ -78,10 +86,12 @@ def _cmd_decode(args) -> int:
     noisy = None
     if entries is not None:
         noisy = frozenset(w for e in entries for w in e.phrase)
-    oracle = decode.synth_oracle(
-        vocab, refs, noise=args.noise, seed=args.oracle_seed,
-        noisy_words=noisy,
-    )
+    try:
+        oracle = decode.synth_oracle(
+            vocab, refs, noise=args.noise, seed=args.oracle_seed, noisy_words=noisy
+        )
+    except wordpiece.SegmentationError as exc:
+        raise InputFormatError(f"{args.refs}: {exc} with the pieces of {args.vocab}") from None
     biaser = _load_biaser(args, vocab, entries)
     # A biasing score sums arc weights: one per word completed and not paid
     # back, plus the share pushed for the word in progress.  A word takes at

@@ -23,10 +23,12 @@ from .errors import InputFormatError
 from .fst import (
     DEFAULT_DELIMITER,
     CatalogEntry,
+    CatalogError,
     WordFst,
     build_catalog_fst,
     empty_fst,
     load_fst,
+    strongest,
 )
 from .lookahead import PhraseWalk, Session, WordOutcome, token_content
 
@@ -108,8 +110,10 @@ def build_class_fst(
     kept = sorted(t for t, c in templates.items() if c >= min_count)
     if not kept:
         return ClassFst(empty_fst(), frozenset())
-    entries = [CatalogEntry(t, 0.0) for t in kept]
-    fst = build_catalog_fst(entries)
+    try:
+        fst = build_catalog_fst(CatalogEntry(t, 0.0) for t in kept)
+    except CatalogError as exc:
+        raise InputFormatError(f"{source}: {exc}") from None
     used = frozenset(tag for t in kept for tag in t if tag.startswith("@"))
     return ClassFst(fst, used)
 
@@ -167,12 +171,13 @@ class ContextualBiaser:
     over the bound automata.
 
     A race is ``(entries, a_prev, dropped_bank)`` with one ``(tag, walk
-    state, total)`` entry per contending tag.  It emits the running minimum
-    of the totals, so the strongest candidate is paid out early, and trues
-    up when a winner completes; with a single tag the nested walk's
-    increments pass straight through.  ``dropped_bank`` is the best
-    ``(total, tag)`` of walks that completed a phrase and were then dropped:
-    that banked score is kept even if every sibling later dies.
+    state, total)`` entry per contending tag.  It emits the strongest of the
+    totals (``fst.strongest``, the one score convention), so the strongest
+    candidate is paid out early, and trues up when a winner completes; with
+    a single tag the nested walk's increments pass straight through.
+    ``dropped_bank`` is the strongest ``(total, tag)`` of walks that
+    completed a phrase and were then dropped: that banked score is kept even
+    if every sibling later dies.  Every pick of the race is ``strongest``.
 
     Each bound automaton has one lookahead cache, shared by the walks of
     every tag bound to it and by every utterance; it keeps live bands only,
@@ -232,8 +237,7 @@ class ContextualBiaser:
             increment, ws = walks[tag].expand(ws, subword)
             total += increment
             stepped.append((tag, ws, total))
-            if agg is None or total < agg:
-                agg = total
+            agg = total if agg is None else strongest(agg, total)
         return agg - a_prev, (pos, (tuple(stepped), agg, dropped), chars + subword)
 
     def finish_word(self, state, token):
@@ -260,11 +264,11 @@ class ContextualBiaser:
         pos, race, chars = state
         if race is None:
             return 0.0, state
-        # Keep the best banked total; pay back everything unsettled.
+        # Keep the strongest banked total; pay back everything unsettled.
         entries, a_prev, dropped = race
-        best_banked = min(t + self.walks[tag].finalize(ws)[0] for tag, ws, t in entries)
+        best_banked = strongest(t + self.walks[tag].finalize(ws)[0] for tag, ws, t in entries)
         if dropped is not None:
-            best_banked = min(best_banked, dropped[0])
+            best_banked = strongest(best_banked, dropped[0])
         return best_banked - a_prev, (pos, None, chars)
 
     def _word_start(self, pos):
@@ -287,7 +291,7 @@ class ContextualBiaser:
         for tag, ws, total in entries:
             increment, outcome, ws = walks[tag].finish_word(ws, token)
             closed.append((tag, ws, total + increment, outcome))
-        winner = min(
+        winner = strongest(
             ((t, tag) for tag, _, t, outcome in closed if outcome is WordOutcome.COMPLETED),
             default=None,
         )
@@ -297,10 +301,10 @@ class ContextualBiaser:
         for tag, ws, total, outcome in closed:
             if outcome is not WordOutcome.FAILED:
                 kept.append((tag, ws, total))
-            elif ws[7] and (dropped is None or (total, tag) < dropped):
-                dropped = (total, tag)
+            elif ws[7]:
+                dropped = (total, tag) if dropped is None else strongest(dropped, (total, tag))
         if kept:
-            agg = min(t for _, _, t in kept)
+            agg = strongest(t for _, _, t in kept)
             return agg - a_prev, (tuple(kept), agg, dropped), None, False
         if dropped is not None:
             return dropped[0] - a_prev, None, dropped[1], False

@@ -24,7 +24,14 @@ from .context import ContextualBiaser
 from .errors import InputFormatError
 from .fst import WordFst
 from .lookahead import PhraseWalk, WordWalk
-from .wordpiece import DEFAULT_DELIMITER, WordpieceVocab, detokenize, is_delimiter, segment
+from .wordpiece import (
+    DEFAULT_DELIMITER,
+    SegmentationError,
+    WordpieceVocab,
+    detokenize,
+    is_delimiter,
+    segment,
+)
 
 END = "</s>"
 
@@ -195,7 +202,10 @@ class SynthOracle:
             toks: list[str] = []
             noisy: set[int] = set()
             for word in ref.lower().split():
-                pieces = segment(vocab, word)
+                try:
+                    pieces = segment(vocab, word)
+                except SegmentationError as exc:
+                    raise SegmentationError(f"reference {utt}: {exc}") from None
                 eligible = noisy_words is None or word in noisy_words
                 for piece in pieces:
                     if eligible and not is_delimiter(vocab, piece):
@@ -286,6 +296,9 @@ def synth_oracle(
 def _check_normalized(scores: Mapping[str, float], utt_id: str) -> None:
     if not scores:
         raise OracleError(f"{utt_id}: oracle returned no candidates")
+    if not all(map(math.isfinite, scores.values())):
+        token, logp = next((t, v) for t, v in scores.items() if not math.isfinite(v))
+        raise OracleError(f"{utt_id}: non-finite oracle score {logp} for token {token!r}")
     m = max(scores.values())
     lse = m + math.log(sum(math.exp(v - m) for v in scores.values()))
     if abs(lse) > _NORM_TOL:

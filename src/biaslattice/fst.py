@@ -3,8 +3,9 @@
 A catalog (contact names, device names, application names) compiles into a
 trie-shaped automaton whose arcs are labelled with whole words.  Arcs leaving
 a state are kept in strict lexicographic order so prefix lookups can use
-binary search.  The start state carries a zero-cost "phi" self-loop that
-absorbs any word not listed on its outgoing arcs.
+binary search.  The start state acts as a zero-cost "phi" self-loop that
+absorbs any word not listed on its outgoing arcs: a walk that misses there
+pays nothing and stays put.
 
 An automaton is stored as flat columns, the layout of OpenFst's ``ConstFst``
 (Allauzen et al. 2007): the arcs of every state sit one after another in a
@@ -49,6 +50,13 @@ from .wordpiece import DEFAULT_DELIMITER
 DEFAULT_WEIGHT = -1.0
 
 _MAGIC = b"BLFST2"
+
+# The score convention: of two biasing weights or totals, the stronger one.
+# Every pick of a band's weight and of a tag race's total goes through this
+# name.  It is ``min`` until ROADMAP item 2 flips it to ``max`` (decoding
+# adds biasing scores, so higher is better there); that flip changes this
+# line and the tests that pin the old picks.
+strongest = min
 
 # Block size of the band index: bands of more than 2 * BAND_BLOCK arcs are
 # summarized from per-block summaries, in O(BAND_BLOCK + band/BAND_BLOCK).
@@ -126,9 +134,7 @@ class WordFst:
     ``arc_words``, ``weights`` and ``targets`` hold every arc's input word,
     weight and next state; state ``s`` owns positions
     ``offsets[s]:offsets[s + 1]``, in strict lexicographic order of their
-    word (no duplicate words at one state).  ``finals`` mark phrase ends;
-    ``phi_states`` mark states carrying the zero-cost any-word self-loop (the
-    start state, by construction).
+    word (no duplicate words at one state).  ``finals`` mark phrase ends.
 
     ``arcs[s]`` (a tuple of :class:`Arc`) and ``words[s]`` (a list of words)
     are per-state views, sliced from the columns on each access; hot paths
@@ -138,7 +144,6 @@ class WordFst:
 
     start: int
     finals: frozenset[int]
-    phi_states: frozenset[int]
     offsets: array  # 'I', num_states + 1 entries
     arc_words: list[str]
     weights: array  # 'd'
@@ -150,7 +155,6 @@ class WordFst:
         start: int,
         finals: Iterable[int],
         arcs: Iterable[Iterable[tuple[str, float, int]]],
-        phi_states: Iterable[int],
     ):
         arc_words, weights, targets, offsets = [], array("d"), array("I"), array("I", [0])
         for state_arcs in arcs:
@@ -159,7 +163,7 @@ class WordFst:
                 weights.append(weight)
                 targets.append(nextstate)
             offsets.append(len(arc_words))
-        self._assign(start, finals, phi_states, offsets, arc_words, weights, targets)
+        self._assign(start, finals, offsets, arc_words, weights, targets)
 
     @classmethod
     def from_columns(
@@ -167,7 +171,6 @@ class WordFst:
         *,
         start: int,
         finals: Iterable[int],
-        phi_states: Iterable[int],
         offsets: array,
         arc_words: list[str],
         weights: array,
@@ -175,21 +178,18 @@ class WordFst:
     ) -> "WordFst":
         """An automaton over the given columns, which it keeps without copying."""
         fst = cls.__new__(cls)
-        fst._assign(start, finals, phi_states, offsets, arc_words, weights, targets)
+        fst._assign(start, finals, offsets, arc_words, weights, targets)
         return fst
 
-    def _assign(self, start, finals, phi_states, offsets, arc_words, weights, targets):
+    def _assign(self, start, finals, offsets, arc_words, weights, targets):
         # Past the frozen dataclass's __setattr__, once, at construction.
         self.__dict__.update(
-            start=start, finals=frozenset(finals), phi_states=frozenset(phi_states),
+            start=start, finals=frozenset(finals),
             offsets=offsets, arc_words=arc_words, weights=weights, targets=targets,
         )
 
     def __repr__(self) -> str:
-        return (
-            f"WordFst(start={self.start}, finals={sorted(self.finals)}, "
-            f"arcs={list(self.arcs)}, phi_states={sorted(self.phi_states)})"
-        )
+        return f"WordFst(start={self.start}, finals={sorted(self.finals)}, arcs={list(self.arcs)})"
 
     @property
     def arcs(self) -> _PerState:
@@ -203,7 +203,7 @@ class WordFst:
 
     @cached_property
     def _band_index(self) -> tuple[array, array]:
-        """(max word length, min weight) of each ``BAND_BLOCK`` arcs of the columns.
+        """(max word length, strongest weight) of each ``BAND_BLOCK`` arcs of the columns.
 
         Blocks are aligned to column positions, not to states; a band summary
         uses only the blocks that lie wholly inside its band.
@@ -212,7 +212,7 @@ class WordFst:
         starts = range(0, len(words), b)
         return (
             array("I", [max(map(len, words[i : i + b])) for i in starts]),
-            array("d", [min(weights[i : i + b]) for i in starts]),
+            array("d", [strongest(weights[i : i + b]) for i in starts]),
         )
 
     @property
@@ -227,18 +227,15 @@ class WordFst:
         """The number of arcs leaving ``state``."""
         return self.offsets[state + 1] - self.offsets[state]
 
-    def band_summary(self, state: int, lo: int, hi: int) -> tuple[int, float]:
-        """``(longest word length, minimum weight)`` over arcs ``[lo, hi)`` of ``state``.
+    def band_summary(self, lo: int, hi: int) -> tuple[int, float]:
+        """``(longest word length, strongest weight)`` over column positions ``[lo, hi)``.
 
         The band must be non-empty.  Ties on the weight resolve to the first
         arc in positional order, as a left-to-right scan would.
         """
-        base = self.offsets[state]
-        lo += base
-        hi += base
         words, weights = self.arc_words, self.weights
         if hi - lo <= 2 * BAND_BLOCK:
-            return max(map(len, words[lo:hi])), min(weights[lo:hi])
+            return max(map(len, words[lo:hi])), strongest(weights[lo:hi])
         block_len, block_weight = self._band_index
         # Head slice up to the first block boundary, whole blocks, tail slice.
         b0 = -(-lo // BAND_BLOCK)
@@ -246,7 +243,7 @@ class WordFst:
         head, tail = b0 * BAND_BLOCK, b1 * BAND_BLOCK
         return (
             max(chain(map(len, words[lo:head]), block_len[b0:b1], map(len, words[tail:hi]))),
-            min(chain(weights[lo:head], block_weight[b0:b1], weights[tail:hi])),
+            strongest(chain(weights[lo:head], block_weight[b0:b1], weights[tail:hi])),
         )
 
     def arc(self, i: int) -> Arc:
@@ -359,7 +356,6 @@ def build_catalog_fst(
     return WordFst.from_columns(
         start=0,
         finals=finals,
-        phi_states=(0,),
         offsets=array("I", accumulate(degrees, initial=0)),
         arc_words=[items[t - 1][0][-1] for t in targets],
         weights=array("d", [items[t - 1][1] for t in targets]),
@@ -369,7 +365,7 @@ def build_catalog_fst(
 
 def empty_fst() -> WordFst:
     """A single-state automaton accepting nothing (used for empty corpora)."""
-    return WordFst(start=0, finals=frozenset(), arcs=((),), phi_states=frozenset({0}))
+    return WordFst(start=0, finals=frozenset(), arcs=((),))
 
 
 def _count_reachable(start: int, offsets: array, targets: array) -> int:
@@ -406,7 +402,7 @@ def _check_columns(fst: WordFst) -> str | None:
         and all(map(math.isfinite, fst.weights))
         and max(targets, default=0) < n
         and (finals | {0}).issuperset(compress(range(n), map(not_, sizes)))
-        and all(map(range(n).__contains__, chain(finals, fst.phi_states)))
+        and all(map(range(n).__contains__, finals))
         and len(set(targets)) == n - 1 and all(map(gt, targets, sources))
     ):
         return None
@@ -439,7 +435,7 @@ def _first_problem(fst: WordFst) -> str | None:
             prev = word
         if lo == hi and s not in fst.finals and s != fst.start:
             return f"state {s} is a non-final dead end"
-    for s in fst.finals | fst.phi_states:
+    for s in fst.finals:
         if not 0 <= s < n:
             return f"state {s} out of range"
     unreachable = n - _count_reachable(fst.start, offsets, fst.targets)
@@ -501,13 +497,15 @@ def load_catalog(path) -> list[CatalogEntry]:
 #   u32 offsets[num_states + 1] | u32 targets[num_arcs] | f64 weights[num_arcs] |
 #   u32 len | UTF-8 arc words joined by "\n"
 #
-# The header fixes every length but the word blob's.  ``BLFST1``, which
+# The header fixes every length but the word blob's.  Bit 1 marks the
+# start state's any-word self-loop: the writer sets it on the start state,
+# and the reader accepts it on any state and ignores it, since the walk
+# treats the start state as the phi state in any case.  ``BLFST1``, which
 # interleaved each arc's word, weight and target, is no longer read.
 
 _HEADER = struct.Struct("<6sIII")  # magic, num_states, start, num_arcs
 _U32 = struct.Struct("<I")
 _FINAL_BIT = bytes(b & 1 for b in range(256))
-_PHI_BIT = bytes(b & 2 for b in range(256))
 
 
 def _little_endian(column: array) -> array:
@@ -525,8 +523,7 @@ def serialize(fst: WordFst) -> bytes:
         word = next(w for w in fst.arc_words if "\n" in w)
         raise ValueError(f"arc word {word!r} contains a newline")
     flags = bytearray(map(fst.finals.__contains__, range(fst.num_states)))
-    for s in fst.phi_states:
-        flags[s] |= 2
+    flags[fst.start] |= 2
     columns = (_little_endian(c).tobytes() for c in (fst.offsets, fst.targets, fst.weights))
     header = _HEADER.pack(_MAGIC, fst.num_states, fst.start, fst.num_arcs)
     return b"".join([header, flags, *columns, _U32.pack(len(blob)), blob])
@@ -580,7 +577,6 @@ def deserialize(data: bytes) -> WordFst:
     fst = WordFst.from_columns(
         start=start,
         finals=compress(range(n), flags.translate(_FINAL_BIT)),
-        phi_states=compress(range(n), flags.translate(_PHI_BIT)),
         offsets=offsets, arc_words=words, weights=weights, targets=targets,
     )
     problem = _check_columns(fst)

@@ -314,12 +314,22 @@ def read_arpa(path) -> NGramLM:
             raise InputFormatError(
                 f"{path}:{i}: expected a {section}-gram, got {len(words)} tokens"
             )
+        # A log-prob of -99 or -inf marks a gram kept only as a back-off
+        # context.  Values are checked in natural log, where they are used.
+        if not p10 * _LN10 < math.inf:
+            raise InputFormatError(f"{path}:{i}: non-finite log-prob in {line!r}")
+        if bow is not None and not math.isfinite(bow * _LN10):
+            raise InputFormatError(f"{path}:{i}: non-finite back-off in {line!r}")
         if p10 > _BOW_ONLY + 0.5:
             logprobs[words] = p10 * _LN10
         if bow is not None:
             backoffs[words] = bow * _LN10
     if not logprobs:
         raise InputFormatError(f"{path}: no grams found")
+    # Every sentence ends in EOS_WORD, and a word outside the model scores as UNK.
+    missing = [w for w in (EOS_WORD, UNK) if (w,) not in logprobs]
+    if missing:
+        raise InputFormatError(f"{path}: no unigram log-prob for {' '.join(missing)}")
     vocab = frozenset(g[0] for g in logprobs if len(g) == 1)
     return NGramLM(
         order=order, logprobs=logprobs, backoffs=backoffs, vocab=vocab, classes={}
@@ -344,9 +354,12 @@ def read_members(path) -> dict[str, dict[str, float]]:
             if len(parts) != 3 or not parts[0].startswith("@"):
                 raise InputFormatError(f"{path}:{lineno}: expected 'tag<TAB>word<TAB>logprob'")
             try:
-                classes[parts[0]][parts[1]] = float(parts[2]) * _LN10
+                logprob = float(parts[2])
             except ValueError:
                 raise InputFormatError(f"{path}:{lineno}: bad logprob") from None
+            if not math.isfinite(logprob * _LN10):
+                raise InputFormatError(f"{path}:{lineno}: non-finite logprob {parts[2]!r}")
+            classes[parts[0]][parts[1]] = logprob * _LN10
     return dict(classes)
 
 

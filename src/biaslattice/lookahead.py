@@ -24,13 +24,14 @@ token stream ``pl ay er_``:
 
 Increments sum to -8, the word-level weight of "player".
 
-A step that misses the cache costs two C-level bisects over the state's
-sorted words, a slice of the automaton's word column, plus
-:meth:`WordFst.band_summary`, which finds the band's longest word and
-strongest weight in O(B + band/B) for the automaton's block size B.  No
-step scans the band in Python.  A walk state's band ``[lo, hi)`` counts
-from the state's first arc; only these lookups add the state's column
-offset.
+A band is a slice of the automaton's columns: a walk state holds it as two
+column positions ``[lo, hi)``, and so does a cache entry.  A step that
+misses the cache costs two C-level bisects of the band within the word
+column, plus :meth:`WordFst.band_summary`, which finds the band's longest
+word and strongest weight (``fst.strongest``) in O(B + band/B) for the
+automaton's block size B.  No step scans the band in Python, and a word's
+exact match, if any, is the word at ``lo``.  Only :class:`ExpandSession`
+counts positions from the state's first arc, for ``range`` and its trace.
 
 Scoring is a set of pure transitions.  :class:`PhraseWalk` maps a walk state,
 a plain hashable tuple, and a token to ``(increment, new state)``.  It holds
@@ -63,15 +64,6 @@ from .fst import DEFAULT_DELIMITER, WordFst
 
 _MAX_CHAR = chr(0x10FFFF)
 
-# A cache maps (state, prefix) -> (lo, hi, pushed weight) so repeated walks
-# over popular prefixes skip the two bisects and the band summary.  It is
-# keyed on state ids of a single automaton, so a biaser keeps one cache per
-# automaton and shares it with every utterance it decodes.  Only live bands
-# (lo < hi) are stored; a prefix that matches no arc is recomputed each time
-# it recurs.  So a cache never holds more than one entry per (state, prefix
-# of one of that state's arc words), however long it is used.
-LookaheadCache = dict
-
 
 class ProbeCounter:
     """Counts binary-search probes, for complexity instrumentation."""
@@ -82,34 +74,34 @@ class ProbeCounter:
         self.probes = 0
 
 
-def prefix_range(arcs, lo: int, hi: int, prefix: str, *, counter: ProbeCounter | None = None):
-    """Narrow [lo, hi) to the entries whose input word starts with ``prefix``.
+def prefix_range(words: list[str], lo: int, hi: int, prefix: str, *,
+                 counter: ProbeCounter | None = None):
+    """Narrow [lo, hi) to the positions whose word starts with ``prefix``.
 
-    ``arcs`` may hold plain strings or :class:`~biaslattice.fst.Arc` tuples;
-    it must be sorted by word.  Returns the (possibly empty) sub-range, which
-    always satisfies lo <= lo' <= hi' <= hi.
+    ``words[lo:hi]`` must be sorted, as a state's slice of an automaton's
+    word column is.  Returns the (possibly empty) sub-range, which always
+    satisfies lo <= lo' <= hi' <= hi.
 
-    The entries starting with ``prefix`` are exactly those in
+    The words starting with ``prefix`` are exactly those in
     [prefix, successor), where the successor increments the last code point
     of ``prefix`` that is below U+10FFFF and drops the rest, so two bisects
-    find them.  Plain strings without a counter are compared directly, in C;
-    otherwise a key function reads the word and ``counter`` counts the probes.
+    find them.  Without a counter they compare in C; with one, a key
+    function counts the probes.
     """
     if lo > hi:
         raise ValueError(f"invalid range: lo={lo} > hi={hi}")
     if not prefix:
         return lo, hi
     key = None
-    if counter is not None or (lo < hi and not isinstance(arcs[lo], str)):
-        def key(a):
-            if counter is not None:
-                counter.probes += 1
-            return a if isinstance(a, str) else a[0]
-    new_lo = bisect.bisect_left(arcs, prefix, lo, hi, key=key)
+    if counter is not None:
+        def key(word):
+            counter.probes += 1
+            return word
+    new_lo = bisect.bisect_left(words, prefix, lo, hi, key=key)
     succ = _successor(prefix)
     if succ is None:
         return new_lo, hi
-    return new_lo, bisect.bisect_left(arcs, succ, new_lo, hi, key=key)
+    return new_lo, bisect.bisect_left(words, succ, new_lo, hi, key=key)
 
 
 def _successor(prefix: str) -> str | None:
@@ -165,11 +157,12 @@ class PhraseWalk:
         (q, prefix, lo, hi, pushed, dead, pending, banked)
 
     ``q`` is the automaton state the current word started from, ``prefix``
-    the word's content so far and ``[lo, hi)`` the band of ``q``'s arcs it
-    still matches.  ``pushed`` is the score paid out for the word so far; it
-    drops to 0.0 when the word dies, i.e. its prefix falls out of every arc.
-    ``pending`` holds arc weights of completed words that no final state has
-    banked yet, and ``banked`` records that the walk completed a phrase.
+    the word's content so far and ``[lo, hi)`` the column positions of the
+    band of ``q``'s arcs it still matches.  ``pushed`` is the score paid out
+    for the word so far; it drops to 0.0 when the word dies, i.e. its prefix
+    falls out of every arc.  ``pending`` holds arc weights of completed
+    words that no final state has banked yet, and ``banked`` records that
+    the walk completed a phrase.
 
     A failed word pays back the pending amount along with its own pushed
     weight, so any walk that never completes a phrase is score-neutral.
@@ -179,11 +172,11 @@ class PhraseWalk:
     nothing (the phi self-loop).  An empty word, a delimiter right after
     another, matches no arc and so fails like any other miss.
 
-    ``cache``, when given, is read and filled by every expand step, so a
-    biaser's one walk shares it across all the utterances it decodes.  It
-    stores ``(lo, hi, pushed)`` for live bands only, never for a prefix that
-    matches no arc, so it holds at most one entry per (state, prefix of one
-    of that state's arc words).
+    ``cache``, a dict, when given, is read and filled by every expand step,
+    so a biaser's one walk shares it across all the utterances it decodes.
+    It maps ``(q, prefix)`` to ``(lo, hi, pushed)`` for live bands only,
+    never for a prefix that matches no arc, so it holds at most one entry
+    per (state, prefix of one of that state's arc words).
     """
 
     __slots__ = ("fst", "delimiter", "cache", "counter")
@@ -193,7 +186,7 @@ class PhraseWalk:
         fst: WordFst,
         *,
         delimiter: str = DEFAULT_DELIMITER,
-        cache: LookaheadCache | None = None,
+        cache: dict | None = None,
         counter: ProbeCounter | None = None,
     ):
         self.fst = fst
@@ -211,7 +204,7 @@ class PhraseWalk:
             q = fst.start
         elif not 0 <= q < fst.num_states:
             raise IndexError(f"state {q} out of range (0..{fst.num_states - 1})")
-        return (q, "", 0, fst.arc_count(q), 0.0, False, 0.0, False)
+        return (q, "", fst.offsets[q], fst.offsets[q + 1], 0.0, False, 0.0, False)
 
     def open_session(self) -> Session:
         """A session scoring one hypothesis from the start state."""
@@ -237,15 +230,10 @@ class PhraseWalk:
             lo, hi, new = hit
         else:
             fst = self.fst
-            base = fst.offsets[q]
-            lo, hi = prefix_range(
-                fst.arc_words, base + lo, base + hi, prefix, counter=self.counter
-            )
-            lo -= base
-            hi -= base
+            lo, hi = prefix_range(fst.arc_words, lo, hi, prefix, counter=self.counter)
             if lo == hi:
                 return -pushed, (q, prefix, lo, hi, 0.0, True, pending, banked)
-            new = pushed_weight(len(prefix), *fst.band_summary(q, lo, hi))
+            new = pushed_weight(len(prefix), *fst.band_summary(lo, hi))
             if cache is not None:
                 cache[key] = (lo, hi, new)
         return new - pushed, (q, prefix, lo, hi, new, False, pending, banked)
@@ -267,10 +255,9 @@ class PhraseWalk:
         if dead:
             return increment, None, state
         fst = self.fst
-        i = fst.offsets[q] + lo
-        if lo < hi and fst.arc_words[i] == prefix:
-            weight = fst.weights[i]
-            return (increment + (weight - pushed), i,
+        if lo < hi and fst.arc_words[lo] == prefix:
+            weight = fst.weights[lo]
+            return (increment + (weight - pushed), lo,
                     (q, prefix, lo, hi, weight, False, pending, banked))
         return increment - pushed, None, (q, prefix, lo, hi, 0.0, True, pending, banked)
 
@@ -291,13 +278,14 @@ class PhraseWalk:
             else:
                 q, outcome, pending, banked = fst.start, _COMPLETED, 0.0, True
         return (increment, outcome,
-                (q, "", 0, offsets[q + 1] - offsets[q], 0.0, False, pending, banked))
+                (q, "", offsets[q], offsets[q + 1], 0.0, False, pending, banked))
 
     def finalize(self, state: tuple) -> tuple[float, tuple]:
         """End of stream: pay back everything no final state banked."""
         q = self.fst.start
+        offsets = self.fst.offsets
         return (-state[6] - state[4],
-                (q, "", 0, self.fst.arc_count(q), 0.0, False, 0.0, state[7]))
+                (q, "", offsets[q], offsets[q + 1], 0.0, False, 0.0, state[7]))
 
 
 class WordWalk(PhraseWalk):
@@ -382,7 +370,7 @@ class ExpandSession:
         state: int,
         *,
         delimiter: str = DEFAULT_DELIMITER,
-        cache: LookaheadCache | None = None,
+        cache: dict | None = None,
         counter: ProbeCounter | None = None,
         trace: list | None = None,
     ):
@@ -397,7 +385,10 @@ class ExpandSession:
 
     @property
     def range(self) -> tuple[int, int]:
-        return self.state[2], self.state[3]
+        """The band, counted from the first arc of the word's state."""
+        q, _, lo, hi = self.state[:4]
+        base = self.walk.fst.offsets[q]
+        return lo - base, hi - base
 
     @property
     def emitted(self) -> float:
@@ -448,16 +439,16 @@ class ExpandSession:
         return -self.emitted
 
     def _record(self, increment, *, closing=False, arc=None):
-        q, prefix, lo, hi, pushed, dead = self.state[:6]
+        _, prefix, lo, hi, pushed, dead = self.state[:6]
         longest = lookahead = None
         if closing:
             lookahead = None if arc is None else arc.weight
         elif not dead:
-            longest, lookahead = self.walk.fst.band_summary(q, lo, hi)
+            longest, lookahead = self.walk.fst.band_summary(lo, hi)
         self.trace.append(
             {
                 "prefix": prefix,
-                "range": (lo, hi),
+                "range": self.range,
                 "length": len(prefix),
                 "longest": longest,
                 "lookahead": lookahead,
@@ -488,7 +479,7 @@ class PhraseSession(Session):
         fst: WordFst,
         *,
         delimiter: str = DEFAULT_DELIMITER,
-        cache: LookaheadCache | None = None,
+        cache: dict | None = None,
         counter: ProbeCounter | None = None,
         state: int | None = None,
     ):

@@ -456,7 +456,7 @@ def reference_build_catalog_fst(
         for node in order
     )
     finals = frozenset(ids[id(n)] for n in order if n.final)
-    return WordFst(start=0, finals=finals, arcs=arcs, phi_states=frozenset({0}))
+    return WordFst(start=0, finals=finals, arcs=arcs)
 
 
 # -- automaton checks, state by state ---------------------------------------------
@@ -483,7 +483,7 @@ def reference_validate(fst: WordFst) -> None:
             prev = word
         if not arcs and s not in fst.finals and s != fst.start:
             raise ValueError(f"state {s} is a non-final dead end")
-    for s in fst.finals | fst.phi_states:
+    for s in fst.finals:
         if not 0 <= s < n:
             raise ValueError(f"state {s} out of range")
     seen = {fst.start}
@@ -522,7 +522,7 @@ def reference_serialize(fst: WordFst) -> bytes:
     out = bytearray(_MAGIC)
     out += struct.pack("<II", fst.num_states, fst.start)
     for s, arcs in enumerate(fst.arcs):
-        flags = (1 if s in fst.finals else 0) | (2 if s in fst.phi_states else 0)
+        flags = (1 if s in fst.finals else 0) | (2 if s == fst.start else 0)
         out += struct.pack("<BI", flags, len(arcs))
         for word, weight, nextstate in arcs:
             raw = word.encode("utf-8")
@@ -570,7 +570,6 @@ def reference_deserialize(data: bytes) -> WordFst:
     num_states = r.u32()
     start = r.u32()
     finals = set()
-    phi = set()
     arcs = []
     for s in range(num_states):
         at = r.pos
@@ -579,8 +578,6 @@ def reference_deserialize(data: bytes) -> WordFst:
             raise InputFormatError(f"unknown state flags {flags:#x} at offset {at}")
         if flags & 1:
             finals.add(s)
-        if flags & 2:
-            phi.add(s)
         state_arcs = []
         for _ in range(r.u32()):
             word = r.string()
@@ -591,7 +588,7 @@ def reference_deserialize(data: bytes) -> WordFst:
     if r.pos != len(data):
         raise InputFormatError(f"{len(data) - r.pos} trailing bytes at offset {r.pos}")
     return _validated(WordFst(
-        start=start, finals=frozenset(finals), arcs=tuple(arcs), phi_states=frozenset(phi)
+        start=start, finals=frozenset(finals), arcs=tuple(arcs)
     ))
 
 
@@ -660,5 +657,4 @@ def reference_deserialize_columnar(data: bytes) -> WordFst:
         start=start,
         finals={s for s in range(n) if data[18 + s] & 1},
         arcs=arcs,
-        phi_states={s for s in range(n) if data[18 + s] & 2},
     ))

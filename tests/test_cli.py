@@ -382,3 +382,29 @@ class TestBoundScoreRange:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'bindings.tsv'}: @contactname automaton weight 1e+308" in err
         assert not (tmp_path / "x.jsonl").exists()
+
+
+class TestUnusableLm:
+    """A back-off model the scorer cannot use exits with code 2 at load,
+    naming the file, rather than failing mid-scoring."""
+
+    @pytest.mark.parametrize("command, grams, missing", [
+        ("rescore", ["-1\ta"], "</s> <unk>"),
+        ("tune", ["-1\ta", "-1\t</s>"], "<unk>"),
+    ])
+    def test_missing_unigram_exits_2(self, tmp_path, capsys, command, grams, missing):
+        model = tmp_path / "it.arpa"
+        model.write_text("\\data\\\nngram 1=%d\n\n\\1-grams:\n%s\n\\end\\\n"
+                         % (len(grams), "".join(g + "\n" for g in grams)))
+        hyp = {"text": "play music", "tokens": ["play_", "music_"],
+               "rnnt_logp": -1.0, "sf_score": 0.0}
+        path = tmp_path / "dev.nbest"
+        path.write_text(json.dumps({"id": "general-0", "ref": "play music", "lambda": 1.0,
+                                    "hyps": [hyp]}) + "\n")
+        argv = {
+            "rescore": ("--nbest", path, "--out", tmp_path / "o.nbest"),
+            "tune": ("--dev", path, "--budget", 30),
+        }[command]
+        assert run(command, *argv, "--lm-generic", model) == 2
+        assert f"{model}: no unigram log-prob for {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "o.nbest").exists()

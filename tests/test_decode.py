@@ -136,6 +136,18 @@ class TestBeamSearch:
         with pytest.raises(OracleError, match="log-sum-exp"):
             beam_search(Bad(), None, mini_vocab, 0.0, 8, 4, max_steps=4)
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_oracle_score_names_utterance_and_token(self, mini_vocab, bad):
+        # {"ba": 0, "do": -inf} is normalized and {"ba": 0, "do": nan} sums to
+        # nan, so neither fails the log-sum-exp test; fuse_step would refuse
+        # them with no utterance named.
+        class Bad:
+            def score(self, utt, history):
+                return {"ba": 0.0, "do": bad}
+
+        with pytest.raises(OracleError, match=r"^u-7: non-finite oracle score \S+ for token 'do'"):
+            beam_search(Bad(), None, mini_vocab, 0.0, 8, 4, utt_id="u-7", max_steps=4)
+
     def test_separated_scores_and_fused_invariant(self, mini_vocab):
         catalog = build_catalog_fst([CatalogEntry(("bado",), 1.5)])
         oracle = synth_oracle(mini_vocab, {"u": "bado"}, noise=0.3, seed=2)

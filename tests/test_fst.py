@@ -38,7 +38,6 @@ class TestBuild:
         assert len(play_fst.arcs[play_fst.start]) == 3
         assert len(play_fst.finals) == 3
         assert all(arc.weight == -8.0 for arc in play_fst.arcs[play_fst.start])
-        assert play_fst.start in play_fst.phi_states
 
     def test_single_entry(self):
         f = build_catalog_fst([CatalogEntry(("call",), -1.0)])
@@ -150,7 +149,7 @@ class TestSerialization:
             deserialize(reference_serialize(play_fst))
 
     def test_newline_in_word_rejected_by_writer(self):
-        f = WordFst(start=0, finals={1}, arcs=[[("a\nb", -1.0, 1)], []], phi_states={0})
+        f = WordFst(start=0, finals={1}, arcs=[[("a\nb", -1.0, 1)], []])
         with pytest.raises(ValueError, match="newline"):
             serialize(f)
 
@@ -201,7 +200,6 @@ class TestValidate:
             start=0,
             finals=frozenset({1, 2}),
             arcs=((Arc("b", -1.0, 1), Arc("a", -1.0, 2)), (), ()),
-            phi_states=frozenset({0}),
         )
         with pytest.raises(ValueError, match="sorted"):
             validate_fst(f)
@@ -211,7 +209,6 @@ class TestValidate:
             start=0,
             finals=frozenset({1, 2}),
             arcs=((Arc("a", -1.0, 1),), (), ()),
-            phi_states=frozenset({0}),
         )
         with pytest.raises(ValueError, match="unreachable"):
             validate_fst(f)
@@ -221,7 +218,6 @@ class TestValidate:
             start=0,
             finals=frozenset(),
             arcs=((Arc("a", -1.0, 1),), ()),
-            phi_states=frozenset({0}),
         )
         with pytest.raises(ValueError, match="dead end"):
             validate_fst(f)
@@ -343,7 +339,7 @@ class TestCheckParity:
                 start = data.draw(st.integers(0, n))
             else:
                 finals.add(n + 3)
-        g = WordFst(start=start, finals=finals, arcs=arcs, phi_states={start})
+        g = WordFst(start=start, finals=finals, arcs=arcs)
         assert _message(validate_fst, g) == _message(reference_validate, g)
 
     def test_cycle_behind_distinct_targets(self):
@@ -352,7 +348,6 @@ class TestCheckParity:
             start=0,
             finals={1, 4},
             arcs=[[("a", -1.0, 1)], [], [("a", -1.0, 3)], [("a", -1.0, 4), ("b", -1.0, 2)], []],
-            phi_states={0},
         )
         assert _message(validate_fst, f) == "3 states unreachable from start"
         assert _message(reference_validate, f) == "3 states unreachable from start"
@@ -399,6 +394,18 @@ class TestReaderParity:
             for value in (0, 1, 2, 3, 0x80):
                 self.check(data[:at] + bytes([value]) + data[at + 1 :])
 
+    @given(catalogs())
+    @settings(max_examples=30, deadline=None)
+    def test_phi_bit_is_written_on_the_start_and_ignored_on_read(self, entries):
+        f = build_catalog_fst(entries)
+        data = bytearray(serialize(f))
+        flags = range(18, 18 + f.num_states)  # after magic and three u32s
+        assert [data[at] & 2 for at in flags] == [2 if s == f.start else 0
+                                                   for s in range(f.num_states)]
+        for at in flags:
+            data[at] ^= 2
+        assert deserialize(bytes(data)) == f
+
     @given(catalogs(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_corrupt_bytes(self, entries, data):
@@ -423,7 +430,7 @@ def _hand_built(state_arcs, finals) -> bytes:
 
     The ``BLFST1`` reference must report the same structural error on its
     own bytes of the automaton."""
-    f = WordFst(start=0, finals=finals, arcs=state_arcs, phi_states={0})
+    f = WordFst(start=0, finals=finals, arcs=state_arcs)
     data = serialize(f)
     assert str(outcome(reference_deserialize, reference_serialize(f))) == str(
         outcome(deserialize, data))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -183,6 +184,50 @@ class TestModelFiles:
         p.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\nnot-a-number a\n\\end\\\n")
         with pytest.raises(InputFormatError, match="gram line"):
             read_arpa(p)
+
+    def arpa(self, tmp_path, *grams):
+        p = tmp_path / "m.arpa"
+        p.write_text("\\data\\\nngram 1=%d\n\n\\1-grams:\n%s\n\\end\\\n"
+                     % (len(grams), "".join(g + "\n" for g in grams)))
+        return p
+
+    @pytest.mark.parametrize("grams, missing", [
+        (["-1\ta"], "</s> <unk>"),
+        (["-1\ta", "-1\t<unk>"], "</s>"),
+        (["-1\ta", "-1\t</s>"], "<unk>"),
+        (["-1\ta", "-99\t</s>", "-1\t<unk>"], "</s>"),
+    ])
+    def test_sentence_end_and_unknown_unigrams_required(self, tmp_path, grams, missing):
+        p = self.arpa(tmp_path, *grams)
+        with pytest.raises(InputFormatError) as info:
+            read_arpa(p)
+        assert str(info.value) == f"{p}: no unigram log-prob for {missing}"
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e308"])
+    def test_non_finite_backoff_rejected(self, tmp_path, value):
+        p = self.arpa(tmp_path, "-1\t</s>", "-1\t<unk>", f"-1\ta\t{value}")
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(p))}:7: non-finite back-off"):
+            read_arpa(p)
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
+    def test_non_finite_logprob_rejected(self, tmp_path, value):
+        p = self.arpa(tmp_path, "-1\t</s>", "-1\t<unk>", f"{value}\ta")
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(p))}:7: non-finite log-prob"):
+            read_arpa(p)
+
+    @pytest.mark.parametrize("value", ["-99", "-inf"])
+    def test_backoff_only_gram_keeps_its_meaning(self, tmp_path, value):
+        p = self.arpa(tmp_path, "-1\t</s>", "-1\t<unk>", f"{value}\ta\t-0.5")
+        lm = read_arpa(p)
+        assert ("a",) not in lm.logprobs and "a" not in lm.vocab
+        assert lm.backoffs[("a",)] == pytest.approx(-0.5 * math.log(10.0))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
+    def test_non_finite_member_logprob_rejected(self, tmp_path, value):
+        p = tmp_path / "m.members"
+        p.write_text(f"@contactname\tada\t-0.3\n@contactname\tbo\t{value}\n")
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(p))}:2: non-finite logprob"):
+            read_members(p)
 
     def test_bad_members_line_rejected(self, tmp_path):
         p = tmp_path / "bad.members"

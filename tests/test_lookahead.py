@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaslattice.fst import BAND_BLOCK, Arc, CatalogEntry, build_catalog_fst
+from biaslattice.fst import BAND_BLOCK, CatalogEntry, build_catalog_fst
 from biaslattice.lookahead import (
     ExpandSession,
     PhraseSession,
@@ -404,6 +404,7 @@ class TestLargeBands:
         for _ in range(4):
             f = build_catalog_fst(_large_catalog(rng))
             arcs = f.arcs[f.start]
+            base = f.offsets[f.start]
             n = len(arcs)
             widths = {1, self.B, 2 * self.B, 2 * self.B + 1, 2 * self.B + 2, 5 * self.B + 7, n}
             for width in sorted(w for w in widths if w <= n):
@@ -411,7 +412,7 @@ class TestLargeBands:
                 starts |= {rng.randrange(n - width + 1) for _ in range(20)}
                 for lo in sorted(s for s in starts if 0 <= s <= n - width):
                     hi = lo + width
-                    assert f.band_summary(f.start, lo, hi) == band_scan(arcs, lo, hi)
+                    assert f.band_summary(base + lo, base + hi) == band_scan(arcs, lo, hi)
 
     def test_band_summary_finds_a_lone_extreme_anywhere(self):
         # One longer, lower-weighted word among equal ones, at every position
@@ -423,9 +424,10 @@ class TestLargeBands:
                 CatalogEntry((w + "zz",), -5.0) if j == i else CatalogEntry((w,), 1.0)
                 for j, w in enumerate(words)
             ])
+            base = f.offsets[f.start]
             for lo in range(0, i + 1):
                 for hi in range(max(i + 1, lo + 2 * self.B + 1), n + 1):
-                    assert f.band_summary(f.start, lo, hi) == (6, -5.0)
+                    assert f.band_summary(base + lo, base + hi) == (6, -5.0)
 
     def test_bands_at_a_state_past_the_start(self):
         # The state after "x" has more than 3 * B arcs and starts at a column
@@ -440,14 +442,15 @@ class TestLargeBands:
             entries += [CatalogEntry((first, f"longword{i:02d}"), 4.0) for i in range(count)]
         f = build_catalog_fst(entries)
         q = f.find_arc(f.start, "x").nextstate
-        assert f.offsets[q] % self.B != 0
+        base = f.offsets[q]
+        assert base % self.B != 0
         arcs = reference_build_catalog_fst(entries).arcs[q]
         words = [a.word for a in arcs]
         n = len(arcs)
         assert n > 3 * self.B and f.arcs[q] == arcs
         for lo in range(n):
             for hi in range(lo + 1, n + 1):
-                assert f.band_summary(q, lo, hi) == band_scan(arcs, lo, hi)
+                assert f.band_summary(base + lo, base + hi) == band_scan(arcs, lo, hi)
         probes = {w[:i] for w in words for i in range(1, len(w) + 1)}
         probes |= {"".join(rng.choice("abcdefg") for _ in range(rng.randint(1, 4)))
                    for _ in range(50)}
@@ -456,7 +459,7 @@ class TestLargeBands:
             assert prefix_range(f.words[q], 0, n, prefix) == want
             for walk in (PhraseWalk(f), PhraseWalk(f, counter=ProbeCounter())):
                 inc, state = walk.expand(walk.initial(q), prefix)
-                assert state[2:4] == want
+                assert state[2:4] == (base + want[0], base + want[1])
                 if want[0] < want[1]:
                     assert inc == pushed_weight(len(prefix), *band_scan(arcs, *want))
             i = bisect_left(words, prefix)
@@ -498,12 +501,9 @@ class TestLargeBands:
             prefix = word[: data.draw(st.integers(1, len(word)))]
         lo = data.draw(st.integers(0, len(words)))
         hi = data.draw(st.integers(lo, len(words)))
-        arcs = [Arc(w, 0.0, 0) for w in words]
         for p in (prefix, prefix + "\U0010ffff", "\U0010ffff" * len(prefix)):
             want = prefix_range(words, lo, hi, p, counter=ProbeCounter())
             assert prefix_range(words, lo, hi, p) == want
-            assert prefix_range(arcs, lo, hi, p) == want
-            assert prefix_range(arcs, lo, hi, p, counter=ProbeCounter()) == want
 
 
 _cache_words = st.text(alphabet="abc", min_size=1, max_size=4)
@@ -568,5 +568,5 @@ class TestSharedWalkCache:
         for (q, prefix), (lo, hi, pushed) in shared.cache.items():
             assert lo < hi
             assert (q, prefix) in prefixes
-            assert (lo, hi) == prefix_range(f.words[q], 0, len(f.arcs[q]), prefix)
-            assert pushed == pushed_weight(len(prefix), *f.band_summary(q, lo, hi))
+            assert (lo, hi) == prefix_range(f.arc_words, f.offsets[q], f.offsets[q + 1], prefix)
+            assert pushed == pushed_weight(len(prefix), *f.band_summary(lo, hi))
