@@ -14,7 +14,9 @@ states, and ``offsets[s]:offsets[s + 1]`` are the positions of state ``s``'s
 arcs.  A position in the columns is an arc id.  No tuple or list exists per
 arc or per state (the words are strings, which the cyclic garbage collector
 does not track), so building or loading a large catalog leaves it almost
-nothing to walk.
+nothing to walk.  Final states are a column too: ``final`` holds one byte
+per state, 1 for a final state, as the ``BLFST2`` file's flag bytes hold
+them, so no set of state numbers exists either.
 
 The builder maps every word path of the catalog to its arc weight and
 numbers the states by sorting those paths, which is the preorder walk of the
@@ -25,10 +27,11 @@ or built by hand, with C-level loops over the columns.
 
 Automata are immutable after construction and safe to share across threads;
 all mutation happens inside the builder and the reader.  The columns are a
-list and arrays, shared rather than copied, so callers must not change them
-either.  ``arcs[s]`` and ``words[s]`` are views that slice the columns on
-each access.  The one derived structure, the band index, is built lazily on
-first use; threads racing on it only compute the same value twice.
+list, arrays and bytes, shared rather than copied, so callers must not
+change them either.  ``arcs[s]``, ``words[s]`` and ``finals`` are views
+derived from the columns on each access.  The one derived structure, the
+band index, is built lazily on first use; threads racing on it only compute
+the same value twice.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import math
 import struct
 import sys
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
@@ -134,16 +138,21 @@ class WordFst:
     ``arc_words``, ``weights`` and ``targets`` hold every arc's input word,
     weight and next state; state ``s`` owns positions
     ``offsets[s]:offsets[s + 1]``, in strict lexicographic order of their
-    word (no duplicate words at one state).  ``finals`` mark phrase ends.
+    word (no duplicate words at one state).  ``final[s]`` is 1 if state ``s``
+    ends a phrase and 0 if not: one byte per state, and no per-state object.
 
-    ``arcs[s]`` (a tuple of :class:`Arc`) and ``words[s]`` (a list of words)
-    are per-state views, sliced from the columns on each access; hot paths
-    read the columns directly.  The constructor takes per-state arc lists,
-    for automata built by hand; :meth:`from_columns` wraps ready columns.
+    ``arcs[s]`` (a tuple of :class:`Arc`), ``words[s]`` (a list of words) and
+    ``finals`` (a frozenset of state numbers) are views, derived from the
+    columns on each access; hot paths read the columns directly.  The
+    constructor takes per-state arc lists and a set of final states, for
+    automata built by hand; :meth:`from_columns` wraps ready columns.
     """
 
     start: int
-    finals: frozenset[int]
+    # One byte per state, 1 for a final state.  A final state past the last
+    # state, in an automaton built by hand, lengthens the column so that
+    # validate_fst can name it.
+    final: bytes
     offsets: array  # 'I', num_states + 1 entries
     arc_words: list[str]
     weights: array  # 'd'
@@ -163,14 +172,21 @@ class WordFst:
                 weights.append(weight)
                 targets.append(nextstate)
             offsets.append(len(arc_words))
-        self._assign(start, finals, offsets, arc_words, weights, targets)
+        final = bytearray(len(offsets) - 1)
+        for s in finals:
+            if s < 0:
+                raise ValueError(f"state {s} out of range")
+            if s >= len(final):
+                final.extend(bytes(s + 1 - len(final)))
+            final[s] = 1
+        self._assign(start, bytes(final), offsets, arc_words, weights, targets)
 
     @classmethod
     def from_columns(
         cls,
         *,
         start: int,
-        finals: Iterable[int],
+        final: bytes,
         offsets: array,
         arc_words: list[str],
         weights: array,
@@ -178,18 +194,23 @@ class WordFst:
     ) -> "WordFst":
         """An automaton over the given columns, which it keeps without copying."""
         fst = cls.__new__(cls)
-        fst._assign(start, finals, offsets, arc_words, weights, targets)
+        fst._assign(start, final, offsets, arc_words, weights, targets)
         return fst
 
-    def _assign(self, start, finals, offsets, arc_words, weights, targets):
+    def _assign(self, start, final, offsets, arc_words, weights, targets):
         # Past the frozen dataclass's __setattr__, once, at construction.
         self.__dict__.update(
-            start=start, finals=frozenset(finals),
+            start=start, final=final,
             offsets=offsets, arc_words=arc_words, weights=weights, targets=targets,
         )
 
     def __repr__(self) -> str:
         return f"WordFst(start={self.start}, finals={sorted(self.finals)}, arcs={list(self.arcs)})"
+
+    @property
+    def finals(self) -> frozenset[int]:
+        """The final states, as a set made from the ``final`` column."""
+        return frozenset(compress(range(len(self.final)), self.final))
 
     @property
     def arcs(self) -> _PerState:
@@ -281,10 +302,11 @@ class WordFst:
     def iter_phrases(self):
         """Yield ``(phrase_words, end_state)`` for every path ending final."""
         offsets, arc_words, targets = self.offsets, self.arc_words, self.targets
+        final = self.final
         stack = [(self.start, ())]
         while stack:
             state, words = stack.pop()
-            if state in self.finals and words:
+            if final[state] and words:
                 yield words, state
             for i in reversed(range(offsets[state], offsets[state + 1])):
                 stack.append((targets[i], words + (arc_words[i],)))
@@ -336,29 +358,31 @@ def build_catalog_fst(
                     f"prefix arc {word!r} (phrase {entry.text!r})"
                 )
 
-    items = sorted(paths.items())
-    n = len(items) + 1
-    parents = [0] * n
-    degrees = [0] * n
-    finals = []
+    # State s is the path keys[s]; the start state is the empty path.
+    keys = [()]
+    keys += sorted(paths)
+    n = len(keys)
+    parents = array("I", [0]) * n
+    degrees = array("I", [0]) * n
+    final = bytearray(n)
     # The states along the current path; in preorder a path's parent is the
     # latest state one word shorter.
     stack = [0]
-    for state, (path, _) in enumerate(items, 1):
+    for state, path in enumerate(islice(keys, 1, None), 1):
         del stack[len(path):]
         parent = stack[-1]
         parents[state] = parent
         degrees[parent] += 1
         stack.append(state)
         if path in phrases:
-            finals.append(state)
+            final[state] = 1
     targets = array("I", sorted(range(1, n), key=parents.__getitem__))
     return WordFst.from_columns(
         start=0,
-        finals=finals,
+        final=bytes(final),
         offsets=array("I", accumulate(degrees, initial=0)),
-        arc_words=[items[t - 1][0][-1] for t in targets],
-        weights=array("d", [items[t - 1][1] for t in targets]),
+        arc_words=[keys[t][-1] for t in targets],
+        weights=array("d", map(paths.__getitem__, map(keys.__getitem__, targets))),
         targets=targets,
     )
 
@@ -380,30 +404,38 @@ def _count_reachable(start: int, offsets: array, targets: array) -> int:
     return len(seen)
 
 
+def _marks(positions: Iterable[int], size: int) -> bytearray:
+    """``size`` bytes, 1 at each of ``positions`` (all in range), else 0."""
+    marks = bytearray(size)
+    deque(map(marks.__setitem__, positions, repeat(1)), maxlen=0)
+    return marks
+
+
 def _check_columns(fst: WordFst) -> str | None:
     """The first structural problem of ``fst``, or None if it has none.
 
     The normal path proves soundness with C-level loops over whole columns,
-    for automata numbered as the builder numbers them.  Every state is
-    reachable when the start is 0, every arc points to a higher state and
-    ``num_states - 1`` states are targets, by induction on the state number.
-    Any failure, or any other numbering, falls to :func:`_first_problem`.
+    for automata numbered as the builder numbers them, and builds no set:
+    positions are marked in byte columns instead.  Every state is reachable
+    when the start is 0, every arc points to a higher state and every state
+    but the start is a target, by induction on the state number.  Any
+    failure, or any other numbering, falls to :func:`_first_problem`.
     """
-    n, start, finals = fst.num_states, fst.start, fst.finals
+    n, start, final = fst.num_states, fst.start, fst.final
     offsets, words, targets = fst.offsets, fst.arc_words, fst.targets
     sizes = list(map(sub, islice(offsets, 1, None), offsets))
     # Adjacent words may fall only where a state's arcs begin.
     falls = compress(range(1, len(words)), map(ge, words, islice(words, 1, None)))
     sources = chain.from_iterable(map(repeat, range(n), sizes))
+    dead_ends = compress(range(1, n), map(not_, islice(sizes, 1, None)))
     if (
         offsets[0] == 0 and offsets[n] == len(words) and min(sizes, default=0) >= 0
         and start == 0 < n
-        and all(words) and set(offsets).issuperset(falls)
+        and all(words) and all(map(_marks(offsets, len(words) + 1).__getitem__, falls))
         and all(map(math.isfinite, fst.weights))
         and max(targets, default=0) < n
-        and (finals | {0}).issuperset(compress(range(n), map(not_, sizes)))
-        and all(map(range(n).__contains__, finals))
-        and len(set(targets)) == n - 1 and all(map(gt, targets, sources))
+        and len(final) == n and all(map(final.__getitem__, dead_ends))
+        and all(map(gt, targets, sources)) and _marks(targets, n).count(1, 1) == n - 1
     ):
         return None
     return _first_problem(fst)
@@ -411,7 +443,9 @@ def _check_columns(fst: WordFst) -> str | None:
 
 def _first_problem(fst: WordFst) -> str | None:
     """The first violation in state order, found one state at a time."""
-    n, offsets, words = fst.num_states, fst.offsets, fst.arc_words
+    n, offsets, words, final = fst.num_states, fst.offsets, fst.arc_words, fst.final
+    if len(final) < n:
+        return f"{len(final)} final flags for {n} states"
     if offsets[0] != 0 or offsets[n] != len(words):
         return f"arc offsets run {offsets[0]}..{offsets[n]}, not 0..{len(words)}"
     for s in range(n):
@@ -433,11 +467,11 @@ def _first_problem(fst: WordFst) -> str | None:
             if nextstate >= n:
                 return f"state {s}: next state {nextstate} out of range"
             prev = word
-        if lo == hi and s not in fst.finals and s != fst.start:
+        if lo == hi and not final[s] and s != fst.start:
             return f"state {s} is a non-final dead end"
-    for s in fst.finals:
-        if not 0 <= s < n:
-            return f"state {s} out of range"
+    stray = final.find(1, n)
+    if stray >= 0:
+        return f"state {stray} out of range"
     unreachable = n - _count_reachable(fst.start, offsets, fst.targets)
     return f"{unreachable} states unreachable from start" if unreachable else None
 
@@ -522,7 +556,7 @@ def serialize(fst: WordFst) -> bytes:
     if blob.count(b"\n") != max(fst.num_arcs - 1, 0):
         word = next(w for w in fst.arc_words if "\n" in w)
         raise ValueError(f"arc word {word!r} contains a newline")
-    flags = bytearray(map(fst.finals.__contains__, range(fst.num_states)))
+    flags = bytearray(memoryview(fst.final)[: fst.num_states])
     flags[fst.start] |= 2
     columns = (_little_endian(c).tobytes() for c in (fst.offsets, fst.targets, fst.weights))
     header = _HEADER.pack(_MAGIC, fst.num_states, fst.start, fst.num_arcs)
@@ -576,7 +610,7 @@ def deserialize(data: bytes) -> WordFst:
         raise InputFormatError(f"{len(words)} arc words for {num_arcs} arcs")
     fst = WordFst.from_columns(
         start=start,
-        finals=compress(range(n), flags.translate(_FINAL_BIT)),
+        final=flags.translate(_FINAL_BIT),
         offsets=offsets, arc_words=words, weights=weights, targets=targets,
     )
     problem = _check_columns(fst)

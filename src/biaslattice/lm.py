@@ -18,6 +18,7 @@ counts, then ``logprob  gram  [backoff]`` blocks, log base 10) plus a sidecar
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -232,6 +233,10 @@ def lm_logprob(lm: NGramLM, words: Iterable[str]) -> float:
 
 _LN10 = math.log(10.0)
 _BOW_ONLY = -99.0  # sentinel logprob for grams that exist only as contexts
+# How far above 0 a stored log10-prob may sit: a trained model can write a
+# probability a rounding error above 1, and nothing larger is a probability.
+_LOGPROB_TOLERANCE = 1e-6
+_LOG_MAX = math.log(sys.float_info.max)  # the largest argument math.exp takes
 
 
 def write_arpa(lm: NGramLM, path) -> None:
@@ -265,6 +270,7 @@ def read_arpa(path) -> NGramLM:
     declared: dict[int, int] = {}
     order = 0
     section = None
+    largest_bow = (-math.inf, 0, "")  # (back-off, line number, line)
     with open(path, encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f]
     i = 0
@@ -320,12 +326,21 @@ def read_arpa(path) -> NGramLM:
             raise InputFormatError(f"{path}:{i}: non-finite log-prob in {line!r}")
         if bow is not None and not math.isfinite(bow * _LN10):
             raise InputFormatError(f"{path}:{i}: non-finite back-off in {line!r}")
+        if p10 > _LOGPROB_TOLERANCE:
+            raise InputFormatError(f"{path}:{i}: log-prob above 0 in {line!r}")
         if p10 > _BOW_ONLY + 0.5:
             logprobs[words] = p10 * _LN10
         if bow is not None:
             backoffs[words] = bow * _LN10
+            if bow > largest_bow[0]:
+                largest_bow = (bow, i, line)
     if not logprobs:
         raise InputFormatError(f"{path}: no grams found")
+    # A score charges at most order - 1 back-offs on top of one log-prob,
+    # then takes math.exp of the sum.
+    bow, i, line = largest_bow
+    if (max(order - 1, 1) * bow + _LOGPROB_TOLERANCE) * _LN10 > _LOG_MAX:
+        raise InputFormatError(f"{path}:{i}: back-off too large to score in {line!r}")
     # Every sentence ends in EOS_WORD, and a word outside the model scores as UNK.
     missing = [w for w in (EOS_WORD, UNK) if (w,) not in logprobs]
     if missing:
@@ -359,6 +374,8 @@ def read_members(path) -> dict[str, dict[str, float]]:
                 raise InputFormatError(f"{path}:{lineno}: bad logprob") from None
             if not math.isfinite(logprob * _LN10):
                 raise InputFormatError(f"{path}:{lineno}: non-finite logprob {parts[2]!r}")
+            if logprob > _LOGPROB_TOLERANCE:
+                raise InputFormatError(f"{path}:{lineno}: logprob above 0: {parts[2]!r}")
             classes[parts[0]][parts[1]] = logprob * _LN10
     return dict(classes)
 

@@ -271,7 +271,7 @@ class PhraseWalk:
             q, outcome, increment, pending = fst.start, _FAILED, increment - pending, 0.0
         else:
             q = fst.targets[i]
-            if q not in fst.finals:
+            if not fst.final[q]:
                 outcome, pending = _CONTINUED, pending + fst.weights[i]
             elif offsets[q] != offsets[q + 1]:
                 outcome, pending, banked = _COMPLETED_OPEN, 0.0, True

@@ -466,7 +466,7 @@ def reference_build_catalog_fst(
 
 
 def reference_validate(fst: WordFst) -> None:
-    n = fst.num_states
+    n, finals = fst.num_states, fst.finals
     if not 0 <= fst.start < n:
         raise ValueError(f"start state {fst.start} out of range")
     for s, arcs in enumerate(fst.arcs):
@@ -481,9 +481,9 @@ def reference_validate(fst: WordFst) -> None:
             if nextstate >= n:
                 raise ValueError(f"state {s}: next state {nextstate} out of range")
             prev = word
-        if not arcs and s not in fst.finals and s != fst.start:
+        if not arcs and s not in finals and s != fst.start:
             raise ValueError(f"state {s} is a non-final dead end")
-    for s in fst.finals:
+    for s in finals:
         if not 0 <= s < n:
             raise ValueError(f"state {s} out of range")
     seen = {fst.start}
@@ -521,8 +521,9 @@ def reference_serialize(fst: WordFst) -> bytes:
     """``BLFST1`` bytes of ``fst``."""
     out = bytearray(_MAGIC)
     out += struct.pack("<II", fst.num_states, fst.start)
+    finals = fst.finals
     for s, arcs in enumerate(fst.arcs):
-        flags = (1 if s in fst.finals else 0) | (2 if s == fst.start else 0)
+        flags = (1 if s in finals else 0) | (2 if s == fst.start else 0)
         out += struct.pack("<BI", flags, len(arcs))
         for word, weight, nextstate in arcs:
             raw = word.encode("utf-8")

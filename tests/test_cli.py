@@ -408,3 +408,18 @@ class TestUnusableLm:
         assert run(command, *argv, "--lm-generic", model) == 2
         assert f"{model}: no unigram log-prob for {missing}" in capsys.readouterr().err
         assert not (tmp_path / "o.nbest").exists()
+
+    def test_logprob_above_zero_exits_2_naming_the_line(self, tmp_path, capsys):
+        model = tmp_path / "big.arpa"
+        model.write_text("\\data\\\nngram 1=3\n\n\\1-grams:\n400\ta\n-1\t</s>\n-1\t<unk>\n"
+                         "\n\\end\\\n")
+        hyp = {"text": "a a", "tokens": ["a_", "a_"], "rnnt_logp": -1.0, "sf_score": 0.0}
+        path = tmp_path / "dev.nbest"
+        path.write_text(json.dumps({"id": "general-0", "ref": "a a", "lambda": 1.0,
+                                    "hyps": [hyp]}) + "\n")
+        assert run("rescore", "--nbest", path, "--lm-generic", model,
+                   "--out", tmp_path / "o.nbest") == 2
+        err = capsys.readouterr().err
+        assert f"{model}:5: log-prob above 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.nbest").exists()

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -491,6 +493,56 @@ class TestReaderPrecedence:
         self.reject(bytes(data), "start state 7 out of range")
 
 
+class TestFinalColumn:
+    """Final states are one flag byte per state; ``finals`` is the set of
+    state numbers read from that column on each access."""
+
+    ARCS = [[("a", -1.0, 1), ("b", -1.0, 2)], [], [("c", -1.0, 3)], []]
+
+    def test_hand_built_from_columns_and_loaded_give_the_same_set(self):
+        f = WordFst(start=0, finals={1, 3}, arcs=self.ARCS)
+        assert f.final == b"\0\1\0\1"
+        assert f.finals == frozenset({1, 3})
+        g = WordFst.from_columns(start=0, final=bytes([0, 1, 0, 1]), offsets=f.offsets,
+                                 arc_words=f.arc_words, weights=f.weights, targets=f.targets)
+        assert g == f and g.finals == f.finals
+        loaded = deserialize(serialize(f))
+        assert loaded == f and loaded.finals == f.finals
+        assert type(loaded.final) is bytes
+
+    @given(catalogs())
+    @settings(max_examples=60, deadline=None)
+    def test_built_and_loaded_finals_are_the_phrase_ends(self, entries):
+        f = build_catalog_fst(entries)
+        ends = frozenset(f.phrase_path(e.phrase)[0] for e in entries)
+        assert f.finals == deserialize(serialize(f)).finals == ends
+        assert f.final == bytes(s in ends for s in range(f.num_states))
+
+    def test_stray_final_is_named_out_of_range(self):
+        n = len(self.ARCS)
+        f = WordFst(start=0, finals={1, 3, n + 3}, arcs=self.ARCS)
+        assert f.finals == frozenset({1, 3, n + 3})
+        assert _message(validate_fst, f) == f"state {n + 3} out of range"
+        assert _message(reference_validate, f) == f"state {n + 3} out of range"
+        # The stray final is not written: flags cover the states only.
+        assert deserialize(serialize(f)).finals == frozenset({1, 3})
+
+    def test_earlier_violation_beats_a_stray_final(self):
+        f = WordFst(start=0, finals={3, 9}, arcs=self.ARCS)
+        assert _message(validate_fst, f) == "state 1 is a non-final dead end"
+        assert _message(reference_validate, f) == "state 1 is a non-final dead end"
+
+    def test_negative_final_is_refused(self):
+        with pytest.raises(ValueError, match=r"^state -1 out of range$"):
+            WordFst(start=0, finals={-1, 1}, arcs=self.ARCS)
+
+    def test_short_final_column_is_named(self):
+        f = WordFst(start=0, finals={1, 3}, arcs=self.ARCS)
+        g = WordFst.from_columns(start=0, final=f.final[:3], offsets=f.offsets,
+                                 arc_words=f.arc_words, weights=f.weights, targets=f.targets)
+        assert _message(validate_fst, g) == "3 final flags for 4 states"
+
+
 class TestFormatPin:
     """Bytes of the seed-7 task's automata, pinned by sha256.
 
@@ -522,3 +574,37 @@ class TestFormatPin:
         assert (deserialize(catalog), deserialize(classes)) == automata
         assert serialize(deserialize(catalog)) == catalog
         assert serialize(deserialize(classes)) == classes
+
+
+def _retained_bytes(fn, *args):
+    """(``fn(*args)``, bytes it allocated and still holds once it returned)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestRetainedMemory:
+    """An automaton keeps its columns and its words, and no object per state.
+
+    On a 20k-entry catalog a built automaton keeps about 30 B per arc (its
+    words are the catalog's strings) and a loaded one about 82 B (its own
+    strings, one list slot each, and the columns).  A frozenset of final
+    states alone costs about 70 B per arc at this size, so it breaks both
+    bounds."""
+
+    BUILT_BYTES_PER_ARC = 50
+    LOADED_BYTES_PER_ARC = 100
+
+    def test_built_and_loaded_automata_keep_no_per_state_objects(self):
+        entries = make_task(7, n_contacts=20_000, n_test=1).all_bias_entries()
+        assert len(entries) > 20_000
+        built, built_bytes = _retained_bytes(build_catalog_fst, entries)
+        loaded, loaded_bytes = _retained_bytes(deserialize, serialize(built))
+        assert loaded == built
+        assert built_bytes < self.BUILT_BYTES_PER_ARC * built.num_arcs
+        assert loaded_bytes < self.LOADED_BYTES_PER_ARC * loaded.num_arcs

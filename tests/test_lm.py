@@ -229,6 +229,61 @@ class TestModelFiles:
         with pytest.raises(InputFormatError, match=f"^{re.escape(str(p))}:2: non-finite logprob"):
             read_members(p)
 
+    @pytest.mark.parametrize("value", ["400", "0.001"])
+    def test_logprob_above_zero_rejected(self, tmp_path, value):
+        p = self.arpa(tmp_path, "-1\t</s>", "-1\t<unk>", f"{value}\ta")
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(p))}:7: log-prob above 0"):
+            read_arpa(p)
+
+    @pytest.mark.parametrize("value", ["0", "-0", "1e-9", "1e-6"])
+    def test_logprob_a_rounding_error_above_zero_loads(self, tmp_path, value):
+        lm = read_arpa(self.arpa(tmp_path, "-1\t</s>", "-1\t<unk>", f"{value}\ta"))
+        assert lm.logprobs[("a",)] == float(value) * math.log(10.0)
+
+    def trigram_arpa(self, tmp_path, bow):
+        p = tmp_path / "m.arpa"
+        p.write_text(
+            "\\data\\\nngram 1=3\nngram 2=1\nngram 3=1\n\n"
+            f"\\1-grams:\n-1\t</s>\n-1\t<unk>\n-1\ta\t{bow}\n\n"
+            f"\\2-grams:\n-1\ta a\t{bow}\n\n"
+            "\\3-grams:\n-1\ta a a\n\n\\end\\\n"
+        )
+        return p
+
+    def test_backoff_whose_score_overflows_rejected(self, tmp_path):
+        # Scoring </s> after "a a" charges both back-offs: 10^400, past any float.
+        p = self.trigram_arpa(tmp_path, 200)
+        with pytest.raises(InputFormatError,
+                           match=f"^{re.escape(str(p))}:9: back-off too large to score"):
+            read_arpa(p)
+        # A unigram model charges no back-off, yet one that large is refused too.
+        p = self.arpa(tmp_path, "-1\t</s>", "-1\t<unk>", "-1\ta\t400")
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(p))}:7: back-off too large"):
+            read_arpa(p)
+
+    def test_largest_loadable_backoffs_score(self, tmp_path):
+        lm = read_arpa(self.trigram_arpa(tmp_path, 150))
+        assert lm_logprob(lm, ["a", "a", "a"]) < math.inf
+        assert lm.cond_logprob(("a", "a"), EOS_WORD) == pytest.approx(299 * math.log(10.0))
+
+    def test_member_logprob_above_zero_rejected(self, tmp_path):
+        p = tmp_path / "m.members"
+        p.write_text("@contactname\tada\t-0.3\n@contactname\tbo\t400\n")
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(p))}:2: logprob above 0"):
+            read_members(p)
+
+    def test_every_trained_model_loads(self, tmp_path):
+        rng = random.Random(17)
+        for _ in range(40):
+            lines = random_corpus(rng, n_sentences=rng.randint(1, 10))
+            lines += [f"call @contactname({rng.choice('abc')})"] * rng.randint(0, 3)
+            lm = train_kn_lm(lines, order=rng.randint(1, 4))
+            write_arpa(lm, tmp_path / "m.arpa")
+            write_members(lm, tmp_path / "m.members")
+            loaded = load_lm(tmp_path / "m.arpa", tmp_path / "m.members")
+            words = lines[0].split()
+            assert lm_logprob(loaded, words) == pytest.approx(lm_logprob(lm, words), abs=1e-9)
+
     def test_bad_members_line_rejected(self, tmp_path):
         p = tmp_path / "bad.members"
         p.write_text("contactname\tada\t-1\n")
