@@ -7,7 +7,7 @@ tuning.
 """
 
 from .fst import CatalogEntry, WordFst, build_catalog_fst
-from .lookahead import ExpandSession, PhraseSession, open_session
+from .lookahead import ExpandSession, open_session
 from .wordpiece import WordpieceVocab, make_vocab, segment
 
 __version__ = "0.1.0"
@@ -17,7 +17,6 @@ __all__ = [
     "WordFst",
     "build_catalog_fst",
     "ExpandSession",
-    "PhraseSession",
     "open_session",
     "WordpieceVocab",
     "make_vocab",

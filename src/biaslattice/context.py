@@ -204,9 +204,14 @@ class ContextualBiaser:
         }
         # Each tagged position's tag -> target arcs, and the race it opens:
         # every tag's walk at its start.
+        fst = class_fst.fst
         self._tag_targets: dict[int, dict[str, int]] = {}
-        for state, arcs in enumerate(class_fst.fst.arcs):
-            tagged = {arc.word: arc.nextstate for arc in arcs if arc.word.startswith("@")}
+        for state in range(fst.num_states):
+            tagged = {
+                fst.arc_words[i]: fst.targets[i]
+                for i in range(fst.offsets[state], fst.offsets[state + 1])
+                if fst.arc_words[i].startswith("@")
+            }
             if tagged:
                 self._tag_targets[state] = tagged
         self._races = {

@@ -28,10 +28,9 @@ or built by hand, with C-level loops over the columns.
 Automata are immutable after construction and safe to share across threads;
 all mutation happens inside the builder and the reader.  The columns are a
 list, arrays and bytes, shared rather than copied, so callers must not
-change them either.  ``arcs[s]``, ``words[s]`` and ``finals`` are views
-derived from the columns on each access.  The one derived structure, the
-band index, is built lazily on first use; threads racing on it only compute
-the same value twice.
+change them either; they are the only way to read an automaton.  The one
+derived structure, the band index, is built lazily on first use; threads
+racing on it only compute the same value twice.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import ge, gt, not_, sub
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import InputFormatError
 from .wordpiece import DEFAULT_DELIMITER
@@ -69,12 +68,6 @@ BAND_BLOCK = 32
 
 class CatalogError(InputFormatError, ValueError):
     """A phrase catalog violates the builder's preconditions."""
-
-
-class Arc(NamedTuple):
-    word: str
-    weight: float
-    nextstate: int
 
 
 @dataclass(frozen=True)
@@ -102,35 +95,6 @@ class CatalogEntry:
         return " ".join(self.phrase)
 
 
-class _PerState:
-    """``view[s]`` slices state ``s``'s arcs out of an automaton's columns."""
-
-    __slots__ = ("_fst", "_get")
-
-    def __init__(self, fst: "WordFst", get):
-        self._fst = fst
-        self._get = get
-
-    def __len__(self) -> int:
-        return self._fst.num_states
-
-    def __getitem__(self, state: int):
-        offsets = self._fst.offsets
-        state = range(len(offsets) - 1)[state]
-        return self._get(self._fst, offsets[state], offsets[state + 1])
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-
-def _arc_slice(fst: "WordFst", lo: int, hi: int) -> tuple[Arc, ...]:
-    return tuple(map(Arc, fst.arc_words[lo:hi], fst.weights[lo:hi], fst.targets[lo:hi]))
-
-
-def _word_slice(fst: "WordFst", lo: int, hi: int) -> list[str]:
-    return fst.arc_words[lo:hi]
-
-
 @dataclass(frozen=True, init=False, repr=False)
 class WordFst:
     """Trie-shaped weighted automaton over whole words, stored as columns.
@@ -141,11 +105,9 @@ class WordFst:
     word (no duplicate words at one state).  ``final[s]`` is 1 if state ``s``
     ends a phrase and 0 if not: one byte per state, and no per-state object.
 
-    ``arcs[s]`` (a tuple of :class:`Arc`), ``words[s]`` (a list of words) and
-    ``finals`` (a frozenset of state numbers) are views, derived from the
-    columns on each access; hot paths read the columns directly.  The
-    constructor takes per-state arc lists and a set of final states, for
-    automata built by hand; :meth:`from_columns` wraps ready columns.
+    The constructor takes per-state ``(word, weight, next state)`` lists and
+    the final states, for automata built by hand; :meth:`from_columns` wraps
+    ready columns.
     """
 
     start: int
@@ -204,24 +166,6 @@ class WordFst:
             offsets=offsets, arc_words=arc_words, weights=weights, targets=targets,
         )
 
-    def __repr__(self) -> str:
-        return f"WordFst(start={self.start}, finals={sorted(self.finals)}, arcs={list(self.arcs)})"
-
-    @property
-    def finals(self) -> frozenset[int]:
-        """The final states, as a set made from the ``final`` column."""
-        return frozenset(compress(range(len(self.final)), self.final))
-
-    @property
-    def arcs(self) -> _PerState:
-        """``arcs[s]``: the arcs of state ``s`` as a tuple of :class:`Arc`."""
-        return _PerState(self, _arc_slice)
-
-    @property
-    def words(self) -> _PerState:
-        """``words[s]``: the sorted input words of state ``s`` (for bisect)."""
-        return _PerState(self, _word_slice)
-
     @cached_property
     def _band_index(self) -> tuple[array, array]:
         """(max word length, strongest weight) of each ``BAND_BLOCK`` arcs of the columns.
@@ -267,49 +211,12 @@ class WordFst:
             strongest(chain(weights[lo:head], block_weight[b0:b1], weights[tail:hi])),
         )
 
-    def arc(self, i: int) -> Arc:
-        """The arc at column position ``i``."""
-        return Arc(self.arc_words[i], self.weights[i], self.targets[i])
-
     def arc_id(self, state: int, word: str) -> int | None:
         """Column position of ``state``'s arc labelled ``word``, or None."""
         lo, hi = self.offsets[state], self.offsets[state + 1]
         words = self.arc_words
         i = bisect.bisect_left(words, word, lo, hi)
         return i if i < hi and words[i] == word else None
-
-    def find_arc(self, state: int, word: str) -> Arc | None:
-        """Exact-match lookup of ``word`` among the arcs of ``state``."""
-        i = self.arc_id(state, word)
-        return None if i is None else self.arc(i)
-
-    def phrase_path(self, phrase: Iterable[str]) -> tuple[int, float] | None:
-        """Follow whole-word arcs from the start state.
-
-        Returns ``(end_state, summed_weight)``, or None if some word has no
-        arc along the way.
-        """
-        state = self.start
-        total = 0.0
-        for word in phrase:
-            i = self.arc_id(state, word)
-            if i is None:
-                return None
-            total += self.weights[i]
-            state = self.targets[i]
-        return state, total
-
-    def iter_phrases(self):
-        """Yield ``(phrase_words, end_state)`` for every path ending final."""
-        offsets, arc_words, targets = self.offsets, self.arc_words, self.targets
-        final = self.final
-        stack = [(self.start, ())]
-        while stack:
-            state, words = stack.pop()
-            if final[state] and words:
-                yield words, state
-            for i in reversed(range(offsets[state], offsets[state + 1])):
-                stack.append((targets[i], words + (arc_words[i],)))
 
 
 def build_catalog_fst(

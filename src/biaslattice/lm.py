@@ -191,30 +191,33 @@ def train_kn_lm(
 
 
 def surface_prob(lm: NGramLM, context: tuple[str, ...], word: str) -> tuple[float, str]:
-    """Linear-domain probability of a surface word, plus its context token.
+    """Natural-log probability of a surface word, plus its context token.
 
-    Mixes the plain-word path with every class path containing the word; the
-    context token is the analysis with the larger share (tag or word), which
-    keeps scoring deterministic.  Unknown words score as the unknown token.
+    Mixes the plain-word path with every class path containing the word, by
+    a log-sum-exp, so no path's probability underflows to 0; a word with one
+    path pays no ``exp``/``log`` round trip.  The context token is the
+    analysis with the larger share (tag or word), which keeps scoring
+    deterministic.  Unknown words score as the unknown token.
     """
-    p = 0.0
-    best_p = -1.0
+    paths = []
+    best_lp = -math.inf
     best_tok = UNK
     if word in lm.vocab and word not in lm.classes:
-        pw = math.exp(lm.cond_logprob(context, word))
-        p += pw
-        best_p, best_tok = pw, word
+        best_lp, best_tok = lm.cond_logprob(context, word), word
+        paths.append(best_lp)
     for tag, members in lm.classes.items():
         lp = members.get(word)
         if lp is not None and tag in lm.vocab:
-            pc = math.exp(lm.cond_logprob(context, tag)) * math.exp(lp)
-            p += pc
-            if pc > best_p:
-                best_p, best_tok = pc, tag
-    if p == 0.0:
-        p = math.exp(lm.cond_logprob(context, UNK))
-        best_tok = UNK
-    return p, best_tok
+            lc = lm.cond_logprob(context, tag) + lp
+            paths.append(lc)
+            if lc > best_lp:
+                best_lp, best_tok = lc, tag
+    if not paths:
+        return lm.cond_logprob(context, UNK), UNK
+    if len(paths) == 1:
+        return best_lp, best_tok
+    top = max(paths)
+    return top + math.log(sum(math.exp(lp - top) for lp in paths)), best_tok
 
 
 def lm_logprob(lm: NGramLM, words: Iterable[str]) -> float:
@@ -223,8 +226,8 @@ def lm_logprob(lm: NGramLM, words: Iterable[str]) -> float:
     ctx = (BOS,) * ctx_len
     total = 0.0
     for word in words:
-        p, tok = surface_prob(lm, ctx, word.lower())
-        total += math.log(p)
+        lp, tok = surface_prob(lm, ctx, word.lower())
+        total += lp
         ctx = (ctx + (tok,))[-ctx_len:] if ctx_len else ()
     return total + lm.cond_logprob(ctx, EOS_WORD)
 

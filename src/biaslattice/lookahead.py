@@ -50,9 +50,8 @@ arc: it fails the phrase in progress and pays back its pending weight.
 :class:`Session` pairs a scorer with its current state; cloning one copies
 two references, which is all beam search pays per hypothesis extension.
 A biaser is its own scorer, so its session is a plain :class:`Session`.
-:class:`ExpandSession` (one word from a fixed state) and
-:class:`PhraseSession` (multi-word phrases with completion, restart and
-end-of-stream cleanup) are thin facades over the walk.
+:class:`ExpandSession` scores one word from a fixed state and records a
+trace of it; it is a thin facade over the walk.
 """
 
 from __future__ import annotations
@@ -429,22 +428,18 @@ class ExpandSession:
         if self.dead:
             return increment, None
         step, i, self.state = self.walk.close_word(self.state, self.walk.delimiter)
-        arc = None if i is None else self.walk.fst.arc(i)
         if self.trace is not None:
-            self._record(step, closing=True, arc=arc)
-        return increment + step, None if arc is None else arc.nextstate
+            self._record(step, closing=True, matched=i)
+        return increment + step, None if i is None else self.walk.fst.targets[i]
 
-    def fallback_weight(self) -> float:
-        """The correction that would zero everything emitted so far."""
-        return -self.emitted
-
-    def _record(self, increment, *, closing=False, arc=None):
+    def _record(self, increment, *, closing=False, matched=None):
         _, prefix, lo, hi, pushed, dead = self.state[:6]
+        fst = self.walk.fst
         longest = lookahead = None
         if closing:
-            lookahead = None if arc is None else arc.weight
+            lookahead = None if matched is None else fst.weights[matched]
         elif not dead:
-            longest, lookahead = self.walk.fst.band_summary(lo, hi)
+            longest, lookahead = fst.band_summary(lo, hi)
         self.trace.append(
             {
                 "prefix": prefix,
@@ -454,7 +449,7 @@ class ExpandSession:
                 "lookahead": lookahead,
                 "pushed": None if dead else pushed,
                 "increment": increment,
-                "matched": None if arc is None else arc.word,
+                "matched": None if matched is None else fst.arc_words[matched],
             }
         )
 
@@ -462,37 +457,3 @@ class ExpandSession:
 def open_session(fst: WordFst, state: int, **kwargs) -> ExpandSession:
     """Start scoring one word from ``state`` (kwargs as for ExpandSession)."""
     return ExpandSession(fst, state, **kwargs)
-
-
-class PhraseSession(Session):
-    """A :class:`PhraseWalk` session over multi-word phrases.
-
-    ``expand`` and ``finalize`` return score increments; ``finish_word``
-    returns ``(increment, WordOutcome)``.  See :class:`PhraseWalk` for the
-    scoring rules.
-    """
-
-    __slots__ = ()
-
-    def __init__(
-        self,
-        fst: WordFst,
-        *,
-        delimiter: str = DEFAULT_DELIMITER,
-        cache: dict | None = None,
-        counter: ProbeCounter | None = None,
-        state: int | None = None,
-    ):
-        walk = PhraseWalk(fst, delimiter=delimiter, cache=cache, counter=counter)
-        super().__init__(walk, walk.initial(state))
-
-    @property
-    def word(self) -> ExpandSession:
-        """A snapshot of the current word as a single-word session."""
-        view = _new(ExpandSession)
-        view.walk, view.state, view.trace, view.finished = self.scorer, self.state, None, False
-        return view
-
-    def finish_word(self, token: str) -> tuple[float, WordOutcome]:
-        increment, outcome, self.state = self.scorer.finish_word(self.state, token)
-        return increment, outcome

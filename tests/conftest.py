@@ -11,6 +11,15 @@ PLAY_CATALOG = [
     CatalogEntry(("playground",), -8.0),
 ]
 
+# A back-off model that loads but whose word probabilities underflow: after
+# <s>, "a" pays the 10^-300 back-off on top of its 10^-98 unigram, which a
+# linear-domain mix rounds to probability 0.
+UNDERFLOW_ARPA = (
+    "\\data\\\nngram 1=4\nngram 2=1\n\n"
+    "\\1-grams:\n-98\ta\n-98\t<unk>\n-1\t</s>\n-99\t<s>\t-300\n\n"
+    "\\2-grams:\n-1\t<s> </s>\n\n\\end\\\n"
+)
+
 
 @pytest.fixture(scope="session")
 def play_fst():

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from biaslattice.decode import END, Hypothesis, NBestList, NullBiaser, _check_normalized, fuse_step
 from biaslattice.errors import InputFormatError
-from biaslattice.fst import DEFAULT_DELIMITER, Arc, CatalogEntry, CatalogError, WordFst
+from biaslattice.fst import DEFAULT_DELIMITER, CatalogEntry, CatalogError, WordFst
 from biaslattice.lookahead import PhraseWalk, WordOutcome
 from biaslattice.wordpiece import detokenize, is_delimiter
 
@@ -50,11 +50,11 @@ def linear_prefix_filter(words, lo: int, hi: int, prefix: str) -> tuple[int, int
 # -- lookahead weight pushing -----------------------------------------------------
 
 
-def band_scan(arcs, lo: int, hi: int) -> tuple[int, float]:
-    """(longest word, first minimum weight) of ``arcs[lo:hi]``, left to right."""
+def band_scan(words, weights, lo: int, hi: int) -> tuple[int, float]:
+    """(longest word, first minimum weight) of positions ``[lo, hi)``, left to right."""
     longest = 0
     best = None
-    for word, weight, _ in arcs[lo:hi]:
+    for word, weight in zip(words[lo:hi], weights[lo:hi]):
         longest = max(longest, len(word))
         if best is None or weight < best:
             best = weight
@@ -450,13 +450,38 @@ def reference_build_catalog_fst(
 
     arcs = tuple(
         tuple(
-            Arc(word, node.edges[word][0], ids[id(node.edges[word][1])])
+            (word, node.edges[word][0], ids[id(node.edges[word][1])])
             for word in sorted(node.edges)
         )
         for node in order
     )
     finals = frozenset(ids[id(n)] for n in order if n.final)
     return WordFst(start=0, finals=finals, arcs=arcs)
+
+
+# -- automata, read state by state ------------------------------------------------
+
+
+def phrase_end(fst: WordFst, phrase: Iterable[str]) -> tuple[int, float] | None:
+    """``(end state, summed weight)`` of ``phrase`` walked from the start
+    state, each word found by a linear scan of the state's arcs, or None if
+    some word has no arc."""
+    state, total = fst.start, 0.0
+    for word in phrase:
+        hits = [i for i in _positions(fst, state) if fst.arc_words[i] == word]
+        if not hits:
+            return None
+        total += fst.weights[hits[0]]
+        state = fst.targets[hits[0]]
+    return state, total
+
+
+def _positions(fst: WordFst, state: int) -> range:
+    return range(fst.offsets[state], fst.offsets[state + 1])
+
+
+def _state_arcs(fst: WordFst, state: int) -> list[tuple[str, float, int]]:
+    return [(fst.arc_words[i], fst.weights[i], fst.targets[i]) for i in _positions(fst, state)]
 
 
 # -- automaton checks, state by state ---------------------------------------------
@@ -466,10 +491,12 @@ def reference_build_catalog_fst(
 
 
 def reference_validate(fst: WordFst) -> None:
-    n, finals = fst.num_states, fst.finals
+    n = fst.num_states
+    finals = {s for s, flag in enumerate(fst.final) if flag}
     if not 0 <= fst.start < n:
         raise ValueError(f"start state {fst.start} out of range")
-    for s, arcs in enumerate(fst.arcs):
+    for s in range(n):
+        arcs = _state_arcs(fst, s)
         prev = ""
         for word, weight, nextstate in arcs:
             if not word:
@@ -489,10 +516,10 @@ def reference_validate(fst: WordFst) -> None:
     seen = {fst.start}
     frontier = [fst.start]
     while frontier:
-        for arc in fst.arcs[frontier.pop()]:
-            if arc.nextstate not in seen:
-                seen.add(arc.nextstate)
-                frontier.append(arc.nextstate)
+        for _, _, nextstate in _state_arcs(fst, frontier.pop()):
+            if nextstate not in seen:
+                seen.add(nextstate)
+                frontier.append(nextstate)
     if len(seen) < n:
         raise ValueError(f"{n - len(seen)} states unreachable from start")
 
@@ -521,9 +548,9 @@ def reference_serialize(fst: WordFst) -> bytes:
     """``BLFST1`` bytes of ``fst``."""
     out = bytearray(_MAGIC)
     out += struct.pack("<II", fst.num_states, fst.start)
-    finals = fst.finals
-    for s, arcs in enumerate(fst.arcs):
-        flags = (1 if s in finals else 0) | (2 if s == fst.start else 0)
+    for s in range(fst.num_states):
+        arcs = _state_arcs(fst, s)
+        flags = fst.final[s] | (2 if s == fst.start else 0)
         out += struct.pack("<BI", flags, len(arcs))
         for word, weight, nextstate in arcs:
             raw = word.encode("utf-8")
@@ -584,7 +611,7 @@ def reference_deserialize(data: bytes) -> WordFst:
             word = r.string()
             weight = r.f64()
             nextstate = r.u32()
-            state_arcs.append(Arc(word, weight, nextstate))
+            state_arcs.append((word, weight, nextstate))
         arcs.append(tuple(state_arcs))
     if r.pos != len(data):
         raise InputFormatError(f"{len(data) - r.pos} trailing bytes at offset {r.pos}")
@@ -651,7 +678,7 @@ def reference_deserialize_columnar(data: bytes) -> WordFst:
         if offsets[s] > offsets[s + 1]:
             raise InputFormatError(f"malformed automaton: state {s}: arc offsets decrease")
     arcs = [
-        [Arc(words[i], weights[i], targets[i]) for i in range(offsets[s], offsets[s + 1])]
+        [(words[i], weights[i], targets[i]) for i in range(offsets[s], offsets[s + 1])]
         for s in range(n)
     ]
     return _validated(WordFst(

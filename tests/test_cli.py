@@ -7,6 +7,7 @@ from biaslattice.fst import load_fst
 from biaslattice.metrics import write_refs
 from biaslattice.wordpiece import save_vocab
 from biaslattice.synthdata import default_vocab
+from conftest import UNDERFLOW_ARPA
 from oracles import reference_serialize
 
 
@@ -61,7 +62,7 @@ class TestBuildFst:
         assert run("build-fst", "--class-corpus", workdir / "class.txt",
                    "--min-count", 10, "--out", out) == 0
         fst = load_fst(out)
-        assert any(a.word == "@contactname" for arcs in fst.arcs for a in arcs)
+        assert "@contactname" in fst.arc_words
 
     def test_requires_exactly_one_source(self, workdir, capsys):
         assert run("build-fst", "--out", workdir / "x.fst") == 2
@@ -423,3 +424,21 @@ class TestUnusableLm:
         assert f"{model}:5: log-prob above 0" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o.nbest").exists()
+
+
+class TestUnderflowingLm:
+    """A model whose summed back-offs take a word's probability below the
+    smallest float still rescores: scores are mixed in the log domain."""
+
+    def test_rescore_exits_0(self, tmp_path, capsys):
+        model = tmp_path / "m.arpa"
+        model.write_text(UNDERFLOW_ARPA)
+        hyp = {"text": "a a", "tokens": ["a_", "a_"], "rnnt_logp": -1.0, "sf_score": 0.0}
+        path = tmp_path / "dev.nbest"
+        path.write_text(json.dumps({"id": "general-0", "ref": "a a", "lambda": 1.0,
+                                    "hyps": [hyp]}) + "\n")
+        assert run("rescore", "--nbest", path, "--lm-generic", model, "--beta", 1,
+                   "--out", tmp_path / "o.nbest") == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads((tmp_path / "o.nbest").read_text())["hyps"][0]["text"] == "a a"
+

@@ -15,9 +15,9 @@ from biaslattice.context import (
 )
 from biaslattice.errors import InputFormatError
 from biaslattice.fst import CatalogEntry, build_catalog_fst
-from biaslattice.lookahead import PhraseSession
+from biaslattice.lookahead import PhraseWalk
 from conftest import random_catalog
-from oracles import reference_tag_race
+from oracles import phrase_end, reference_tag_race
 
 
 class TestParseAnnotated:
@@ -47,15 +47,15 @@ class TestBuildClassFst:
         lines = [f"call @contactname(name{i})" for i in range(12)]
         cfst = build_class_fst(lines, min_count=10)
         assert cfst.tags == {"@contactname"}
-        state, weight = cfst.fst.phrase_path(("call", "@contactname"))
-        assert state in cfst.fst.finals
+        state, weight = phrase_end(cfst.fst, ("call", "@contactname"))
+        assert cfst.fst.final[state]
         assert weight == 0.0
 
     def test_threshold_drops_rare_template(self):
         lines = [f"call @contactname(n{i})" for i in range(12)]
         lines += ["maybe call @contactname(x)"] * 9
         cfst = build_class_fst(lines, min_count=10)
-        assert cfst.fst.phrase_path(("maybe", "call", "@contactname")) is None
+        assert phrase_end(cfst.fst, ("maybe", "call", "@contactname")) is None
 
     def test_empty_corpus_gives_bare_start(self):
         cfst = build_class_fst([], min_count=10)
@@ -86,8 +86,12 @@ class TestBuildClassFst:
         for threshold in (1, 10, 25, 60):
             cfst = build_class_fst(lines, min_count=threshold)
             kept = {t for t, c in counts.items() if c >= threshold}
-            got = {words for words, _ in cfst.fst.iter_phrases()}
-            assert got == kept
+            # A trie has one path per final state: the kept templates end in
+            # final states, the others do not, and no other phrase is left.
+            for template in counts:
+                end = phrase_end(cfst.fst, template)
+                assert (end is not None and cfst.fst.final[end[0]]) == (template in kept)
+            assert cfst.fst.final.count(1) == len(kept)
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(InputFormatError, match=":2:"):
@@ -174,7 +178,7 @@ class TestContextSession:
             fst = build_catalog_fst(entries)
             biaser = make_biaser({"@any": entries}, ["@any(x)"])
             ctx_session = biaser.open_session()
-            plain = PhraseSession(fst)
+            plain = PhraseWalk(fst).open_session()
             words = [e.phrase[0] for e in entries] + ["qqq", "ab"]
             rng.shuffle(words)
             text = " ".join(words)
@@ -183,7 +187,7 @@ class TestContextSession:
             want_words = []
             for word in text.split():
                 inc = sum(plain.expand(c) for c in word)
-                winc, _ = plain.finish_word("_")
+                winc = plain.finish_word("_")
                 want_words.append(inc + winc)
                 want_total += inc + winc
             assert got_words == pytest.approx(want_words, abs=1e-12)
@@ -221,7 +225,7 @@ class TestContextSession:
         session = biaser.open_session()
         drive(session, "call ada now")
         # after "now" the skeleton should sit at the template end
-        end_state, _ = biaser.class_fst.fst.phrase_path(("call", "@contactname", "now"))
+        end_state, _ = phrase_end(biaser.class_fst.fst, ("call", "@contactname", "now"))
         assert session.state[0] == end_state
 
     def test_two_tags_at_one_state(self):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from biaslattice.context import build_class_fst
 from biaslattice.errors import InputFormatError
 from biaslattice.fst import (
-    Arc,
     CatalogEntry,
     CatalogError,
     WordFst,
@@ -25,6 +24,7 @@ from biaslattice.fst import (
 from biaslattice.synthdata import make_task
 from conftest import random_catalog
 from oracles import (
+    phrase_end,
     reference_build_catalog_fst,
     reference_deserialize,
     reference_deserialize_columnar,
@@ -37,15 +37,18 @@ from oracles import (
 class TestBuild:
     def test_worked_example_shape(self, play_fst):
         assert play_fst.num_states == 4
-        assert len(play_fst.arcs[play_fst.start]) == 3
-        assert len(play_fst.finals) == 3
-        assert all(arc.weight == -8.0 for arc in play_fst.arcs[play_fst.start])
+        start = play_fst.start
+        assert play_fst.arc_count(start) == 3
+        assert play_fst.final.count(1) == 3
+        lo, hi = play_fst.offsets[start], play_fst.offsets[start + 1]
+        assert all(weight == -8.0 for weight in play_fst.weights[lo:hi])
 
     def test_single_entry(self):
         f = build_catalog_fst([CatalogEntry(("call",), -1.0)])
         assert f.num_states == 2
-        assert f.arcs[f.start] == (Arc("call", -1.0, 1),)
-        assert f.finals == frozenset({1})
+        assert (f.offsets.tolist(), f.arc_words, f.weights.tolist(), f.targets.tolist()) == (
+            [0, 1, 1], ["call"], [-1.0], [1])
+        assert f.final == b"\0\1"
 
     def test_arc_count_matches_brute_force_trie(self):
         rng = random.Random(7)
@@ -65,8 +68,8 @@ class TestBuild:
             assert f.num_arcs == trie_arc_count([e.phrase for e in entries])
             validate_fst(f)
             for e in entries:
-                state, weight = f.phrase_path(e.phrase)
-                assert state in f.finals
+                state, weight = phrase_end(f, e.phrase)
+                assert f.final[state]
                 assert weight == len(e.phrase) * e.weight
 
     def test_phrase_paths_sum_to_length_times_weight(self):
@@ -77,16 +80,16 @@ class TestBuild:
         ]
         f = build_catalog_fst(entries)
         for e in entries:
-            state, weight = f.phrase_path(e.phrase)
-            assert state in f.finals
+            state, weight = phrase_end(f, e.phrase)
+            assert f.final[state]
             assert weight == pytest.approx(len(e.phrase) * e.weight, abs=1e-12)
 
     def test_arcs_sorted_strictly(self):
         rng = random.Random(3)
         for _ in range(20):
             f = build_catalog_fst(random_catalog(rng))
-            for arcs in f.arcs:
-                words = [a.word for a in arcs]
+            for s in range(f.num_states):
+                words = f.arc_words[f.offsets[s] : f.offsets[s + 1]]
                 assert all(a < b for a, b in zip(words, words[1:]))
 
     def test_empty_catalog_rejected(self):
@@ -201,7 +204,7 @@ class TestValidate:
         f = WordFst(
             start=0,
             finals=frozenset({1, 2}),
-            arcs=((Arc("b", -1.0, 1), Arc("a", -1.0, 2)), (), ()),
+            arcs=((("b", -1.0, 1), ("a", -1.0, 2)), (), ()),
         )
         with pytest.raises(ValueError, match="sorted"):
             validate_fst(f)
@@ -210,7 +213,7 @@ class TestValidate:
         f = WordFst(
             start=0,
             finals=frozenset({1, 2}),
-            arcs=((Arc("a", -1.0, 1),), (), ()),
+            arcs=((("a", -1.0, 1),), (), ()),
         )
         with pytest.raises(ValueError, match="unreachable"):
             validate_fst(f)
@@ -219,7 +222,7 @@ class TestValidate:
         f = WordFst(
             start=0,
             finals=frozenset(),
-            arcs=((Arc("a", -1.0, 1),), ()),
+            arcs=((("a", -1.0, 1),), ()),
         )
         with pytest.raises(ValueError, match="dead end"):
             validate_fst(f)
@@ -319,8 +322,10 @@ class TestCheckParity:
             rnd.shuffle(number)
         arcs = [None] * n
         for s in range(n):
-            arcs[number[s]] = [[w, wt, number[t]] for w, wt, t in f.arcs[s]]
-        finals = {number[s] for s in f.finals}
+            lo, hi = f.offsets[s], f.offsets[s + 1]
+            arcs[number[s]] = [[w, wt, number[t]] for w, wt, t in
+                               zip(f.arc_words[lo:hi], f.weights[lo:hi], f.targets[lo:hi])]
+        finals = {number[s] for s in range(n) if f.final[s]}
         start = number[f.start]
         flat = [arc for state_arcs in arcs for arc in state_arcs]
         for _ in range(data.draw(st.integers(0, 2))):
@@ -494,38 +499,36 @@ class TestReaderPrecedence:
 
 
 class TestFinalColumn:
-    """Final states are one flag byte per state; ``finals`` is the set of
-    state numbers read from that column on each access."""
+    """Final states are one flag byte per state, however the automaton was made."""
 
     ARCS = [[("a", -1.0, 1), ("b", -1.0, 2)], [], [("c", -1.0, 3)], []]
 
     def test_hand_built_from_columns_and_loaded_give_the_same_set(self):
         f = WordFst(start=0, finals={1, 3}, arcs=self.ARCS)
         assert f.final == b"\0\1\0\1"
-        assert f.finals == frozenset({1, 3})
         g = WordFst.from_columns(start=0, final=bytes([0, 1, 0, 1]), offsets=f.offsets,
                                  arc_words=f.arc_words, weights=f.weights, targets=f.targets)
-        assert g == f and g.finals == f.finals
+        assert g == f  # every column, the final flags too
         loaded = deserialize(serialize(f))
-        assert loaded == f and loaded.finals == f.finals
+        assert loaded == f
         assert type(loaded.final) is bytes
 
     @given(catalogs())
     @settings(max_examples=60, deadline=None)
     def test_built_and_loaded_finals_are_the_phrase_ends(self, entries):
         f = build_catalog_fst(entries)
-        ends = frozenset(f.phrase_path(e.phrase)[0] for e in entries)
-        assert f.finals == deserialize(serialize(f)).finals == ends
-        assert f.final == bytes(s in ends for s in range(f.num_states))
+        ends = frozenset(phrase_end(f, e.phrase)[0] for e in entries)
+        assert f.final == deserialize(serialize(f)).final == bytes(
+            s in ends for s in range(f.num_states))
 
     def test_stray_final_is_named_out_of_range(self):
         n = len(self.ARCS)
         f = WordFst(start=0, finals={1, 3, n + 3}, arcs=self.ARCS)
-        assert f.finals == frozenset({1, 3, n + 3})
+        assert f.final == bytes([0, 1, 0, 1, 0, 0, 0, 1])
         assert _message(validate_fst, f) == f"state {n + 3} out of range"
         assert _message(reference_validate, f) == f"state {n + 3} out of range"
         # The stray final is not written: flags cover the states only.
-        assert deserialize(serialize(f)).finals == frozenset({1, 3})
+        assert deserialize(serialize(f)).final == b"\0\1\0\1"
 
     def test_earlier_violation_beats_a_stray_final(self):
         f = WordFst(start=0, finals={3, 9}, arcs=self.ARCS)

@@ -1,8 +1,12 @@
 import math
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from biaslattice.errors import InputFormatError
 from biaslattice.lm import (
@@ -18,6 +22,7 @@ from biaslattice.lm import (
     write_arpa,
     write_members,
 )
+from conftest import UNDERFLOW_ARPA
 from oracles import RefKN
 
 
@@ -105,13 +110,11 @@ class TestClasses:
         lm = train_kn_lm(["call @contactname(john)"] * 3, order=2)
         ctx = (BOS,) * 1
         # advance the context through "call"
-        p_call, tok = surface_prob(lm, ctx, "call")
+        _, tok = surface_prob(lm, ctx, "call")
         ctx2 = (tok,)
-        p_john, tok2 = surface_prob(lm, ctx2, "john")
-        want = math.exp(lm.cond_logprob(ctx2, "@contactname")) * math.exp(
-            lm.classes["@contactname"]["john"]
-        )
-        assert p_john == pytest.approx(want, rel=1e-12)
+        lp_john, tok2 = surface_prob(lm, ctx2, "john")
+        want = lm.cond_logprob(ctx2, "@contactname") + lm.classes["@contactname"]["john"]
+        assert lp_john == pytest.approx(want, rel=1e-12)
         assert tok2 == "@contactname"
 
     def test_members_normalize(self):
@@ -127,7 +130,7 @@ class TestClasses:
         members = set(lm.classes["@contactname"])
         surface = (set(lm.vocab) - {"@contactname"}) | members
         for ctx_tok in ["call", "play", UNK]:
-            total = sum(surface_prob(lm, (ctx_tok,), w)[0] for w in surface)
+            total = sum(math.exp(surface_prob(lm, (ctx_tok,), w)[0]) for w in surface)
             assert total == pytest.approx(1.0, abs=1e-6), ctx_tok
 
     def test_multi_word_span_becomes_per_word_members(self):
@@ -136,9 +139,9 @@ class TestClasses:
 
     def test_oov_word_scores_as_unknown(self):
         lm = train_kn_lm(["a b"], order=2)
-        p, tok = surface_prob(lm, (BOS,), "zzz")
+        lp, tok = surface_prob(lm, (BOS,), "zzz")
         assert tok == UNK
-        assert p == pytest.approx(math.exp(lm.cond_logprob((BOS,), UNK)), rel=1e-12)
+        assert lp == lm.cond_logprob((BOS,), UNK)
 
 
 class TestModelFiles:
@@ -289,3 +292,74 @@ class TestModelFiles:
         p.write_text("contactname\tada\t-1\n")
         with pytest.raises(InputFormatError):
             read_members(p)
+
+
+_WORDS = ("a", "b", "c", "<s>", "@x")
+_LOG10_PROBS = st.floats(-99.0, 1e-6)  # down to the back-off-only cutoff
+
+
+@st.composite
+def _accepted_model_files(draw):
+    """ARPA text of order 1-4 and member-file text, over a few words, a class
+    tag and ``<s>``.  Log10-probs run from the back-off-only cutoff (-99) to
+    the rounding tolerance above 0.  Log10 back-offs run from -400, where one
+    back-off with a unigram already falls below the smallest float, up to the
+    largest value ``read_arpa`` accepts at the model's order.  Member
+    log10-probs run over the log-probs' range, for words in and out of the
+    vocabulary.  Sequences hold at most 8 words."""
+    order = draw(st.integers(1, 4))
+    bow_max = math.log(1.7976931348623157e308) / math.log(10.0) / max(order - 1, 1)
+    backoffs = st.none() | st.floats(-400.0, bow_max)
+    grams = {("</s>",): None, ("<unk>",): None}
+    for k in range(1, order + 1):
+        for gram in draw(st.lists(st.tuples(*[st.sampled_from(_WORDS)] * k), max_size=6)):
+            grams[gram] = None
+    sections = []
+    for k in range(1, order + 1):
+        lines = []
+        for gram in sorted(g for g in grams if len(g) == k):
+            line = f"{draw(_LOG10_PROBS)!r}\t{' '.join(gram)}"
+            bow = draw(backoffs) if k < order else None
+            lines.append(line if bow is None else f"{line}\t{bow!r}")
+        sections.append((k, lines))
+    arpa = "\\data\\\n" + "".join(f"ngram {k}={len(lines)}\n" for k, lines in sections)
+    for k, lines in sections:
+        arpa += f"\n\\{k}-grams:\n" + "".join(line + "\n" for line in lines)
+    arpa += "\n\\end\\\n"
+    members = draw(st.dictionaries(st.sampled_from(["a", "b", "d"]), _LOG10_PROBS))
+    return arpa, "".join(f"@x\t{word}\t{lp!r}\n" for word, lp in members.items())
+
+
+class TestLogDomain:
+    """``surface_prob`` mixes paths in the log domain, so no accepted model
+    scores a word sequence as 0 probability."""
+
+    def test_underflowing_back_off_scores_finite(self, tmp_path):
+        p = tmp_path / "m.arpa"
+        p.write_text(UNDERFLOW_ARPA)
+        lm = read_arpa(p)
+        assert lm_logprob(lm, ["a", "a"]) == pytest.approx(-497 * math.log(10.0))
+
+    def test_class_and_word_paths_mix(self):
+        lm = train_kn_lm(["call @contactname(john)", "call john"] * 3, order=2)
+        lp, tok = surface_prob(lm, ("call",), "john")
+        word = lm.cond_logprob(("call",), "john")
+        tag = lm.cond_logprob(("call",), "@contactname") + lm.classes["@contactname"]["john"]
+        assert lp == pytest.approx(math.log(math.exp(word) + math.exp(tag)), rel=1e-12)
+        assert tok == ("john" if word >= tag else "@contactname")
+
+    @given(_accepted_model_files(), st.lists(st.sampled_from(_WORDS + ("d", "zzz")),
+                                             max_size=8))
+    @example((UNDERFLOW_ARPA, ""), ["a", "a"])
+    @settings(max_examples=200, deadline=None)
+    def test_every_accepted_model_scores_finite(self, files, words):
+        arpa, members = files
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "m.arpa").write_text(arpa)
+            (Path(tmp) / "m.members").write_text(members)
+            try:
+                lm = load_lm(Path(tmp) / "m.arpa", Path(tmp) / "m.members")
+            except InputFormatError:
+                reject()
+        assert math.isfinite(lm_logprob(lm, words))
+

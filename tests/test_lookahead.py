@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from biaslattice.fst import BAND_BLOCK, CatalogEntry, build_catalog_fst
 from biaslattice.lookahead import (
     ExpandSession,
-    PhraseSession,
     PhraseWalk,
     ProbeCounter,
     WordOutcome,
@@ -28,12 +27,11 @@ from oracles import (
 
 class TestPrefixRange:
     def test_worked_example_prefix(self, play_fst):
-        words = play_fst.words[play_fst.start]
-        assert prefix_range(words, 0, 3, "pl") == (0, 3)
+        assert play_fst.offsets[play_fst.start : play_fst.start + 2].tolist() == [0, 3]
+        assert prefix_range(play_fst.arc_words, 0, 3, "pl") == (0, 3)
 
     def test_empty_prefix_keeps_range(self, play_fst):
-        words = play_fst.words[play_fst.start]
-        assert prefix_range(words, 0, 3, "") == (0, 3)
+        assert prefix_range(play_fst.arc_words, 0, 3, "") == (0, 3)
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
@@ -103,7 +101,7 @@ class TestExpandSession:
         with pytest.raises(IndexError, match=f"state {q} out of range"):
             open_session(play_fst, q)
         with pytest.raises(IndexError, match=f"state {q} out of range"):
-            PhraseSession(play_fst, state=q)
+            PhraseWalk(play_fst).initial(q)
 
     def test_open_single_arc_state(self):
         f = build_catalog_fst([CatalogEntry(("call",), -1.0)])
@@ -114,7 +112,7 @@ class TestExpandSession:
         for _ in range(20):
             f = build_catalog_fst(random_catalog(rng))
             state = rng.randrange(f.num_states)
-            assert open_session(f, state).range == (0, len(f.arcs[state]))
+            assert open_session(f, state).range == (0, f.arc_count(state))
 
     def test_worked_example_increments(self, play_fst):
         s = open_session(play_fst, play_fst.start)
@@ -123,7 +121,7 @@ class TestExpandSession:
         assert s.emitted == -3.2
         inc, nxt = s.finish_word("er_")
         assert inc == pytest.approx(-4.8, abs=1e-12)
-        assert nxt in play_fst.finals
+        assert play_fst.final[nxt]
         assert s.emitted == -8.0
 
     def test_trace_records_walkthrough(self, play_fst):
@@ -178,11 +176,10 @@ class TestExpandSession:
 
     def test_fallback_weight_values(self, play_fst):
         s = open_session(play_fst, play_fst.start)
-        assert s.fallback_weight() == 0.0
         s.expand("pl")
         s.expand("ay")
-        assert s.fallback_weight() == 3.2
-        assert s.emitted + s.fallback_weight() == 0.0
+        assert s.expand("zz") == 3.2  # pays back everything emitted
+        assert s.dead and s.emitted == 0.0
 
     def test_positive_increment_possible(self):
         f = build_catalog_fst([CatalogEntry(("ab",), -1.0), CatalogEntry(("abcdefgh",), -8.0)])
@@ -280,29 +277,32 @@ class TestConservation:
 
 
 class TestPhraseSession:
-    def _drive(self, session, text, vocab_delim="_"):
-        """Feed words character by character; returns total and outcomes."""
+    """Multi-word phrases through :class:`PhraseWalk`'s transitions."""
+
+    def _drive(self, walk, text):
+        """Feed words character by character from the start; returns the
+        total, the outcomes and the walk state reached."""
+        state = walk.initial()
         total = 0.0
         outcomes = []
         for word in text.split():
             for ch in word:
-                total += session.expand(ch)
-            inc, outcome = session.finish_word("_")
+                inc, state = walk.expand(state, ch)
+                total += inc
+            inc, outcome, state = walk.finish_word(state, "_")
             total += inc
             outcomes.append(outcome)
-        return total, outcomes
+        return total, outcomes, state
 
     def test_multi_word_phrase_conserved(self):
         f = build_catalog_fst([CatalogEntry(("ada", "lovelace"), -2.0)])
-        s = PhraseSession(f)
-        total, outcomes = self._drive(s, "ada lovelace")
+        total, outcomes, _ = self._drive(PhraseWalk(f), "ada lovelace")
         assert total == pytest.approx(-4.0, abs=1e-12)
         assert outcomes == [WordOutcome.CONTINUED, WordOutcome.COMPLETED]
 
     def test_mid_phrase_failure_is_neutral(self):
         f = build_catalog_fst([CatalogEntry(("ada", "lovelace"), -2.0)])
-        s = PhraseSession(f)
-        total, outcomes = self._drive(s, "ada byron")
+        total, outcomes, _ = self._drive(PhraseWalk(f), "ada byron")
         assert abs(total) < 1e-12
         assert outcomes[-1] == WordOutcome.FAILED
 
@@ -311,8 +311,7 @@ class TestPhraseSession:
             CatalogEntry(("ada",), -1.0),
             CatalogEntry(("ada", "lovelace"), -1.0),
         ])
-        s = PhraseSession(f)
-        total, outcomes = self._drive(s, "ada byron")
+        total, outcomes, _ = self._drive(PhraseWalk(f), "ada byron")
         # "ada" completed a phrase (banked); the failed continuation pays
         # back only its own pushes.
         assert total == pytest.approx(-1.0, abs=1e-12)
@@ -323,52 +322,51 @@ class TestPhraseSession:
             CatalogEntry(("ada",), -1.0),
             CatalogEntry(("ada", "lovelace"), -1.0),
         ])
-        s = PhraseSession(f)
-        total, outcomes = self._drive(s, "ada lovelace")
+        total, outcomes, _ = self._drive(PhraseWalk(f), "ada lovelace")
         assert total == pytest.approx(-2.0, abs=1e-12)
         assert outcomes[-1] == WordOutcome.COMPLETED
 
     def test_finalize_pays_back_unfinished_walk(self):
         f = build_catalog_fst([CatalogEntry(("ada", "lovelace"), -2.0)])
-        s = PhraseSession(f)
-        total, _ = self._drive(s, "ada")
-        total += s.expand("lo")
-        total += s.finalize()
+        walk = PhraseWalk(f)
+        total, _, state = self._drive(walk, "ada")
+        inc, state = walk.expand(state, "lo")
+        total += inc
+        total += walk.finalize(state)[0]
         assert abs(total) < 1e-12
 
     def test_finalize_keeps_banked_phrases(self):
         f = build_catalog_fst([CatalogEntry(("ada",), -3.0)])
-        s = PhraseSession(f)
-        total, _ = self._drive(s, "ada")
-        total += s.expand("lo")  # start of an unmatched word
-        total += s.finalize()
+        walk = PhraseWalk(f)
+        total, _, state = self._drive(walk, "ada")
+        inc, state = walk.expand(state, "lo")  # start of an unmatched word
+        total += inc
+        total += walk.finalize(state)[0]
         assert total == pytest.approx(-3.0, abs=1e-12)
 
     def test_restart_after_completion(self):
         f = build_catalog_fst([CatalogEntry(("ada",), -1.0)])
-        s = PhraseSession(f)
-        total, outcomes = self._drive(s, "ada ada")
+        total, outcomes, _ = self._drive(PhraseWalk(f), "ada ada")
         assert total == pytest.approx(-2.0, abs=1e-12)
         assert outcomes == [WordOutcome.COMPLETED, WordOutcome.COMPLETED]
 
     def test_unknown_words_at_start_cost_nothing(self):
         f = build_catalog_fst([CatalogEntry(("ada",), -1.0)])
-        s = PhraseSession(f)
-        total, outcomes = self._drive(s, "hello there ada")
+        total, outcomes, _ = self._drive(PhraseWalk(f), "hello there ada")
         assert total == pytest.approx(-1.0, abs=1e-12)
         assert outcomes[:2] == [WordOutcome.FAILED, WordOutcome.FAILED]
 
     def test_clone_is_independent(self, play_fst):
-        s = PhraseSession(play_fst)
+        s = PhraseWalk(play_fst).open_session()
         s.expand("pl")
         c = s.clone()
         c.expand("ay")
-        assert s.word.prefix == "pl"
-        assert c.word.prefix == "play"
+        assert s.state[1] == "pl"  # the word's prefix
+        assert c.state[1] == "play"
 
     def test_empty_word_is_failed_and_neutral(self, play_fst):
-        s = PhraseSession(play_fst)
-        inc, outcome = s.finish_word("_")
+        walk = PhraseWalk(play_fst)
+        inc, outcome, _ = walk.finish_word(walk.initial(), "_")
         assert inc == 0.0
         assert outcome == WordOutcome.FAILED
 
@@ -403,16 +401,16 @@ class TestLargeBands:
         rng = random.Random(2024)
         for _ in range(4):
             f = build_catalog_fst(_large_catalog(rng))
-            arcs = f.arcs[f.start]
             base = f.offsets[f.start]
-            n = len(arcs)
+            n = f.arc_count(f.start)
             widths = {1, self.B, 2 * self.B, 2 * self.B + 1, 2 * self.B + 2, 5 * self.B + 7, n}
             for width in sorted(w for w in widths if w <= n):
                 starts = {0, self.B - 1, self.B, self.B + 1, n - width}
                 starts |= {rng.randrange(n - width + 1) for _ in range(20)}
                 for lo in sorted(s for s in starts if 0 <= s <= n - width):
                     hi = lo + width
-                    assert f.band_summary(base + lo, base + hi) == band_scan(arcs, lo, hi)
+                    assert f.band_summary(base + lo, base + hi) == band_scan(
+                        f.arc_words, f.weights, base + lo, base + hi)
 
     def test_band_summary_finds_a_lone_extreme_anywhere(self):
         # One longer, lower-weighted word among equal ones, at every position
@@ -441,36 +439,42 @@ class TestLargeBands:
         for first, count in (("a", 7), ("b", 11), ("c", 20), ("y", 3)):
             entries += [CatalogEntry((first, f"longword{i:02d}"), 4.0) for i in range(count)]
         f = build_catalog_fst(entries)
-        q = f.find_arc(f.start, "x").nextstate
+        q = f.targets[f.arc_id(f.start, "x")]
         base = f.offsets[q]
         assert base % self.B != 0
-        arcs = reference_build_catalog_fst(entries).arcs[q]
-        words = [a.word for a in arcs]
-        n = len(arcs)
-        assert n > 3 * self.B and f.arcs[q] == arcs
+        ref = reference_build_catalog_fst(entries)
+        n = ref.arc_count(q)
+        ref_base = ref.offsets[q]
+        words = ref.arc_words[ref_base : ref_base + n]
+        weights = ref.weights[ref_base : ref_base + n]
+        assert n > 3 * self.B and f.arc_count(q) == n
+        assert (f.arc_words[base : base + n], f.weights[base : base + n]) == (words, weights)
+        assert f.targets[base : base + n] == ref.targets[ref_base : ref_base + n]
         for lo in range(n):
             for hi in range(lo + 1, n + 1):
-                assert f.band_summary(base + lo, base + hi) == band_scan(arcs, lo, hi)
+                assert f.band_summary(base + lo, base + hi) == band_scan(words, weights, lo, hi)
         probes = {w[:i] for w in words for i in range(1, len(w) + 1)}
         probes |= {"".join(rng.choice("abcdefg") for _ in range(rng.randint(1, 4)))
                    for _ in range(50)}
         for prefix in sorted(probes):
             want = linear_prefix_filter(words, 0, n, prefix)
-            assert prefix_range(f.words[q], 0, n, prefix) == want
+            assert prefix_range(f.arc_words, base, base + n, prefix) == (
+                base + want[0], base + want[1])
             for walk in (PhraseWalk(f), PhraseWalk(f, counter=ProbeCounter())):
                 inc, state = walk.expand(walk.initial(q), prefix)
                 assert state[2:4] == (base + want[0], base + want[1])
                 if want[0] < want[1]:
-                    assert inc == pushed_weight(len(prefix), *band_scan(arcs, *want))
+                    assert inc == pushed_weight(len(prefix), *band_scan(words, weights, *want))
             i = bisect_left(words, prefix)
-            assert f.find_arc(q, prefix) == (arcs[i] if i < n and words[i] == prefix else None)
+            assert f.arc_id(q, prefix) == (base + i if i < n and words[i] == prefix else None)
 
     def test_increments_match_reference_profile(self):
         rng = random.Random(77)
         for size in (2 * self.B - 1, 2 * self.B, 2 * self.B + 1, 3 * self.B + 5):
             entries = _large_catalog(rng, prefixed=size)
             f = build_catalog_fst(entries)
-            q_lo, q_hi = prefix_range(f.words[f.start], 0, len(f.arcs[f.start]), "q")
+            q_lo, q_hi = prefix_range(
+                f.arc_words, f.offsets[f.start], f.offsets[f.start + 1], "q")
             assert q_hi - q_lo == size
             catalog = [(e.phrase[0], e.weight) for e in entries]
             words = [w for w, _ in catalog]
@@ -562,8 +566,9 @@ class TestSharedWalkCache:
         shared = PhraseWalk(f, cache={})
         for tokens in streams:
             assert _walk_stream(shared, tokens) == _walk_stream(PhraseWalk(f), tokens)
-        prefixes = {(q, a.word[:i]) for q, arcs in enumerate(f.arcs)
-                    for a in arcs for i in range(1, len(a.word) + 1)}
+        prefixes = {(q, word[:i]) for q in range(f.num_states)
+                    for word in f.arc_words[f.offsets[q] : f.offsets[q + 1]]
+                    for i in range(1, len(word) + 1)}
         assert len(shared.cache) <= len(prefixes)
         for (q, prefix), (lo, hi, pushed) in shared.cache.items():
             assert lo < hi
