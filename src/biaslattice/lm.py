@@ -273,7 +273,9 @@ def read_arpa(path) -> NGramLM:
     declared: dict[int, int] = {}
     order = 0
     section = None
-    largest_bow = (-math.inf, 0, "")  # (back-off, line number, line)
+    # (back-off, line number, line) of the largest and smallest back-off
+    largest_bow = (-math.inf, 0, "")
+    smallest_bow = (math.inf, 0, "")
     with open(path, encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f]
     i = 0
@@ -337,13 +339,21 @@ def read_arpa(path) -> NGramLM:
             backoffs[words] = bow * _LN10
             if bow > largest_bow[0]:
                 largest_bow = (bow, i, line)
+            if bow < smallest_bow[0]:
+                smallest_bow = (bow, i, line)
     if not logprobs:
         raise InputFormatError(f"{path}: no grams found")
-    # A score charges at most order - 1 back-offs on top of one log-prob,
-    # then takes math.exp of the sum.
+    # A score charges at most order - 1 back-offs on top of one log-prob.
+    # Their sum must stay within the log of the largest float either way:
+    # above it the score is no probability, and the bound below keeps every
+    # word's score a fixed distance from 0, so a sum of scores stays finite.
+    charges = max(order - 1, 1)
     bow, i, line = largest_bow
-    if (max(order - 1, 1) * bow + _LOGPROB_TOLERANCE) * _LN10 > _LOG_MAX:
+    if (charges * bow + _LOGPROB_TOLERANCE) * _LN10 > _LOG_MAX:
         raise InputFormatError(f"{path}:{i}: back-off too large to score in {line!r}")
+    bow, i, line = smallest_bow
+    if charges * bow * _LN10 < -_LOG_MAX:
+        raise InputFormatError(f"{path}:{i}: back-off too small to score in {line!r}")
     # Every sentence ends in EOS_WORD, and a word outside the model scores as UNK.
     missing = [w for w in (EOS_WORD, UNK) if (w,) not in logprobs]
     if missing:
@@ -379,6 +389,9 @@ def read_members(path) -> dict[str, dict[str, float]]:
                 raise InputFormatError(f"{path}:{lineno}: non-finite logprob {parts[2]!r}")
             if logprob > _LOGPROB_TOLERANCE:
                 raise InputFormatError(f"{path}:{lineno}: logprob above 0: {parts[2]!r}")
+            # The same floor as summed back-offs, so a member's score stays finite.
+            if logprob * _LN10 < -_LOG_MAX:
+                raise InputFormatError(f"{path}:{lineno}: logprob too small to score: {parts[2]!r}")
             classes[parts[0]][parts[1]] = logprob * _LN10
     return dict(classes)
 

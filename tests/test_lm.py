@@ -269,6 +269,37 @@ class TestModelFiles:
         assert lm_logprob(lm, ["a", "a", "a"]) < math.inf
         assert lm.cond_logprob(("a", "a"), EOS_WORD) == pytest.approx(299 * math.log(10.0))
 
+    def test_backoff_whose_score_underflows_rejected(self, tmp_path):
+        # Scoring </s> after "a a" charges both back-offs: 10^-400, below any float.
+        p = self.trigram_arpa(tmp_path, -200)
+        with pytest.raises(InputFormatError,
+                           match=f"^{re.escape(str(p))}:9: back-off too small to score"):
+            read_arpa(p)
+
+    def test_smallest_loadable_backoffs_score(self, tmp_path):
+        lm = read_arpa(self.trigram_arpa(tmp_path, -150))
+        assert math.isfinite(lm_logprob(lm, ["a", "a", "a"]))
+        assert lm.cond_logprob(("a", "a"), EOS_WORD) == pytest.approx(-301 * math.log(10.0))
+
+    def test_member_logprob_whose_score_underflows_rejected(self, tmp_path):
+        p = tmp_path / "m.members"
+        p.write_text("@contactname\tada\t-300\n@contactname\tbo\t-400\n")
+        with pytest.raises(InputFormatError,
+                           match=f"^{re.escape(str(p))}:2: logprob too small to score"):
+            read_members(p)
+
+    def test_model_whose_every_path_underflows_rejected(self, tmp_path):
+        # The floor example below with -7e307 in place of -308.25: both class
+        # paths of "a" would sum to -inf, and their log-sum-exp to NaN.
+        p = tmp_path / "m.arpa"
+        p.write_text(_FLOOR_ARPA.replace("-308.25", "-7e307"))
+        with pytest.raises(InputFormatError, match="back-off too small to score"):
+            read_arpa(p)
+        m = tmp_path / "m.members"
+        m.write_text(_FLOOR_MEMBERS.replace("-308.25", "-7e307"))
+        with pytest.raises(InputFormatError, match="logprob too small to score"):
+            read_members(m)
+
     def test_member_logprob_above_zero_rejected(self, tmp_path):
         p = tmp_path / "m.members"
         p.write_text("@contactname\tada\t-0.3\n@contactname\tbo\t400\n")
@@ -296,20 +327,28 @@ class TestModelFiles:
 
 _WORDS = ("a", "b", "c", "<s>", "@x")
 _LOG10_PROBS = st.floats(-99.0, 1e-6)  # down to the back-off-only cutoff
+_LOG10_MAX = math.log(1.7976931348623157e308) / math.log(10.0)  # about 308.25
+# At the readers' floor: one back-off and each member of "a" near 10^-308.
+_FLOOR_ARPA = (
+    "\\data\\\nngram 1=5\nngram 2=1\n\n"
+    "\\1-grams:\n-1\t</s>\n-1\t<unk>\n-98\t@x\n-98\t@y\n-99\t<s>\t-308.25\n\n"
+    "\\2-grams:\n-1\t<s> </s>\n\n\\end\\\n"
+)
+_FLOOR_MEMBERS = "@x\ta\t-308.25\n@y\ta\t-308.25\n"
 
 
 @st.composite
 def _accepted_model_files(draw):
     """ARPA text of order 1-4 and member-file text, over a few words, a class
     tag and ``<s>``.  Log10-probs run from the back-off-only cutoff (-99) to
-    the rounding tolerance above 0.  Log10 back-offs run from -400, where one
-    back-off with a unigram already falls below the smallest float, up to the
-    largest value ``read_arpa`` accepts at the model's order.  Member
-    log10-probs run over the log-probs' range, for words in and out of the
-    vocabulary.  Sequences hold at most 8 words."""
+    the rounding tolerance above 0.  Log10 back-offs run over the whole range
+    ``read_arpa`` accepts at the model's order: order - 1 of them summed stay
+    within about +-308.25, the log10 of the largest float.  Member log10-probs
+    run from -308.25 to the rounding tolerance above 0, for words in and out
+    of the vocabulary.  Sequences hold at most 8 words."""
     order = draw(st.integers(1, 4))
-    bow_max = math.log(1.7976931348623157e308) / math.log(10.0) / max(order - 1, 1)
-    backoffs = st.none() | st.floats(-400.0, bow_max)
+    bow_max = _LOG10_MAX / max(order - 1, 1)
+    backoffs = st.none() | st.floats(-bow_max, bow_max)
     grams = {("</s>",): None, ("<unk>",): None}
     for k in range(1, order + 1):
         for gram in draw(st.lists(st.tuples(*[st.sampled_from(_WORDS)] * k), max_size=6)):
@@ -326,7 +365,8 @@ def _accepted_model_files(draw):
     for k, lines in sections:
         arpa += f"\n\\{k}-grams:\n" + "".join(line + "\n" for line in lines)
     arpa += "\n\\end\\\n"
-    members = draw(st.dictionaries(st.sampled_from(["a", "b", "d"]), _LOG10_PROBS))
+    members = draw(st.dictionaries(st.sampled_from(["a", "b", "d"]),
+                                   st.floats(-_LOG10_MAX, 1e-6)))
     return arpa, "".join(f"@x\t{word}\t{lp!r}\n" for word, lp in members.items())
 
 
@@ -351,6 +391,7 @@ class TestLogDomain:
     @given(_accepted_model_files(), st.lists(st.sampled_from(_WORDS + ("d", "zzz")),
                                              max_size=8))
     @example((UNDERFLOW_ARPA, ""), ["a", "a"])
+    @example((_FLOOR_ARPA, _FLOOR_MEMBERS), ["a"] * 8)
     @settings(max_examples=200, deadline=None)
     def test_every_accepted_model_scores_finite(self, files, words):
         arpa, members = files
