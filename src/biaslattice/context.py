@@ -30,7 +30,7 @@ from .fst import (
     load_fst,
     strongest,
 )
-from .lookahead import PhraseWalk, Session, WordOutcome, token_content
+from .lookahead import PhraseWalk, Session, WordOutcome, content_error, token_content
 
 _SPAN = re.compile(r"@([A-Za-z0-9]+)\(([^()]*)\)")
 
@@ -229,6 +229,8 @@ class ContextualBiaser:
     def expand(self, state, subword):
         pos, race, chars = state
         if race is None:
+            if not subword or subword.endswith(self.delimiter):
+                raise content_error(subword)
             if chars:
                 return 0.0, (pos, None, chars + subword)
             pos, race = self._word_start(pos)

@@ -62,11 +62,23 @@ class EmissionOracle(Protocol):
         ...
 
 
-def fuse_step(rnnt_logp: float, sf_increment: float, lam: float) -> float:
-    """One shallow-fusion combination: main score plus scaled biasing score."""
+def _check_scale(lam: float) -> None:
     if lam < 0:
         raise ValueError("fusion scale must be >= 0")
-    if not (math.isfinite(rnnt_logp) and math.isfinite(sf_increment) and math.isfinite(lam)):
+    if not math.isfinite(lam):
+        raise ValueError("non-finite input to fuse_step")
+
+
+def fuse_step(rnnt_logp: float, sf_increment: float, lam: float) -> float:
+    """One shallow-fusion combination: main score plus scaled biasing score.
+
+    It refuses a negative scale and any non-finite input.  Finite inputs
+    whose sum overflows return the overflowed value.  :func:`beam_search`
+    checks ``lam`` once and fuses inline, calling this only for a candidate
+    whose fused score is not finite, so the two agree on every input.
+    """
+    _check_scale(lam)
+    if not (math.isfinite(rnnt_logp) and math.isfinite(sf_increment)):
         raise ValueError("non-finite input to fuse_step")
     return rnnt_logp + lam * sf_increment
 
@@ -327,9 +339,11 @@ def beam_search(
         raise ValueError(f"need beam_size >= n_best >= 1, got {beam_size}, {n_best}")
     if not vocab.pieces:
         raise ValueError("empty vocabulary")
+    _check_scale(lam)
     if biaser is None:
         biaser = NullBiaser()
     delimiter = vocab.delimiter
+    inf = math.inf
     # A beam, live or done, is (-fused, tokens, rnnt_logp, sf_score, session).
     # Token sequences are unique, so sorting the tuples orders by descending
     # fused score, then by tokens, and never compares two sessions.
@@ -346,6 +360,11 @@ def beam_search(
     # An equal map is normalized too, so every map is still verified; maps
     # are never compared by identity, since an oracle may mutate and return
     # one object.
+    #
+    # With the scale checked, a candidate's fused score is one multiply-add.
+    # A non-finite part always makes it non-finite, so only a score that fails
+    # -inf < f < inf goes to fuse_step, which raises on a non-finite part and
+    # otherwise returns the same overflowed sum.
     live = [(0.0, (), 0.0, 0.0, biaser.open_session())]
     done = []
     checked = items = None
@@ -366,13 +385,17 @@ def beam_search(
                 r = rnnt + logp
                 if is_end:
                     b = sf + session.finalize()
-                    done.append((-fuse_step(r, b, lam), tokens, r, b, session))
-                    continue
-                if is_delim:
+                elif is_delim:
                     b = sf + session.finish_word(token)
                 else:
                     b = sf + session.expand(token)
-                extended.append((-fuse_step(r, b, lam), tokens, token, r, b, session))
+                f = r + lam * b
+                if not -inf < f < inf:
+                    f = fuse_step(r, b, lam)
+                if is_end:
+                    done.append((-f, tokens, r, b, session))
+                else:
+                    extended.append((-f, tokens, token, r, b, session))
         extended.sort()
         live = [(neg_f, tokens + (token,), r, b, session)
                 for neg_f, tokens, token, r, b, session in extended[:beam_size]]
@@ -380,7 +403,10 @@ def beam_search(
         # Step cap reached: settle whatever is still on the beam.
         for _, tokens, r, sf, session in live:
             b = sf + session.finalize()
-            done.append((-fuse_step(r, b, lam), tokens, r, b, session))
+            f = r + lam * b
+            if not -inf < f < inf:
+                f = fuse_step(r, b, lam)
+            done.append((-f, tokens, r, b, session))
     done.sort()
     hyps = [
         Hypothesis(

@@ -26,10 +26,12 @@ Increments sum to -8, the word-level weight of "player".
 
 A band is a slice of the automaton's columns: a walk state holds it as two
 column positions ``[lo, hi)``, and so does a cache entry.  A step that
-misses the cache costs two C-level bisects of the band within the word
-column, plus :meth:`WordFst.band_summary`, which finds the band's longest
-word and strongest weight (``fst.strongest``) in O(B + band/B) for the
-automaton's block size B.  No step scans the band in Python, and a word's
+misses the cache bisects the band within the word column once.  If the
+prefix fell out of every arc, that is all it costs: a dead prefix is never
+cached.  A live band costs a second bisect, for its upper end, plus
+:meth:`WordFst.band_summary`, which finds the band's longest word and
+strongest weight (``fst.strongest``) in O(B + band/B) for the automaton's
+block size B.  No step scans the band in Python, and a word's
 exact match, if any, is the word at ``lo``.  Only :class:`ExpandSession`
 counts positions from the state's first arc, for ``range`` and its trace.
 
@@ -83,9 +85,12 @@ def prefix_range(words: list[str], lo: int, hi: int, prefix: str, *,
 
     The words starting with ``prefix`` are exactly those in
     [prefix, successor), where the successor increments the last code point
-    of ``prefix`` that is below U+10FFFF and drops the rest, so two bisects
-    find them.  Without a counter they compare in C; with one, a key
-    function counts the probes.
+    of ``prefix`` that is below U+10FFFF and drops the rest.  One bisect
+    finds the first word at or above ``prefix``; if that word does not start
+    with ``prefix``, it is also at or above the successor, so the band is
+    empty and sits there.  Only a live band pays for the successor and a
+    second bisect.  Without a counter the bisects compare in C; with one, a
+    key function counts their probes.
     """
     if lo > hi:
         raise ValueError(f"invalid range: lo={lo} > hi={hi}")
@@ -97,6 +102,8 @@ def prefix_range(words: list[str], lo: int, hi: int, prefix: str, *,
             counter.probes += 1
             return word
     new_lo = bisect.bisect_left(words, prefix, lo, hi, key=key)
+    if new_lo == hi or not words[new_lo].startswith(prefix):
+        return new_lo, new_lo
     succ = _successor(prefix)
     if succ is None:
         return new_lo, hi
@@ -121,6 +128,17 @@ def token_content(token: str, delimiter: str) -> str:
     if not content or delimiter in content:
         raise ValueError(f"malformed fused delimiter token {token!r}")
     return content
+
+
+def content_error(subword: str) -> ValueError:
+    """Why ``subword``, empty or delimiter-bearing, cannot extend a word.
+
+    Every biaser's ``expand`` refuses such a token with this error, checking
+    ``not subword or subword.endswith(delimiter)`` inline first.
+    """
+    if not subword:
+        return ValueError("empty subword")
+    return ValueError(f"{subword!r} is a delimiter token; use finish_word")
 
 
 def pushed_weight(length: int, longest: int, lookahead: float) -> float:
@@ -212,15 +230,14 @@ class PhraseWalk:
     def expand(self, state: tuple, subword: str) -> tuple[float, tuple]:
         """Extend the word by one content token: ``(increment, state)``.
 
-        A dead word scores nothing until its delimiter.
+        An empty or delimiter-bearing token is refused, even by a dead word,
+        which otherwise scores nothing until its delimiter.
         """
+        if not subword or subword.endswith(self.delimiter):
+            raise content_error(subword)
         q, prefix, lo, hi, pushed, dead, pending, banked = state
         if dead:
             return 0.0, state
-        if not subword:
-            raise ValueError("empty subword")
-        if subword.endswith(self.delimiter):
-            raise ValueError(f"{subword!r} is a delimiter token; use finish_word")
         prefix += subword
         key = (q, prefix)
         cache = self.cache
@@ -299,6 +316,8 @@ class WordWalk(PhraseWalk):
     __slots__ = ()
 
     def expand(self, state, subword):
+        if not subword or subword.endswith(self.delimiter):
+            raise content_error(subword)
         q, prefix, lo, hi, pushed, dead, pending, banked = state
         return 0.0, (q, prefix + subword, lo, hi, pushed, dead, pending, banked)
 

@@ -319,6 +319,38 @@ class TestWordLevelBiaser:
         assert total == 0.0
 
 
+def _call_kate_context(fst):
+    """Contextual biasing over the one template "call @contactname"."""
+    return ContextualBiaser(build_class_fst(["call @contactname(kate)"], min_count=1),
+                            {"@contactname": fst})
+
+
+class TestExpandRefusesNonContentTokens:
+    """Every biaser refuses an empty or delimiter-bearing token in expand, in
+    the same words, wherever the hypothesis is; only finish_word closes a
+    word.  Accepting ``te_`` would fold the delimiter into the word."""
+
+    @pytest.mark.parametrize("biaser_cls", [
+        WordBiaser, SubwordBiaser, pytest.param(_call_kate_context, id="ContextualBiaser"),
+    ])
+    @pytest.mark.parametrize("before", [
+        pytest.param((), id="start"),
+        pytest.param(("ka",), id="mid-word"),
+        pytest.param(("call_", "ka"), id="inside-a-race"),
+        pytest.param(("call_", "zz"), id="dead-word"),
+    ])
+    @pytest.mark.parametrize("token, message", [
+        ("", "empty subword"),
+        ("te_", "delimiter token"),
+        ("_", "delimiter token"),
+    ])
+    def test_refused_everywhere(self, biaser_cls, before, token, message):
+        session = biaser_cls(build_catalog_fst([CatalogEntry(("kate",), 1.0)])).open_session()
+        _feed(session, before, final=False)
+        with pytest.raises(ValueError, match=message):
+            session.expand(token)
+
+
 _words = st.text(alphabet="abc", min_size=1, max_size=4)
 
 
@@ -478,8 +510,21 @@ class TestBeamSearchEdges:
     @pytest.mark.parametrize("lam", [-1.0, math.nan])
     @pytest.mark.parametrize("scores", [{"ba": 0.0}, {END: 0.0}])
     def test_invalid_scale_raises(self, mini_vocab, lam, scores):
-        with pytest.raises(ValueError):
-            beam_search(_Fixed(scores), None, mini_vocab, lam, 8, 4, max_steps=3)
+        for max_steps in (0, 3):  # at 0, no candidate is ever scored
+            with pytest.raises(ValueError):
+                beam_search(_Fixed(scores), None, mini_vocab, lam, 8, 4, max_steps=max_steps)
+
+    def test_finite_parts_may_overflow_the_fused_score(self, mini_vocab):
+        # -1e308 is a valid weight, but 2 * -1e308 overflows: the hypothesis
+        # keeps its finite parts and the overflowed fused score.
+        biaser = WordBiaser(build_catalog_fst([CatalogEntry(("bado",), -1e308)]))
+        oracle = synth_oracle(mini_vocab, "bado")
+        nbest = beam_search(oracle, biaser, mini_vocab, 2.0, 8, 1,
+                            max_steps=oracle.max_steps("utt-0"))
+        (hyp,) = nbest.hyps
+        assert hyp.text == "bado"
+        assert hyp.sf_score == -1e308
+        assert hyp.fused == -math.inf
 
     @pytest.mark.parametrize("max_steps", [0, 1, 3])
     def test_step_cap_settles_a_single_candidate(self, mini_vocab, max_steps):
@@ -682,8 +727,9 @@ class _CountingBiaser:
 
 class TestDecodeContract:
     """Every biaser kind decodes exactly as the reference loop does, with one
-    oracle call per live hypothesis, one clone and one fusion per candidate,
-    and at most one normalization check per step for SynthOracle."""
+    oracle call per live hypothesis, one clone per candidate, no call to
+    fuse_step while every fused score is finite, and at most one
+    normalization check per step for SynthOracle."""
 
     @pytest.mark.parametrize("kind", ["none", "word", "subword", "context"])
     def test_matches_reference_with_the_same_calls(self, small_task, kind, monkeypatch):
@@ -693,14 +739,14 @@ class TestDecodeContract:
             "word": lambda: WordBiaser(build_catalog_fst(task.all_bias_entries())),
             **factories,
         }
-        checks, fusions = [], []
+        checks, fallbacks = [], []
 
         def check(scores, utt_id):
             checks.append(utt_id)
             return _check_normalized(scores, utt_id)
 
         def fuse(*args):
-            fusions.append(1)
+            fallbacks.append(args)
             return fuse_step(*args)
 
         for utt, ref in sorted(synth.utterances()):
@@ -709,7 +755,7 @@ class TestDecodeContract:
                 oracle = _CountingOracle(synth)
                 biaser = _CountingBiaser(factories[kind]())
                 checks.clear()
-                fusions.clear()
+                fallbacks.clear()
                 with monkeypatch.context() as patch:
                     if search is beam_search:
                         patch.setattr(decode, "_check_normalized", check)
@@ -722,7 +768,8 @@ class TestDecodeContract:
             assert got[0] == want[0]
             assert got[1:] == want[1:]
             # beam_search ran last, so these counters are its own
-            assert len(biaser.clones) == oracle.candidates == len(fusions)
+            assert len(biaser.clones) == oracle.candidates
+            assert fallbacks == []
             assert len(checks) <= len(oracle.lengths)
 
 

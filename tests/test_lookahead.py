@@ -2,7 +2,7 @@ import random
 from bisect import bisect_left
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from biaslattice.fst import BAND_BLOCK, CatalogEntry, build_catalog_fst
@@ -508,6 +508,29 @@ class TestLargeBands:
         for p in (prefix, prefix + "\U0010ffff", "\U0010ffff" * len(prefix)):
             want = prefix_range(words, lo, hi, p, counter=ProbeCounter())
             assert prefix_range(words, lo, hi, p) == want
+
+    @given(
+        st.lists(st.text(alphabet="az\u00e9\u4e2d\U0001f600\U0010fffe\U0010ffff",
+                         min_size=1, max_size=5), max_size=40, unique=True),
+        st.text(alphabet="az\u00e9\u4e2d\U0001f600\U0010fffe\U0010ffff",
+                min_size=1, max_size=4),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_dead_prefix_costs_one_bisect(self, words, prefix, data):
+        words = sorted(words)
+        if words and data.draw(st.booleans()):
+            # a near miss: a word's first few code points, then another one
+            word = data.draw(st.sampled_from(words))
+            prefix = word[: data.draw(st.integers(0, len(word) - 1))] + prefix[0]
+        lo = data.draw(st.integers(0, len(words)))
+        hi = data.draw(st.integers(lo, len(words)))
+        assume(not any(w.startswith(prefix) for w in words[lo:hi]))
+        counter = ProbeCounter()
+        got = prefix_range(words, lo, hi, prefix, counter=counter)
+        at = bisect_left(words, prefix, lo, hi)
+        assert got == (at, at)
+        assert counter.probes <= (hi - lo).bit_length()  # ceil(log2(hi - lo + 1))
 
 
 _cache_words = st.text(alphabet="abc", min_size=1, max_size=4)

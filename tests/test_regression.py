@@ -73,6 +73,24 @@ def test_seed7_nbest_is_byte_identical(seed7, kind, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[kind]
 
 
+# Subword biasing over a 10k-contact catalog: its start state holds about
+# 10k arcs, so prefix searches run over long bands, not the short ones above.
+LONG_BAND_DIGEST = "8984a20ec73d0394fc22861d42ad42a78f48e41f46b18be17d777a1b978291cf"
+
+
+def test_seed7_long_band_subword_nbest_is_byte_identical(tmp_path):
+    task = make_task(SEED, n_contacts=10_000, n_test=N_TEST)
+    oracle = synth_oracle(
+        task.vocab, task.refs_test, noise=0.3, seed=SEED, noisy_words=task.noisy_words
+    )
+    biaser = SubwordBiaser(build_catalog_fst(task.all_bias_entries()))
+    lists = decode_corpus(oracle, biaser, task.vocab, LAM, BEAM, N_BEST)
+    assert len(lists) == 2 * N_TEST
+    path = tmp_path / "subword-long-band.nbest"
+    write_nbest(lists, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LONG_BAND_DIGEST
+
+
 # (alpha, beta, dev WER, evaluations) of the fixed- and free-alpha tunes.
 TUNED = {
     "fixed": (1.0, 0.2908076546347872, 0.04926108374384237, 60),
