@@ -21,7 +21,8 @@ import math
 import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .context import Span, parse_annotated
 from .errors import InputFormatError
@@ -40,6 +41,10 @@ class NGramLM:
     weights.  ``vocab`` holds every predictable token, including class tags,
     the sentence end, and the unknown word.  ``classes`` maps a tag to its
     members' natural-log in-class probabilities.
+
+    Scoring reads two tables built from these fields on first use: each
+    context's continuations with its back-off weight, and each surface word's
+    paths.  Change no field after a model has scored.
     """
 
     order: int
@@ -48,23 +53,116 @@ class NGramLM:
     vocab: frozenset[str]
     classes: dict[str, dict[str, float]] = field(default_factory=dict)
 
+    @cached_property
+    def _contexts(self) -> dict[tuple[str, ...], tuple[dict[str, float], float]]:
+        """Context -> ({token: log-prob}, back-off weight), for every context
+        that has a continuation or a back-off weight."""
+        table: dict[tuple[str, ...], tuple[dict[str, float], float]] = {}
+        for gram, lp in self.logprobs.items():
+            ctx = gram[:-1]
+            entry = table.get(ctx)
+            if entry is None:
+                entry = table[ctx] = ({}, self.backoffs.get(ctx, 0.0))
+            entry[0][gram[-1]] = lp
+        for ctx, bow in self.backoffs.items():
+            if ctx not in table:
+                table[ctx] = ({}, bow)
+        return table
+
+    @cached_property
+    def _paths(self) -> dict[str, tuple[tuple[str, float], ...]]:
+        """Surface word -> its ``(token, member log-prob)`` paths: the plain
+        word (member log-prob 0) first, then each class in ``classes`` order.
+        A word with no path scores as ``((UNK, 0.0),)``."""
+        paths: dict[str, list[tuple[str, float]]] = {
+            w: [(w, 0.0)] for w in self.vocab if w not in self.classes
+        }
+        for tag, members in self.classes.items():
+            if tag in self.vocab:
+                for word, lp in members.items():
+                    paths.setdefault(word, []).append((tag, lp))
+        return {w: tuple(p) for w, p in paths.items()}
+
+    @cached_property
+    def _start(self) -> tuple[str, ...]:
+        return (BOS,) * (self.order - 1) if self.order > 1 else ()
+
     def logprob(self, words: Iterable[str]) -> float:
-        """Sequence log-probability; the interface rescoring models plug into."""
+        """Sequence log-probability, as :func:`lm_logprob`."""
         return lm_logprob(self, words)
+
+    def nbest_logprob(self, sentences: Iterable[Sequence[str]]) -> list[float]:
+        """:func:`lm_logprob` of each word sequence, each equal to it with ``==``.
+
+        The interface rescoring models plug into.  The sentences are walked as
+        a tree of word prefixes, so a prefix shared by several sentences is
+        scored once, by the same steps in the same order as ``lm_logprob``.
+        The tree lives for this call only.
+        """
+        # A node is [log-prob so far, context, children by word or None,
+        # sentence score or None]; a leaf gets its children dict on demand.
+        root = [0.0, self._start, None, None]
+        scores = []
+        for words in sentences:
+            node = root
+            for word in words:
+                children = node[2]
+                if children is None:
+                    children = node[2] = {}
+                    child = None
+                else:
+                    child = children.get(word)
+                if child is None:
+                    ctx = node[1]
+                    lp, tok = self._surface(ctx, word.lower())
+                    ctx = (ctx + (tok,))[1:] if ctx else ctx
+                    child = children[word] = [node[0] + lp, ctx, None, None]
+                node = child
+            if node[3] is None:
+                node[3] = node[0] + self._cond(node[1], EOS_WORD)
+            scores.append(node[3])
+        return scores
 
     def cond_logprob(self, context: tuple[str, ...], token: str) -> float:
         """Natural-log P(token | context) with back-off; token must be in vocab."""
-        ctx = context[-(self.order - 1):] if self.order > 1 else ()
+        return self._cond(context[-(self.order - 1):] if self.order > 1 else (), token)
+
+    def _cond(self, ctx: tuple[str, ...], token: str) -> float:
+        """:meth:`cond_logprob` for a context at most ``order - 1`` long."""
+        contexts = self._contexts
         charged = 0.0
         while True:
-            p = self.logprobs.get(ctx + (token,))
-            if p is not None:
-                return charged + p
+            entry = contexts.get(ctx)
+            if entry is not None:
+                p = entry[0].get(token)
+                if p is not None:
+                    return charged + p
+                # Unseen continuation: charge the context's back-off weight.
+                # A context with no entry charges 0, and adding 0 to the
+                # charge changes nothing: it is never -0.0.
+                charged += entry[1]
             if not ctx:
                 raise KeyError(f"token {token!r} not in the model vocabulary")
-            # Unseen continuation: charge the context's back-off weight.
-            charged += self.backoffs.get(ctx, 0.0)
             ctx = ctx[1:]
+
+    def _surface(self, ctx: tuple[str, ...], word: str) -> tuple[float, str]:
+        """:func:`surface_prob` of a lowercased word after a context at most
+        ``order - 1`` long: the one step that every fold over words takes."""
+        paths = self._paths.get(word, _UNK_PATHS)
+        if len(paths) == 1:
+            # cond never returns -0.0, so adding a plain word's 0.0 is exact.
+            ((tok, member_lp),) = paths
+            return self._cond(ctx, tok) + member_lp, tok
+        lps = [self._cond(ctx, tok) + member_lp for tok, member_lp in paths]
+        best = 0
+        for i in range(1, len(lps)):
+            if lps[i] > lps[best]:
+                best = i
+        top = max(lps)
+        return top + math.log(sum(math.exp(lp - top) for lp in lps)), paths[best][0]
+
+
+_UNK_PATHS = ((UNK, 0.0),)
 
 
 def _substitute(tokens: list) -> tuple[list[str], list[tuple[str, str]]]:
@@ -196,40 +294,21 @@ def surface_prob(lm: NGramLM, context: tuple[str, ...], word: str) -> tuple[floa
     Mixes the plain-word path with every class path containing the word, by
     a log-sum-exp, so no path's probability underflows to 0; a word with one
     path pays no ``exp``/``log`` round trip.  The context token is the
-    analysis with the larger share (tag or word), which keeps scoring
-    deterministic.  Unknown words score as the unknown token.
+    analysis with the larger share (tag or word; the first on a tie), which
+    keeps scoring deterministic.  Unknown words score as the unknown token.
     """
-    paths = []
-    best_lp = -math.inf
-    best_tok = UNK
-    if word in lm.vocab and word not in lm.classes:
-        best_lp, best_tok = lm.cond_logprob(context, word), word
-        paths.append(best_lp)
-    for tag, members in lm.classes.items():
-        lp = members.get(word)
-        if lp is not None and tag in lm.vocab:
-            lc = lm.cond_logprob(context, tag) + lp
-            paths.append(lc)
-            if lc > best_lp:
-                best_lp, best_tok = lc, tag
-    if not paths:
-        return lm.cond_logprob(context, UNK), UNK
-    if len(paths) == 1:
-        return best_lp, best_tok
-    top = max(paths)
-    return top + math.log(sum(math.exp(lp - top) for lp in paths)), best_tok
+    return lm._surface(context[-(lm.order - 1):] if lm.order > 1 else (), word)
 
 
 def lm_logprob(lm: NGramLM, words: Iterable[str]) -> float:
     """Natural-log probability of a word sequence, including sentence end."""
-    ctx_len = lm.order - 1
-    ctx = (BOS,) * ctx_len
+    ctx = lm._start
     total = 0.0
     for word in words:
-        lp, tok = surface_prob(lm, ctx, word.lower())
+        lp, tok = lm._surface(ctx, word.lower())
         total += lp
-        ctx = (ctx + (tok,))[-ctx_len:] if ctx_len else ()
-    return total + lm.cond_logprob(ctx, EOS_WORD)
+        ctx = (ctx + (tok,))[1:] if ctx else ctx
+    return total + lm._cond(ctx, EOS_WORD)
 
 
 # -- model files ---------------------------------------------------------------

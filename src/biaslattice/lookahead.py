@@ -59,6 +59,7 @@ trace of it; it is a thin facade over the walk.
 from __future__ import annotations
 
 import bisect
+import math
 from enum import Enum
 
 from .fst import DEFAULT_DELIMITER, WordFst
@@ -147,7 +148,12 @@ def pushed_weight(length: int, longest: int, lookahead: float) -> float:
         raise ValueError("longest matched word length must be positive")
     if not 1 <= length <= longest:
         raise ValueError(f"prefix length {length} outside [1, {longest}]")
-    return lookahead * length / longest
+    share = lookahead * length / longest
+    if -math.inf < share < math.inf:
+        return share
+    # The product overflowed for a weight near the float limit; the share
+    # itself is finite.  Only here, so no finite push rounds differently.
+    return lookahead * (length / longest)
 
 
 class WordOutcome(Enum):

@@ -47,8 +47,11 @@ class RescoreConfig:
 class DomainLms:
     """The rescoring models plus the catalog words that trigger routing.
 
-    Any scorer with a ``logprob(words) -> float`` method plugs in; the
-    bundled back-off n-gram model is just the default choice.
+    Any scorer with an ``nbest_logprob(sentences) -> list[float]`` method
+    plugs in: it gets one n-best list's hypotheses as lists of words and
+    returns one log-probability per hypothesis, in order.  The bundled
+    back-off n-gram model is just the default choice; its batched scores are
+    ``==`` to :func:`lm.lm_logprob` of each hypothesis.
     """
 
     generic: NGramLM
@@ -60,17 +63,30 @@ def route_lm(nbest: NBestList, lms: DomainLms) -> NGramLM:
     """Pick the contacts model iff any hypothesis mentions a catalog word."""
     if lms.contacts is None:
         raise ValueError("contacts domain is unbound")
-    for hyp in nbest.hyps:
-        if any(w in lms.catalog_words for w in hyp.text.split()):
+    return _route(nbest, _sentences(nbest), lms)
+
+
+def _sentences(nbest: NBestList) -> list[list[str]]:
+    """Each hypothesis's words, split once for routing and scoring."""
+    return [hyp.text.split() for hyp in nbest.hyps]
+
+
+def _route(nbest: NBestList, sentences: list[list[str]], lms: DomainLms) -> NGramLM:
+    """:func:`route_lm` over the list's split hypotheses."""
+    for hyp, words in zip(nbest.hyps, sentences):
+        if not lms.catalog_words.isdisjoint(words):
             log.debug("utt %s routed to contacts LM (%r)", nbest.utt_id, hyp.text)
             return lms.contacts
     log.debug("utt %s routed to generic LM", nbest.utt_id)
     return lms.generic
 
 
-def _pick_lm(nbest: NBestList, lms: DomainLms) -> NGramLM:
-    """The routed model when the contacts domain is bound, else the generic one."""
-    return lms.generic if lms.contacts is None else route_lm(nbest, lms)
+def _list_logprobs(nbest: NBestList, lms: DomainLms) -> list[float]:
+    """The LM log-prob of each hypothesis, under the routed model when the
+    contacts domain is bound, else under the generic one: one batched call."""
+    sentences = _sentences(nbest)
+    lm = lms.generic if lms.contacts is None else _route(nbest, sentences, lms)
+    return lm.nbest_logprob(sentences)
 
 
 def second_pass_score(hyp: Hypothesis, lam: float, config: RescoreConfig, lm_lp: float) -> float:
@@ -78,11 +94,20 @@ def second_pass_score(hyp: Hypothesis, lam: float, config: RescoreConfig, lm_lp:
 
 
 def rescore(nbest: NBestList, config: RescoreConfig, lm: NGramLM) -> NBestList:
-    """Re-rank one n-best list; pure, stable under score ties."""
-    scored = []
-    for hyp in nbest.hyps:
-        lm_lp = lm.logprob(hyp.text.split())
-        scored.append((second_pass_score(hyp, nbest.lam, config, lm_lp), hyp))
+    """Re-rank one n-best list; pure, stable under score ties.
+
+    The list's hypotheses are scored by one ``lm.nbest_logprob`` call; under
+    the bundled n-gram model each score is ``==`` to ``lm_logprob`` of that
+    hypothesis alone, so the ranking is the one per-hypothesis scoring gives.
+    """
+    return _rerank(nbest, config, lm.nbest_logprob(_sentences(nbest)))
+
+
+def _rerank(nbest: NBestList, config: RescoreConfig, lm_lps: list[float]) -> NBestList:
+    scored = [
+        (second_pass_score(hyp, nbest.lam, config, lm_lp), hyp)
+        for hyp, lm_lp in zip(nbest.hyps, lm_lps)
+    ]
     # sorted() is stable: ties keep first-pass order.
     reranked = [h for _, h in sorted(scored, key=lambda sh: -sh[0])]
     return NBestList(utt_id=nbest.utt_id, ref=nbest.ref, lam=nbest.lam, hyps=reranked)
@@ -91,7 +116,7 @@ def rescore(nbest: NBestList, config: RescoreConfig, lm: NGramLM) -> NBestList:
 def rescore_corpus(
     lists: list[NBestList], config: RescoreConfig, lms: DomainLms
 ) -> list[NBestList]:
-    return [rescore(nb, config, _pick_lm(nb, lms)) for nb in lists]
+    return [_rerank(nb, config, _list_logprobs(nb, lms)) for nb in lists]
 
 
 # -- tuning ---------------------------------------------------------------------
@@ -109,20 +134,21 @@ class _Objective:
 
     This is :func:`rescore_corpus` followed by :func:`metrics.pool`, with
     everything that does not depend on (alpha, beta) computed once: each row
-    is ``(rnnt_logp, lam * sf_score, lm_logprob, errors)``, and ``ref_len``
-    sums the reference lengths as ``pool`` does.  ``max`` returns the first
-    maximal row, which heads ``rescore``'s stable sort.
+    is ``(rnnt_logp, lam * sf_score, lm_logprob, errors)``, its LM log-prob
+    taken from the same one ``nbest_logprob`` call per list that
+    ``rescore_corpus`` makes, and ``ref_len`` sums the reference lengths as
+    ``pool`` does.  ``max`` returns the first maximal row, which heads
+    ``rescore``'s stable sort.
     """
 
     def __init__(self, dev: list[NBestList], refs: dict[str, str], lms: DomainLms):
         self.items = []
         self.ref_len = 0
         for nb in dev:
-            lm = _pick_lm(nb, lms)
             table = align_hyps(nb, refs.get(nb.utt_id))
             self.items.append([
-                (hyp.rnnt_logp, nb.lam * hyp.sf_score, lm.logprob(hyp.text.split()), b.errors)
-                for hyp, b in zip(nb.hyps, table)
+                (hyp.rnnt_logp, nb.lam * hyp.sf_score, lm_lp, b.errors)
+                for hyp, lm_lp, b in zip(nb.hyps, _list_logprobs(nb, lms), table)
             ])
             self.ref_len += table[0].ref_len
 

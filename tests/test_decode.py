@@ -514,10 +514,12 @@ class TestBeamSearchEdges:
             with pytest.raises(ValueError):
                 beam_search(_Fixed(scores), None, mini_vocab, lam, 8, 4, max_steps=max_steps)
 
-    def test_finite_parts_may_overflow_the_fused_score(self, mini_vocab):
+    @pytest.mark.parametrize("biaser_cls", [WordBiaser, SubwordBiaser])
+    def test_finite_parts_may_overflow_the_fused_score(self, mini_vocab, biaser_cls):
         # -1e308 is a valid weight, but 2 * -1e308 overflows: the hypothesis
-        # keeps its finite parts and the overflowed fused score.
-        biaser = WordBiaser(build_catalog_fst([CatalogEntry(("bado",), -1e308)]))
+        # keeps its finite parts and the overflowed fused score.  The subword
+        # lookahead's pushes along the way stay finite too.
+        biaser = biaser_cls(build_catalog_fst([CatalogEntry(("bado",), -1e308)]))
         oracle = synth_oracle(mini_vocab, "bado")
         nbest = beam_search(oracle, biaser, mini_vocab, 2.0, 8, 1,
                             max_steps=oracle.max_steps("utt-0"))

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 import random
 import re
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from biaslattice.cli import main
 from biaslattice.errors import InputFormatError
 from biaslattice.lm import (
     BOS,
@@ -370,6 +374,42 @@ def _accepted_model_files(draw):
     return arpa, "".join(f"@x\t{word}\t{lp!r}\n" for word, lp in members.items())
 
 
+def _load_accepted(files, tmp: Path):
+    """The model from ``_accepted_model_files``' text, or a rejected example."""
+    arpa, members = files
+    (tmp / "m.arpa").write_text(arpa)
+    (tmp / "m.members").write_text(members)
+    try:
+        return load_lm(tmp / "m.arpa", tmp / "m.members")
+    except InputFormatError:
+        reject()
+
+
+def _nbest_line(utt_id: str, sentences) -> str:
+    """One n-best JSON record whose hypotheses are ``sentences``, best first."""
+    hyps = [{"text": " ".join(words), "tokens": [w + "_" for w in words],
+             "rnnt_logp": -float(i), "sf_score": 0.0} for i, words in enumerate(sentences)]
+    return json.dumps({"id": utt_id, "ref": " ".join(sentences[0]), "lambda": 1.0,
+                       "hyps": hyps}) + "\n"
+
+
+# Surface words for n-best hypotheses: the model's words and tag, uppercase
+# forms of them, a member-only word ("d"), and unknown words.
+_HYP_WORDS = st.sampled_from(_WORDS + ("A", "C", "@X", "d", "D", "zzz", "Zzz"))
+
+
+@st.composite
+def _shared_prefix_lists(draw):
+    """One n-best list: 1-6 hypotheses, each a prefix (0-6 words, possibly
+    empty) of one stem of up to 6 words, followed by up to 2 more words.  So
+    hypotheses share prefixes, repeat, and may be empty."""
+    stem = draw(st.lists(_HYP_WORDS, max_size=6))
+    return [
+        stem[: draw(st.integers(0, len(stem)))] + draw(st.lists(_HYP_WORDS, max_size=2))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+
+
 class TestLogDomain:
     """``surface_prob`` mixes paths in the log domain, so no accepted model
     scores a word sequence as 0 probability."""
@@ -394,13 +434,38 @@ class TestLogDomain:
     @example((_FLOOR_ARPA, _FLOOR_MEMBERS), ["a"] * 8)
     @settings(max_examples=200, deadline=None)
     def test_every_accepted_model_scores_finite(self, files, words):
-        arpa, members = files
+        """``lm_logprob`` is finite, and ``biaslattice rescore`` and ``tune``
+        exit 0 on a two-list n-best file built from the words, with the model
+        as both the generic and the contacts model (a catalog word routes)."""
         with tempfile.TemporaryDirectory() as tmp:
-            (Path(tmp) / "m.arpa").write_text(arpa)
-            (Path(tmp) / "m.members").write_text(members)
-            try:
-                lm = load_lm(Path(tmp) / "m.arpa", Path(tmp) / "m.members")
-            except InputFormatError:
-                reject()
-        assert math.isfinite(lm_logprob(lm, words))
+            d = Path(tmp)
+            lm = _load_accepted(files, d)
+            assert math.isfinite(lm_logprob(lm, words))
+            (d / "catalog.tsv").write_text("a\t1.5\n")
+            (d / "dev.nbest").write_text(
+                _nbest_line("contacts-0", [words, words[: len(words) // 2], []])
+                + _nbest_line("general-0", [words[::-1], words[1:]])
+            )
+            lms = ["--lm-generic", d / "m.arpa", "--lm-contacts", d / "m.arpa",
+                   "--lm-members", d / "m.members", "--catalog", d / "catalog.tsv"]
+            for argv in (["rescore", "--nbest", d / "dev.nbest", *lms, "--beta", "1",
+                          "--out", d / "out.nbest"],
+                         ["tune", "--dev", d / "dev.nbest", *lms, "--budget", "30"]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main([str(a) for a in argv])
+                assert code == 0, (argv[0], err.getvalue())
 
+    @given(_accepted_model_files(), st.lists(_shared_prefix_lists(), min_size=1, max_size=3))
+    @example((_FLOOR_ARPA, _FLOOR_MEMBERS), [[[], ["a"], ["a", "A"], [], ["a", "zzz"]]])
+    @settings(max_examples=200, deadline=None)
+    def test_nbest_logprob_is_lm_logprob(self, files, lists):
+        """The batched scores equal ``lm_logprob`` with ``==``, list after list
+        on one model, so no call leaves state that the next one reads.
+        Models are those of ``_accepted_model_files``; up to 3 lists, each as
+        ``_shared_prefix_lists`` bounds it (at most 6 hypotheses of at most 8
+        words)."""
+        with tempfile.TemporaryDirectory() as tmp:
+            lm = _load_accepted(files, Path(tmp))
+        for sentences in lists:
+            assert lm.nbest_logprob(sentences) == [lm_logprob(lm, s) for s in sentences]

@@ -229,8 +229,8 @@ class TestTune:
 class TestPluggableScorer:
     def test_any_logprob_scorer_plugs_in(self):
         class LengthPenalty:
-            def logprob(self, words):
-                return -float(len(words))
+            def nbest_logprob(self, sentences):
+                return [-float(len(words)) for words in sentences]
 
         nb = mk_list("u", "a", [("one two three", -1.0, 0.0), ("one", -1.2, 0.0)])
         out = rescore(nb, RescoreConfig(alpha=0.0, beta=1.0), LengthPenalty())
