@@ -11,7 +11,7 @@ import math
 import sys
 
 from . import context, decode, fst, lm, metrics, rescore, wordpiece
-from .errors import InputFormatError
+from .errors import InputFormatError, open_text
 
 
 def _number(kind, ok: str, test):
@@ -52,7 +52,7 @@ def _cmd_build_fst(args) -> int:
         print(f"built catalog automaton: {len(entries)} phrases, "
               f"{automaton.num_states} states, {automaton.num_arcs} arcs")
     else:
-        with open(args.class_corpus, encoding="utf-8") as f:
+        with open_text(args.class_corpus) as f:
             cfst = context.build_class_fst(f, args.min_count, source=args.class_corpus)
         automaton = cfst.fst
         print(f"built class automaton: tags {sorted(cfst.tags)}, "
@@ -192,7 +192,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_train_lm(args) -> int:
-    with open(args.corpus, encoding="utf-8") as f:
+    with open_text(args.corpus) as f:
         model = lm.train_kn_lm(f, order=args.order, source=args.corpus)
     lm.write_arpa(model, args.out)
     if args.members:

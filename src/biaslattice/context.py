@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import InputFormatError
+from .errors import InputFormatError, open_text
 from .fst import (
     DEFAULT_DELIMITER,
     CatalogEntry,
@@ -143,7 +143,7 @@ def read_bindings(lines: Iterable[str], *, source: str = "<bindings>") -> dict[s
 def load_bindings(path, class_fst: ClassFst | None = None) -> dict[str, WordFst]:
     import os
 
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         manifest = read_bindings(f, source=str(path))
     base = os.path.dirname(os.fspath(path))
     bindings = {

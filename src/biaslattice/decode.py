@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol
 
 from .context import ContextualBiaser
-from .errors import InputFormatError
+from .errors import InputFormatError, open_text
 from .fst import WordFst
 from .lookahead import PhraseWalk, WordWalk
 from .wordpiece import (
@@ -478,7 +478,7 @@ def _typed(value, kind: type, field: str):
 
 def read_nbest(path) -> list[NBestList]:
     out = []
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:

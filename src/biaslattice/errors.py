@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file opener
+that maps undecodable bytes to one of them."""
+
+from contextlib import contextmanager
 
 
 class BiasLatticeError(Exception):
@@ -10,3 +13,18 @@ class InputFormatError(BiasLatticeError):
 
     The command-line driver maps this to exit code 2.
     """
+
+
+@contextmanager
+def open_text(path):
+    """Open ``path`` to read UTF-8 text, as ``open(path, encoding="utf-8")``.
+
+    Bytes that are not UTF-8, met anywhere in the ``with`` block, raise
+    :class:`InputFormatError` naming the file instead of
+    ``UnicodeDecodeError``.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            yield f
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -47,7 +47,7 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import ge, gt, not_, sub
 from typing import Iterable
 
-from .errors import InputFormatError
+from .errors import InputFormatError, open_text
 from .wordpiece import DEFAULT_DELIMITER
 
 DEFAULT_WEIGHT = -1.0
@@ -425,7 +425,7 @@ def read_catalog(lines: Iterable[str], *, source: str = "<catalog>") -> list[Cat
 
 
 def load_catalog(path) -> list[CatalogEntry]:
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         return read_catalog(f, source=str(path))
 
 

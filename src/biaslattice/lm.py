@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .context import Span, parse_annotated
-from .errors import InputFormatError
+from .errors import InputFormatError, open_text
 
 BOS = "<s>"
 EOS_WORD = "</s>"
@@ -186,22 +186,36 @@ def train_kn_lm(
 
     ``lines`` hold whitespace-separated tokens; spans written
     ``@tag(word ...)`` become class tags in the token stream and their words
-    become class members.
+    become class members.  Lines are stripped and lowercased; blank lines and
+    ``#`` comments are skipped.
+
+    The cost follows the distinct inputs, not the line count: each distinct
+    line is parsed once, n-grams are counted once per distinct token
+    sequence (lines that differ only inside their spans share one) weighted
+    by how often it occurs, and each tag's member total is taken once.  A
+    malformed line is reported at its first occurrence.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    sequences: list[list[str]] = []
-    member_counts: dict[str, Counter[str]] = defaultdict(Counter)
+    # Each distinct line -> [its first line number, its count].
+    distinct: dict[str, list[int]] = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip().lower()
         if not line or line.startswith("#"):
             continue
-        tokens = parse_annotated(line, where=f"{source}:{lineno}")
-        seq, members = _substitute(tokens)
-        if seq:
-            sequences.append(seq)
-            for tag, word in members:
-                member_counts[tag][word] += 1
+        seen = distinct.get(line)
+        if seen is None:
+            distinct[line] = [lineno, 1]
+        else:
+            seen[1] += 1
+    sequences: Counter[tuple[str, ...]] = Counter()
+    member_counts: dict[str, Counter[str]] = defaultdict(Counter)
+    for line, (lineno, count) in distinct.items():
+        # A stripped, non-blank line parses to at least one token or raises.
+        seq, members = _substitute(parse_annotated(line, where=f"{source}:{lineno}"))
+        sequences[tuple(seq)] += count
+        for tag, word in members:
+            member_counts[tag][word] += count
     if not sequences:
         raise InputFormatError(f"{source}: empty training corpus")
 
@@ -211,17 +225,18 @@ def train_kn_lm(
     # padding symbol are never predicted and are excluded everywhere.
     raw_n: Counter[tuple[str, ...]] = Counter()
     raw_sets: dict[int, set[tuple[str, ...]]] = {k: set() for k in range(2, order + 1)}
-    for seq in sequences:
-        padded = [BOS] * (order - 1) + seq + [EOS_WORD]
+    pad = (BOS,) * (order - 1)
+    for seq, count in sequences.items():
+        padded = pad + seq + (EOS_WORD,)
         for k in range(2, order + 1):
             for i in range(len(padded) - k + 1):
-                gram = tuple(padded[i : i + k])
+                gram = padded[i : i + k]
                 if gram[-1] != BOS:
                     raw_sets[k].add(gram)
         for i in range(len(padded) - order + 1):
-            gram = tuple(padded[i : i + order])
+            gram = padded[i : i + order]
             if gram[-1] != BOS:
-                raw_n[gram] += 1
+                raw_n[gram] += count
 
     # Count system per order: raw counts at the top, continuation counts
     # (distinct left extensions) below.
@@ -273,12 +288,10 @@ def train_kn_lm(
         for ctx in sorted(denom):
             backoffs[ctx] = math.log(discount * types[ctx] / denom[ctx])
 
-    classes = {
-        tag: {
-            word: math.log(c / sum(cnt.values())) for word, c in sorted(cnt.items())
-        }
-        for tag, cnt in sorted(member_counts.items())
-    }
+    classes = {}
+    for tag, cnt in sorted(member_counts.items()):
+        total = sum(cnt.values())
+        classes[tag] = {word: math.log(c / total) for word, c in sorted(cnt.items())}
     return NGramLM(
         order=order,
         logprobs=logprobs,
@@ -355,7 +368,7 @@ def read_arpa(path) -> NGramLM:
     # (back-off, line number, line) of the largest and smallest back-off
     largest_bow = (-math.inf, 0, "")
     smallest_bow = (math.inf, 0, "")
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         lines = [ln.rstrip("\n") for ln in f]
     i = 0
     n = len(lines)
@@ -452,7 +465,7 @@ def write_members(lm: NGramLM, path) -> None:
 
 def read_members(path) -> dict[str, dict[str, float]]:
     classes: dict[str, dict[str, float]] = defaultdict(dict)
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .decode import NBestList
-from .errors import InputFormatError
+from .errors import InputFormatError, open_text
 
 _PUNCT = str.maketrans("", "", string.punctuation.replace("'", ""))
 
@@ -256,7 +256,7 @@ def format_report(report: Report) -> str:
 def read_refs(path) -> dict[str, str]:
     """References file: ``id<TAB>transcript`` per line."""
     refs: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):

@@ -47,6 +47,10 @@ class RescoreConfig:
 class DomainLms:
     """The rescoring models plus the catalog words that trigger routing.
 
+    ``catalog_words`` are lowercase, as :func:`fst.load_catalog` reads them,
+    and hypothesis words are lowercased before they are matched, so routing
+    ignores case as the models do.  Scorers get the lowercased words.
+
     Any scorer with an ``nbest_logprob(sentences) -> list[float]`` method
     plugs in: it gets one n-best list's hypotheses as lists of words and
     returns one log-probability per hypothesis, in order.  The bundled
@@ -60,15 +64,16 @@ class DomainLms:
 
 
 def route_lm(nbest: NBestList, lms: DomainLms) -> NGramLM:
-    """Pick the contacts model iff any hypothesis mentions a catalog word."""
+    """Pick the contacts model iff any hypothesis mentions a catalog word,
+    in any case."""
     if lms.contacts is None:
         raise ValueError("contacts domain is unbound")
     return _route(nbest, _sentences(nbest), lms)
 
 
 def _sentences(nbest: NBestList) -> list[list[str]]:
-    """Each hypothesis's words, split once for routing and scoring."""
-    return [hyp.text.split() for hyp in nbest.hyps]
+    """Each hypothesis's lowercased words, split once for routing and scoring."""
+    return [hyp.text.lower().split() for hyp in nbest.hyps]
 
 
 def _route(nbest: NBestList, sentences: list[list[str]], lms: DomainLms) -> NGramLM:

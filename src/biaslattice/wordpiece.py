@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import InputFormatError
+from .errors import InputFormatError, open_text
 
 DEFAULT_DELIMITER = "_"
 
@@ -153,7 +153,7 @@ def read_vocab(lines: Iterable[str], *, source: str = "<vocab>") -> WordpieceVoc
 
 
 def load_vocab(path) -> WordpieceVocab:
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         return read_vocab(f, source=str(path))
 
 

@@ -13,12 +13,14 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Iterable
 
 from biaslattice.decode import END, Hypothesis, NBestList, NullBiaser, _check_normalized, fuse_step
 from biaslattice.errors import InputFormatError
+from biaslattice.context import Span, parse_annotated
 from biaslattice.fst import DEFAULT_DELIMITER, CatalogEntry, CatalogError, WordFst
+from biaslattice.lm import EOS_WORD, NGramLM
 from biaslattice.lookahead import PhraseWalk, WordOutcome
 from biaslattice.wordpiece import detokenize, is_delimiter
 
@@ -686,3 +688,134 @@ def reference_deserialize_columnar(data: bytes) -> WordFst:
         finals={s for s in range(n) if data[18 + s] & 1},
         arcs=arcs,
     ))
+
+
+# -- Kneser-Ney training, one line at a time --------------------------------------
+#
+# ``train_kn_lm`` as it stood before it trained each distinct line once: it
+# parses and counts every line, and takes a tag's member total once per
+# member.  Copied verbatim but for its name; it reuses the package's model
+# type, its span parser and its special tokens.
+
+
+def _substitute(tokens: list) -> tuple[list[str], list[tuple[str, str]]]:
+    """Replace spans by one tag token per spanned word; collect members."""
+    out: list[str] = []
+    members: list[tuple[str, str]] = []
+    for tok in tokens:
+        if isinstance(tok, Span):
+            for word in tok.words:
+                out.append(tok.tag)
+                members.append((tok.tag, word))
+        else:
+            out.append(tok)
+    return out, members
+
+
+def reference_train_kn_lm(
+    lines: Iterable[str], order: int = 4, *, source: str = "<corpus>"
+) -> NGramLM:
+    """Train an interpolated Kneser-Ney model on (optionally annotated) text.
+
+    ``lines`` hold whitespace-separated tokens; spans written
+    ``@tag(word ...)`` become class tags in the token stream and their words
+    become class members.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    sequences: list[list[str]] = []
+    member_counts: dict[str, Counter[str]] = defaultdict(Counter)
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip().lower()
+        if not line or line.startswith("#"):
+            continue
+        tokens = parse_annotated(line, where=f"{source}:{lineno}")
+        seq, members = _substitute(tokens)
+        if seq:
+            sequences.append(seq)
+            for tag, word in members:
+                member_counts[tag][word] += 1
+    if not sequences:
+        raise InputFormatError(f"{source}: empty training corpus")
+
+    vocab = {tok for seq in sequences for tok in seq} | {EOS_WORD, UNK}
+
+    # Raw gram inventories over BOS-padded sequences; grams ending in the
+    # padding symbol are never predicted and are excluded everywhere.
+    raw_n: Counter[tuple[str, ...]] = Counter()
+    raw_sets: dict[int, set[tuple[str, ...]]] = {k: set() for k in range(2, order + 1)}
+    for seq in sequences:
+        padded = [BOS] * (order - 1) + seq + [EOS_WORD]
+        for k in range(2, order + 1):
+            for i in range(len(padded) - k + 1):
+                gram = tuple(padded[i : i + k])
+                if gram[-1] != BOS:
+                    raw_sets[k].add(gram)
+        for i in range(len(padded) - order + 1):
+            gram = tuple(padded[i : i + order])
+            if gram[-1] != BOS:
+                raw_n[gram] += 1
+
+    # Count system per order: raw counts at the top, continuation counts
+    # (distinct left extensions) below.
+    systems: dict[int, Counter[tuple[str, ...]]] = {order: raw_n}
+    for k in range(1, order):
+        cont: Counter[tuple[str, ...]] = Counter()
+        for gram in raw_sets[k + 1]:
+            cont[gram[1:]] += 1
+        systems[k] = cont
+
+    logprobs: dict[tuple[str, ...], float] = {}
+    backoffs: dict[tuple[str, ...], float] = {}
+    uniform = 1.0 / len(vocab)
+
+    def lower_prob(context: tuple[str, ...], token: str) -> float:
+        # Linear-domain eval against the tables built so far.
+        ctx = context
+        scale = 1.0
+        while True:
+            p = logprobs.get(ctx + (token,))
+            if p is not None:
+                return scale * math.exp(p)
+            if not ctx:
+                return scale * uniform
+            scale *= math.exp(backoffs.get(ctx, 0.0))
+            ctx = ctx[1:]
+
+    for k in range(1, order + 1):
+        counts = systems[k]
+        n1 = sum(1 for c in counts.values() if c == 1)
+        n2 = sum(1 for c in counts.values() if c == 2)
+        # Degenerate count-of-count tables (no singletons) would zero the
+        # back-off mass; fall back to absolute discounting at 0.5.
+        discount = n1 / (n1 + 2.0 * n2) if n1 > 0 else 0.5
+        denom: Counter[tuple[str, ...]] = Counter()
+        types: Counter[tuple[str, ...]] = Counter()
+        for gram, c in counts.items():
+            denom[gram[:-1]] += c
+            types[gram[:-1]] += 1
+        grams = sorted(counts) if k > 1 else sorted((w,) for w in vocab)
+        for gram in grams:
+            ctx = gram[:-1]
+            c = counts.get(gram, 0)
+            if denom[ctx] == 0:
+                continue  # context never observed at this order
+            interp = discount * types[ctx] / denom[ctx]
+            p = max(c - discount, 0.0) / denom[ctx] + interp * lower_prob(ctx[1:], gram[-1])
+            logprobs[gram] = math.log(p)
+        for ctx in sorted(denom):
+            backoffs[ctx] = math.log(discount * types[ctx] / denom[ctx])
+
+    classes = {
+        tag: {
+            word: math.log(c / sum(cnt.values())) for word, c in sorted(cnt.items())
+        }
+        for tag, cnt in sorted(member_counts.items())
+    }
+    return NGramLM(
+        order=order,
+        logprobs=logprobs,
+        backoffs=backoffs,
+        vocab=frozenset(vocab),
+        classes=classes,
+    )

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -442,3 +443,55 @@ class TestUnderflowingLm:
         assert "Traceback" not in capsys.readouterr().err
         assert json.loads((tmp_path / "o.nbest").read_text())["hyps"][0]["text"] == "a a"
 
+
+def _utf8_cases(w):
+    """Reader -> (the file it reads, a command line that reads it) in ``w``."""
+    nbest = ("--nbest", w / "d.nbest")
+    decode = ("decode", "--vocab", w / "vocab.txt", "--refs", w / "refs.tsv",
+              "--out", w / "x.nbest")
+    rescore = ("rescore", *nbest, "--out", w / "x.nbest", "--lm-generic", w / "c.arpa")
+    return {
+        "catalog": ("catalog.tsv", ("build-fst", "--catalog", w / "catalog.tsv",
+                                    "--out", w / "x.fst")),
+        "class-corpus": ("class.txt", ("build-fst", "--class-corpus", w / "class.txt",
+                                       "--out", w / "x.fst")),
+        "train-lm": ("lmcorpus.txt", ("train-lm", "--corpus", w / "lmcorpus.txt",
+                                      "--out", w / "x.arpa")),
+        "vocab": ("vocab.txt", decode),
+        "refs": ("refs.tsv", decode),
+        "bindings": ("bindings.tsv", (*decode, "--class-fst", w / "class.fst",
+                                      "--bindings", w / "bindings.tsv")),
+        "nbest": ("d.nbest", ("eval", *nbest)),
+        "arpa": ("c.arpa", rescore),
+        "members": ("c.members", (*rescore, "--lm-contacts", w / "c.arpa",
+                                  "--lm-members", w / "c.members")),
+    }
+
+
+class TestInvalidUtf8:
+    """A text input holding bytes that are not UTF-8 exits with code 2 and
+    names the file, whichever reader meets them."""
+
+    @pytest.mark.parametrize("reader", sorted(_utf8_cases(Path())))
+    def test_exits_2_naming_the_file(self, workdir, capsys, reader):
+        assert run("train-lm", "--corpus", workdir / "contactscorpus.txt", "--order", 2,
+                   "--out", workdir / "c.arpa", "--members", workdir / "c.members") == 0
+        assert run("build-fst", "--class-corpus", workdir / "class.txt",
+                   "--out", workdir / "class.fst") == 0
+        assert run("build-fst", "--catalog", workdir / "catalog.tsv",
+                   "--out", workdir / "contacts.fst") == 0
+        (workdir / "bindings.tsv").write_text("@contactname\tcontacts.fst\n")
+        hyp = {"text": "call bodu", "tokens": ["call_", "bodu_"],
+               "rnnt_logp": -1.0, "sf_score": 0.0}
+        (workdir / "d.nbest").write_text(json.dumps(
+            {"id": "contacts-t0000", "ref": "call bodu", "lambda": 1.0, "hyps": [hyp]}) + "\n")
+        name, argv = _utf8_cases(workdir)[reader]
+        assert run(*argv) == 0  # the command line works on the intact file
+        capsys.readouterr()
+
+        bad = workdir / name
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text" in err
+        assert "Traceback" not in err

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from biaslattice.lm import (
     write_members,
 )
 from conftest import UNDERFLOW_ARPA
-from oracles import RefKN
+from oracles import RefKN, reference_train_kn_lm
 
 
 def random_corpus(rng, vocab="abcde", n_sentences=8, max_len=6):
@@ -146,6 +147,99 @@ class TestClasses:
         lp, tok = surface_prob(lm, (BOS,), "zzz")
         assert tok == UNK
         assert lp == lm.cond_logprob((BOS,), UNK)
+
+
+# Corpus words: case variants, a carrier word, and the literal sentence markers.
+_CORPUS_WORDS = st.sampled_from(("a", "B", "b", "call", "<s>", "<S>", "</s>"))
+_SPANS = st.builds(lambda tag, words: f"{tag}({' '.join(words)})",
+                   st.sampled_from(("@x", "@X", "@y")),
+                   st.lists(_CORPUS_WORDS, min_size=1, max_size=3))
+_MALFORMED = st.sampled_from(("@x(", "a @x() b", "a(b", "call @x(a)b", "@(a)", "B @Y(a"))
+
+
+@st.composite
+def _training_corpora(draw):
+    """(corpus lines, whether a malformed line was put in).  A few distinct
+    lines (plain, with one- or multi-word spans, blank, ``#`` comments) are
+    drawn and repeated, each copy maybe upper- or title-cased and padded;
+    then one tag may get many members, and a malformed line may go in once
+    or twice, anywhere."""
+    pool = draw(st.lists(
+        st.lists(_CORPUS_WORDS | _SPANS, min_size=1, max_size=5).map(" ".join)
+        | st.sampled_from(("", "  ", "# a comment", "#@x(")),
+        min_size=1, max_size=6))
+    variant = st.tuples(st.sampled_from(pool), st.sampled_from((str, str.upper, str.title)),
+                        st.sampled_from(("", " ", "\t")), st.sampled_from(("", "\n", " \n")))
+    lines = [pad + case(line) + end
+             for line, case, pad, end in draw(st.lists(variant, max_size=30))]
+    lines += [f"call @x(m{i})" for i in range(draw(st.integers(0, 40)))]
+    lines = list(draw(st.permutations(lines)))
+    malformed = draw(st.booleans())
+    if malformed:
+        bad = draw(_MALFORMED)
+        for _ in range(draw(st.integers(1, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), bad)
+    return lines, malformed
+
+
+def _model_bytes(model):
+    """The ARPA and members files ``model`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_arpa(model, Path(tmp) / "m.arpa")
+        write_members(model, Path(tmp) / "m.members")
+        return (Path(tmp) / "m.arpa").read_bytes(), (Path(tmp) / "m.members").read_bytes()
+
+
+def _trained(train, lines, order):
+    """The model ``train`` fits, or the message of the input error it raises."""
+    try:
+        return train(lines, order=order, source="corpus.txt")
+    except InputFormatError as exc:
+        return str(exc)
+
+
+class TestDistinctLineTraining:
+    """``train_kn_lm`` parses each distinct line once and counts each
+    distinct token sequence once, weighted by its multiplicity; the model
+    is the one line-by-line training gives, field by field."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=_training_corpora(), order=st.integers(1, 4))
+    @example(corpus=(["a", "a", "@x(", "a", "@x("], True), order=2)
+    @example(corpus=(["A b", "a B", "call @x(a)", "CALL @X(b a)", "# c", ""], False), order=3)
+    def test_matches_line_by_line_training(self, corpus, order):
+        lines, malformed = corpus
+        got = _trained(train_kn_lm, lines, order)
+        want = _trained(reference_train_kn_lm, lines, order)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not malformed
+        assert isinstance(got, type(want))
+        assert got.order == want.order
+        assert got.vocab == want.vocab
+        assert got.logprobs == want.logprobs and list(got.logprobs) == list(want.logprobs)
+        assert got.backoffs == want.backoffs and list(got.backoffs) == list(want.backoffs)
+        assert got.classes == want.classes
+        assert [list(m) for m in got.classes.values()] == [list(m) for m in want.classes.values()]
+        assert list(got.classes) == list(want.classes)
+        assert _model_bytes(got) == _model_bytes(want)
+
+    def test_malformed_line_named_at_its_first_copy(self):
+        lines = ["call @x(a)", "call @x(a)", "", "a(b", "call @x(a)", "A(B"]
+        with pytest.raises(InputFormatError, match=r"^corpus\.txt:4: "):
+            train_kn_lm(lines, order=2, source="corpus.txt")
+
+    def test_member_normalization_is_linear(self):
+        # 32,000 members under one tag.  Summing the tag's member counts once
+        # per member made this quadratic: about 7 s on a 2-CPU x86-64 host.
+        lines = [f"call @contactname(n{i}a n{i}b)" for i in range(16_000)]
+        start = time.perf_counter()
+        lm = train_kn_lm(lines, order=2)
+        assert time.perf_counter() - start < 3.0
+        for members in lm.classes.values():
+            assert math.fsum(math.exp(lp) for lp in members.values()) == pytest.approx(1.0)
+        assert len(lm.classes["@contactname"]) == 32_000
 
 
 class TestModelFiles:

@@ -140,6 +140,16 @@ class TestRouting:
             nb = mk_list("u", "call grace", list(perm))
             assert route_lm(nb, lms) is lms.contacts
 
+    @pytest.mark.parametrize("text", ["call ada", "call ADA", "Call Ada"])
+    def test_routing_ignores_case(self, lms, text):
+        # The contacts model ranks the catalog text first, the generic one last.
+        nb = mk_list("u", "call ada", [("play some music", -1.0, 0.0), (text, -1.0, 0.0)])
+        assert route_lm(nb, lms) is lms.contacts
+        config = RescoreConfig(beta=1.0)
+        out = rescore_corpus([nb], config, lms)
+        assert out == [rescore(nb, config, lms.contacts)]
+        assert out[0].hyps[0].text == text
+
     def test_unbound_contacts_rejected(self, generic_lm):
         lms = DomainLms(generic=generic_lm, contacts=None)
         nb = mk_list("u", "a", [("a", -1.0, 0.0)])
