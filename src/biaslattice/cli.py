@@ -63,9 +63,13 @@ def _cmd_build_fst(args) -> int:
 
 def _load_biaser(args, vocab, entries):
     delimiter = vocab.delimiter
+    if args.bindings and not args.class_fst:
+        raise InputFormatError(f"--bindings {args.bindings} requires --class-fst")
     if args.class_fst:
         if not args.bindings:
             raise InputFormatError("--class-fst requires --bindings")
+        if args.word_level:
+            raise InputFormatError(f"--word-level has no effect with --class-fst {args.class_fst}")
         cfst = context.load_class_fst(args.class_fst)
         bindings = context.load_bindings(args.bindings, cfst)
         return context.ContextualBiaser(cfst, bindings, delimiter=delimiter)
@@ -87,7 +91,7 @@ def _cmd_decode(args) -> int:
     if entries is not None:
         noisy = frozenset(w for e in entries for w in e.phrase)
     try:
-        oracle = decode.synth_oracle(
+        oracle = decode.SynthOracle(
             vocab, refs, noise=args.noise, seed=args.oracle_seed, noisy_words=noisy
         )
     except wordpiece.SegmentationError as exc:
@@ -120,14 +124,17 @@ def _cmd_decode(args) -> int:
 
 
 def _load_domain_lms(args) -> rescore.DomainLms:
+    # The catalog's words route lists to the contacts model: neither works alone.
+    if args.lm_contacts and not args.catalog:
+        raise InputFormatError(f"--lm-contacts {args.lm_contacts} requires --catalog")
+    for flag, path in (("--catalog", args.catalog), ("--lm-members", args.lm_members)):
+        if path and not args.lm_contacts:
+            raise InputFormatError(f"{flag} {path} requires --lm-contacts")
     generic = lm.load_lm(args.lm_generic)
-    contacts = None
-    if args.lm_contacts:
-        contacts = lm.load_lm(args.lm_contacts, args.lm_members)
-    catalog_words = frozenset()
-    if args.catalog:
-        entries = fst.load_catalog(args.catalog)
-        catalog_words = frozenset(w for e in entries for w in e.phrase)
+    if not args.lm_contacts:
+        return rescore.DomainLms(generic=generic)
+    contacts = lm.load_lm(args.lm_contacts, args.lm_members)
+    catalog_words = frozenset(w for e in fst.load_catalog(args.catalog) for w in e.phrase)
     return rescore.DomainLms(generic=generic, contacts=contacts, catalog_words=catalog_words)
 
 
@@ -202,6 +209,14 @@ def _cmd_train_lm(args) -> int:
     return 0
 
 
+def _add_lm_flags(p) -> None:
+    """The rescoring models' flags, which rescore and tune share."""
+    p.add_argument("--lm-generic", required=True, help="generic back-off model file")
+    p.add_argument("--lm-contacts", help="contacts back-off model file; requires --catalog")
+    p.add_argument("--lm-members", help="class members sidecar for --lm-contacts")
+    p.add_argument("--catalog", help="catalog whose words route to the contacts model")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biaslattice",
@@ -237,10 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rescore", help="second-pass rescoring of an n-best file")
     p.add_argument("--nbest", required=True)
-    p.add_argument("--lm-generic", required=True, help="generic back-off model file")
-    p.add_argument("--lm-contacts", help="contacts back-off model file")
-    p.add_argument("--lm-members", help="class members sidecar for --lm-contacts")
-    p.add_argument("--catalog", help="catalog whose words route to the contacts model")
+    _add_lm_flags(p)
     p.add_argument("--alpha", type=_finite, default=1.0)
     p.add_argument("--beta", type=_finite, default=0.0)
     p.add_argument("--out", required=True)
@@ -249,10 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="optimize (alpha, beta) on a dev n-best file")
     p.add_argument("--dev", required=True, help="dev n-best file")
     p.add_argument("--refs", help="references; defaults to transcripts in the dev file")
-    p.add_argument("--lm-generic", required=True)
-    p.add_argument("--lm-contacts")
-    p.add_argument("--lm-members")
-    p.add_argument("--catalog")
+    _add_lm_flags(p)
     p.add_argument("--bounds", default="-2,4,0,4", help="alpha/beta box: a0,a1,b0,b1")
     p.add_argument("--budget", type=_positive_int, default=400, help="objective evaluations")
     p.add_argument("--seed", type=int, default=0)

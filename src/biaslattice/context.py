@@ -14,12 +14,13 @@ transitions over plain state tuples.
 
 from __future__ import annotations
 
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import InputFormatError, open_text
+from .errors import InputFormatError, open_text, records
 from .fst import (
     DEFAULT_DELIMITER,
     CatalogEntry,
@@ -92,68 +93,49 @@ def build_class_fst(
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     templates: Counter[tuple[str, ...]] = Counter()
-    tags: set[str] = set()
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip().lower()
-        if not line or line.startswith("#"):
-            continue
-        tokens = parse_annotated(line, where=f"{source}:{lineno}")
-        template = []
-        for tok in tokens:
-            if isinstance(tok, Span):
-                template.append(tok.tag)
-                tags.add(tok.tag)
-            else:
-                template.append(tok)
-        if template:
-            templates[tuple(template)] += 1
+    for where, line in records(lines, source):
+        tokens = parse_annotated(line.lower(), where=where)
+        templates[tuple(tok.tag if isinstance(tok, Span) else tok for tok in tokens)] += 1
     kept = sorted(t for t, c in templates.items() if c >= min_count)
-    if not kept:
-        return ClassFst(empty_fst(), frozenset())
     try:
-        fst = build_catalog_fst(CatalogEntry(t, 0.0) for t in kept)
+        fst = build_catalog_fst(CatalogEntry(t, 0.0) for t in kept) if kept else empty_fst()
     except CatalogError as exc:
         raise InputFormatError(f"{source}: {exc}") from None
-    used = frozenset(tag for t in kept for tag in t if tag.startswith("@"))
-    return ClassFst(fst, used)
+    return _class_fst(fst)
 
 
 def load_class_fst(path) -> ClassFst:
-    fst = load_fst(path)
-    tags = frozenset(word for word in fst.arc_words if word.startswith("@"))
-    return ClassFst(fst, tags)
+    return _class_fst(load_fst(path))
+
+
+def _class_fst(fst: WordFst) -> ClassFst:
+    """A template automaton with its class tags: its ``@`` arc words."""
+    return ClassFst(fst, frozenset(word for word in fst.arc_words if word.startswith("@")))
 
 
 def read_bindings(lines: Iterable[str], *, source: str = "<bindings>") -> dict[str, str]:
     """Parse a binding manifest: ``@tag<TAB>path`` per line."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for where, line in records(lines, source):
         tag, sep, path = line.partition("\t")
         if not sep or not tag.startswith("@") or not path.strip():
-            raise InputFormatError(f"{source}:{lineno}: expected '@tag<TAB>path'")
+            raise InputFormatError(f"{where}: expected '@tag<TAB>path'")
         out[tag] = path.strip()
     if not out:
         raise InputFormatError(f"{source}: no bindings found")
     return out
 
 
-def load_bindings(path, class_fst: ClassFst | None = None) -> dict[str, WordFst]:
-    import os
-
+def load_bindings(path, class_fst: ClassFst) -> dict[str, WordFst]:
+    """The automata a manifest binds; every tag of ``class_fst`` must be bound."""
     with open_text(path) as f:
         manifest = read_bindings(f, source=str(path))
     base = os.path.dirname(os.fspath(path))
-    bindings = {
-        tag: load_fst(p if os.path.isabs(p) else os.path.join(base, p))
-        for tag, p in manifest.items()
-    }
-    if class_fst is not None:
-        missing = class_fst.tags - bindings.keys()
-        if missing:
-            raise InputFormatError(f"{path}: no binding for {sorted(missing)}")
+    # join() keeps an absolute path as it is and resolves a relative one.
+    bindings = {tag: load_fst(os.path.join(base, p)) for tag, p in manifest.items()}
+    missing = class_fst.tags - bindings.keys()
+    if missing:
+        raise InputFormatError(f"{path}: no binding for {sorted(missing)}")
     return bindings
 
 

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the text-file opener
-that maps undecodable bytes to one of them."""
+"""Exception types shared across the package, the text-file opener that
+maps undecodable bytes to one of them, and the line formats' record rule."""
 
 from contextlib import contextmanager
+from typing import Iterable, Iterator
 
 
 class BiasLatticeError(Exception):
@@ -28,3 +29,12 @@ def open_text(path):
             yield f
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def records(lines: Iterable[str], source) -> Iterator[tuple[str, str]]:
+    """``(where, line)`` for each stripped line that is neither blank nor a
+    ``#`` comment; ``where`` is ``source:lineno``, to prefix its errors."""
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield f"{source}:{lineno}", line

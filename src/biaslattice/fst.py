@@ -47,7 +47,7 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import ge, gt, not_, sub
 from typing import Iterable
 
-from .errors import InputFormatError, open_text
+from .errors import InputFormatError, open_text, records
 from .wordpiece import DEFAULT_DELIMITER
 
 DEFAULT_WEIGHT = -1.0
@@ -399,10 +399,7 @@ def validate_fst(fst: WordFst) -> None:
 
 def read_catalog(lines: Iterable[str], *, source: str = "<catalog>") -> list[CatalogEntry]:
     entries = []
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for where, line in records(lines, source):
         phrase_part, sep, weight_part = line.rpartition("\t")
         if not sep:
             phrase_part, weight = line, DEFAULT_WEIGHT
@@ -410,15 +407,13 @@ def read_catalog(lines: Iterable[str], *, source: str = "<catalog>") -> list[Cat
             try:
                 weight = float(weight_part)
             except ValueError:
-                raise InputFormatError(
-                    f"{source}:{lineno}: bad weight {weight_part.strip()!r}"
-                ) from None
+                raise InputFormatError(f"{where}: bad weight {weight_part.strip()!r}") from None
         if not phrase_part.strip():
-            raise InputFormatError(f"{source}:{lineno}: empty phrase")
+            raise InputFormatError(f"{where}: empty phrase")
         try:
             entries.append(CatalogEntry.from_text(phrase_part, weight))
         except CatalogError as exc:
-            raise InputFormatError(f"{source}:{lineno}: {exc}") from None
+            raise InputFormatError(f"{where}: {exc}") from None
     if not entries:
         raise InputFormatError(f"{source}: no catalog entries found")
     return entries

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .context import Span, parse_annotated
-from .errors import InputFormatError, open_text
+from .errors import InputFormatError, open_text, records
 
 BOS = "<s>"
 EOS_WORD = "</s>"
@@ -88,8 +88,14 @@ class NGramLM:
         return (BOS,) * (self.order - 1) if self.order > 1 else ()
 
     def logprob(self, words: Iterable[str]) -> float:
-        """Sequence log-probability, as :func:`lm_logprob`."""
-        return lm_logprob(self, words)
+        """Natural-log probability of a word sequence, including sentence end."""
+        ctx = self._start
+        total = 0.0
+        for word in words:
+            lp, tok = self._surface(ctx, word.lower())
+            total += lp
+            ctx = (ctx + (tok,))[1:] if ctx else ctx
+        return total + self._cond(ctx, EOS_WORD)
 
     def nbest_logprob(self, sentences: Iterable[Sequence[str]]) -> list[float]:
         """:func:`lm_logprob` of each word sequence, each equal to it with ``==``.
@@ -186,33 +192,37 @@ def train_kn_lm(
 
     ``lines`` hold whitespace-separated tokens; spans written
     ``@tag(word ...)`` become class tags in the token stream and their words
-    become class members.  Lines are stripped and lowercased; blank lines and
-    ``#`` comments are skipped.
+    become class members.  Lines are read as :func:`errors.records` and
+    lowercased.  The sentence markers ``<s>`` and ``</s>`` are reserved: a
+    line holding one, as a word or a span member, is refused.
 
     The cost follows the distinct inputs, not the line count: each distinct
     line is parsed once, n-grams are counted once per distinct token
     sequence (lines that differ only inside their spans share one) weighted
     by how often it occurs, and each tag's member total is taken once.  A
-    malformed line is reported at its first occurrence.
+    malformed or refused line is reported at its first occurrence.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    # Each distinct line -> [its first line number, its count].
-    distinct: dict[str, list[int]] = {}
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip().lower()
-        if not line or line.startswith("#"):
-            continue
+    # Each distinct line -> [where its first copy is, its count].
+    distinct: dict[str, list] = {}
+    for where, line in records(lines, source):
+        line = line.lower()
         seen = distinct.get(line)
         if seen is None:
-            distinct[line] = [lineno, 1]
+            distinct[line] = [where, 1]
         else:
             seen[1] += 1
     sequences: Counter[tuple[str, ...]] = Counter()
     member_counts: dict[str, Counter[str]] = defaultdict(Counter)
-    for line, (lineno, count) in distinct.items():
+    for line, (where, count) in distinct.items():
         # A stripped, non-blank line parses to at least one token or raises.
-        seq, members = _substitute(parse_annotated(line, where=f"{source}:{lineno}"))
+        seq, members = _substitute(parse_annotated(line, where=where))
+        reserved = {BOS, EOS_WORD}.intersection([*seq, *(word for _, word in members)])
+        if reserved:
+            raise InputFormatError(
+                f"{where}: reserved sentence marker in training text: {' '.join(sorted(reserved))}"
+            )
         sequences[tuple(seq)] += count
         for tag, word in members:
             member_counts[tag][word] += count
@@ -313,15 +323,7 @@ def surface_prob(lm: NGramLM, context: tuple[str, ...], word: str) -> tuple[floa
     return lm._surface(context[-(lm.order - 1):] if lm.order > 1 else (), word)
 
 
-def lm_logprob(lm: NGramLM, words: Iterable[str]) -> float:
-    """Natural-log probability of a word sequence, including sentence end."""
-    ctx = lm._start
-    total = 0.0
-    for word in words:
-        lp, tok = lm._surface(ctx, word.lower())
-        total += lp
-        ctx = (ctx + (tok,))[1:] if ctx else ctx
-    return total + lm._cond(ctx, EOS_WORD)
+lm_logprob = NGramLM.logprob  # as a function of the model: lm_logprob(lm, words)
 
 
 # -- model files ---------------------------------------------------------------
@@ -360,79 +362,67 @@ def write_arpa(lm: NGramLM, path) -> None:
 
 
 def read_arpa(path) -> NGramLM:
+    """A model from the back-off text format; fields split on whitespace."""
     logprobs: dict[tuple[str, ...], float] = {}
     backoffs: dict[tuple[str, ...], float] = {}
-    declared: dict[int, int] = {}
     order = 0
     section = None
     # (back-off, line number, line) of the largest and smallest back-off
     largest_bow = (-math.inf, 0, "")
     smallest_bow = (math.inf, 0, "")
     with open_text(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    i = 0
-    n = len(lines)
-    while i < n and lines[i].strip() != "\\data\\":
-        i += 1
-    if i == n:
-        raise InputFormatError(f"{path}: missing \\data\\ header")
-    i += 1
-    while i < n:
-        line = lines[i].strip()
-        i += 1
-        if not line:
-            continue
-        if line == "\\end\\":
-            break
-        if line.startswith("ngram "):
+        lines = enumerate(f, 1)
+        if not any(raw.strip() == "\\data\\" for _, raw in lines):
+            raise InputFormatError(f"{path}: missing \\data\\ header")
+        for i, raw in lines:
+            line = raw.strip()
+            if not line:
+                continue
+            if line == "\\end\\":
+                break
+            if line.startswith("ngram "):
+                try:
+                    k, count = line[len("ngram "):].split("=")
+                    int(count)  # the count must parse; nothing reads it
+                    order = max(order, int(k))
+                except ValueError:
+                    raise InputFormatError(f"{path}:{i}: bad ngram declaration") from None
+                continue
+            if line.startswith("\\") and line.endswith("-grams:"):
+                try:
+                    section = int(line[1:-len("-grams:")])
+                except ValueError:
+                    raise InputFormatError(f"{path}:{i}: bad section header {line!r}") from None
+                continue
+            if section is None:
+                raise InputFormatError(f"{path}:{i}: gram line outside a section")
+            parts = line.split()
+            words = tuple(parts[1 : 1 + section])
             try:
-                k, cnt = line[len("ngram "):].split("=")
-                declared[int(k)] = int(cnt)
-                order = max(order, int(k))
-            except ValueError:
-                raise InputFormatError(f"{path}:{i}: bad ngram declaration") from None
-            continue
-        if line.startswith("\\") and line.endswith("-grams:"):
-            try:
-                section = int(line[1:-len("-grams:")])
-            except ValueError:
-                raise InputFormatError(f"{path}:{i}: bad section header {line!r}") from None
-            continue
-        if section is None:
-            raise InputFormatError(f"{path}:{i}: gram line outside a section")
-        try:
-            if "\t" in line:
-                parts = line.split("\t")
                 p10 = float(parts[0])
-                words = tuple(parts[1].split())
-                bow = float(parts[2]) if len(parts) > 2 and parts[2] else None
-            else:
-                parts = line.split()
-                p10 = float(parts[0])
-                words = tuple(parts[1 : 1 + section])
                 bow = float(parts[1 + section]) if len(parts) > 1 + section else None
-        except (ValueError, IndexError):
-            raise InputFormatError(f"{path}:{i}: bad gram line {line!r}") from None
-        if len(words) != section:
-            raise InputFormatError(
-                f"{path}:{i}: expected a {section}-gram, got {len(words)} tokens"
-            )
-        # A log-prob of -99 or -inf marks a gram kept only as a back-off
-        # context.  Values are checked in natural log, where they are used.
-        if not p10 * _LN10 < math.inf:
-            raise InputFormatError(f"{path}:{i}: non-finite log-prob in {line!r}")
-        if bow is not None and not math.isfinite(bow * _LN10):
-            raise InputFormatError(f"{path}:{i}: non-finite back-off in {line!r}")
-        if p10 > _LOGPROB_TOLERANCE:
-            raise InputFormatError(f"{path}:{i}: log-prob above 0 in {line!r}")
-        if p10 > _BOW_ONLY + 0.5:
-            logprobs[words] = p10 * _LN10
-        if bow is not None:
-            backoffs[words] = bow * _LN10
-            if bow > largest_bow[0]:
-                largest_bow = (bow, i, line)
-            if bow < smallest_bow[0]:
-                smallest_bow = (bow, i, line)
+            except ValueError:
+                raise InputFormatError(f"{path}:{i}: bad gram line {line!r}") from None
+            if len(words) != section:
+                raise InputFormatError(
+                    f"{path}:{i}: expected a {section}-gram, got {len(words)} tokens"
+                )
+            # A log-prob of -99 or -inf marks a gram kept only as a back-off
+            # context.  Values are checked in natural log, where they are used.
+            if not p10 * _LN10 < math.inf:
+                raise InputFormatError(f"{path}:{i}: non-finite log-prob in {line!r}")
+            if bow is not None and not math.isfinite(bow * _LN10):
+                raise InputFormatError(f"{path}:{i}: non-finite back-off in {line!r}")
+            if p10 > _LOGPROB_TOLERANCE:
+                raise InputFormatError(f"{path}:{i}: log-prob above 0 in {line!r}")
+            if p10 > _BOW_ONLY + 0.5:
+                logprobs[words] = p10 * _LN10
+            if bow is not None:
+                backoffs[words] = bow * _LN10
+                if bow > largest_bow[0]:
+                    largest_bow = (bow, i, line)
+                if bow < smallest_bow[0]:
+                    smallest_bow = (bow, i, line)
     if not logprobs:
         raise InputFormatError(f"{path}: no grams found")
     # A score charges at most order - 1 back-offs on top of one log-prob.
@@ -466,24 +456,21 @@ def write_members(lm: NGramLM, path) -> None:
 def read_members(path) -> dict[str, dict[str, float]]:
     classes: dict[str, dict[str, float]] = defaultdict(dict)
     with open_text(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for where, line in records(f, path):
             parts = line.split("\t")
             if len(parts) != 3 or not parts[0].startswith("@"):
-                raise InputFormatError(f"{path}:{lineno}: expected 'tag<TAB>word<TAB>logprob'")
+                raise InputFormatError(f"{where}: expected 'tag<TAB>word<TAB>logprob'")
             try:
                 logprob = float(parts[2])
             except ValueError:
-                raise InputFormatError(f"{path}:{lineno}: bad logprob") from None
+                raise InputFormatError(f"{where}: bad logprob") from None
             if not math.isfinite(logprob * _LN10):
-                raise InputFormatError(f"{path}:{lineno}: non-finite logprob {parts[2]!r}")
+                raise InputFormatError(f"{where}: non-finite logprob {parts[2]!r}")
             if logprob > _LOGPROB_TOLERANCE:
-                raise InputFormatError(f"{path}:{lineno}: logprob above 0: {parts[2]!r}")
+                raise InputFormatError(f"{where}: logprob above 0: {parts[2]!r}")
             # The same floor as summed back-offs, so a member's score stays finite.
             if logprob * _LN10 < -_LOG_MAX:
-                raise InputFormatError(f"{path}:{lineno}: logprob too small to score: {parts[2]!r}")
+                raise InputFormatError(f"{where}: logprob too small to score: {parts[2]!r}")
             classes[parts[0]][parts[1]] = logprob * _LN10
     return dict(classes)
 

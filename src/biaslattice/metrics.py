@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .decode import NBestList
-from .errors import InputFormatError, open_text
+from .errors import InputFormatError, open_text, records
 
 _PUNCT = str.maketrans("", "", string.punctuation.replace("'", ""))
 
@@ -257,16 +257,13 @@ def read_refs(path) -> dict[str, str]:
     """References file: ``id<TAB>transcript`` per line."""
     refs: dict[str, str] = {}
     with open_text(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
+        for where, line in records(f, path):
             utt_id, sep, text = line.partition("\t")
             if not sep or not utt_id.strip() or not text.strip():
-                raise InputFormatError(f"{path}:{lineno}: expected 'id<TAB>transcript'")
+                raise InputFormatError(f"{where}: expected 'id<TAB>transcript'")
             utt_id = utt_id.strip()
             if utt_id in refs:
-                raise InputFormatError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
+                raise InputFormatError(f"{where}: duplicate utterance id {utt_id!r}")
             refs[utt_id] = text.strip()
     if not refs:
         raise InputFormatError(f"{path}: no references found")

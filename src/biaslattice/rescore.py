@@ -13,7 +13,7 @@ simulated annealing against the WER of the rescored 1-best, with a coarse
 seed grid evaluated first so the result can never be worse than the seeds.
 The tuned WER (``tune --out``'s ``dev_wer``) is the pooled 1-best WER that
 :func:`metrics.evaluate` (``eval``) reports for the rescored dev lists: both
-rank as :func:`rescore` does and pool errors as :func:`metrics.pool` does.
+rank as :func:`rescore_corpus` does and pool errors as ``metrics.pool`` does.
 """
 
 from __future__ import annotations
@@ -98,30 +98,21 @@ def second_pass_score(hyp: Hypothesis, lam: float, config: RescoreConfig, lm_lp:
     return hyp.rnnt_logp + config.alpha * (lam * hyp.sf_score) + config.beta * lm_lp
 
 
-def rescore(nbest: NBestList, config: RescoreConfig, lm: NGramLM) -> NBestList:
-    """Re-rank one n-best list; pure, stable under score ties.
-
-    The list's hypotheses are scored by one ``lm.nbest_logprob`` call; under
-    the bundled n-gram model each score is ``==`` to ``lm_logprob`` of that
-    hypothesis alone, so the ranking is the one per-hypothesis scoring gives.
-    """
-    return _rerank(nbest, config, lm.nbest_logprob(_sentences(nbest)))
-
-
-def _rerank(nbest: NBestList, config: RescoreConfig, lm_lps: list[float]) -> NBestList:
-    scored = [
-        (second_pass_score(hyp, nbest.lam, config, lm_lp), hyp)
-        for hyp, lm_lp in zip(nbest.hyps, lm_lps)
-    ]
-    # sorted() is stable: ties keep first-pass order.
-    reranked = [h for _, h in sorted(scored, key=lambda sh: -sh[0])]
-    return NBestList(utt_id=nbest.utt_id, ref=nbest.ref, lam=nbest.lam, hyps=reranked)
-
-
 def rescore_corpus(
     lists: list[NBestList], config: RescoreConfig, lms: DomainLms
 ) -> list[NBestList]:
-    return [_rerank(nb, config, _list_logprobs(nb, lms)) for nb in lists]
+    """Re-rank each list, scored by one ``nbest_logprob`` call of its routed
+    model; pure, and stable under score ties."""
+    out = []
+    for nb in lists:
+        scored = [
+            (second_pass_score(hyp, nb.lam, config, lm_lp), hyp)
+            for hyp, lm_lp in zip(nb.hyps, _list_logprobs(nb, lms))
+        ]
+        # sorted() is stable: ties keep first-pass order.
+        reranked = [h for _, h in sorted(scored, key=lambda sh: -sh[0])]
+        out.append(NBestList(utt_id=nb.utt_id, ref=nb.ref, lam=nb.lam, hyps=reranked))
+    return out
 
 
 # -- tuning ---------------------------------------------------------------------
@@ -143,7 +134,7 @@ class _Objective:
     taken from the same one ``nbest_logprob`` call per list that
     ``rescore_corpus`` makes, and ``ref_len`` sums the reference lengths as
     ``pool`` does.  ``max`` returns the first maximal row, which heads
-    ``rescore``'s stable sort.
+    ``rescore_corpus``'s stable sort.
     """
 
     def __init__(self, dev: list[NBestList], refs: dict[str, str], lms: DomainLms):

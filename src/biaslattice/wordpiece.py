@@ -90,14 +90,6 @@ def segment(vocab: WordpieceVocab, word: str, *, fused: bool = False) -> tuple[s
     return tuple(pieces) + (vocab.delimiter,)
 
 
-def segment_text(vocab: WordpieceVocab, text: str, *, fused: bool = False) -> tuple[str, ...]:
-    """Segment each whitespace-separated word of lowercased ``text``."""
-    out: list[str] = []
-    for word in text.lower().split():
-        out.extend(segment(vocab, word, fused=fused))
-    return tuple(out)
-
-
 def is_delimiter(vocab: WordpieceVocab, token: str) -> bool:
     """True for the standalone delimiter and for fused forms like ``er_``."""
     return bool(token) and token.endswith(vocab.delimiter)

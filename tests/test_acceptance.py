@@ -23,7 +23,7 @@ from biaslattice.fst import CatalogEntry, build_catalog_fst
 from biaslattice.lm import train_kn_lm, lm_logprob
 from biaslattice.lookahead import ExpandSession, ProbeCounter, prefix_range
 from biaslattice.metrics import normalize_words, oracle_wer, pool, split_label, wer
-from biaslattice.rescore import DomainLms, RescoreConfig, rescore, rescore_corpus, tune
+from biaslattice.rescore import DomainLms, RescoreConfig, rescore_corpus, tune
 from biaslattice.synthdata import make_task
 from biaslattice.wordpiece import make_vocab, segment
 from oracles import RefKN, SubwordTrie, all_chunkings, linear_prefix_filter
@@ -260,7 +260,7 @@ def test_06_second_pass_degeneracy(runs, lms):
         cfg = RescoreConfig(alpha=1.0, beta=0.0)
         for name in ("baseline", "subwd2.5", "subwd3-2.5", "ctxt3-2.5"):
             for nb in runs[name]:
-                out = rescore(nb, cfg, lms.generic)
+                (out,) = rescore_corpus([nb], cfg, DomainLms(generic=lms.generic))
                 assert [h.tokens for h in out.hyps] == [h.tokens for h in nb.hyps]
                 assert out.hyps == nb.hyps
 

@@ -444,6 +444,23 @@ class TestUnderflowingLm:
         assert json.loads((tmp_path / "o.nbest").read_text())["hyps"][0]["text"] == "a a"
 
 
+@pytest.fixture()
+def built(workdir):
+    """A trained contacts model, the class and catalog automata, a bindings
+    manifest and a one-list n-best file in ``workdir``."""
+    assert run("train-lm", "--corpus", workdir / "contactscorpus.txt", "--order", 2,
+               "--out", workdir / "c.arpa", "--members", workdir / "c.members") == 0
+    assert run("build-fst", "--class-corpus", workdir / "class.txt",
+               "--out", workdir / "class.fst") == 0
+    assert run("build-fst", "--catalog", workdir / "catalog.tsv",
+               "--out", workdir / "contacts.fst") == 0
+    (workdir / "bindings.tsv").write_text("@contactname\tcontacts.fst\n")
+    hyp = {"text": "call bodu", "tokens": ["call_", "bodu_"],
+           "rnnt_logp": -1.0, "sf_score": 0.0}
+    (workdir / "d.nbest").write_text(json.dumps(
+        {"id": "contacts-t0000", "ref": "call bodu", "lambda": 1.0, "hyps": [hyp]}) + "\n")
+
+
 def _utf8_cases(w):
     """Reader -> (the file it reads, a command line that reads it) in ``w``."""
     nbest = ("--nbest", w / "d.nbest")
@@ -463,28 +480,19 @@ def _utf8_cases(w):
                                       "--bindings", w / "bindings.tsv")),
         "nbest": ("d.nbest", ("eval", *nbest)),
         "arpa": ("c.arpa", rescore),
-        "members": ("c.members", (*rescore, "--lm-contacts", w / "c.arpa",
-                                  "--lm-members", w / "c.members")),
+        # --lm-contacts routes nothing without --catalog, which rescore refuses.
+        "members": ("c.members", (*rescore, "--lm-contacts", w / "c.arpa", "--lm-members",
+                                  w / "c.members", "--catalog", w / "catalog.tsv")),
     }
 
 
+@pytest.mark.usefixtures("built")
 class TestInvalidUtf8:
     """A text input holding bytes that are not UTF-8 exits with code 2 and
     names the file, whichever reader meets them."""
 
     @pytest.mark.parametrize("reader", sorted(_utf8_cases(Path())))
     def test_exits_2_naming_the_file(self, workdir, capsys, reader):
-        assert run("train-lm", "--corpus", workdir / "contactscorpus.txt", "--order", 2,
-                   "--out", workdir / "c.arpa", "--members", workdir / "c.members") == 0
-        assert run("build-fst", "--class-corpus", workdir / "class.txt",
-                   "--out", workdir / "class.fst") == 0
-        assert run("build-fst", "--catalog", workdir / "catalog.tsv",
-                   "--out", workdir / "contacts.fst") == 0
-        (workdir / "bindings.tsv").write_text("@contactname\tcontacts.fst\n")
-        hyp = {"text": "call bodu", "tokens": ["call_", "bodu_"],
-               "rnnt_logp": -1.0, "sf_score": 0.0}
-        (workdir / "d.nbest").write_text(json.dumps(
-            {"id": "contacts-t0000", "ref": "call bodu", "lambda": 1.0, "hyps": [hyp]}) + "\n")
         name, argv = _utf8_cases(workdir)[reader]
         assert run(*argv) == 0  # the command line works on the intact file
         capsys.readouterr()
@@ -495,3 +503,46 @@ class TestInvalidUtf8:
         err = capsys.readouterr().err
         assert f"{bad}: not UTF-8 text" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.usefixtures("built")
+class TestIgnoredFlags:
+    """A flag that the other flags given would make a no-op exits with code
+    2 and names the flag and its file."""
+
+    @pytest.mark.parametrize("command", ["rescore", "tune"])
+    @pytest.mark.parametrize("flag, name, needs", [
+        ("--lm-contacts", "c.arpa", "--catalog"),
+        ("--catalog", "catalog.tsv", "--lm-contacts"),
+        ("--lm-members", "c.members", "--lm-contacts"),
+    ])
+    def test_second_pass_routing(self, workdir, capsys, command, flag, name, needs):
+        argv = {"rescore": ("rescore", "--nbest", workdir / "d.nbest"),
+                "tune": ("tune", "--dev", workdir / "d.nbest", "--budget", 30)}[command]
+        assert run(*argv, "--lm-generic", workdir / "c.arpa", flag, workdir / name,
+                   "--out", workdir / "x.out") == 2
+        err = capsys.readouterr().err
+        assert f"{flag} {workdir / name} requires {needs}" in err
+        assert "Traceback" not in err
+        assert not (workdir / "x.out").exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        ("--bindings {w}/bindings.tsv", "--bindings {w}/bindings.tsv requires --class-fst"),
+        ("--class-fst {w}/class.fst --bindings {w}/bindings.tsv --word-level",
+         "--word-level has no effect with --class-fst {w}/class.fst"),
+    ])
+    def test_decode_biaser(self, workdir, capsys, extra, message):
+        assert run("decode", "--vocab", workdir / "vocab.txt", "--refs", workdir / "refs.tsv",
+                   "--catalog", workdir / "catalog.tsv", *extra.format(w=workdir).split(),
+                   "--out", workdir / "x.out") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(w=workdir)}\n"
+        assert not (workdir / "x.out").exists()
+
+
+def test_train_lm_refuses_sentence_markers(workdir, capsys):
+    (workdir / "marked.txt").write_text("play some music\nplay <S> some music\n")
+    assert run("train-lm", "--corpus", workdir / "marked.txt", "--out", workdir / "m.arpa") == 2
+    err = capsys.readouterr().err
+    assert f"{workdir / 'marked.txt'}:2: reserved sentence marker in training text: <s>" in err
+    assert not (workdir / "m.arpa").exists()

@@ -13,6 +13,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from biaslattice.cli import main
+from biaslattice.context import Span, parse_annotated
 from biaslattice.errors import InputFormatError
 from biaslattice.lm import (
     BOS,
@@ -198,10 +199,31 @@ def _trained(train, lines, order):
         return str(exc)
 
 
+def _faults(lines):
+    """``(line number, "malformed" or "marker")`` of each corpus line that
+    fails to parse or holds a sentence marker, in line order."""
+    out = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip().lower()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            tokens = parse_annotated(line)
+        except InputFormatError:
+            out.append((lineno, "malformed"))
+            continue
+        words = {w for tok in tokens for w in (tok.words if isinstance(tok, Span) else (tok,))}
+        if words & {BOS, EOS_WORD}:
+            out.append((lineno, "marker"))
+    return out
+
+
 class TestDistinctLineTraining:
     """``train_kn_lm`` parses each distinct line once and counts each
     distinct token sequence once, weighted by its multiplicity; the model
-    is the one line-by-line training gives, field by field."""
+    is the one line-by-line training gives, field by field.  The reference
+    counts a literal sentence marker as a boundary, which the trainer
+    refuses: a corpus holding one must fail at its first faulty line."""
 
     @settings(max_examples=300, deadline=None)
     @given(corpus=_training_corpora(), order=st.integers(1, 4))
@@ -210,6 +232,12 @@ class TestDistinctLineTraining:
     def test_matches_line_by_line_training(self, corpus, order):
         lines, malformed = corpus
         got = _trained(train_kn_lm, lines, order)
+        faults = _faults(lines)
+        if any(fault == "marker" for _, fault in faults):
+            lineno, fault = faults[0]
+            assert isinstance(got, str) and got.startswith(f"corpus.txt:{lineno}: ")
+            assert ("reserved sentence marker" in got) == (fault == "marker")
+            return
         want = _trained(reference_train_kn_lm, lines, order)
         if isinstance(want, str):
             assert got == want
@@ -229,6 +257,20 @@ class TestDistinctLineTraining:
         lines = ["call @x(a)", "call @x(a)", "", "a(b", "call @x(a)", "A(B"]
         with pytest.raises(InputFormatError, match=r"^corpus\.txt:4: "):
             train_kn_lm(lines, order=2, source="corpus.txt")
+
+    @pytest.mark.parametrize("line, marker", [
+        ("a <s> b", "<s>"), ("a </S> b", "</s>"), ("call @x(<s>)", "<s>"),
+        ("<s> a </s>", "</s> <s>"),
+    ])
+    def test_sentence_marker_refused(self, line, marker):
+        with pytest.raises(InputFormatError) as info:
+            train_kn_lm(["a b", line, "a b", line], order=2, source="corpus.txt")
+        want = f"corpus.txt:2: reserved sentence marker in training text: {marker}"
+        assert str(info.value) == want
+
+    def test_unknown_word_marker_allowed(self):
+        lm = train_kn_lm(["a <unk> b", "call @x(<UNK>)"], order=2)
+        assert lm.classes["@x"] == {UNK: 0.0}
 
     def test_member_normalization_is_linear(self):
         # 32,000 members under one tag.  Summing the tag's member counts once

@@ -1,0 +1,58 @@
+"""Every line-based text format reads its records by one rule,
+``errors.records``: blank lines, ``#`` comments (indented or not) and the
+whitespace around a record are skipped, and an error names ``file:line``."""
+
+import re
+
+import pytest
+
+from biaslattice import context, fst, lm, metrics
+from biaslattice.errors import InputFormatError, open_text
+
+
+def _lines(reader, **kwargs):
+    """``reader`` over a file's lines, its errors naming the file."""
+
+    def read(path):
+        with open_text(path) as f:
+            return reader(f, source=str(path), **kwargs)
+
+    return read
+
+
+def _class_fst(path):
+    cfst = _lines(context.build_class_fst, min_count=1)(path)
+    return fst.serialize(cfst.fst), cfst.tags
+
+
+def _model(path):
+    model = _lines(lm.train_kn_lm, order=2)(path)
+    return model.logprobs, model.backoffs, model.classes
+
+
+# reader -> (read a file, one record, one malformed record)
+READERS = {
+    "catalog": (fst.load_catalog, "ada lovelace\t-1.5", "ada\theavy"),
+    "bindings": (_lines(context.read_bindings), "@contactname\tcontacts.fst",
+                 "contactname\tcontacts.fst"),
+    "class-corpus": (_class_fst, "call @contactname(ada lovelace)", "call @contactname(ada"),
+    "lm-corpus": (_model, "call @contactname(ada lovelace)", "call ada)"),
+    "members": (lm.read_members, "@contactname\tada\t-0.3", "@contactname\tada"),
+    "refs": (metrics.read_refs, "contacts-0\tcall ada lovelace", "contacts-0 call ada"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_one_record_rule(tmp_path, name):
+    read, record, bad = READERS[name]
+    plain = tmp_path / "plain.txt"
+    plain.write_text(f"{record}\n", encoding="utf-8")
+    padded = tmp_path / "padded.txt"
+    skipped = "\n# a comment\n  \t# an indented comment\n\t\n"
+    padded.write_text(f"{skipped}  {record} \t\n", encoding="utf-8")
+    assert read(padded) == read(plain)
+
+    # The malformed record is on line 6, after the skipped lines and a record.
+    padded.write_text(f"{skipped}{record}\n{bad}\n{record}\n", encoding="utf-8")
+    with pytest.raises(InputFormatError, match=f"^{re.escape(str(padded))}:6: "):
+        read(padded)

@@ -17,7 +17,6 @@ from biaslattice.rescore import (
     DomainLms,
     RescoreConfig,
     TuneResult,
-    rescore,
     rescore_corpus,
     route_lm,
     tune,
@@ -63,12 +62,14 @@ class TestRescore:
                 for i in range(6)
             ]
             nb = mk_list("u", "w0", rows, lam=rng.choice([0.0, 1.0, 2.5]))
-            out = rescore(nb, RescoreConfig(alpha=1.0, beta=0.0), generic_lm)
+            (out,) = rescore_corpus([nb], RescoreConfig(alpha=1.0, beta=0.0),
+                                    DomainLms(generic=generic_lm))
             assert [h.text for h in out.hyps] == [h.text for h in nb.hyps]
 
     def test_alpha_zero_beta_zero_ranks_by_rnnt(self, generic_lm):
         nb = mk_list("u", "a", [("a", -3.0, 10.0), ("b", -1.0, -10.0), ("c", -2.0, 0.0)])
-        out = rescore(nb, RescoreConfig(alpha=0.0, beta=0.0), generic_lm)
+        (out,) = rescore_corpus([nb], RescoreConfig(alpha=0.0, beta=0.0),
+                                DomainLms(generic=generic_lm))
         assert [h.text for h in out.hyps] == ["b", "c", "a"]
 
     def test_argmax_matches_brute_force(self, generic_lm):
@@ -81,7 +82,7 @@ class TestRescore:
             ]
             nb = mk_list("u", "play some music", rows, lam=1.5)
             config = RescoreConfig(alpha=rng.uniform(-2, 3), beta=rng.uniform(0, 3))
-            out = rescore(nb, config, generic_lm)
+            (out,) = rescore_corpus([nb], config, DomainLms(generic=generic_lm))
             from biaslattice.lm import lm_logprob
 
             def brute(h):
@@ -94,8 +95,9 @@ class TestRescore:
     def test_pure_function(self, generic_lm):
         nb = mk_list("u", "a", [("a", -1.0, 1.0), ("b", -2.0, 2.0)])
         config = RescoreConfig(alpha=0.7, beta=0.3)
-        a = rescore(nb, config, generic_lm)
-        b = rescore(nb, config, generic_lm)
+        lms = DomainLms(generic=generic_lm)
+        a = rescore_corpus([nb], config, lms)
+        b = rescore_corpus([nb], config, lms)
         assert a == b
         assert nb.hyps[0].fused == pytest.approx(nb.hyps[0].rnnt_logp + nb.lam * nb.hyps[0].sf_score)
 
@@ -147,7 +149,7 @@ class TestRouting:
         assert route_lm(nb, lms) is lms.contacts
         config = RescoreConfig(beta=1.0)
         out = rescore_corpus([nb], config, lms)
-        assert out == [rescore(nb, config, lms.contacts)]
+        assert out == rescore_corpus([nb], config, DomainLms(generic=lms.contacts))
         assert out[0].hyps[0].text == text
 
     def test_unbound_contacts_rejected(self, generic_lm):
@@ -243,7 +245,8 @@ class TestPluggableScorer:
                 return [-float(len(words)) for words in sentences]
 
         nb = mk_list("u", "a", [("one two three", -1.0, 0.0), ("one", -1.2, 0.0)])
-        out = rescore(nb, RescoreConfig(alpha=0.0, beta=1.0), LengthPenalty())
+        (out,) = rescore_corpus([nb], RescoreConfig(alpha=0.0, beta=1.0),
+                                DomainLms(generic=LengthPenalty()))
         assert out.hyps[0].text == "one"
 
 

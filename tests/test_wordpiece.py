@@ -10,7 +10,6 @@ from biaslattice.wordpiece import (
     make_vocab,
     read_vocab,
     segment,
-    segment_text,
 )
 
 
@@ -69,7 +68,8 @@ class TestDelimiter:
 class TestDetokenize:
     def test_round_trip_text(self, toy_vocab):
         text = "play call player"
-        assert detokenize(toy_vocab, segment_text(toy_vocab, text)) == text
+        tokens = [piece for word in text.split() for piece in segment(toy_vocab, word)]
+        assert detokenize(toy_vocab, tokens) == text
 
     def test_fused_tokens(self, toy_vocab):
         assert detokenize(toy_vocab, ["pl", "ay", "er_", "ca", "ll_"]) == "player call"
