@@ -7,7 +7,7 @@ tuning.
 """
 
 from .fst import CatalogEntry, WordFst, build_catalog_fst
-from .lookahead import ExpandSession, open_session
+from .lookahead import PhraseWalk
 from .wordpiece import WordpieceVocab, make_vocab, segment
 
 __version__ = "0.1.0"
@@ -16,8 +16,7 @@ __all__ = [
     "CatalogEntry",
     "WordFst",
     "build_catalog_fst",
-    "ExpandSession",
-    "open_session",
+    "PhraseWalk",
     "WordpieceVocab",
     "make_vocab",
     "segment",

@@ -362,10 +362,16 @@ def write_arpa(lm: NGramLM, path) -> None:
 
 
 def read_arpa(path) -> NGramLM:
-    """A model from the back-off text format; fields split on whitespace."""
+    """A model from the back-off text format; fields split on whitespace.
+
+    The header declares ``ngram k=n`` for k = 1, 2, ... in turn; each
+    section's grams are of a declared order, none listed twice, and their
+    number is the declared one.
+    """
     logprobs: dict[tuple[str, ...], float] = {}
     backoffs: dict[tuple[str, ...], float] = {}
-    order = 0
+    declared: list[tuple[int, int]] = []  # (count, line number), by order
+    seen: set[tuple[str, ...]] = set()
     section = None
     # (back-off, line number, line) of the largest and smallest back-off
     largest_bow = (-math.inf, 0, "")
@@ -382,17 +388,22 @@ def read_arpa(path) -> NGramLM:
                 break
             if line.startswith("ngram "):
                 try:
-                    k, count = line[len("ngram "):].split("=")
-                    int(count)  # the count must parse; nothing reads it
-                    order = max(order, int(k))
+                    k, count = map(int, line[len("ngram "):].split("="))
                 except ValueError:
                     raise InputFormatError(f"{path}:{i}: bad ngram declaration") from None
+                if k != len(declared) + 1:
+                    raise InputFormatError(
+                        f"{path}:{i}: expected 'ngram {len(declared) + 1}=<count>', got {line!r}")
+                declared.append((count, i))
                 continue
             if line.startswith("\\") and line.endswith("-grams:"):
                 try:
                     section = int(line[1:-len("-grams:")])
                 except ValueError:
                     raise InputFormatError(f"{path}:{i}: bad section header {line!r}") from None
+                if not 1 <= section <= len(declared):
+                    raise InputFormatError(
+                        f"{path}:{i}: {section}-grams section, but no 'ngram {section}=<count>'")
                 continue
             if section is None:
                 raise InputFormatError(f"{path}:{i}: gram line outside a section")
@@ -407,6 +418,11 @@ def read_arpa(path) -> NGramLM:
                 raise InputFormatError(
                     f"{path}:{i}: expected a {section}-gram, got {len(words)} tokens"
                 )
+            if len(parts) > 2 + section:
+                raise InputFormatError(f"{path}:{i}: fields after the back-off in {line!r}")
+            if words in seen:
+                raise InputFormatError(f"{path}:{i}: {section}-gram {' '.join(words)!r} listed twice")
+            seen.add(words)
             # A log-prob of -99 or -inf marks a gram kept only as a back-off
             # context.  Values are checked in natural log, where they are used.
             if not p10 * _LN10 < math.inf:
@@ -423,6 +439,11 @@ def read_arpa(path) -> NGramLM:
                     largest_bow = (bow, i, line)
                 if bow < smallest_bow[0]:
                     smallest_bow = (bow, i, line)
+    read = Counter(map(len, seen))
+    for k, (count, i) in enumerate(declared, 1):
+        if read[k] != count:
+            raise InputFormatError(f"{path}:{i}: ngram {k}={count} declared, {read[k]} read")
+    order = len(declared)
     if not logprobs:
         raise InputFormatError(f"{path}: no grams found")
     # A score charges at most order - 1 back-offs on top of one log-prob.

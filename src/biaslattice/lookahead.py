@@ -3,7 +3,7 @@
 Biasing models stay at the word level; this module applies them while a
 decoder emits subword tokens, without ever materializing a subword-level
 automaton.  As tokens extend the current word prefix, binary search narrows
-the band of arcs compatible with the prefix.  After each token the session
+the band of arcs compatible with the prefix.  After each token the walk
 has "pushed" a share of the strongest reachable arc weight, proportional to
 how much of the longest candidate word the prefix covers:
 
@@ -32,8 +32,7 @@ cached.  A live band costs a second bisect, for its upper end, plus
 :meth:`WordFst.band_summary`, which finds the band's longest word and
 strongest weight (``fst.strongest``) in O(B + band/B) for the automaton's
 block size B.  No step scans the band in Python, and a word's
-exact match, if any, is the word at ``lo``.  Only :class:`ExpandSession`
-counts positions from the state's first arc, for ``range`` and its trace.
+exact match, if any, is the word at ``lo``.
 
 Scoring is a set of pure transitions.  :class:`PhraseWalk` maps a walk state,
 a plain hashable tuple, and a token to ``(increment, new state)``.  It holds
@@ -52,8 +51,6 @@ arc: it fails the phrase in progress and pays back its pending weight.
 :class:`Session` pairs a scorer with its current state; cloning one copies
 two references, which is all beam search pays per hypothesis extension.
 A biaser is its own scorer, so its session is a plain :class:`Session`.
-:class:`ExpandSession` scores one word from a fixed state and records a
-trace of it; it is a thin facade over the walk.
 """
 
 from __future__ import annotations
@@ -375,108 +372,20 @@ class Session:
         return increment
 
 
-class ExpandSession:
-    """Incremental scorer for one word's subword tokens from a fixed state.
+class ExpandSession(Session):
+    """A :class:`PhraseWalk` session from state ``q`` that shows when its word
+    died: the benchmark's cold probes score through it."""
 
-    Feed content tokens to :meth:`expand` and the word-final delimiter token
-    (standalone or fused) to :meth:`finish_word`.  ``emitted`` always equals
-    the cumulative weight paid out so far for this word.  Once the prefix
-    stops matching the session is dead for the word: the fallback increment
-    has already been returned and later tokens are rejected.  The scoring
-    is :class:`PhraseWalk`'s; this facade checks calls and records ``trace``.
-    """
+    __slots__ = ()
 
-    __slots__ = ("walk", "state", "trace", "finished")
-
-    def __init__(
-        self,
-        fst: WordFst,
-        state: int,
-        *,
-        delimiter: str = DEFAULT_DELIMITER,
-        cache: dict | None = None,
-        counter: ProbeCounter | None = None,
-        trace: list | None = None,
-    ):
-        self.walk = PhraseWalk(fst, delimiter=delimiter, cache=cache, counter=counter)
-        self.state = self.walk.initial(state)
-        self.trace = trace
-        self.finished = False
-
-    @property
-    def prefix(self) -> str:
-        return self.state[1]
-
-    @property
-    def range(self) -> tuple[int, int]:
-        """The band, counted from the first arc of the word's state."""
-        q, _, lo, hi = self.state[:4]
-        base = self.walk.fst.offsets[q]
-        return lo - base, hi - base
-
-    @property
-    def emitted(self) -> float:
-        return self.state[4]
+    def __init__(self, fst: WordFst, q: int, *, delimiter: str = DEFAULT_DELIMITER,
+                 cache: dict | None = None, counter: ProbeCounter | None = None):
+        walk = PhraseWalk(fst, delimiter=delimiter, cache=cache, counter=counter)
+        Session.__init__(self, walk, walk.initial(q))
 
     @property
     def dead(self) -> bool:
         return self.state[5]
 
-    def expand(self, subword: str) -> float:
-        """Extend the prefix by one content token; returns the score increment."""
-        if self.finished:
-            raise ValueError("word already finished; open a new session")
-        if self.dead:
-            raise ValueError("session is dead for this word (prefix fell out)")
-        increment, self.state = self.walk.expand(self.state, subword)
-        if self.trace is not None:
-            self._record(increment)
-        return increment
 
-    def finish_word(self, token: str) -> tuple[float, int | None]:
-        """Close the word with a delimiter-bearing token.
-
-        A fused token (``er_``) first applies its content as an expand step.
-        If the accumulated prefix exactly matches an arc's word, the increment
-        trues the total up to the arc weight and the arc's destination state
-        is returned; otherwise the fallback increment restores neutrality and
-        None marks the miss.  A session that already fell back finishes as a
-        miss with no further score.
-        """
-        if self.finished:
-            raise ValueError("word already finished; open a new session")
-        content = token_content(token, self.walk.delimiter)
-        increment = 0.0
-        if content and not self.dead:
-            increment = self.expand(content)
-        self.finished = True
-        if self.dead:
-            return increment, None
-        step, i, self.state = self.walk.close_word(self.state, self.walk.delimiter)
-        if self.trace is not None:
-            self._record(step, closing=True, matched=i)
-        return increment + step, None if i is None else self.walk.fst.targets[i]
-
-    def _record(self, increment, *, closing=False, matched=None):
-        _, prefix, lo, hi, pushed, dead = self.state[:6]
-        fst = self.walk.fst
-        longest = lookahead = None
-        if closing:
-            lookahead = None if matched is None else fst.weights[matched]
-        elif not dead:
-            longest, lookahead = fst.band_summary(lo, hi)
-        self.trace.append(
-            {
-                "prefix": prefix,
-                "range": self.range,
-                "length": len(prefix),
-                "longest": longest,
-                "lookahead": lookahead,
-                "pushed": None if dead else pushed,
-                "increment": increment,
-                "matched": None if matched is None else fst.arc_words[matched],
-            }
-        )
-
-
-open_session = ExpandSession  # the name the README and the benchmark call
+open_session = ExpandSession  # the name the benchmark calls

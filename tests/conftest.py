@@ -20,6 +20,31 @@ UNDERFLOW_ARPA = (
     "\\2-grams:\n-1\t<s> </s>\n\n\\end\\\n"
 )
 
+# Back-off models the reader refuses: (text, line it names, message part).
+_UNIGRAMS = "\\1-grams:\n-1\t</s>\n-1\t<unk>\n-1\ta\t-0.5\n\n"
+BAD_ARPA = {
+    "section-above-the-order": (
+        "\\data\\\nngram 1=3\nngram 2=1\n\n" + _UNIGRAMS
+        + "\\2-grams:\n-0.2\ta a\n\n\\3-grams:\n-0.01\ta a a\n\n\\end\\\n",
+        13, "3-grams section, but no 'ngram 3=<count>'"),
+    "zero-grams-section": (
+        "\\data\\\nngram 1=3\n\n\\0-grams:\n-1\n\n" + _UNIGRAMS + "\\end\\\n",
+        4, "0-grams section, but no 'ngram 0=<count>'"),
+    "no-declaration": (
+        "\\data\\\n\n" + _UNIGRAMS + "\\end\\\n",
+        3, "1-grams section, but no 'ngram 1=<count>'"),
+    "count-differs": (
+        "\\data\\\nngram 1=30\n\n" + _UNIGRAMS + "\\end\\\n",
+        2, "ngram 1=30 declared, 3 read"),
+    "gram-listed-twice": (
+        "\\data\\\nngram 1=4\n\n" + _UNIGRAMS[:-1] + "-2\ta\n\n\\end\\\n",
+        8, "1-gram 'a' listed twice"),
+    "fields-after-the-back-off": (
+        "\\data\\\nngram 1=3\n\n" + _UNIGRAMS.replace("-1\ta\t-0.5", "-1 a -0.5 junk more")
+        + "\\end\\\n",
+        7, "fields after the back-off"),
+}
+
 
 @pytest.fixture(scope="session")
 def play_fst():
@@ -45,3 +70,19 @@ def random_catalog(rng: random.Random, max_words=50, alphabet="abcdef",
     return [
         CatalogEntry((w,), rng.uniform(*weights)) for w in sorted(words)
     ]
+
+
+def walk_word(walk, chunks, token="_"):
+    """Fold ``walk``'s transitions over one word from the start state: each
+    content chunk, then the delimiter-bearing ``token`` through ``close_word``.
+
+    Returns (expand increments, closing increment, matched arc id or None,
+    state).  A chunk after the word died scores 0.0, as ``expand`` returns it.
+    """
+    state = walk.initial()
+    increments = []
+    for chunk in chunks:
+        increment, state = walk.expand(state, chunk)
+        increments.append(increment)
+    closing, arc, state = walk.close_word(state, token)
+    return increments, closing, arc, state

@@ -21,11 +21,12 @@ from biaslattice.decode import (
 )
 from biaslattice.fst import CatalogEntry, build_catalog_fst
 from biaslattice.lm import train_kn_lm, lm_logprob
-from biaslattice.lookahead import ExpandSession, ProbeCounter, prefix_range
+from biaslattice.lookahead import ExpandSession, PhraseWalk, ProbeCounter, prefix_range
 from biaslattice.metrics import normalize_words, oracle_wer, pool, split_label, wer
 from biaslattice.rescore import DomainLms, RescoreConfig, rescore_corpus, tune
 from biaslattice.synthdata import make_task
 from biaslattice.wordpiece import make_vocab, segment
+from conftest import walk_word
 from oracles import RefKN, SubwordTrie, all_chunkings, linear_prefix_filter
 
 SEED = 7
@@ -114,11 +115,11 @@ def lms(task):
 
 def test_01_worked_example_golden_vector(play_fst):
     with criterion(1, "lookahead golden increments"):
-        trace = []
-        s = ExpandSession(play_fst, play_fst.start, trace=trace)
-        increments = [s.expand("pl"), s.expand("ay")]
-        final, nxt = s.finish_word("er_")
-        increments.append(final)
+        walk = PhraseWalk(play_fst)
+        first_inc, first = walk.expand(walk.initial(), "pl")
+        second_inc, state = walk.expand(first, "ay")
+        final, arc, _ = walk.close_word(state, "er_")
+        increments = [first_inc, second_inc, final]
         assert abs(increments[0] - -1.6) <= 1e-9
         assert abs(increments[1] - -1.6) <= 1e-9
         assert abs(increments[2] - -4.8) <= 1e-9
@@ -126,11 +127,11 @@ def test_01_worked_example_golden_vector(play_fst):
         for inc in increments:
             total += inc
         assert abs(total - -8.0) <= 1e-9
-        assert nxt is not None
-        first = trace[0]
-        assert first["length"] == 2
-        assert first["longest"] == 10
-        assert first["pushed"] == -1.6
+        assert arc is not None
+        # the walkthrough's first row: prefix length, longest word, pushed
+        assert len(first[1]) == 2
+        assert play_fst.band_summary(first[2], first[3])[0] == 10
+        assert first[4] == -1.6
 
 
 def test_02_brute_force_subword_trie_equivalence():
@@ -148,6 +149,7 @@ def test_02_brute_force_subword_trie_equivalence():
             catalog = [(w, rng.uniform(-10.0, 0.0)) for w in sorted(words)]
             entries = [CatalogEntry((w,), wt) for w, wt in catalog]
             fst = build_catalog_fst(entries)
+            walk = PhraseWalk(fst)
             oracle = SubwordTrie(catalog)
             # random wordpiece vocabulary over the same alphabet
             vocab = make_vocab(
@@ -163,16 +165,14 @@ def test_02_brute_force_subword_trie_equivalence():
                 segmentations += rng.sample(chunkings, min(2, len(chunkings)))
                 for chunks in segmentations:
                     want_arcs, want_final, want_match = oracle.path_weight(chunks)
-                    s = ExpandSession(fst, fst.start)
-                    got, cum, want_cum = [], 0.0, 0.0
-                    for chunk, want in zip(chunks, want_arcs):
-                        inc = 0.0 if s.dead else s.expand(chunk)
+                    incs, final, arc, _ = walk_word(walk, chunks)
+                    cum, want_cum = 0.0, 0.0
+                    for inc, want in zip(incs, want_arcs):
                         cum += inc
                         want_cum += want
                         assert abs(cum - want_cum) <= 1e-9
-                    final, nxt = s.finish_word("_")
                     assert abs(final - want_final) <= 1e-9
-                    assert (nxt is not None) == want_match
+                    assert (arc is not None) == want_match
                     if want_match:
                         assert abs((cum + final) - weight) <= 1e-9
             # non-catalog words settle at exactly zero
@@ -180,16 +180,10 @@ def test_02_brute_force_subword_trie_equivalence():
                 w = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8)))
                 if w in words:
                     continue
-                s = ExpandSession(fst, fst.start)
-                total = 0.0
-                for ch in w:
-                    if s.dead:
-                        break
-                    total += s.expand(ch)
-                final, nxt = s.finish_word("_")
-                assert nxt is None
-                assert s.emitted == 0.0
-                assert abs(total + final) <= 1e-12
+                incs, final, arc, state = walk_word(walk, list(w))
+                assert arc is None
+                assert state[4] == 0.0
+                assert abs(sum(incs) + final) <= 1e-12
 
 
 def test_03_prefix_range_correctness():

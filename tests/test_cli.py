@@ -8,7 +8,7 @@ from biaslattice.fst import load_fst
 from biaslattice.metrics import write_refs
 from biaslattice.wordpiece import save_vocab
 from biaslattice.synthdata import default_vocab
-from conftest import UNDERFLOW_ARPA
+from conftest import BAD_ARPA, UNDERFLOW_ARPA
 from oracles import reference_serialize
 
 
@@ -425,6 +425,23 @@ class TestUnusableLm:
         assert f"{model}:5: log-prob above 0" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o.nbest").exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_ARPA))
+    def test_unscorable_model_exits_2_naming_the_line(self, tmp_path, capsys, case):
+        text, line, message = BAD_ARPA[case]
+        model = tmp_path / "m.arpa"
+        model.write_text(text)
+        hyp = {"text": "a a", "tokens": ["a_", "a_"], "rnnt_logp": -1.0, "sf_score": 0.0}
+        path = tmp_path / "dev.nbest"
+        path.write_text(json.dumps({"id": "general-0", "ref": "a a", "lambda": 1.0,
+                                    "hyps": [hyp]}) + "\n")
+        assert run("rescore", "--nbest", path, "--lm-generic", model,
+                   "--out", tmp_path / "o.nbest") == 2
+        err = capsys.readouterr().err
+        assert f"{model}:{line}: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.nbest").exists()
+
 
 
 class TestUnderflowingLm:

@@ -28,7 +28,7 @@ from biaslattice.lm import (
     write_arpa,
     write_members,
 )
-from conftest import UNDERFLOW_ARPA
+from conftest import BAD_ARPA, UNDERFLOW_ARPA
 from oracles import RefKN, reference_train_kn_lm
 
 
@@ -326,6 +326,14 @@ class TestModelFiles:
         p = tmp_path / "bad.arpa"
         p.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\nnot-a-number a\n\\end\\\n")
         with pytest.raises(InputFormatError, match="gram line"):
+            read_arpa(p)
+
+    @pytest.mark.parametrize("case", sorted(BAD_ARPA))
+    def test_unscorable_file_rejected(self, tmp_path, case):
+        text, line, message = BAD_ARPA[case]
+        p = tmp_path / "m.arpa"
+        p.write_text(text)
+        with pytest.raises(InputFormatError, match=f"^{re.escape(f'{p}:{line}: {message}')}"):
             read_arpa(p)
 
     def arpa(self, tmp_path, *grams):

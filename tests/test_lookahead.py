@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from biaslattice.fst import BAND_BLOCK, CatalogEntry, build_catalog_fst
 from biaslattice.lookahead import (
-    ExpandSession,
     PhraseWalk,
     ProbeCounter,
     WordOutcome,
@@ -15,7 +14,7 @@ from biaslattice.lookahead import (
     prefix_range,
     pushed_weight,
 )
-from conftest import random_catalog
+from conftest import random_catalog, walk_word
 from oracles import (
     all_chunkings,
     band_scan,
@@ -84,11 +83,19 @@ class TestPushedWeight:
             pushed_weight(1, 0, -8.0)
 
 
-class TestExpandSession:
+def _band(fst, state):
+    """A walk state's band, counted from the first arc of its word's state."""
+    q, _, lo, hi = state[:4]
+    return lo - fst.offsets[q], hi - fst.offsets[q]
+
+
+class TestWordTransitions:
+    """One word through :class:`PhraseWalk`'s ``expand`` and ``close_word``."""
+
     def test_open_full_range(self, play_fst):
-        s = open_session(play_fst, play_fst.start)
-        assert s.range == (0, 3)
-        assert s.emitted == 0.0
+        state = PhraseWalk(play_fst).initial(play_fst.start)
+        assert _band(play_fst, state) == (0, 3)
+        assert state[4] == 0.0
 
     def test_open_invalid_state(self, play_fst):
         with pytest.raises(IndexError):
@@ -105,157 +112,152 @@ class TestExpandSession:
 
     def test_open_single_arc_state(self):
         f = build_catalog_fst([CatalogEntry(("call",), -1.0)])
-        assert open_session(f, f.start).range == (0, 1)
+        assert _band(f, PhraseWalk(f).initial()) == (0, 1)
 
     def test_open_range_covers_all_arcs(self):
         rng = random.Random(77)
         for _ in range(20):
             f = build_catalog_fst(random_catalog(rng))
             state = rng.randrange(f.num_states)
-            assert open_session(f, state).range == (0, f.arc_count(state))
+            assert _band(f, PhraseWalk(f).initial(state)) == (0, f.arc_count(state))
 
     def test_worked_example_increments(self, play_fst):
-        s = open_session(play_fst, play_fst.start)
-        assert s.expand("pl") == -1.6
-        assert s.expand("ay") == -1.6
-        assert s.emitted == -3.2
-        inc, nxt = s.finish_word("er_")
+        walk = PhraseWalk(play_fst)
+        s = walk.initial()
+        inc, s = walk.expand(s, "pl")
+        assert inc == -1.6
+        inc, s = walk.expand(s, "ay")
+        assert inc == -1.6
+        assert s[4] == -3.2
+        inc, arc, s = walk.close_word(s, "er_")
         assert inc == pytest.approx(-4.8, abs=1e-12)
-        assert play_fst.final[nxt]
-        assert s.emitted == -8.0
+        assert play_fst.final[play_fst.targets[arc]]
+        assert s[4] == -8.0
 
-    def test_trace_records_walkthrough(self, play_fst):
-        trace = []
-        s = ExpandSession(play_fst, play_fst.start, trace=trace)
-        s.expand("pl")
-        assert trace[0]["length"] == 2
-        assert trace[0]["longest"] == 10
-        assert trace[0]["lookahead"] == -8.0
-        assert trace[0]["pushed"] == -1.6
-        assert trace[0]["range"] == (0, 3)
+    def test_state_gives_walkthrough_row(self, play_fst):
+        walk = PhraseWalk(play_fst)
+        _, s = walk.expand(walk.initial(), "pl")
+        assert len(s[1]) == 2
+        assert play_fst.band_summary(s[2], s[3]) == (10, -8.0)
+        assert s[4] == -1.6
+        assert _band(play_fst, s) == (0, 3)
 
     def test_both_delimiter_conventions_agree(self, play_fst):
-        fused = open_session(play_fst, play_fst.start)
-        total_fused = fused.expand("pl") + fused.expand("ay")
-        inc, _ = fused.finish_word("er_")
-        total_fused += inc
-
-        plain = open_session(play_fst, play_fst.start)
-        total_plain = plain.expand("pl") + plain.expand("ay") + plain.expand("er")
-        inc, _ = plain.finish_word("_")
-        total_plain += inc
+        walk = PhraseWalk(play_fst)
+        incs, inc, _, _ = walk_word(walk, ["pl", "ay"], "er_")
+        total_fused = incs[0] + incs[1] + inc
+        incs, inc, _, _ = walk_word(walk, ["pl", "ay", "er"], "_")
+        total_plain = incs[0] + incs[1] + incs[2] + inc
         assert total_fused == total_plain == -8.0
 
     def test_fallback_from_fresh_session_is_zero(self, play_fst):
-        s = open_session(play_fst, play_fst.start)
-        assert s.expand("zz") == 0.0
-        assert s.dead
+        walk = PhraseWalk(play_fst)
+        inc, s = walk.expand(walk.initial(), "zz")
+        assert inc == 0.0
+        assert s[5]
 
-    def test_dead_session_rejects_expand(self, play_fst):
-        s = open_session(play_fst, play_fst.start)
-        s.expand("zz")
-        with pytest.raises(ValueError, match="dead"):
-            s.expand("pl")
+    def test_dead_word_expands_to_nothing(self, play_fst):
+        walk = PhraseWalk(play_fst)
+        _, s = walk.expand(walk.initial(), "zz")
+        assert walk.expand(s, "pl") == (0.0, s)
+        session = open_session(play_fst, play_fst.start)
+        session.expand("zz")
+        assert session.dead
+        assert session.expand("pl") == 0.0 and session.dead
 
     def test_finish_on_dead_session_is_neutral_miss(self, play_fst):
-        s = open_session(play_fst, play_fst.start)
-        s.expand("pl")
-        s.expand("qq")
-        inc, nxt = s.finish_word("_")
-        assert inc == 0.0 and nxt is None
+        _, inc, arc, _ = walk_word(PhraseWalk(play_fst), ["pl", "qq"])
+        assert inc == 0.0 and arc is None
 
     def test_delimiter_in_expand_rejected(self, play_fst):
-        s = open_session(play_fst, play_fst.start)
+        walk = PhraseWalk(play_fst)
         with pytest.raises(ValueError, match="finish_word"):
-            s.expand("er_")
+            walk.expand(walk.initial(), "er_")
 
     def test_non_delimiter_finish_rejected(self, play_fst):
-        s = open_session(play_fst, play_fst.start)
+        walk = PhraseWalk(play_fst)
         with pytest.raises(ValueError, match="delimiter"):
-            s.finish_word("er")
+            walk.close_word(walk.initial(), "er")
 
     def test_fallback_weight_values(self, play_fst):
-        s = open_session(play_fst, play_fst.start)
-        s.expand("pl")
-        s.expand("ay")
-        assert s.expand("zz") == 3.2  # pays back everything emitted
-        assert s.dead and s.emitted == 0.0
+        incs, _, _, s = walk_word(PhraseWalk(play_fst), ["pl", "ay", "zz"])
+        assert incs[2] == 3.2  # pays back everything emitted
+        assert s[5] and s[4] == 0.0
 
     def test_positive_increment_possible(self):
         f = build_catalog_fst([CatalogEntry(("ab",), -1.0), CatalogEntry(("abcdefgh",), -8.0)])
-        s = open_session(f, f.start)
-        s.expand("ab")  # pushed = -8 * 2/8 = -2
-        inc, _ = s.finish_word("_")  # true word weight -1: increment +1
+        # pushed = -8 * 2/8 = -2; the true word weight -1 closes with +1
+        _, inc, _, s = walk_word(PhraseWalk(f), ["ab"])
         assert inc == 1.0
-        assert s.emitted == -1.0
+        assert s[4] == -1.0
+
+
+# Every random catalog test below also runs on mixed-sign weights.
+_SIGNS = pytest.mark.parametrize("weights", [(-10.0, 0.0), (-10.0, 10.0)],
+                                 ids=["negative", "mixed-sign"])
 
 
 class TestConservation:
-    def test_word_weight_conserved_over_all_chunkings(self):
+    @_SIGNS
+    def test_word_weight_conserved_over_all_chunkings(self, weights):
         rng = random.Random(42)
         for _ in range(30):
-            entries = random_catalog(rng, max_words=20, max_len=6)
-            f = build_catalog_fst(entries)
+            entries = random_catalog(rng, max_words=20, max_len=6, weights=weights)
+            walk = PhraseWalk(build_catalog_fst(entries))
             catalog = [(e.phrase[0], e.weight) for e in entries]
             for word, weight in catalog:
                 for chunks in all_chunkings(word, limit=8):
-                    s = open_session(f, f.start)
-                    total = sum(s.expand(c) for c in chunks)
-                    inc, nxt = s.finish_word("_")
-                    total += inc
-                    assert nxt is not None
+                    incs, inc, arc, s = walk_word(walk, chunks)
+                    total = sum(incs) + inc
+                    assert arc is not None
                     assert abs(total - weight) < 1e-12
-                    assert s.emitted == weight
+                    assert s[4] == weight
 
-    def test_increments_match_reference_profile(self):
+    @_SIGNS
+    def test_increments_match_reference_profile(self, weights):
         rng = random.Random(9)
         for _ in range(30):
-            entries = random_catalog(rng, max_words=25, max_len=6)
-            f = build_catalog_fst(entries)
+            entries = random_catalog(rng, max_words=25, max_len=6, weights=weights)
+            walk = PhraseWalk(build_catalog_fst(entries))
             catalog = [(e.phrase[0], e.weight) for e in entries]
             for word, _ in catalog[:10]:
                 chunks = all_chunkings(word, limit=3)[-1]
                 want_incs, want_final, want_match = pushed_profile(catalog, chunks)
-                s = open_session(f, f.start)
-                got = [s.expand(c) for c in chunks]
-                inc, nxt = s.finish_word("_")
+                got, inc, arc, _ = walk_word(walk, chunks)
                 assert got == pytest.approx(want_incs, abs=1e-12)
                 assert inc == pytest.approx(want_final, abs=1e-12)
-                assert (nxt is not None) == want_match
+                assert (arc is not None) == want_match
 
-    def test_non_catalog_words_are_neutral(self):
+    @_SIGNS
+    def test_non_catalog_words_are_neutral(self, weights):
         rng = random.Random(5)
         for _ in range(20):
-            entries = random_catalog(rng, max_words=20, alphabet="abc", max_len=5)
-            f = build_catalog_fst(entries)
+            entries = random_catalog(rng, max_words=20, alphabet="abc", max_len=5,
+                                     weights=weights)
+            walk = PhraseWalk(build_catalog_fst(entries))
             words = {e.phrase[0] for e in entries}
             for _ in range(10):
                 w = "".join(rng.choice("abc") for _ in range(rng.randint(1, 6)))
                 if w in words:
                     continue
-                s = open_session(f, f.start)
-                total = 0.0
-                for ch in w:
-                    if s.dead:
-                        break
-                    total += s.expand(ch)
-                inc, nxt = s.finish_word("_")
-                total += inc
-                assert nxt is None
+                incs, inc, arc, s = walk_word(walk, list(w))
+                total = sum(incs) + inc
+                assert arc is None
                 assert abs(total) < 1e-12
-                assert s.emitted == 0.0
+                assert s[4] == 0.0
 
     def test_range_never_widens(self, play_fst):
         rng = random.Random(1)
         for _ in range(50):
             entries = random_catalog(rng, max_words=30)
             f = build_catalog_fst(entries)
+            walk = PhraseWalk(f)
             word = rng.choice(entries).phrase[0]
-            s = open_session(f, f.start)
-            prev = s.range
+            s = walk.initial()
+            prev = _band(f, s)
             for ch in word:
-                s.expand(ch)
-                lo, hi = s.range
+                _, s = walk.expand(s, ch)
+                lo, hi = _band(f, s)
                 assert prev[0] <= lo <= hi <= prev[1]
                 prev = (lo, hi)
 
@@ -264,15 +266,11 @@ class TestConservation:
         entries = random_catalog(rng, max_words=40)
         f = build_catalog_fst(entries)
         cache = {}
+        cold, warm = PhraseWalk(f), PhraseWalk(f, cache=cache)
         for _ in range(3):  # repeat so the cache actually gets hit
             for e in entries:
                 word = e.phrase[0]
-                cold = open_session(f, f.start)
-                warm = open_session(f, f.start, cache=cache)
-                cold_incs = [cold.expand(c) for c in word]
-                warm_incs = [warm.expand(c) for c in word]
-                assert cold_incs == warm_incs
-                assert cold.finish_word("_") == warm.finish_word("_")
+                assert walk_word(cold, list(word)) == walk_word(warm, list(word))
         assert cache  # populated
 
 
@@ -484,12 +482,10 @@ class TestLargeBands:
             for word in probes:
                 chunks = _random_chunks(rng, word)
                 want_incs, want_final, want_match = pushed_profile(catalog, chunks)
-                s = open_session(f, f.start)
-                got = [0.0 if s.dead else s.expand(c) for c in chunks]
-                inc, nxt = s.finish_word("_")
+                got, inc, arc, _ = walk_word(PhraseWalk(f), chunks)
                 assert got == want_incs
                 assert inc == want_final
-                assert (nxt is not None) == want_match
+                assert (arc is not None) == want_match
 
     @given(
         st.lists(st.text(alphabet="az\u00e9\u4e2d\U0001f600\U0010fffe\U0010ffff",
