@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from biaslattice import synthdata
 from biaslattice.context import ContextualBiaser, build_class_fst
-from biaslattice.decode import SubwordBiaser, WordBiaser, decode_corpus, synth_oracle
+from biaslattice.decode import SubwordBiaser, SynthOracle, WordBiaser, decode_corpus
 from biaslattice.fst import build_catalog_fst, empty_fst
 from biaslattice.lm import train_kn_lm
 from biaslattice.metrics import evaluate
@@ -28,7 +28,7 @@ from biaslattice.rescore import DomainLms, rescore_corpus, tune
 
 
 def decode_split(task, refs, biaser, lam, *, noise, seed, beam, n_best=8):
-    oracle = synth_oracle(
+    oracle = SynthOracle(
         task.vocab, refs, noise=noise, seed=seed, noisy_words=task.noisy_words
     )
     return decode_corpus(oracle, biaser, task.vocab, lam, beam, n_best)

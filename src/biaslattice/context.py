@@ -120,6 +120,8 @@ def read_bindings(lines: Iterable[str], *, source: str = "<bindings>") -> dict[s
         tag, sep, path = line.partition("\t")
         if not sep or not tag.startswith("@") or not path.strip():
             raise InputFormatError(f"{where}: expected '@tag<TAB>path'")
+        if tag in out:
+            raise InputFormatError(f"{where}: duplicate binding for {tag!r}")
         out[tag] = path.strip()
     if not out:
         raise InputFormatError(f"{source}: no bindings found")

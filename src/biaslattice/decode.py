@@ -268,7 +268,7 @@ class SynthOracle:
         return {t: math.log(w / total) for t, w in sorted(weights.items()) if w > 0.0}
 
 
-synth_oracle = SynthOracle  # the name the scripts and the benchmark call
+synth_oracle = SynthOracle  # the name perfbench/ calls
 
 
 def _confusion_sets(vocab: WordpieceVocab) -> dict[str, tuple[str, ...]]:
@@ -471,7 +471,8 @@ def _typed(value, kind: type, field: str):
 
 
 def read_nbest(path) -> list[NBestList]:
-    out = []
+    """The n-best lists of a JSON-lines file; an utterance id given twice is refused."""
+    out: dict[str, NBestList] = {}
     with open_text(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -495,9 +496,11 @@ def read_nbest(path) -> list[NBestList]:
                 if not hyps:
                     raise ValueError('empty "hyps" list')
                 utt_id, ref = _typed(obj["id"], str, "id"), _typed(obj["ref"], str, "ref")
-                out.append(NBestList(utt_id=utt_id, ref=ref, lam=lam, hyps=hyps))
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputFormatError(f"{path}:{lineno}: bad n-best record: {exc}") from None
+            nb = NBestList(utt_id=utt_id, ref=ref, lam=lam, hyps=hyps)
+            if out.setdefault(utt_id, nb) is not nb:
+                raise InputFormatError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
     if not out:
         raise InputFormatError(f"{path}: no n-best records found")
-    return out
+    return list(out.values())

@@ -1,15 +1,11 @@
-"""Exception types shared across the package, the text-file opener that
-maps undecodable bytes to one of them, and the line formats' record rule."""
+"""The input-format exception shared across the package, the text-file
+opener that maps undecodable bytes to it, and the line formats' record rule."""
 
 from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 
-class BiasLatticeError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class InputFormatError(BiasLatticeError):
+class InputFormatError(Exception):
     """A file, byte stream, or corpus line failed to parse.
 
     The command-line driver maps this to exit code 2.

@@ -22,8 +22,8 @@ The builder maps every word path of the catalog to its arc weight and
 numbers the states by sorting those paths, which is the preorder walk of the
 trie; no node objects are made.  The ``BLFST2`` file holds the same columns:
 writing it joins their bytes, and reading it copies them back into arrays
-and splits one block of words.  One routine checks every automaton, loaded
-or built by hand, with C-level loops over the columns.
+and splits one block of words.  One routine checks every automaton, however
+its columns were made, with C-level loops over them.
 
 Automata are immutable after construction and safe to share across threads;
 all mutation happens inside the builder and the reader.  The columns are a
@@ -95,7 +95,7 @@ class CatalogEntry:
         return " ".join(self.phrase)
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, repr=False, kw_only=True)
 class WordFst:
     """Trie-shaped weighted automaton over whole words, stored as columns.
 
@@ -105,66 +105,16 @@ class WordFst:
     word (no duplicate words at one state).  ``final[s]`` is 1 if state ``s``
     ends a phrase and 0 if not: one byte per state, and no per-state object.
 
-    The constructor takes per-state ``(word, weight, next state)`` lists and
-    the final states, for automata built by hand; :meth:`from_columns` wraps
-    ready columns.
+    The constructor takes the six columns as keywords and keeps them without
+    copying or checking them; :func:`validate_fst` checks them.
     """
 
     start: int
-    # One byte per state, 1 for a final state.  A final state past the last
-    # state, in an automaton built by hand, lengthens the column so that
-    # validate_fst can name it.
-    final: bytes
+    final: bytes  # one byte per state, 1 for a final state
     offsets: array  # 'I', num_states + 1 entries
     arc_words: list[str]
     weights: array  # 'd'
     targets: array  # 'I'
-
-    def __init__(
-        self,
-        *,
-        start: int,
-        finals: Iterable[int],
-        arcs: Iterable[Iterable[tuple[str, float, int]]],
-    ):
-        arc_words, weights, targets, offsets = [], array("d"), array("I"), array("I", [0])
-        for state_arcs in arcs:
-            for word, weight, nextstate in state_arcs:
-                arc_words.append(word)
-                weights.append(weight)
-                targets.append(nextstate)
-            offsets.append(len(arc_words))
-        final = bytearray(len(offsets) - 1)
-        for s in finals:
-            if s < 0:
-                raise ValueError(f"state {s} out of range")
-            if s >= len(final):
-                final.extend(bytes(s + 1 - len(final)))
-            final[s] = 1
-        self._assign(start, bytes(final), offsets, arc_words, weights, targets)
-
-    @classmethod
-    def from_columns(
-        cls,
-        *,
-        start: int,
-        final: bytes,
-        offsets: array,
-        arc_words: list[str],
-        weights: array,
-        targets: array,
-    ) -> "WordFst":
-        """An automaton over the given columns, which it keeps without copying."""
-        fst = cls.__new__(cls)
-        fst._assign(start, final, offsets, arc_words, weights, targets)
-        return fst
-
-    def _assign(self, start, final, offsets, arc_words, weights, targets):
-        # Past the frozen dataclass's __setattr__, once, at construction.
-        self.__dict__.update(
-            start=start, final=final,
-            offsets=offsets, arc_words=arc_words, weights=weights, targets=targets,
-        )
 
     @cached_property
     def _band_index(self) -> tuple[array, array]:
@@ -284,7 +234,7 @@ def build_catalog_fst(
         if path in phrases:
             final[state] = 1
     targets = array("I", sorted(range(1, n), key=parents.__getitem__))
-    return WordFst.from_columns(
+    return WordFst(
         start=0,
         final=bytes(final),
         offsets=array("I", accumulate(degrees, initial=0)),
@@ -296,7 +246,10 @@ def build_catalog_fst(
 
 def empty_fst() -> WordFst:
     """A single-state automaton accepting nothing (used for empty corpora)."""
-    return WordFst(start=0, finals=frozenset(), arcs=((),))
+    return WordFst(
+        start=0, final=b"\0", offsets=array("I", [0, 0]),
+        arc_words=[], weights=array("d"), targets=array("I"),
+    )
 
 
 def _count_reachable(start: int, offsets: array, targets: array) -> int:
@@ -394,11 +347,12 @@ def validate_fst(fst: WordFst) -> None:
 #
 # UTF-8 text, one entry per line: ``phrase<TAB>weight``.  The weight is
 # optional (default -1); lines starting with ``#`` and blank lines are
-# ignored.  Phrases are lowercased and whitespace-split.
+# ignored.  Phrases are lowercased and whitespace-split; a phrase listed
+# twice is refused at its second line.
 
 
 def read_catalog(lines: Iterable[str], *, source: str = "<catalog>") -> list[CatalogEntry]:
-    entries = []
+    entries: dict[tuple[str, ...], CatalogEntry] = {}
     for where, line in records(lines, source):
         phrase_part, sep, weight_part = line.rpartition("\t")
         if not sep:
@@ -411,12 +365,14 @@ def read_catalog(lines: Iterable[str], *, source: str = "<catalog>") -> list[Cat
         if not phrase_part.strip():
             raise InputFormatError(f"{where}: empty phrase")
         try:
-            entries.append(CatalogEntry.from_text(phrase_part, weight))
+            entry = CatalogEntry.from_text(phrase_part, weight)
         except CatalogError as exc:
             raise InputFormatError(f"{where}: {exc}") from None
+        if entries.setdefault(entry.phrase, entry) is not entry:
+            raise InputFormatError(f"{where}: duplicate catalog phrase: {entry.text!r}")
     if not entries:
         raise InputFormatError(f"{source}: no catalog entries found")
-    return entries
+    return list(entries.values())
 
 
 def load_catalog(path) -> list[CatalogEntry]:
@@ -510,7 +466,7 @@ def deserialize(data: bytes) -> WordFst:
     words = text.split("\n") if text or num_arcs else []
     if len(words) != num_arcs:
         raise InputFormatError(f"{len(words)} arc words for {num_arcs} arcs")
-    fst = WordFst.from_columns(
+    fst = WordFst(
         start=start,
         final=flags.translate(_FINAL_BIT),
         offsets=offsets, arc_words=words, weights=weights, targets=targets,

@@ -98,11 +98,11 @@ class NGramLM:
         return total + self._cond(ctx, EOS_WORD)
 
     def nbest_logprob(self, sentences: Iterable[Sequence[str]]) -> list[float]:
-        """:func:`lm_logprob` of each word sequence, each equal to it with ``==``.
+        """:meth:`logprob` of each word sequence, each equal to it with ``==``.
 
         The interface rescoring models plug into.  The sentences are walked as
         a tree of word prefixes, so a prefix shared by several sentences is
-        scored once, by the same steps in the same order as ``lm_logprob``.
+        scored once, by the same steps in the same order as :meth:`logprob`.
         The tree lives for this call only.
         """
         # A node is [log-prob so far, context, children by word or None,
@@ -323,9 +323,6 @@ def surface_prob(lm: NGramLM, context: tuple[str, ...], word: str) -> tuple[floa
     return lm._surface(context[-(lm.order - 1):] if lm.order > 1 else (), word)
 
 
-lm_logprob = NGramLM.logprob  # as a function of the model: lm_logprob(lm, words)
-
-
 # -- model files ---------------------------------------------------------------
 
 _LN10 = math.log(10.0)
@@ -492,7 +489,10 @@ def read_members(path) -> dict[str, dict[str, float]]:
             # The same floor as summed back-offs, so a member's score stays finite.
             if logprob * _LN10 < -_LOG_MAX:
                 raise InputFormatError(f"{where}: logprob too small to score: {parts[2]!r}")
-            classes[parts[0]][parts[1]] = logprob * _LN10
+            members = classes[parts[0]]
+            if parts[1] in members:
+                raise InputFormatError(f"{where}: duplicate member {parts[1]!r} of {parts[0]!r}")
+            members[parts[1]] = logprob * _LN10
     return dict(classes)
 
 

@@ -2,7 +2,7 @@
 
 Each hypothesis is rescored as
 
-    score = rnnt_logp + alpha * (lam * sf_score) + beta * lm_logprob(text)
+    score = rnnt_logp + alpha * (lam * sf_score) + beta * logprob(text)
 
 where ``lam`` is the first-pass fusion scale stored with the n-best list, so
 alpha = 1, beta = 0 reproduces first-pass ranking exactly, and alpha != 1
@@ -55,7 +55,7 @@ class DomainLms:
     plugs in: it gets one n-best list's hypotheses as lists of words and
     returns one log-probability per hypothesis, in order.  The bundled
     back-off n-gram model is just the default choice; its batched scores are
-    ``==`` to :func:`lm.lm_logprob` of each hypothesis.
+    ``==`` to :meth:`lm.NGramLM.logprob` of each hypothesis.
     """
 
     generic: NGramLM
@@ -130,7 +130,7 @@ class _Objective:
 
     This is :func:`rescore_corpus` followed by :func:`metrics.pool`, with
     everything that does not depend on (alpha, beta) computed once: each row
-    is ``(rnnt_logp, lam * sf_score, lm_logprob, errors)``, its LM log-prob
+    is ``(rnnt_logp, lam * sf_score, logprob, errors)``, its LM log-prob
     taken from the same one ``nbest_logprob`` call per list that
     ``rescore_corpus`` makes, and ``ref_len`` sums the reference lengths as
     ``pool`` does.  ``max`` returns the first maximal row, which heads

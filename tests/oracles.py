@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+from array import array
 from collections import Counter, defaultdict
 from typing import Iterable
 
@@ -393,6 +394,32 @@ def reference_tag_race(
     return out
 
 
+# -- automata, built by hand -------------------------------------------------------
+
+
+def hand_fst(
+    *, start: int, finals: Iterable[int], arcs: Iterable[Iterable[tuple[str, float, int]]]
+) -> WordFst:
+    """The automaton of per-state ``(word, weight, next state)`` lists and the
+    final states, unchecked, so malformed automata can be made too.  A final
+    state past the last state lengthens the final column, so that
+    ``validate_fst`` can name it."""
+    arc_words, weights, targets, offsets = [], array("d"), array("I"), array("I", [0])
+    for state_arcs in arcs:
+        for word, weight, nextstate in state_arcs:
+            arc_words.append(word)
+            weights.append(weight)
+            targets.append(nextstate)
+        offsets.append(len(arc_words))
+    final = bytearray(len(offsets) - 1)
+    for s in finals:
+        if s >= len(final):
+            final.extend(bytes(s + 1 - len(final)))
+        final[s] = 1
+    return WordFst(start=start, final=bytes(final), offsets=offsets,
+                   arc_words=arc_words, weights=weights, targets=targets)
+
+
 # -- catalog automata, built through an object trie ------------------------------
 #
 # The builder as it stood before the sorted-path construction: one node object
@@ -458,7 +485,7 @@ def reference_build_catalog_fst(
         for node in order
     )
     finals = frozenset(ids[id(n)] for n in order if n.final)
-    return WordFst(start=0, finals=finals, arcs=arcs)
+    return hand_fst(start=0, finals=finals, arcs=arcs)
 
 
 # -- automata, read state by state ------------------------------------------------
@@ -617,9 +644,7 @@ def reference_deserialize(data: bytes) -> WordFst:
         arcs.append(tuple(state_arcs))
     if r.pos != len(data):
         raise InputFormatError(f"{len(data) - r.pos} trailing bytes at offset {r.pos}")
-    return _validated(WordFst(
-        start=start, finals=frozenset(finals), arcs=tuple(arcs)
-    ))
+    return _validated(hand_fst(start=start, finals=finals, arcs=arcs))
 
 
 # -- BLFST2 automata, read element by element -------------------------------------
@@ -683,7 +708,7 @@ def reference_deserialize_columnar(data: bytes) -> WordFst:
         [(words[i], weights[i], targets[i]) for i in range(offsets[s], offsets[s + 1])]
         for s in range(n)
     ]
-    return _validated(WordFst(
+    return _validated(hand_fst(
         start=start,
         finals={s for s in range(n) if data[18 + s] & 1},
         arcs=arcs,

@@ -15,12 +15,12 @@ import pytest
 from biaslattice.context import ContextualBiaser, build_class_fst
 from biaslattice.decode import (
     SubwordBiaser,
+    SynthOracle,
     WordBiaser,
     decode_corpus,
-    synth_oracle,
 )
 from biaslattice.fst import CatalogEntry, build_catalog_fst
-from biaslattice.lm import train_kn_lm, lm_logprob
+from biaslattice.lm import train_kn_lm
 from biaslattice.lookahead import ExpandSession, PhraseWalk, ProbeCounter, prefix_range
 from biaslattice.metrics import normalize_words, oracle_wer, pool, split_label, wer
 from biaslattice.rescore import DomainLms, RescoreConfig, rescore_corpus, tune
@@ -88,7 +88,7 @@ def runs(task):
     )
 
     def run(refs, biaser, lam, seed=SEED):
-        oracle = synth_oracle(
+        oracle = SynthOracle(
             task.vocab, refs, noise=NOISE, seed=seed, noisy_words=task.noisy_words
         )
         return decode_corpus(oracle, biaser, task.vocab, lam, BEAM, N_BEST)
@@ -352,7 +352,7 @@ def test_09_kneser_ney_correctness():
             ref = RefKN([ln.split() for ln in corpus], order)
             for _ in range(10):
                 words = [rng.choice("abcdef") for _ in range(rng.randint(0, 5))]
-                assert abs(lm_logprob(lm, words) - ref.sentence_logprob(words)) <= 1e-9
+                assert abs(lm.logprob(words) - ref.sentence_logprob(words)) <= 1e-9
 
 
 def test_10_throughput_and_log_search(task):

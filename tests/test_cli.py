@@ -263,6 +263,61 @@ class TestEmptyNBestRecord:
         assert not (workdir / "x.jsonl").exists()
 
 
+class TestRepeatedKeys:
+    """A keyed file that gives one key twice exits with code 2, naming the
+    file and the line that repeats it."""
+
+    def check(self, capsys, code, where):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{where}: duplicate " in err
+        assert "Traceback" not in err
+
+    def test_nbest_id(self, workdir, capsys):
+        record = {"id": "general-t0000", "ref": "play some music", "lambda": 1.0,
+                  "hyps": [{"text": "play some music", "tokens": ["play_", "some_", "music_"],
+                            "rnnt_logp": -1.0, "sf_score": 0.0}]}
+        path = workdir / "d.jsonl"
+        path.write_text(json.dumps(record) + "\n" + json.dumps(record) + "\n")
+        self.check(capsys, run("eval", "--nbest", path), f"{path}:2")
+
+    def test_catalog_phrase(self, workdir, capsys):
+        path = workdir / "catalog.tsv"
+        path.write_text(path.read_text() + "Kela\t1.8\n")  # line 5 repeats line 3
+        self.check(capsys, run("build-fst", "--catalog", path, "--out", workdir / "c.fst"),
+                   f"{path}:5")
+        assert not (workdir / "c.fst").exists()
+
+    def test_binding_tag(self, workdir, capsys):
+        assert run("build-fst", "--class-corpus", workdir / "class.txt",
+                   "--min-count", 10, "--out", workdir / "class.fst") == 0
+        assert run("build-fst", "--catalog", workdir / "catalog.tsv",
+                   "--out", workdir / "contacts.fst") == 0
+        path = workdir / "bindings.tsv"
+        path.write_text("@contactname\tcontacts.fst\n@contactname\tcontacts.fst\n")
+        self.check(capsys, run("decode", "--vocab", workdir / "vocab.txt",
+                               "--refs", workdir / "refs.tsv",
+                               "--class-fst", workdir / "class.fst", "--bindings", path,
+                               "--out", workdir / "x.jsonl"), f"{path}:2")
+        assert not (workdir / "x.jsonl").exists()
+
+    def test_class_member(self, workdir, capsys):
+        members = workdir / "contacts.members"
+        assert run("train-lm", "--corpus", workdir / "contactscorpus.txt", "--order", 2,
+                   "--out", workdir / "c.arpa", "--members", members) == 0
+        lines = members.read_text().splitlines(keepends=True)
+        members.write_text("".join(lines) + lines[0])
+        path = workdir / "d.jsonl"
+        path.write_text(json.dumps({"id": "contacts-t0000", "ref": "call bodu", "lambda": 1.0,
+                                    "hyps": [{"text": "call bodu", "tokens": ["call_", "bodu_"],
+                                              "rnnt_logp": -1.0, "sf_score": 0.0}]}) + "\n")
+        self.check(capsys, run("rescore", "--nbest", path, "--lm-generic", workdir / "c.arpa",
+                               "--lm-contacts", workdir / "c.arpa", "--lm-members", members,
+                               "--catalog", workdir / "catalog.tsv",
+                               "--out", workdir / "x.jsonl"), f"{members}:{len(lines) + 1}")
+        assert not (workdir / "x.jsonl").exists()
+
+
 class TestCorruptAutomata:
     """A malformed automaton file exits with code 2, naming the file and offset."""
 

@@ -14,13 +14,13 @@ from biaslattice.decode import (
     NullBiaser,
     OracleError,
     SubwordBiaser,
+    SynthOracle,
     WordBiaser,
     _check_normalized,
     beam_search,
     decode_corpus,
     fuse_step,
     read_nbest,
-    synth_oracle,
     write_nbest,
 )
 from biaslattice.fst import CatalogEntry, build_catalog_fst
@@ -58,7 +58,7 @@ class TestFuseStep:
 
 class TestSynthOracle:
     def test_noise_free_decodes_reference(self, mini_vocab):
-        oracle = synth_oracle(mini_vocab, {"u-1": "bado kela"}, noise=0.0)
+        oracle = SynthOracle(mini_vocab, {"u-1": "bado kela"}, noise=0.0)
         nbest = beam_search(oracle, None, mini_vocab, 0.0, 8, 4,
                             utt_id="u-1", ref="bado kela")
         assert nbest.hyps[0].text == "bado kela"
@@ -66,15 +66,15 @@ class TestSynthOracle:
                    normalize_words(nbest.hyps[0].text)).errors == 0
 
     def test_score_maps_are_bit_identical(self, mini_vocab):
-        a = synth_oracle(mini_vocab, {"u": "bado"}, noise=0.4, seed=7)
-        b = synth_oracle(mini_vocab, {"u": "bado"}, noise=0.4, seed=7)
+        a = SynthOracle(mini_vocab, {"u": "bado"}, noise=0.4, seed=7)
+        b = SynthOracle(mini_vocab, {"u": "bado"}, noise=0.4, seed=7)
         for pos in range(4):
             history = tuple(a.tokens["u"][:pos])
             assert a.score("u", history) == b.score("u", history)
 
     def test_seed_changes_scores(self, mini_vocab):
-        a = synth_oracle(mini_vocab, {"u": "bado"}, noise=0.4, seed=7)
-        b = synth_oracle(mini_vocab, {"u": "bado"}, noise=0.4, seed=8)
+        a = SynthOracle(mini_vocab, {"u": "bado"}, noise=0.4, seed=7)
+        b = SynthOracle(mini_vocab, {"u": "bado"}, noise=0.4, seed=8)
         diffs = any(
             a.score("u", tuple(a.tokens["u"][:p])) != b.score("u", tuple(b.tokens["u"][:p]))
             for p in range(3)
@@ -82,14 +82,14 @@ class TestSynthOracle:
         assert diffs
 
     def test_scores_normalize(self, mini_vocab):
-        oracle = synth_oracle(mini_vocab, {"u": "bado kela"}, noise=0.5, seed=3)
+        oracle = SynthOracle(mini_vocab, {"u": "bado kela"}, noise=0.5, seed=3)
         for pos in range(5):
             scores = oracle.score("u", tuple(oracle.tokens["u"][:pos]))
             lse = math.log(sum(math.exp(v) for v in scores.values()))
             assert abs(lse) < 1e-9
 
     def test_noisy_words_restriction(self, mini_vocab):
-        oracle = synth_oracle(
+        oracle = SynthOracle(
             mini_vocab, {"u": "bado kela"}, noise=0.9, seed=1,
             noisy_words=frozenset({"kela"}),
         )
@@ -97,22 +97,22 @@ class TestSynthOracle:
         assert oracle.score("u", ()) == {oracle.tokens["u"][0]: 0.0}
 
     def test_single_transcript_shorthand(self, mini_vocab):
-        oracle = synth_oracle(mini_vocab, "bado", noise=0.0)
+        oracle = SynthOracle(mini_vocab, "bado", noise=0.0)
         assert oracle.utterances() == [("utt-0", "bado")]
 
     def test_interleaved_queries_match_a_fresh_oracle(self, mini_vocab):
         refs = {"u-1": "bado kela", "u-2": "rosu bado"}
-        oracle = synth_oracle(mini_vocab, refs, noise=0.6, seed=9)
+        oracle = SynthOracle(mini_vocab, refs, noise=0.6, seed=9)
         queries = [(u, pos) for u in refs for pos in range(oracle.max_steps(u))] * 2
         random.Random(3).shuffle(queries)
         for utt, pos in queries:
-            fresh = synth_oracle(mini_vocab, refs, noise=0.6, seed=9)
+            fresh = SynthOracle(mini_vocab, refs, noise=0.6, seed=9)
             # twice in a row, so the second call can be served from a memo
             for history in (("ba",) * pos, tuple(oracle.tokens[utt][:pos])):
                 assert oracle.score(utt, history) == fresh.score(utt, ("do",) * pos)
 
     def test_returned_map_belongs_to_the_caller(self, mini_vocab):
-        oracle = synth_oracle(mini_vocab, {"u": "bado"}, noise=0.6, seed=9)
+        oracle = SynthOracle(mini_vocab, {"u": "bado"}, noise=0.6, seed=9)
         for pos in range(3):
             history = ("ba",) * pos
             first = oracle.score("u", history)
@@ -124,7 +124,7 @@ class TestSynthOracle:
 
 class TestBeamSearch:
     def test_validates_beam_and_nbest(self, mini_vocab):
-        oracle = synth_oracle(mini_vocab, "bado", noise=0.0)
+        oracle = SynthOracle(mini_vocab, "bado", noise=0.0)
         with pytest.raises(ValueError):
             beam_search(oracle, None, mini_vocab, 0.0, beam_size=2, n_best=4)
 
@@ -150,7 +150,7 @@ class TestBeamSearch:
 
     def test_separated_scores_and_fused_invariant(self, mini_vocab):
         catalog = build_catalog_fst([CatalogEntry(("bado",), 1.5)])
-        oracle = synth_oracle(mini_vocab, {"u": "bado"}, noise=0.3, seed=2)
+        oracle = SynthOracle(mini_vocab, {"u": "bado"}, noise=0.3, seed=2)
         biaser = SubwordBiaser(catalog)
         nbest = beam_search(oracle, biaser, mini_vocab, 0.8, 8, 8, utt_id="u", ref="bado")
         for hyp in nbest.hyps:
@@ -158,20 +158,20 @@ class TestBeamSearch:
 
     def test_catalog_word_gets_exact_path_weight(self, mini_vocab):
         catalog = build_catalog_fst([CatalogEntry(("bado",), -8.0)])
-        oracle = synth_oracle(mini_vocab, {"u": "bado"}, noise=0.0)
+        oracle = SynthOracle(mini_vocab, {"u": "bado"}, noise=0.0)
         nbest = beam_search(oracle, SubwordBiaser(catalog), mini_vocab, 0.0, 8, 1,
                             utt_id="u", ref="bado")
         assert nbest.hyps[0].sf_score == pytest.approx(-8.0, abs=1e-12)
 
     def test_disabled_biasing_has_zero_sf(self, mini_vocab):
-        oracle = synth_oracle(mini_vocab, {"u": "bado kela"}, noise=0.4, seed=5)
+        oracle = SynthOracle(mini_vocab, {"u": "bado kela"}, noise=0.4, seed=5)
         nbest = beam_search(oracle, NullBiaser(), mini_vocab, 1.0, 8, 8,
                             utt_id="u", ref="bado kela")
         assert all(h.sf_score == 0.0 for h in nbest.hyps)
 
     def test_zero_scale_matches_no_biaser_ranking(self, mini_vocab):
         catalog = build_catalog_fst([CatalogEntry(("bado",), 1.7)])
-        oracle = synth_oracle(mini_vocab, {"u": "bado kela"}, noise=0.4, seed=5)
+        oracle = SynthOracle(mini_vocab, {"u": "bado kela"}, noise=0.4, seed=5)
         with_biaser = beam_search(oracle, SubwordBiaser(catalog), mini_vocab, 0.0,
                                   8, 8, utt_id="u", ref="bado kela")
         without = beam_search(oracle, None, mini_vocab, 0.0, 8, 8,
@@ -183,7 +183,7 @@ class TestBeamSearch:
 
     def test_determinism(self, mini_vocab):
         catalog = build_catalog_fst([CatalogEntry(("bado",), 1.7)])
-        oracle = synth_oracle(mini_vocab, {"u": "bado kela"}, noise=0.4, seed=5)
+        oracle = SynthOracle(mini_vocab, {"u": "bado kela"}, noise=0.4, seed=5)
         a = beam_search(oracle, SubwordBiaser(catalog), mini_vocab, 1.0, 8, 8,
                         utt_id="u", ref="bado kela")
         b = beam_search(oracle, SubwordBiaser(catalog), mini_vocab, 1.0, 8, 8,
@@ -193,7 +193,7 @@ class TestBeamSearch:
     def test_oracle_nbest_wer_never_above_top(self, mini_vocab):
         from biaslattice.metrics import oracle_wer
 
-        oracle = synth_oracle(mini_vocab, {"u": "bado kela rosu"}, noise=0.5, seed=9)
+        oracle = SynthOracle(mini_vocab, {"u": "bado kela rosu"}, noise=0.5, seed=9)
         nbest = beam_search(oracle, None, mini_vocab, 0.0, 8, 8,
                             utt_id="u", ref="bado kela rosu")
         ref = normalize_words(nbest.ref)
@@ -205,7 +205,7 @@ class TestBeamSearch:
         name = "bado"
         catalog = build_catalog_fst([CatalogEntry((name,), 1.8)])
         refs = {f"u-{i}": name for i in range(20)}
-        oracle = synth_oracle(mini_vocab, refs, noise=0.5, seed=11)
+        oracle = SynthOracle(mini_vocab, refs, noise=0.5, seed=11)
         plain = decode_corpus(oracle, None, mini_vocab, 0.0, 8, 8)
         boosted = decode_corpus(oracle, SubwordBiaser(catalog), mini_vocab, 1.5, 8, 8)
         plain_errs = sum(
@@ -225,7 +225,7 @@ class TestBeamSearch:
                  "masa", "tilu", "tila"]
         catalog = build_catalog_fst([CatalogEntry((n,), 1.8) for n in names])
         refs = {f"u-{i:02d}": names[i % len(names)] for i in range(30)}
-        oracle = synth_oracle(mini_vocab, refs, noise=0.5, seed=4)
+        oracle = SynthOracle(mini_vocab, refs, noise=0.5, seed=4)
 
         def hits(lam):
             biaser = SubwordBiaser(catalog) if lam else None
@@ -254,7 +254,7 @@ class TestScoreConservation:
             f"u-{i:02d}": " ".join(rng.choice(names + ["damo", "niru"]) for _ in range(3))
             for i in range(12)
         }
-        oracle = synth_oracle(mini_vocab, refs, noise=0.5, seed=3)
+        oracle = SynthOracle(mini_vocab, refs, noise=0.5, seed=3)
         for nb in decode_corpus(oracle, SubwordBiaser(catalog), mini_vocab, 1.0, 8, 8):
             for hyp in nb.hyps:
                 want = sum(weights.get(w, 0.0) for w in hyp.text.split())
@@ -280,7 +280,7 @@ class TestScoreConservation:
             f"u-{i:02d}": " ".join(rng.choice(pool) for _ in range(4))
             for i in range(15)
         }
-        oracle = synth_oracle(mini_vocab, refs, noise=0.4, seed=5)
+        oracle = SynthOracle(mini_vocab, refs, noise=0.4, seed=5)
         for nb in decode_corpus(oracle, biaser, mini_vocab, 1.0, 8, 8):
             for hyp in nb.hyps:
                 words = hyp.text.split()
@@ -520,7 +520,7 @@ class TestBeamSearchEdges:
         # keeps its finite parts and the overflowed fused score.  The subword
         # lookahead's pushes along the way stay finite too.
         biaser = biaser_cls(build_catalog_fst([CatalogEntry(("bado",), -1e308)]))
-        oracle = synth_oracle(mini_vocab, "bado")
+        oracle = SynthOracle(mini_vocab, "bado")
         nbest = beam_search(oracle, biaser, mini_vocab, 2.0, 8, 1,
                             max_steps=oracle.max_steps("utt-0"))
         (hyp,) = nbest.hyps
@@ -596,7 +596,7 @@ class TestReferenceEquivalence:
 def small_task():
     """A small synthetic task, its noisy oracle and a biaser factory per kind."""
     task = make_task(3, n_contacts=40, n_devices=5, n_apps=5, n_test=10, n_dev=1)
-    oracle = synth_oracle(task.vocab, task.refs_test, noise=0.5, seed=3,
+    oracle = SynthOracle(task.vocab, task.refs_test, noise=0.5, seed=3,
                           noisy_words=task.noisy_words)
     all_fst = build_catalog_fst(task.all_bias_entries())
     class_fst = build_class_fst(task.class_corpus, min_count=CLASS_MIN_COUNT)
@@ -778,7 +778,7 @@ class TestDecodeContract:
 class TestNBestIO:
     def test_round_trip_exact(self, mini_vocab, tmp_path):
         catalog = build_catalog_fst([CatalogEntry(("bado",), 1.8)])
-        oracle = synth_oracle(mini_vocab, {"u-1": "bado kela", "u-2": "rosu"},
+        oracle = SynthOracle(mini_vocab, {"u-1": "bado kela", "u-2": "rosu"},
                               noise=0.4, seed=6)
         lists = decode_corpus(oracle, SubwordBiaser(catalog), mini_vocab, 1.5, 8, 8)
         path = tmp_path / "nbest.jsonl"

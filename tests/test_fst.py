@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from biaslattice.fst import (
 from biaslattice.synthdata import make_task
 from conftest import random_catalog
 from oracles import (
+    hand_fst,
     phrase_end,
     reference_build_catalog_fst,
     reference_deserialize,
@@ -154,7 +156,7 @@ class TestSerialization:
             deserialize(reference_serialize(play_fst))
 
     def test_newline_in_word_rejected_by_writer(self):
-        f = WordFst(start=0, finals={1}, arcs=[[("a\nb", -1.0, 1)], []])
+        f = hand_fst(start=0, finals={1}, arcs=[[("a\nb", -1.0, 1)], []])
         with pytest.raises(ValueError, match="newline"):
             serialize(f)
 
@@ -201,7 +203,7 @@ class TestCatalogFiles:
 
 class TestValidate:
     def test_unsorted_arcs_rejected(self):
-        f = WordFst(
+        f = hand_fst(
             start=0,
             finals=frozenset({1, 2}),
             arcs=((("b", -1.0, 1), ("a", -1.0, 2)), (), ()),
@@ -210,7 +212,7 @@ class TestValidate:
             validate_fst(f)
 
     def test_unreachable_state_rejected(self):
-        f = WordFst(
+        f = hand_fst(
             start=0,
             finals=frozenset({1, 2}),
             arcs=((("a", -1.0, 1),), (), ()),
@@ -219,7 +221,7 @@ class TestValidate:
             validate_fst(f)
 
     def test_dead_end_rejected(self):
-        f = WordFst(
+        f = hand_fst(
             start=0,
             finals=frozenset(),
             arcs=((("a", -1.0, 1),), ()),
@@ -346,12 +348,12 @@ class TestCheckParity:
                 start = data.draw(st.integers(0, n))
             else:
                 finals.add(n + 3)
-        g = WordFst(start=start, finals=finals, arcs=arcs)
+        g = hand_fst(start=start, finals=finals, arcs=arcs)
         assert _message(validate_fst, g) == _message(reference_validate, g)
 
     def test_cycle_behind_distinct_targets(self):
         """Start 0 and every state but 0 a target once, yet 2 -> 3 -> 2 is cut off."""
-        f = WordFst(
+        f = hand_fst(
             start=0,
             finals={1, 4},
             arcs=[[("a", -1.0, 1)], [], [("a", -1.0, 3)], [("a", -1.0, 4), ("b", -1.0, 2)], []],
@@ -437,7 +439,7 @@ def _hand_built(state_arcs, finals) -> bytes:
 
     The ``BLFST1`` reference must report the same structural error on its
     own bytes of the automaton."""
-    f = WordFst(start=0, finals=finals, arcs=state_arcs)
+    f = hand_fst(start=0, finals=finals, arcs=state_arcs)
     data = serialize(f)
     assert str(outcome(reference_deserialize, reference_serialize(f))) == str(
         outcome(deserialize, data))
@@ -504,10 +506,10 @@ class TestFinalColumn:
     ARCS = [[("a", -1.0, 1), ("b", -1.0, 2)], [], [("c", -1.0, 3)], []]
 
     def test_hand_built_from_columns_and_loaded_give_the_same_set(self):
-        f = WordFst(start=0, finals={1, 3}, arcs=self.ARCS)
+        f = hand_fst(start=0, finals={1, 3}, arcs=self.ARCS)
         assert f.final == b"\0\1\0\1"
-        g = WordFst.from_columns(start=0, final=bytes([0, 1, 0, 1]), offsets=f.offsets,
-                                 arc_words=f.arc_words, weights=f.weights, targets=f.targets)
+        g = WordFst(start=0, final=bytes([0, 1, 0, 1]), offsets=f.offsets,
+                    arc_words=f.arc_words, weights=f.weights, targets=f.targets)
         assert g == f  # every column, the final flags too
         loaded = deserialize(serialize(f))
         assert loaded == f
@@ -523,7 +525,7 @@ class TestFinalColumn:
 
     def test_stray_final_is_named_out_of_range(self):
         n = len(self.ARCS)
-        f = WordFst(start=0, finals={1, 3, n + 3}, arcs=self.ARCS)
+        f = hand_fst(start=0, finals={1, 3, n + 3}, arcs=self.ARCS)
         assert f.final == bytes([0, 1, 0, 1, 0, 0, 0, 1])
         assert _message(validate_fst, f) == f"state {n + 3} out of range"
         assert _message(reference_validate, f) == f"state {n + 3} out of range"
@@ -531,19 +533,24 @@ class TestFinalColumn:
         assert deserialize(serialize(f)).final == b"\0\1\0\1"
 
     def test_earlier_violation_beats_a_stray_final(self):
-        f = WordFst(start=0, finals={3, 9}, arcs=self.ARCS)
+        f = hand_fst(start=0, finals={3, 9}, arcs=self.ARCS)
         assert _message(validate_fst, f) == "state 1 is a non-final dead end"
         assert _message(reference_validate, f) == "state 1 is a non-final dead end"
 
-    def test_negative_final_is_refused(self):
-        with pytest.raises(ValueError, match=r"^state -1 out of range$"):
-            WordFst(start=0, finals={-1, 1}, arcs=self.ARCS)
-
     def test_short_final_column_is_named(self):
-        f = WordFst(start=0, finals={1, 3}, arcs=self.ARCS)
-        g = WordFst.from_columns(start=0, final=f.final[:3], offsets=f.offsets,
-                                 arc_words=f.arc_words, weights=f.weights, targets=f.targets)
+        f = hand_fst(start=0, finals={1, 3}, arcs=self.ARCS)
+        g = WordFst(start=0, final=f.final[:3], offsets=f.offsets,
+                    arc_words=f.arc_words, weights=f.weights, targets=f.targets)
         assert _message(validate_fst, g) == "3 final flags for 4 states"
+
+    def test_the_constructor_takes_only_columns(self):
+        with pytest.raises(TypeError):
+            WordFst(start=0, finals=(), arcs=((),))
+        with pytest.raises(TypeError):
+            WordFst(0, b"\0", array("I", [0, 0]), [], array("d"), array("I"))
+        assert empty_fst() == WordFst(start=0, final=b"\0", offsets=array("I", [0, 0]),
+                                      arc_words=[], weights=array("d"), targets=array("I"))
+        validate_fst(empty_fst())
 
 
 class TestFormatPin:

@@ -19,7 +19,6 @@ from biaslattice.lm import (
     BOS,
     EOS_WORD,
     UNK,
-    lm_logprob,
     load_lm,
     read_arpa,
     read_members,
@@ -86,19 +85,19 @@ class TestTraining:
                 for _ in range(8)
             ]
             for words in probes:
-                got = lm_logprob(lm, words)
+                got = lm.logprob(words)
                 want = ref.sentence_logprob(words)
                 assert got == pytest.approx(want, abs=1e-9), (trial, order, words)
 
     def test_training_sentence_dominates_unseen(self):
         lm = train_kn_lm(["the cat sat on the mat"] * 3 + ["the dog sat"], order=3)
-        seen = lm_logprob(lm, "the cat sat on the mat".split())
-        unseen = lm_logprob(lm, "mat the on sat cat the".split())
+        seen = lm.logprob("the cat sat on the mat".split())
+        unseen = lm.logprob("mat the on sat cat the".split())
         assert seen > unseen
 
     def test_empty_sequence_is_eos_given_bos(self):
         lm = train_kn_lm(["a b"], order=2)
-        assert lm_logprob(lm, []) == pytest.approx(
+        assert lm.logprob([]) == pytest.approx(
             lm.cond_logprob((BOS,), EOS_WORD), abs=1e-12
         )
 
@@ -295,8 +294,8 @@ class TestModelFiles:
         assert loaded.order == lm.order
         for _ in range(20):
             words = random_corpus(rng, vocab="abcdefg", n_sentences=1)[0].split()
-            assert lm_logprob(loaded, words) == pytest.approx(
-                lm_logprob(lm, words), abs=1e-9
+            assert loaded.logprob(words) == pytest.approx(
+                lm.logprob(words), abs=1e-9
             )
 
     def test_members_round_trip(self, tmp_path):
@@ -314,7 +313,7 @@ class TestModelFiles:
         write_members(lm, tmp_path / "m.members")
         loaded = load_lm(tmp_path / "m.arpa", tmp_path / "m.members")
         words = ["call", "ada"]
-        assert lm_logprob(loaded, words) == pytest.approx(lm_logprob(lm, words), abs=1e-9)
+        assert loaded.logprob(words) == pytest.approx(lm.logprob(words), abs=1e-9)
 
     def test_missing_header_rejected(self, tmp_path):
         p = tmp_path / "bad.arpa"
@@ -414,7 +413,7 @@ class TestModelFiles:
 
     def test_largest_loadable_backoffs_score(self, tmp_path):
         lm = read_arpa(self.trigram_arpa(tmp_path, 150))
-        assert lm_logprob(lm, ["a", "a", "a"]) < math.inf
+        assert lm.logprob(["a", "a", "a"]) < math.inf
         assert lm.cond_logprob(("a", "a"), EOS_WORD) == pytest.approx(299 * math.log(10.0))
 
     def test_backoff_whose_score_underflows_rejected(self, tmp_path):
@@ -426,7 +425,7 @@ class TestModelFiles:
 
     def test_smallest_loadable_backoffs_score(self, tmp_path):
         lm = read_arpa(self.trigram_arpa(tmp_path, -150))
-        assert math.isfinite(lm_logprob(lm, ["a", "a", "a"]))
+        assert math.isfinite(lm.logprob(["a", "a", "a"]))
         assert lm.cond_logprob(("a", "a"), EOS_WORD) == pytest.approx(-301 * math.log(10.0))
 
     def test_member_logprob_whose_score_underflows_rejected(self, tmp_path):
@@ -464,7 +463,7 @@ class TestModelFiles:
             write_members(lm, tmp_path / "m.members")
             loaded = load_lm(tmp_path / "m.arpa", tmp_path / "m.members")
             words = lines[0].split()
-            assert lm_logprob(loaded, words) == pytest.approx(lm_logprob(lm, words), abs=1e-9)
+            assert loaded.logprob(words) == pytest.approx(lm.logprob(words), abs=1e-9)
 
     def test_bad_members_line_rejected(self, tmp_path):
         p = tmp_path / "bad.members"
@@ -562,7 +561,7 @@ class TestLogDomain:
         p = tmp_path / "m.arpa"
         p.write_text(UNDERFLOW_ARPA)
         lm = read_arpa(p)
-        assert lm_logprob(lm, ["a", "a"]) == pytest.approx(-497 * math.log(10.0))
+        assert lm.logprob(["a", "a"]) == pytest.approx(-497 * math.log(10.0))
 
     def test_class_and_word_paths_mix(self):
         lm = train_kn_lm(["call @contactname(john)", "call john"] * 3, order=2)
@@ -578,13 +577,13 @@ class TestLogDomain:
     @example((_FLOOR_ARPA, _FLOOR_MEMBERS), ["a"] * 8)
     @settings(max_examples=200, deadline=None)
     def test_every_accepted_model_scores_finite(self, files, words):
-        """``lm_logprob`` is finite, and ``biaslattice rescore`` and ``tune``
+        """``logprob`` is finite, and ``biaslattice rescore`` and ``tune``
         exit 0 on a two-list n-best file built from the words, with the model
         as both the generic and the contacts model (a catalog word routes)."""
         with tempfile.TemporaryDirectory() as tmp:
             d = Path(tmp)
             lm = _load_accepted(files, d)
-            assert math.isfinite(lm_logprob(lm, words))
+            assert math.isfinite(lm.logprob(words))
             (d / "catalog.tsv").write_text("a\t1.5\n")
             (d / "dev.nbest").write_text(
                 _nbest_line("contacts-0", [words, words[: len(words) // 2], []])
@@ -603,8 +602,8 @@ class TestLogDomain:
     @given(_accepted_model_files(), st.lists(_shared_prefix_lists(), min_size=1, max_size=3))
     @example((_FLOOR_ARPA, _FLOOR_MEMBERS), [[[], ["a"], ["a", "A"], [], ["a", "zzz"]]])
     @settings(max_examples=200, deadline=None)
-    def test_nbest_logprob_is_lm_logprob(self, files, lists):
-        """The batched scores equal ``lm_logprob`` with ``==``, list after list
+    def test_nbest_logprob_is_logprob(self, files, lists):
+        """The batched scores equal ``logprob`` with ``==``, list after list
         on one model, so no call leaves state that the next one reads.
         Models are those of ``_accepted_model_files``; up to 3 lists, each as
         ``_shared_prefix_lists`` bounds it (at most 6 hypotheses of at most 8
@@ -612,4 +611,4 @@ class TestLogDomain:
         with tempfile.TemporaryDirectory() as tmp:
             lm = _load_accepted(files, Path(tmp))
         for sentences in lists:
-            assert lm.nbest_logprob(sentences) == [lm_logprob(lm, s) for s in sentences]
+            assert lm.nbest_logprob(sentences) == [lm.logprob(s) for s in sentences]

@@ -1,6 +1,7 @@
 """Every line-based text format reads its records by one rule,
 ``errors.records``: blank lines, ``#`` comments (indented or not) and the
-whitespace around a record are skipped, and an error names ``file:line``."""
+whitespace around a record are skipped, and an error names ``file:line``.
+A keyed format refuses a key given twice, at the line that repeats it."""
 
 import re
 
@@ -56,3 +57,21 @@ def test_one_record_rule(tmp_path, name):
     padded.write_text(f"{skipped}{record}\n{bad}\n{record}\n", encoding="utf-8")
     with pytest.raises(InputFormatError, match=f"^{re.escape(str(padded))}:6: "):
         read(padded)
+
+
+# keyed reader -> a record repeating the key of READERS' record
+REPEATS = {
+    "bindings": "@contactname\tother.fst",
+    "catalog": "Ada  LOVELACE\t-2",
+    "members": "@contactname\tada\t-0.5",
+    "refs": "contacts-0\tcall grace hopper",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATS))
+def test_a_repeated_key_is_refused_at_its_line(tmp_path, name):
+    read, record, _ = READERS[name]
+    path = tmp_path / "keyed.txt"
+    path.write_text(f"{record}\n# a comment\n\n{REPEATS[name]}\n", encoding="utf-8")
+    with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:4: duplicate "):
+        read(path)

@@ -7,8 +7,8 @@ from biaslattice.decode import (
     Hypothesis,
     NBestList,
     SubwordBiaser,
+    SynthOracle,
     decode_corpus,
-    synth_oracle,
 )
 from biaslattice.fst import build_catalog_fst
 from biaslattice.lm import train_kn_lm
@@ -83,11 +83,9 @@ class TestRescore:
             nb = mk_list("u", "play some music", rows, lam=1.5)
             config = RescoreConfig(alpha=rng.uniform(-2, 3), beta=rng.uniform(0, 3))
             (out,) = rescore_corpus([nb], config, DomainLms(generic=generic_lm))
-            from biaslattice.lm import lm_logprob
-
             def brute(h):
                 return (h.rnnt_logp + config.alpha * (nb.lam * h.sf_score)
-                        + config.beta * lm_logprob(generic_lm, h.text.split()))
+                        + config.beta * generic_lm.logprob(h.text.split()))
 
             best = max(nb.hyps, key=brute)
             assert brute(out.hyps[0]) == pytest.approx(brute(best), abs=1e-12)
@@ -108,11 +106,9 @@ class TestRescore:
         nb = mk_list("u", "a", [(f"t{i}", -rng.random() * 3, rng.uniform(-2, 2))
                                 for i in range(5)])
         config = RescoreConfig(alpha=0.8, beta=0.9)
-        from biaslattice.lm import lm_logprob
-
         for c in (0.5, 2.0, 7.3):
             def score(h, scale=1.0):
-                lm_lp = lm_logprob(generic_lm, h.text.split())
+                lm_lp = generic_lm.logprob(h.text.split())
                 return scale * (h.rnnt_logp + config.alpha * (nb.lam * h.sf_score)
                                 + config.beta * lm_lp)
 
@@ -267,7 +263,7 @@ class TestCorpusRescore:
 def synth_dev():
     """A small decoded dev split of a synthetic task, with its rescoring models."""
     task = make_task(5, n_contacts=40, n_devices=5, n_apps=5, n_test=1, n_dev=15)
-    oracle = synth_oracle(task.vocab, task.refs_dev, noise=0.3, seed=5,
+    oracle = SynthOracle(task.vocab, task.refs_dev, noise=0.3, seed=5,
                           noisy_words=task.noisy_words)
     biaser = SubwordBiaser(build_catalog_fst(task.all_bias_entries()))
     dev = decode_corpus(oracle, biaser, task.vocab, 2.5, beam_size=8, n_best=8)
