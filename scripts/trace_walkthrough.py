@@ -14,7 +14,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from biaslattice.fst import CatalogEntry, build_catalog_fst
-from biaslattice.lookahead import PhraseWalk, token_content
+from biaslattice.lookahead import PhraseWalk
+from biaslattice.wordpiece import make_vocab, word_end
+
+# The pieces of the token streams below, over single letters.
+VOCAB = make_vocab(
+    set("abcdefghijklmnopqrstuvwxyz") | {"pl", "ay", "er", "play", "gr", "ou", "nd", "az"}
+)
 
 
 def show(title, tokens, weight=-8.0):
@@ -23,8 +29,9 @@ def show(title, tokens, weight=-8.0):
     )
     walk = PhraseWalk(fst)
     *pieces, last = tokens
-    if last != walk.delimiter:
-        pieces.append(token_content(last, walk.delimiter))
+    content = word_end(VOCAB, last)
+    if content:
+        pieces.append(content)
     # Fold the walk's transitions over the word: one row per expand step, and
     # a closing row unless the word died first (then it scores nothing more).
     state = walk.initial()
@@ -36,7 +43,7 @@ def show(title, tokens, weight=-8.0):
         rows.append((state, increment, False, None))
     arc = None
     if not state[5]:
-        increment, arc, state = walk.close_word(state, walk.delimiter)
+        increment, arc, state = walk.close_word(state, "")
         rows.append((state, increment, True, arc))
 
     print(f"\n{title}")

@@ -35,20 +35,12 @@ _non_negative = _number(float, "finite and >= 0", lambda v: 0 <= v < math.inf)
 _probability = _number(float, "in [0, 1]", lambda v: 0 <= v <= 1)
 
 
-def _catalog_fst(path, entries, delimiter=fst.DEFAULT_DELIMITER) -> fst.WordFst:
-    """The automaton of the catalog ``entries`` read from ``path``; errors name it."""
-    try:
-        return fst.build_catalog_fst(entries, delimiter=delimiter)
-    except fst.CatalogError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
-
-
 def _cmd_build_fst(args) -> int:
     if bool(args.catalog) == bool(args.class_corpus):
         raise InputFormatError("build-fst needs exactly one of --catalog / --class-corpus")
     if args.catalog:
         entries = fst.load_catalog(args.catalog)
-        automaton = _catalog_fst(args.catalog, entries)
+        automaton = fst.build_catalog_fst(entries)
         print(f"built catalog automaton: {len(entries)} phrases, "
               f"{automaton.num_states} states, {automaton.num_arcs} arcs")
     else:
@@ -62,7 +54,6 @@ def _cmd_build_fst(args) -> int:
 
 
 def _load_biaser(args, vocab, entries):
-    delimiter = vocab.delimiter
     if args.bindings and not args.class_fst:
         raise InputFormatError(f"--bindings {args.bindings} requires --class-fst")
     if args.class_fst:
@@ -72,13 +63,14 @@ def _load_biaser(args, vocab, entries):
             raise InputFormatError(f"--word-level has no effect with --class-fst {args.class_fst}")
         cfst = context.load_class_fst(args.class_fst)
         bindings = context.load_bindings(args.bindings, cfst)
-        return context.ContextualBiaser(cfst, bindings, delimiter=delimiter)
+        return context.ContextualBiaser(cfst, bindings)
     if entries is None:
         return None
-    automaton = _catalog_fst(args.catalog, entries, delimiter)
+    # A catalog word holding the vocabulary's delimiter could never match.
+    automaton = fst.build_catalog_fst(entries, delimiter=vocab.delimiter)
     if args.word_level:
-        return decode.WordBiaser(automaton, delimiter=delimiter)
-    return decode.SubwordBiaser(automaton, delimiter=delimiter)
+        return decode.WordBiaser(automaton)
+    return decode.SubwordBiaser(automaton)
 
 
 def _cmd_decode(args) -> int:

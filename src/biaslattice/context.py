@@ -22,7 +22,6 @@ from typing import Iterable, NamedTuple
 
 from .errors import InputFormatError, open_text, records
 from .fst import (
-    DEFAULT_DELIMITER,
     CatalogEntry,
     CatalogError,
     WordFst,
@@ -31,7 +30,7 @@ from .fst import (
     load_fst,
     strongest,
 )
-from .lookahead import PhraseWalk, Session, WordOutcome, content_error, token_content
+from .lookahead import PhraseWalk, Session, WordOutcome
 
 _SPAN = re.compile(r"@([A-Za-z0-9]+)\(([^()]*)\)")
 
@@ -113,13 +112,18 @@ def _class_fst(fst: WordFst) -> ClassFst:
     return ClassFst(fst, frozenset(word for word in fst.arc_words if word.startswith("@")))
 
 
-def read_bindings(lines: Iterable[str], *, source: str = "<bindings>") -> dict[str, str]:
-    """Parse a binding manifest: ``@tag<TAB>path`` per line."""
+def read_bindings(
+    lines: Iterable[str], *, tags: frozenset[str], source: str = "<bindings>"
+) -> dict[str, str]:
+    """Parse a binding manifest: ``@tag<TAB>path`` per line, each tag one of ``tags``."""
     out: dict[str, str] = {}
     for where, line in records(lines, source):
         tag, sep, path = line.partition("\t")
+        tag = tag.strip()
         if not sep or not tag.startswith("@") or not path.strip():
             raise InputFormatError(f"{where}: expected '@tag<TAB>path'")
+        if tag not in tags:
+            raise InputFormatError(f"{where}: the class automaton has no tag {tag!r}")
         if tag in out:
             raise InputFormatError(f"{where}: duplicate binding for {tag!r}")
         out[tag] = path.strip()
@@ -129,9 +133,9 @@ def read_bindings(lines: Iterable[str], *, source: str = "<bindings>") -> dict[s
 
 
 def load_bindings(path, class_fst: ClassFst) -> dict[str, WordFst]:
-    """The automata a manifest binds; every tag of ``class_fst`` must be bound."""
+    """The automata a manifest binds: exactly the tags of ``class_fst``, each once."""
     with open_text(path) as f:
-        manifest = read_bindings(f, source=str(path))
+        manifest = read_bindings(f, tags=class_fst.tags, source=str(path))
     base = os.path.dirname(os.fspath(path))
     # join() keeps an absolute path as it is and resolves a relative one.
     bindings = {tag: load_fst(os.path.join(base, p)) for tag, p in manifest.items()}
@@ -147,8 +151,8 @@ class ContextualBiaser:
     The biaser is its own scorer: :meth:`initial` and the pure transitions
     :meth:`expand`, :meth:`finish_word` and :meth:`finalize` map a plain,
     hashable state ``(pos, race, word_chars)`` (the template position, the
-    open tag race or None, and the content of the current word so far) and a
-    token to a score increment and a new state.  Outside a tag, completed
+    open tag race or None, and the content of the current word so far) and
+    word content to a score increment and a new state.  Outside a tag, completed
     words step the position along plain arcs at weight zero (missing words
     reset it, and cost nothing at the start state).  When the position
     offers class tags, the next word opens a race of nested phrase walks
@@ -168,22 +172,15 @@ class ContextualBiaser:
     so its size is bounded by the automaton's (state, arc-word prefix) pairs.
     """
 
-    def __init__(
-        self,
-        class_fst: ClassFst,
-        bindings: dict[str, WordFst],
-        *,
-        delimiter: str = DEFAULT_DELIMITER,
-    ):
+    def __init__(self, class_fst: ClassFst, bindings: dict[str, WordFst]):
         missing = class_fst.tags - bindings.keys()
         if missing:
             raise ValueError(f"unbound class tags: {sorted(missing)}")
         self.class_fst = class_fst
         self.bindings = dict(bindings)
-        self.delimiter = delimiter
         caches: dict[int, dict] = {}  # id(fst) -> lookahead cache
         self.walks = {
-            tag: PhraseWalk(fst, delimiter=delimiter, cache=caches.setdefault(id(fst), {}))
+            tag: PhraseWalk(fst, cache=caches.setdefault(id(fst), {}))
             for tag, fst in self.bindings.items()
         }
         # Each tagged position's tag -> target arcs, and the race it opens:
@@ -210,31 +207,28 @@ class ContextualBiaser:
     def open_session(self) -> Session:
         return Session(self, self.initial())
 
-    def expand(self, state, subword):
+    def expand(self, state, content):
         pos, race, chars = state
         if race is None:
-            if not subword or subword.endswith(self.delimiter):
-                raise content_error(subword)
             if chars:
-                return 0.0, (pos, None, chars + subword)
+                return 0.0, (pos, None, chars + content)
             pos, race = self._word_start(pos)
             if race is None:
-                return 0.0, (pos, None, subword)
+                return 0.0, (pos, None, content)
         entries, a_prev, dropped = race
         walks = self.walks
         stepped = []
         agg = None
         for tag, ws, total in entries:
-            increment, ws = walks[tag].expand(ws, subword)
+            increment, ws = walks[tag].expand(ws, content)
             total += increment
             stepped.append((tag, ws, total))
             agg = total if agg is None else strongest(agg, total)
-        return agg - a_prev, (pos, (tuple(stepped), agg, dropped), chars + subword)
+        return agg - a_prev, (pos, (tuple(stepped), agg, dropped), chars + content)
 
-    def finish_word(self, state, token):
+    def finish_word(self, state, content):
         """Returns ``(increment, winning tag or None, state)``."""
         pos, race, chars = state
-        content = token_content(token, self.delimiter)
         if race is None and not chars and content:
             pos, race = self._word_start(pos)
         word = chars + content
@@ -242,7 +236,7 @@ class ContextualBiaser:
             if word:
                 pos = self._skeleton_step(pos, word)
             return 0.0, None, (pos, None, "")
-        increment, race, tag, consumed = self._race_finish(race, token)
+        increment, race, tag, consumed = self._race_finish(race, content)
         if race is not None:
             return increment, None, (pos, race, "")
         if tag is not None:
@@ -270,7 +264,7 @@ class ContextualBiaser:
             pos = fst.start
         return pos, self._races.get(pos)
 
-    def _race_finish(self, race, token):
+    def _race_finish(self, race, content):
         """``(increment, race or None once resolved, tag, consumed)``.
 
         ``consumed`` is False when the closing word still needs a skeleton
@@ -280,7 +274,7 @@ class ContextualBiaser:
         walks = self.walks
         closed = []
         for tag, ws, total in entries:
-            increment, outcome, ws = walks[tag].finish_word(ws, token)
+            increment, outcome, ws = walks[tag].finish_word(ws, content)
             closed.append((tag, ws, total + increment, outcome))
         winner = strongest(
             ((t, tag) for tag, _, t, outcome in closed if outcome is WordOutcome.COMPLETED),

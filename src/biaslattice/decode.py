@@ -24,14 +24,7 @@ from .context import ContextualBiaser
 from .errors import InputFormatError, open_text
 from .fst import WordFst
 from .lookahead import PhraseWalk, WordWalk
-from .wordpiece import (
-    DEFAULT_DELIMITER,
-    SegmentationError,
-    WordpieceVocab,
-    detokenize,
-    is_delimiter,
-    segment,
-)
+from .wordpiece import SegmentationError, WordpieceVocab, detokenize, segment, word_end
 
 END = "</s>"
 
@@ -104,7 +97,9 @@ class NBestList:
 #
 # A biaser is its own scorer: initial() gives the plain, hashable state a
 # hypothesis starts from, and expand / finish_word / finalize are pure
-# transitions from a state and a token to a score increment and a new state.
+# transitions from a state and word content to a score increment and a new
+# state: beam search splits each token once (wordpiece.word_end) and calls
+# expand("pl"), or finish_word("er") for "er_" and finish_word("") for "_".
 # open_session() pairs the biaser with its initial state in a
 # lookahead.Session, whose clone, taken by beam search for every candidate
 # token, copies two references.  A biaser is built once, so every utterance
@@ -125,10 +120,10 @@ class NullBiaser:
     def clone(self):
         return self
 
-    def expand(self, subword):
+    def expand(self, content):
         return 0.0
 
-    def finish_word(self, token):
+    def finish_word(self, content):
         return 0.0
 
     def finalize(self):
@@ -143,17 +138,14 @@ class SubwordBiaser(PhraseWalk):
 
     __slots__ = ()
 
-    def __init__(self, fst: WordFst, *, delimiter: str = DEFAULT_DELIMITER):
-        super().__init__(fst, delimiter=delimiter, cache={})
+    def __init__(self, fst: WordFst):
+        super().__init__(fst, cache={})
 
 
 class WordBiaser(WordWalk):
     """Applies a biasing automaton at word boundaries only (no lookahead)."""
 
     __slots__ = ()
-
-    def __init__(self, fst: WordFst, *, delimiter: str = DEFAULT_DELIMITER):
-        super().__init__(fst, delimiter=delimiter)
 
 
 Biaser = NullBiaser | SubwordBiaser | WordBiaser | ContextualBiaser
@@ -217,11 +209,10 @@ class SynthOracle:
                     pieces = segment(vocab, word)
                 except SegmentationError as exc:
                     raise SegmentationError(f"reference {utt}: {exc}") from None
-                eligible = noisy_words is None or word in noisy_words
-                for piece in pieces:
-                    if eligible and not is_delimiter(vocab, piece):
-                        noisy.add(len(toks))
-                    toks.append(piece)
+                if noisy_words is None or word in noisy_words:
+                    # Every piece but the standalone delimiter is content.
+                    noisy.update(range(len(toks), len(toks) + len(pieces) - 1))
+                toks += pieces
             toks.append(END)
             self.tokens[utt] = tuple(toks)
             self._noisy_pos[utt] = frozenset(noisy)
@@ -311,6 +302,19 @@ def _check_normalized(scores: Mapping[str, float], utt_id: str) -> None:
         raise OracleError(f"{utt_id}: oracle scores log-sum-exp to {lse:.3g}, not 0")
 
 
+def _split_items(scores: Mapping[str, float], vocab: WordpieceVocab, utt_id: str) -> list:
+    """``(token, logp, is_end, content)`` for each candidate, in token order."""
+    items = []
+    for token, logp in sorted(scores.items()):
+        is_end = token == END
+        try:
+            content = None if is_end else word_end(vocab, token)
+        except ValueError as exc:
+            raise OracleError(f"{utt_id}: oracle token {token!r}: {exc}") from None
+        items.append((token, logp, is_end, content))
+    return items
+
+
 def beam_search(
     oracle: EmissionOracle,
     biaser: Biaser | None,
@@ -336,7 +340,6 @@ def beam_search(
     _check_scale(lam)
     if biaser is None:
         biaser = NullBiaser()
-    delimiter = vocab.delimiter
     inf = math.inf
     # A beam, live or done, is (-fused, tokens, rnnt_logp, sf_score, session).
     # Token sequences are unique, so sorting the tuples orders by descending
@@ -349,8 +352,8 @@ def beam_search(
     #
     # Oracles such as SynthOracle hand every hypothesis at a step a map equal
     # in value, so the last map that passed _check_normalized is kept, as a
-    # private copy with its sorted (token, logp, is_end, is_delimiter) items,
-    # and a map is checked and sorted again only when it differs in value.
+    # private copy with its sorted (token, logp, is_end, word_end content)
+    # items, and a map is checked and split again only when it differs in value.
     # An equal map is normalized too, so every map is still verified; maps
     # are never compared by identity, since an oracle may mutate and return
     # one object.
@@ -371,18 +374,17 @@ def beam_search(
             if scores != checked:
                 scores = dict(scores)
                 _check_normalized(scores, utt_id)
+                items = _split_items(scores, vocab, utt_id)
                 checked = scores
-                items = [(token, logp, token == END, token.endswith(delimiter))
-                         for token, logp in sorted(scores.items())]
-            for token, logp, is_end, is_delim in items:
+            for token, logp, is_end, content in items:
                 session = parent.clone()
                 r = rnnt + logp
                 if is_end:
                     b = sf + session.finalize()
-                elif is_delim:
-                    b = sf + session.finish_word(token)
-                else:
+                elif content is None:
                     b = sf + session.expand(token)
+                else:
+                    b = sf + session.finish_word(content)
                 f = r + lam * b
                 if not -inf < f < inf:
                     f = fuse_step(r, b, lam)

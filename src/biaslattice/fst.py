@@ -41,7 +41,7 @@ import struct
 import sys
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import ge, gt, not_, sub
@@ -72,23 +72,29 @@ class CatalogError(InputFormatError, ValueError):
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One catalog phrase; ``weight`` is applied to every word arc of it."""
+    """One catalog phrase; ``weight`` is applied to every word arc of it.
+    Errors blaming it name ``where``, the ``file:line`` it was read from."""
 
     phrase: tuple[str, ...]
     weight: float = DEFAULT_WEIGHT
+    where: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.phrase:
-            raise CatalogError("catalog phrase must contain at least one word")
+            raise self.error("catalog phrase must contain at least one word")
         if any(w.split() != [w] for w in self.phrase):  # empty, or holds whitespace
-            raise CatalogError(f"malformed catalog phrase: {self.phrase!r}")
+            raise self.error(f"malformed catalog phrase: {self.phrase!r}")
         if not math.isfinite(self.weight):
-            raise CatalogError(f"non-finite weight for phrase {self.phrase!r}")
+            raise self.error(f"non-finite weight for phrase {self.phrase!r}")
 
     @classmethod
-    def from_text(cls, text: str, weight: float = DEFAULT_WEIGHT) -> "CatalogEntry":
+    def from_text(cls, text: str, weight: float = DEFAULT_WEIGHT,
+                  where: str | None = None) -> "CatalogEntry":
         """Lowercase and whitespace-split ``text`` into a phrase."""
-        return cls(tuple(text.lower().split()), float(weight))
+        return cls(tuple(text.lower().split()), float(weight), where)
+
+    def error(self, message: str) -> CatalogError:
+        return CatalogError(f"{self.where}: {message}" if self.where else message)
 
     @property
     def text(self) -> str:
@@ -191,7 +197,7 @@ def build_catalog_fst(
 
     Raises CatalogError on an empty catalog, duplicate phrases, words
     containing the subword delimiter, or conflicting weights on a shared
-    prefix arc.
+    prefix arc; an error about an entry names its ``where``, if it has one.
     """
     entries = list(entries)
     if not entries:
@@ -201,16 +207,14 @@ def build_catalog_fst(
     for entry in entries:
         phrase, weight = entry.phrase, entry.weight
         if phrase in phrases:
-            raise CatalogError(f"duplicate catalog phrase: {entry.text!r}")
+            raise entry.error(f"duplicate catalog phrase: {entry.text!r}")
         phrases.add(phrase)
         for i, word in enumerate(phrase, 1):
             if delimiter in word:
-                raise CatalogError(
-                    f"word {word!r} contains the subword delimiter {delimiter!r}"
-                )
+                raise entry.error(f"word {word!r} contains the subword delimiter {delimiter!r}")
             shared = paths.setdefault(phrase[:i], weight)
             if shared != weight:
-                raise CatalogError(
+                raise entry.error(
                     f"conflicting weights {shared} vs {weight} on shared "
                     f"prefix arc {word!r} (phrase {entry.text!r})"
                 )
@@ -364,12 +368,9 @@ def read_catalog(lines: Iterable[str], *, source: str = "<catalog>") -> list[Cat
                 raise InputFormatError(f"{where}: bad weight {weight_part.strip()!r}") from None
         if not phrase_part.strip():
             raise InputFormatError(f"{where}: empty phrase")
-        try:
-            entry = CatalogEntry.from_text(phrase_part, weight)
-        except CatalogError as exc:
-            raise InputFormatError(f"{where}: {exc}") from None
+        entry = CatalogEntry.from_text(phrase_part, weight, where)
         if entries.setdefault(entry.phrase, entry) is not entry:
-            raise InputFormatError(f"{where}: duplicate catalog phrase: {entry.text!r}")
+            raise entry.error(f"duplicate catalog phrase: {entry.text!r}")
     if not entries:
         raise InputFormatError(f"{source}: no catalog entries found")
     return list(entries.values())

@@ -16,11 +16,12 @@ segmentation.  A prefix that stops matching pays back everything pushed for
 it (the fallback), so abandoned prefixes are score-neutral.
 
 Worked example, catalog {play, player, playground} all at weight -8,
-token stream ``pl ay er_``:
+token stream ``pl ay er_``, which the decoder passes on as ``expand("pl")``,
+``expand("ay")`` and ``finish_word("er")``:
 
     pl      band=3 arcs  len=2 of 10   pushed -1.6   increment -1.6
     ay      band=3 arcs  len=4 of 10   pushed -3.2   increment -1.6
-    er_     band=1 arc   exact match "player", arc weight -8: increment -4.8
+    er      band=1 arc   exact match "player", arc weight -8: increment -4.8
 
 Increments sum to -8, the word-level weight of "player".
 
@@ -34,12 +35,13 @@ strongest weight (``fst.strongest``) in O(B + band/B) for the automaton's
 block size B.  No step scans the band in Python, and a word's
 exact match, if any, is the word at ``lo``.
 
-Scoring is a set of pure transitions.  :class:`PhraseWalk` maps a walk state,
-a plain hashable tuple, and a token to ``(increment, new state)``.  It holds
-the automaton, the delimiter, a lookahead cache and an optional probe
-counter, none of which belongs to one hypothesis or one utterance, so one
-walk, cache and all, serves every hypothesis of every utterance a biaser
-decodes: the subword biaser is a walk, the word-level biaser a
+Scoring is a set of pure transitions over word content: the decoder splits
+each token once (:func:`wordpiece.word_end`), so no walk knows the delimiter.
+:class:`PhraseWalk` maps a walk state, a plain hashable tuple, and content to
+``(increment, new state)``.  It holds the automaton, a lookahead cache and an
+optional probe counter, none of which belongs to one hypothesis or one
+utterance, so one walk, cache and all, serves every hypothesis of every
+utterance a biaser decodes: the subword biaser is a walk, the word-level biaser a
 :class:`WordWalk`, and the contextual biaser races one walk per tag.  The
 cache keeps live bands only, so the automaton, not the traffic, bounds its
 size.  :class:`WordWalk` is the
@@ -59,7 +61,7 @@ import bisect
 import math
 from enum import Enum
 
-from .fst import DEFAULT_DELIMITER, WordFst
+from .fst import WordFst
 
 _MAX_CHAR = chr(0x10FFFF)
 
@@ -116,29 +118,6 @@ def _successor(prefix: str) -> str | None:
     return stem[:-1] + chr(ord(stem[-1]) + 1)
 
 
-def token_content(token: str, delimiter: str) -> str:
-    """The content of a delimiter-bearing token (``er_`` -> ``er``, ``_`` -> "")."""
-    if token == delimiter:
-        return ""
-    if not token.endswith(delimiter):
-        raise ValueError(f"{token!r} does not carry the delimiter {delimiter!r}")
-    content = token[: -len(delimiter)]
-    if not content or delimiter in content:
-        raise ValueError(f"malformed fused delimiter token {token!r}")
-    return content
-
-
-def content_error(subword: str) -> ValueError:
-    """Why ``subword``, empty or delimiter-bearing, cannot extend a word.
-
-    Every biaser's ``expand`` refuses such a token with this error, checking
-    ``not subword or subword.endswith(delimiter)`` inline first.
-    """
-    if not subword:
-        return ValueError("empty subword")
-    return ValueError(f"{subword!r} is a delimiter token; use finish_word")
-
-
 def pushed_weight(length: int, longest: int, lookahead: float) -> float:
     """Share of ``lookahead`` owed after covering ``length`` of ``longest`` chars."""
     if longest <= 0:
@@ -170,7 +149,7 @@ _FAILED = WordOutcome.FAILED
 
 
 class PhraseWalk:
-    """Walks multi-word phrases over a biasing automaton, token by token.
+    """Walks multi-word phrases over a biasing automaton, piece by piece.
 
     The walk is a set of pure transitions over the state tuple
 
@@ -189,8 +168,8 @@ class PhraseWalk:
     After completing a phrase at a final state with outgoing arcs the walk
     greedily continues toward longer phrases; otherwise it restarts at the
     start state.  Words that miss while the walk sits at the start state cost
-    nothing (the phi self-loop).  An empty word, a delimiter right after
-    another, matches no arc and so fails like any other miss.
+    nothing (the phi self-loop).  An empty word, closed with ``""`` before
+    any content, matches no arc and so fails like any other miss.
 
     ``cache``, a dict, when given, is read and filled by every expand step,
     so a biaser's one walk shares it across all the utterances it decodes.
@@ -199,18 +178,16 @@ class PhraseWalk:
     per (state, prefix of one of that state's arc words).
     """
 
-    __slots__ = ("fst", "delimiter", "cache", "counter")
+    __slots__ = ("fst", "cache", "counter")
 
     def __init__(
         self,
         fst: WordFst,
         *,
-        delimiter: str = DEFAULT_DELIMITER,
         cache: dict | None = None,
         counter: ProbeCounter | None = None,
     ):
         self.fst = fst
-        self.delimiter = delimiter
         self.cache = cache
         self.counter = counter
 
@@ -230,18 +207,15 @@ class PhraseWalk:
         """A session scoring one hypothesis from the start state."""
         return Session(self, self.initial())
 
-    def expand(self, state: tuple, subword: str) -> tuple[float, tuple]:
-        """Extend the word by one content token: ``(increment, state)``.
+    def expand(self, state: tuple, content: str) -> tuple[float, tuple]:
+        """Extend the word by a token's non-empty ``content``: ``(increment, state)``.
 
-        An empty or delimiter-bearing token is refused, even by a dead word,
-        which otherwise scores nothing until its delimiter.
+        A dead word scores nothing until it is closed.
         """
-        if not subword or subword.endswith(self.delimiter):
-            raise content_error(subword)
         q, prefix, lo, hi, pushed, dead, pending, banked = state
         if dead:
             return 0.0, state
-        prefix += subword
+        prefix += content
         key = (q, prefix)
         cache = self.cache
         hit = cache.get(key) if cache is not None else None
@@ -257,16 +231,17 @@ class PhraseWalk:
                 cache[key] = (lo, hi, new)
         return new - pushed, (q, prefix, lo, hi, new, False, pending, banked)
 
-    def close_word(self, state: tuple, token: str):
+    def close_word(self, state: tuple, content: str):
         """End the word alone: ``(increment, matched arc id or None, state)``.
 
-        A fused token first applies its content as an expand step.  An exact
+        ``content`` is what the word-ending token adds (``er`` for ``er_``,
+        ``""`` for a standalone delimiter); non-empty content first applies as
+        an expand step.  An exact
         match trues the word's total up to the arc weight; a miss pays back
         what was pushed and leaves the word dead.  A word that already died
         closes as a miss with no further score.  The arc id is the matched
         arc's position in the automaton's columns.
         """
-        content = "" if token == self.delimiter else token_content(token, self.delimiter)
         increment = 0.0
         if content and not state[5]:
             increment, state = self.expand(state, content)
@@ -280,9 +255,9 @@ class PhraseWalk:
                     (q, prefix, lo, hi, weight, False, pending, banked))
         return increment - pushed, None, (q, prefix, lo, hi, 0.0, True, pending, banked)
 
-    def finish_word(self, state: tuple, token: str) -> tuple[float, WordOutcome, tuple]:
-        """Close the word and step the phrase: ``(increment, outcome, state)``."""
-        increment, i, state = self.close_word(state, token)
+    def finish_word(self, state: tuple, content: str) -> tuple[float, WordOutcome, tuple]:
+        """Close the word with ``content`` and step the phrase: ``(increment, outcome, state)``."""
+        increment, i, state = self.close_word(state, content)
         fst = self.fst
         offsets = fst.offsets
         pending, banked = state[6], state[7]
@@ -310,23 +285,21 @@ class PhraseWalk:
 class WordWalk(PhraseWalk):
     """The phrase walk with pushing switched off: word-boundary biasing.
 
-    Content tokens only extend the prefix; the delimiter resolves the whole
-    word with one exact lookup, so a matched word's full arc weight lands on
-    its delimiter.  The phrase step is :meth:`PhraseWalk.finish_word`'s, so an
-    empty word (a delimiter right after another) fails the phrase here too.
+    Content only extends the prefix; closing the word resolves it with one
+    exact lookup, so a matched word's full arc weight lands on its word end.
+    The phrase step is :meth:`PhraseWalk.finish_word`'s, so an empty word
+    fails the phrase here too.
     """
 
     __slots__ = ()
 
-    def expand(self, state, subword):
-        if not subword or subword.endswith(self.delimiter):
-            raise content_error(subword)
+    def expand(self, state, content):
         q, prefix, lo, hi, pushed, dead, pending, banked = state
-        return 0.0, (q, prefix + subword, lo, hi, pushed, dead, pending, banked)
+        return 0.0, (q, prefix + content, lo, hi, pushed, dead, pending, banked)
 
-    def close_word(self, state, token):
+    def close_word(self, state, content):
         q, prefix, lo, hi, pushed, dead, pending, banked = state
-        word = prefix if token == self.delimiter else prefix + token_content(token, self.delimiter)
+        word = prefix + content
         i = self.fst.arc_id(q, word)
         if i is None:
             return 0.0, None, (q, word, lo, hi, 0.0, True, pending, banked)
@@ -359,12 +332,12 @@ class Session:
         s.state = self.state
         return s
 
-    def expand(self, subword: str) -> float:
-        increment, self.state = self.scorer.expand(self.state, subword)
+    def expand(self, content: str) -> float:
+        increment, self.state = self.scorer.expand(self.state, content)
         return increment
 
-    def finish_word(self, token: str) -> float:
-        increment, _, self.state = self.scorer.finish_word(self.state, token)
+    def finish_word(self, content: str) -> float:
+        increment, _, self.state = self.scorer.finish_word(self.state, content)
         return increment
 
     def finalize(self) -> float:
@@ -378,9 +351,9 @@ class ExpandSession(Session):
 
     __slots__ = ()
 
-    def __init__(self, fst: WordFst, q: int, *, delimiter: str = DEFAULT_DELIMITER,
-                 cache: dict | None = None, counter: ProbeCounter | None = None):
-        walk = PhraseWalk(fst, delimiter=delimiter, cache=cache, counter=counter)
+    def __init__(self, fst: WordFst, q: int, *, cache: dict | None = None,
+                 counter: ProbeCounter | None = None):
+        walk = PhraseWalk(fst, cache=cache, counter=counter)
         Session.__init__(self, walk, walk.initial(q))
 
     @property

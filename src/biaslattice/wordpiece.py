@@ -3,7 +3,8 @@
 The toolkit stays word-level everywhere else; this module is the only place
 that knows how words break into subword pieces.  Two delimiter conventions
 are understood: a standalone word-boundary token (``pl ay _``) and a fused
-marker on the final piece (``pl ay er_``).
+marker on the final piece (``pl ay er_``).  :func:`word_end` splits a token,
+so the biasers read only word content.
 """
 
 from __future__ import annotations
@@ -90,25 +91,36 @@ def segment(vocab: WordpieceVocab, word: str, *, fused: bool = False) -> tuple[s
     return tuple(pieces) + (vocab.delimiter,)
 
 
-def is_delimiter(vocab: WordpieceVocab, token: str) -> bool:
-    """True for the standalone delimiter and for fused forms like ``er_``."""
-    return bool(token) and token.endswith(vocab.delimiter)
+def word_end(vocab: WordpieceVocab, token: str) -> str | None:
+    """The content a word-ending token closes its word with, or None for a
+    token that extends the word: ``er_`` -> ``er``, ``_`` -> "", ``pl`` -> None.
+    An empty token, and a word end such as ``a__``, raise ValueError.
+    """
+    d = vocab.delimiter
+    if not token.endswith(d):
+        if not token:
+            raise ValueError("empty token")
+        return None
+    content = token[: -len(d)]
+    if d in content:
+        raise ValueError(f"word end {token!r} has the delimiter {d!r} in its content")
+    return content
 
 
 def detokenize(vocab: WordpieceVocab, tokens: Iterable[str]) -> str:
     """Rebuild the word sequence from subword tokens (inverse of segment)."""
-    d = vocab.delimiter
     words: list[str] = []
     current: list[str] = []
     for tok in tokens:
-        if tok.endswith(d):
-            current.append(tok[: -len(d)])
+        content = word_end(vocab, tok)
+        if content is None:
+            current.append(tok)
+        else:
+            current.append(content)
             word = "".join(current)
             if word:
                 words.append(word)
             current = []
-        else:
-            current.append(tok)
     tail = "".join(current)
     if tail:
         words.append(tail)

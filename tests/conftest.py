@@ -72,9 +72,9 @@ def random_catalog(rng: random.Random, max_words=50, alphabet="abcdef",
     ]
 
 
-def walk_word(walk, chunks, token="_"):
+def walk_word(walk, chunks, content=""):
     """Fold ``walk``'s transitions over one word from the start state: each
-    content chunk, then the delimiter-bearing ``token`` through ``close_word``.
+    content chunk, then the word end's ``content`` through ``close_word``.
 
     Returns (expand increments, closing increment, matched arc id or None,
     state).  A chunk after the word died scores 0.0, as ``expand`` returns it.
@@ -84,5 +84,5 @@ def walk_word(walk, chunks, token="_"):
     for chunk in chunks:
         increment, state = walk.expand(state, chunk)
         increments.append(increment)
-    closing, arc, state = walk.close_word(state, token)
+    closing, arc, state = walk.close_word(state, content)
     return increments, closing, arc, state

@@ -23,7 +23,7 @@ from biaslattice.context import Span, parse_annotated
 from biaslattice.fst import DEFAULT_DELIMITER, CatalogEntry, CatalogError, WordFst
 from biaslattice.lm import EOS_WORD, NGramLM
 from biaslattice.lookahead import PhraseWalk, WordOutcome
-from biaslattice.wordpiece import detokenize, is_delimiter
+from biaslattice.wordpiece import detokenize
 
 
 # -- tries ----------------------------------------------------------------------
@@ -293,8 +293,8 @@ def reference_beam_search(
                         _Beam(beam.tokens, beam.rnnt + logp, beam.sf + increment, session)
                     )
                     continue
-                if is_delimiter(vocab, token):
-                    increment = session.finish_word(token)
+                if token.endswith(vocab.delimiter):
+                    increment = session.finish_word(token[: -len(vocab.delimiter)])
                 else:
                     increment = session.expand(token)
                 extended.append(
@@ -351,7 +351,7 @@ def reference_tag_race(
     race.  End of stream ends every alive tag's walk, and a tag that banked
     a phrase counts as a banked failure.
     """
-    walks = {tag: PhraseWalk(fst, delimiter=delimiter) for tag, fst in fsts.items()}
+    walks = {tag: PhraseWalk(fst) for tag, fst in fsts.items()}
     settled = 0.0
     alive = None  # tag -> [walk state, total, banked] while a race is open
     dropped: list[float] = []
@@ -369,7 +369,8 @@ def reference_tag_race(
                 increment, run[0] = walks[tag].expand(run[0], token)
                 run[1] += increment
                 continue
-            increment, outcome, run[0] = walks[tag].finish_word(run[0], token)
+            increment, outcome, run[0] = walks[tag].finish_word(
+                run[0], token[: -len(delimiter)])
             run[1] += increment
             if outcome is WordOutcome.COMPLETED:
                 completed.append(run[1])

@@ -118,7 +118,7 @@ def test_01_worked_example_golden_vector(play_fst):
         walk = PhraseWalk(play_fst)
         first_inc, first = walk.expand(walk.initial(), "pl")
         second_inc, state = walk.expand(first, "ay")
-        final, arc, _ = walk.close_word(state, "er_")
+        final, arc, _ = walk.close_word(state, "er")
         increments = [first_inc, second_inc, final]
         assert abs(increments[0] - -1.6) <= 1e-9
         assert abs(increments[1] - -1.6) <= 1e-9

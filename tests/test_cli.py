@@ -263,6 +263,18 @@ class TestEmptyNBestRecord:
         assert not (workdir / "x.jsonl").exists()
 
 
+def _decode_bound(workdir, bindings):
+    """Contextual decode over the workdir's class automaton, with the
+    catalog's automaton as contacts.fst, and ``bindings`` as the manifest."""
+    assert run("build-fst", "--class-corpus", workdir / "class.txt",
+               "--min-count", 10, "--out", workdir / "class.fst") == 0
+    assert run("build-fst", "--catalog", workdir / "catalog.tsv",
+               "--out", workdir / "contacts.fst") == 0
+    return run("decode", "--vocab", workdir / "vocab.txt", "--refs", workdir / "refs.tsv",
+               "--class-fst", workdir / "class.fst", "--bindings", bindings,
+               "--out", workdir / "x.jsonl")
+
+
 class TestRepeatedKeys:
     """A keyed file that gives one key twice exits with code 2, naming the
     file and the line that repeats it."""
@@ -289,16 +301,16 @@ class TestRepeatedKeys:
         assert not (workdir / "c.fst").exists()
 
     def test_binding_tag(self, workdir, capsys):
-        assert run("build-fst", "--class-corpus", workdir / "class.txt",
-                   "--min-count", 10, "--out", workdir / "class.fst") == 0
-        assert run("build-fst", "--catalog", workdir / "catalog.tsv",
-                   "--out", workdir / "contacts.fst") == 0
         path = workdir / "bindings.tsv"
         path.write_text("@contactname\tcontacts.fst\n@contactname\tcontacts.fst\n")
-        self.check(capsys, run("decode", "--vocab", workdir / "vocab.txt",
-                               "--refs", workdir / "refs.tsv",
-                               "--class-fst", workdir / "class.fst", "--bindings", path,
-                               "--out", workdir / "x.jsonl"), f"{path}:2")
+        self.check(capsys, _decode_bound(workdir, path), f"{path}:2")
+        assert not (workdir / "x.jsonl").exists()
+
+    def test_binding_tag_with_a_trailing_space(self, workdir, capsys):
+        # The tag is stripped, so "@contactname " repeats "@contactname".
+        path = workdir / "bindings.tsv"
+        path.write_text("@contactname\tcontacts.fst\n@contactname \tcontacts.fst\n")
+        self.check(capsys, _decode_bound(workdir, path), f"{path}:2")
         assert not (workdir / "x.jsonl").exists()
 
     def test_class_member(self, workdir, capsys):
@@ -316,6 +328,57 @@ class TestRepeatedKeys:
                                "--catalog", workdir / "catalog.tsv",
                                "--out", workdir / "x.jsonl"), f"{members}:{len(lines) + 1}")
         assert not (workdir / "x.jsonl").exists()
+
+
+class TestBlamedLine:
+    """Input the reader parses but the program cannot use exits with code 2,
+    naming the file and the line at fault, with no traceback."""
+
+    def check(self, capsys, code, message):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
+    def test_binding_for_a_tag_the_class_automaton_lacks(self, workdir, capsys):
+        path = workdir / "bindings.tsv"
+        path.write_text("@contactname\tcontacts.fst\n# a typo\n@contactnme\tcontacts.fst\n")
+        self.check(capsys, _decode_bound(workdir, path),
+                   f"{path}:3: the class automaton has no tag '@contactnme'")
+        assert not (workdir / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["build-fst", "decode"])
+    @pytest.mark.parametrize("catalog, message", [
+        pytest.param("ada lovelace\t-1\nbodu\t-1\nada\t-2\n",
+                     "3: conflicting weights -1.0 vs -2.0 on shared prefix arc 'ada'",
+                     id="conflicting-weights"),
+        pytest.param("# contacts\nbodu\t1\nbo_du\t-1\n",
+                     "3: word 'bo_du' contains the subword delimiter '_'",
+                     id="delimiter-in-a-word"),
+    ])
+    def test_catalog_entry_the_builder_refuses(self, workdir, capsys, command, catalog,
+                                                message):
+        path = workdir / "catalog.tsv"
+        path.write_text(catalog)
+        argv = {
+            "build-fst": ("build-fst", "--catalog", path),
+            "decode": ("decode", "--vocab", workdir / "vocab.txt", "--refs",
+                       workdir / "refs.tsv", "--catalog", path),
+        }[command]
+        self.check(capsys, run(*argv, "--out", workdir / "x.out"), f"{path}:{message}")
+        assert not (workdir / "x.out").exists()
+
+    def test_catalog_word_holding_the_vocabulary_delimiter(self, workdir, capsys):
+        # "bo|du" builds under the default delimiter, but decoding with a
+        # vocabulary whose delimiter is "|" could never match it.
+        vocab = workdir / "vocab.txt"
+        vocab.write_text("#delimiter |\n" + vocab.read_text())
+        path = workdir / "catalog.tsv"
+        path.write_text("bodu\t1\nbo|du\t-1\n")
+        assert run("build-fst", "--catalog", path, "--out", workdir / "c.fst") == 0
+        self.check(capsys, run("decode", "--vocab", vocab, "--refs", workdir / "refs.tsv",
+                               "--catalog", path, "--out", workdir / "x.out"),
+                   f"{path}:2: word 'bo|du' contains the subword delimiter '|'")
 
 
 class TestCorruptAutomata:

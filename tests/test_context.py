@@ -102,13 +102,13 @@ class TestBuildClassFst:
             build_class_fst([], min_count=0)
 
 
-def make_biaser(bindings_entries, templates, min_count=1, delimiter="_"):
+def make_biaser(bindings_entries, templates, min_count=1):
     lines = [t for t in templates for _ in range(min_count)]
     cfst = build_class_fst(lines, min_count=min_count)
     bindings = {
         tag: build_catalog_fst(entries) for tag, entries in bindings_entries.items()
     }
-    return ContextualBiaser(cfst, bindings, delimiter=delimiter)
+    return ContextualBiaser(cfst, bindings)
 
 
 def drive(session, text):
@@ -118,7 +118,7 @@ def drive(session, text):
         inc = 0.0
         for ch in word:
             inc += session.expand(ch)
-        inc += session.finish_word("_")
+        inc += session.finish_word("")
         per_word.append(inc)
         total += inc
     return total, per_word
@@ -187,7 +187,7 @@ class TestContextSession:
             want_words = []
             for word in text.split():
                 inc = sum(plain.expand(c) for c in word)
-                winc = plain.finish_word("_")
+                winc = plain.finish_word("")
                 want_words.append(inc + winc)
                 want_total += inc + winc
             assert got_words == pytest.approx(want_words, abs=1e-12)
@@ -305,7 +305,7 @@ class TestFuzz:
                 total = 0.0
                 for _ in range(30):
                     if rs.random() < 0.25:
-                        total += session.finish_word("_")
+                        total += session.finish_word("")
                     else:
                         total += session.expand(rs.choice("abc"))
                 return total, session
@@ -320,13 +320,13 @@ class TestFuzz:
             rs = random.Random(1000 + trial)
             moves = [("f" if rs.random() < 0.25 else rs.choice("abc")) for _ in range(30)]
             for mv in moves[:15]:
-                half_total += s3.finish_word("_") if mv == "f" else s3.expand(mv)
+                half_total += s3.finish_word("") if mv == "f" else s3.expand(mv)
             c = s3.clone()
             rest_a = sum(
-                (s3.finish_word("_") if mv == "f" else s3.expand(mv)) for mv in moves[15:]
+                (s3.finish_word("") if mv == "f" else s3.expand(mv)) for mv in moves[15:]
             )
             rest_b = sum(
-                (c.finish_word("_") if mv == "f" else c.expand(mv)) for mv in moves[15:]
+                (c.finish_word("") if mv == "f" else c.expand(mv)) for mv in moves[15:]
             )
             assert rest_a == rest_b
 
@@ -379,7 +379,10 @@ def _race_totals(case):
     session = biaser.open_session()
     got, total = [], 0.0
     for token in tokens:
-        total += session.finish_word(token) if token.endswith("_") else session.expand(token)
+        if token.endswith("_"):
+            total += session.finish_word(token[:-1])
+        else:
+            total += session.expand(token)
         got.append(total)
     got.append(total + session.finalize())
     fsts = {tag: build_catalog_fst(entries) for tag, entries in catalogs.items()}
@@ -418,9 +421,10 @@ class TestTagRaceReference:
 
 class TestBindings:
     def test_manifest_parsing(self):
-        got = read_bindings(["@contactname\tcontacts.fst", "# c", "@appname\tapps.fst"])
+        got = read_bindings(["@contactname\tcontacts.fst", "# c", "@appname\tapps.fst"],
+                            tags=frozenset({"@contactname", "@appname"}))
         assert got == {"@contactname": "contacts.fst", "@appname": "apps.fst"}
 
     def test_bad_line(self):
         with pytest.raises(InputFormatError):
-            read_bindings(["contactname contacts.fst"])
+            read_bindings(["contactname contacts.fst"], tags=frozenset({"@contactname"}))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -24,6 +25,7 @@ from biaslattice.decode import (
     write_nbest,
 )
 from biaslattice.fst import CatalogEntry, build_catalog_fst
+from biaslattice.lookahead import PhraseWalk, WordWalk, open_session
 from biaslattice.metrics import normalize_words, wer
 from biaslattice.synthdata import CLASS_MIN_COUNT, make_task
 from biaslattice.wordpiece import make_vocab
@@ -298,23 +300,23 @@ class TestWordLevelBiaser:
         session = WordBiaser(catalog).open_session()
         assert session.expand("ba") == 0.0
         assert session.expand("do") == 0.0
-        assert session.finish_word("_") == 2.0
+        assert session.finish_word("") == 2.0
 
     def test_miss_is_free_and_resets(self, mini_vocab):
         catalog = build_catalog_fst([CatalogEntry(("bado", "kela"), 2.0)])
         session = WordBiaser(catalog).open_session()
         session.expand("ba")
         session.expand("do")
-        assert session.finish_word("_") == 2.0
+        assert session.finish_word("") == 2.0
         session.expand("xx")
-        assert session.finish_word("_") == -2.0  # unfinished phrase paid back
+        assert session.finish_word("") == -2.0  # unfinished phrase paid back
 
     def test_finalize_mid_phrase_pays_back(self):
         catalog = build_catalog_fst([CatalogEntry(("bado", "kela"), 2.0)])
         session = WordBiaser(catalog).open_session()
         session.expand("ba")
         session.expand("do")
-        total = session.finish_word("_")
+        total = session.finish_word("")
         total += session.finalize()
         assert total == 0.0
 
@@ -325,30 +327,85 @@ def _call_kate_context(fst):
                             {"@contactname": fst})
 
 
-class TestExpandRefusesNonContentTokens:
-    """Every biaser refuses an empty or delimiter-bearing token in expand, in
-    the same words, wherever the hypothesis is; only finish_word closes a
-    word.  Accepting ``te_`` would fold the delimiter into the word."""
+class _Script:
+    """An oracle offering one fixed map per step, then only END."""
 
-    @pytest.mark.parametrize("biaser_cls", [
-        WordBiaser, SubwordBiaser, pytest.param(_call_kate_context, id="ContextualBiaser"),
-    ])
+    def __init__(self, *maps):
+        self.maps = maps
+
+    def score(self, utt_id, history):
+        step = len(history)
+        return dict(self.maps[step]) if step < len(self.maps) else {END: 0.0}
+
+
+_KINDS = [None, WordBiaser, SubwordBiaser,
+          pytest.param(_call_kate_context, id="ContextualBiaser")]
+
+
+class TestDecodeSplitsEachToken:
+    """Beam search splits each token once, with ``wordpiece.word_end``, and
+    the biasers read only word content.  A malformed token is the oracle's
+    fault under every biaser kind, wherever the hypothesis is, so ``te_`` is
+    never folded into a word."""
+
+    @pytest.mark.parametrize("biaser_cls", _KINDS)
     @pytest.mark.parametrize("before", [
         pytest.param((), id="start"),
         pytest.param(("ka",), id="mid-word"),
         pytest.param(("call_", "ka"), id="inside-a-race"),
         pytest.param(("call_", "zz"), id="dead-word"),
     ])
-    @pytest.mark.parametrize("token, message", [
-        ("", "empty subword"),
-        ("te_", "delimiter token"),
-        ("_", "delimiter token"),
+    @pytest.mark.parametrize("token", ["", "a__"])
+    def test_malformed_token_is_an_oracle_error(self, mini_vocab, biaser_cls, before, token):
+        biaser = biaser_cls and biaser_cls(build_catalog_fst([CatalogEntry(("kate",), 1.0)]))
+        maps = [{t: 0.0} for t in before] + [{"te_": math.log(0.5), token: math.log(0.5)}]
+        with pytest.raises(OracleError, match=f"^u7: oracle token {re.escape(repr(token))}: "):
+            beam_search(_Script(*maps), biaser, mini_vocab, 1.0, 4, 2, utt_id="u7")
+
+    @pytest.mark.parametrize("biaser_cls", _KINDS)
+    @pytest.mark.parametrize("weight", [1.0, -2.5])
+    def test_fused_and_split_word_ends_score_alike(self, mini_vocab, biaser_cls, weight):
+        biaser = biaser_cls and biaser_cls(build_catalog_fst([CatalogEntry(("kate",), weight)]))
+
+        def best(*tokens):
+            (hyp,) = beam_search(_Script(*({t: 0.0} for t in tokens)), biaser, mini_vocab,
+                                 1.0, 4, 1).hyps
+            return hyp
+
+        fused, split = best("call_", "ka", "te_", "zz_"), best("call_", "ka", "te", "_", "zz_")
+        assert fused.text == split.text == "call kate zz"
+        assert fused.sf_score == split.sf_score == (biaser and weight or 0.0)
+
+    @pytest.mark.parametrize("biaser_cls", _KINDS)
+    def test_another_delimiter_decodes_alike(self, mini_vocab, biaser_cls):
+        biaser = biaser_cls and biaser_cls(build_catalog_fst(
+            [CatalogEntry(("kate",), 2.0), CatalogEntry(("bado", "kela"), 1.5)]))
+        refs = {"u1": "call kate", "u2": "call bado kela", "u3": "kate bado"}
+
+        def run(vocab):
+            oracle = SynthOracle(vocab, refs, noise=0.1, seed=5)
+            return decode_corpus(oracle, biaser, vocab, 2.0, beam_size=6, n_best=4)
+
+        bar = run(make_vocab(mini_vocab.pieces, "|"))
+        underscore = run(mini_vocab)
+        assert [[(tuple(t.replace("|", "_") for t in h.tokens), h.text, h.sf_score, h.fused)
+                 for h in nb.hyps] for nb in bar] == \
+            [[(h.tokens, h.text, h.sf_score, h.fused) for h in nb.hyps] for nb in underscore]
+        assert any(h.sf_score for nb in underscore for h in nb.hyps) == (biaser is not None)
+
+
+class TestNoBiaserKnowsTheDelimiter:
+    @pytest.mark.parametrize("make", [
+        PhraseWalk, WordWalk, SubwordBiaser, WordBiaser,
+        pytest.param(lambda fst, **kw: ContextualBiaser(
+            build_class_fst(["@x(w)"], min_count=1), {"@x": fst}, **kw), id="ContextualBiaser"),
+        pytest.param(lambda fst, **kw: open_session(fst, fst.start, **kw), id="open_session"),
     ])
-    def test_refused_everywhere(self, biaser_cls, before, token, message):
-        session = biaser_cls(build_catalog_fst([CatalogEntry(("kate",), 1.0)])).open_session()
-        _feed(session, before, final=False)
-        with pytest.raises(ValueError, match=message):
-            session.expand(token)
+    def test_delimiter_keyword_refused(self, make):
+        fst = build_catalog_fst([CatalogEntry(("kate",), 1.0)])
+        with pytest.raises(TypeError):
+            make(fst, delimiter="|")
+        assert not hasattr(make(fst), "delimiter")
 
 
 _words = st.text(alphabet="abc", min_size=1, max_size=4)
@@ -387,7 +444,7 @@ def _streams(draw, catalog):
 
 def _feed(session, tokens, *, final=True):
     """Increments for ``tokens`` (delimiter tokens close words), then finalize."""
-    out = [session.finish_word(t) if t.endswith("_") else session.expand(t) for t in tokens]
+    out = [session.finish_word(t[:-1]) if t.endswith("_") else session.expand(t) for t in tokens]
     if final:
         out.append(session.finalize())
     return out
@@ -406,8 +463,10 @@ def _transitions(biaser, tokens):
     transition applied twice to the same state."""
     state, out = biaser.initial(), []
     for token in tokens:
-        step = biaser.finish_word if token.endswith("_") else biaser.expand
-        increment, *_, state = _twice(step, state, token)
+        if token.endswith("_"):
+            increment, *_, state = _twice(biaser.finish_word, state, token[:-1])
+        else:
+            increment, *_, state = _twice(biaser.expand, state, token)
         out.append(increment)
     out.append(_twice(biaser.finalize, state)[0])
     return out
@@ -708,11 +767,11 @@ class _CountingSession:
         self.clones.append(1)
         return _CountingSession(self.inner.clone(), self.clones)
 
-    def expand(self, token):
-        return self.inner.expand(token)
+    def expand(self, content):
+        return self.inner.expand(content)
 
-    def finish_word(self, token):
-        return self.inner.finish_word(token)
+    def finish_word(self, content):
+        return self.inner.finish_word(content)
 
     def finalize(self):
         return self.inner.finalize()

@@ -129,7 +129,7 @@ class TestWordTransitions:
         inc, s = walk.expand(s, "ay")
         assert inc == -1.6
         assert s[4] == -3.2
-        inc, arc, s = walk.close_word(s, "er_")
+        inc, arc, s = walk.close_word(s, "er")
         assert inc == pytest.approx(-4.8, abs=1e-12)
         assert play_fst.final[play_fst.targets[arc]]
         assert s[4] == -8.0
@@ -144,9 +144,9 @@ class TestWordTransitions:
 
     def test_both_delimiter_conventions_agree(self, play_fst):
         walk = PhraseWalk(play_fst)
-        incs, inc, _, _ = walk_word(walk, ["pl", "ay"], "er_")
+        incs, inc, _, _ = walk_word(walk, ["pl", "ay"], "er")
         total_fused = incs[0] + incs[1] + inc
-        incs, inc, _, _ = walk_word(walk, ["pl", "ay", "er"], "_")
+        incs, inc, _, _ = walk_word(walk, ["pl", "ay", "er"], "")
         total_plain = incs[0] + incs[1] + incs[2] + inc
         assert total_fused == total_plain == -8.0
 
@@ -168,16 +168,6 @@ class TestWordTransitions:
     def test_finish_on_dead_session_is_neutral_miss(self, play_fst):
         _, inc, arc, _ = walk_word(PhraseWalk(play_fst), ["pl", "qq"])
         assert inc == 0.0 and arc is None
-
-    def test_delimiter_in_expand_rejected(self, play_fst):
-        walk = PhraseWalk(play_fst)
-        with pytest.raises(ValueError, match="finish_word"):
-            walk.expand(walk.initial(), "er_")
-
-    def test_non_delimiter_finish_rejected(self, play_fst):
-        walk = PhraseWalk(play_fst)
-        with pytest.raises(ValueError, match="delimiter"):
-            walk.close_word(walk.initial(), "er")
 
     def test_fallback_weight_values(self, play_fst):
         incs, _, _, s = walk_word(PhraseWalk(play_fst), ["pl", "ay", "zz"])
@@ -287,7 +277,7 @@ class TestPhraseSession:
             for ch in word:
                 inc, state = walk.expand(state, ch)
                 total += inc
-            inc, outcome, state = walk.finish_word(state, "_")
+            inc, outcome, state = walk.finish_word(state, "")
             total += inc
             outcomes.append(outcome)
         return total, outcomes, state
@@ -364,7 +354,7 @@ class TestPhraseSession:
 
     def test_empty_word_is_failed_and_neutral(self, play_fst):
         walk = PhraseWalk(play_fst)
-        inc, outcome, _ = walk.finish_word(walk.initial(), "_")
+        inc, outcome, _ = walk.finish_word(walk.initial(), "")
         assert inc == 0.0
         assert outcome == WordOutcome.FAILED
 
@@ -565,7 +555,7 @@ def _walk_stream(walk, tokens):
     state = walk.initial()
     for t in tokens:
         if t.endswith("_"):
-            inc, _, state = walk.finish_word(state, t)
+            inc, _, state = walk.finish_word(state, t[:-1])
         else:
             inc, state = walk.expand(state, t)
         out.append((inc, state))

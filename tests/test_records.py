@@ -34,7 +34,8 @@ def _model(path):
 # reader -> (read a file, one record, one malformed record)
 READERS = {
     "catalog": (fst.load_catalog, "ada lovelace\t-1.5", "ada\theavy"),
-    "bindings": (_lines(context.read_bindings), "@contactname\tcontacts.fst",
+    "bindings": (_lines(context.read_bindings, tags=frozenset({"@contactname"})),
+                 "@contactname\tcontacts.fst",
                  "contactname\tcontacts.fst"),
     "class-corpus": (_class_fst, "call @contactname(ada lovelace)", "call @contactname(ada"),
     "lm-corpus": (_model, "call @contactname(ada lovelace)", "call ada)"),
@@ -75,3 +76,28 @@ def test_a_repeated_key_is_refused_at_its_line(tmp_path, name):
     path.write_text(f"{record}\n# a comment\n\n{REPEATS[name]}\n", encoding="utf-8")
     with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:4: duplicate "):
         read(path)
+
+
+def test_a_binding_tag_is_stripped_and_must_be_a_class_tag(tmp_path):
+    read = _lines(context.read_bindings, tags=frozenset({"@contactname", "@appname"}))
+    path = tmp_path / "bindings.tsv"
+    # A space before the tab leaves the same tag, which the line repeats.
+    path.write_text("@contactname\tc.fst\n@contactname \tother.fst\n", encoding="utf-8")
+    with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:2: duplicate "):
+        read(path)
+    path.write_text("@appname \ta.fst\n# typo\n@contactnme\tc.fst\n", encoding="utf-8")
+    with pytest.raises(InputFormatError, match=(
+            f"^{re.escape(str(path))}:3: the class automaton has no tag '@contactnme'$")):
+        read(path)
+    path.write_text("@appname \ta.fst\n@contactname\tc.fst\n", encoding="utf-8")
+    assert read(path) == {"@appname": "a.fst", "@contactname": "c.fst"}
+
+
+def test_a_catalog_entry_names_its_line_in_builder_errors(tmp_path):
+    path = tmp_path / "catalog.tsv"
+    path.write_text("ada lovelace\t-1\n\nbo_du\n", encoding="utf-8")
+    entries = fst.load_catalog(path)
+    assert [e.where for e in entries] == [f"{path}:1", f"{path}:3"]
+    with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:3: word 'bo_du' "):
+        fst.build_catalog_fst(entries)
+    assert fst.build_catalog_fst(entries, delimiter="|").num_arcs == 3

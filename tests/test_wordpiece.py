@@ -6,10 +6,10 @@ from biaslattice.errors import InputFormatError
 from biaslattice.wordpiece import (
     SegmentationError,
     detokenize,
-    is_delimiter,
     make_vocab,
     read_vocab,
     segment,
+    word_end,
 )
 
 
@@ -45,24 +45,40 @@ class TestSegment:
             pieces = segment(vocab, word, fused=fused)
             joined = "".join(p.rstrip(vocab.delimiter) for p in pieces)
             assert joined == word
-            assert is_delimiter(vocab, pieces[-1])
+            assert [word_end(vocab, p) for p in pieces[:-1]] == [None] * (len(pieces) - 1)
+            assert word_end(vocab, pieces[-1]) is not None
 
     def test_deterministic(self, toy_vocab):
         assert segment(toy_vocab, "playground") == segment(toy_vocab, "playground")
 
 
 class TestDelimiter:
+    """``word_end`` splits a token: the content a word end closes its word
+    with, or None for a token that extends the word."""
+
     def test_standalone(self, toy_vocab):
-        assert is_delimiter(toy_vocab, "_")
+        assert word_end(toy_vocab, "_") == ""
 
     def test_content_piece(self, toy_vocab):
-        assert not is_delimiter(toy_vocab, "pl")
+        assert word_end(toy_vocab, "pl") is None
 
     def test_fused(self, toy_vocab):
-        assert is_delimiter(toy_vocab, "er_")
+        assert word_end(toy_vocab, "er_") == "er"
 
     def test_empty(self, toy_vocab):
-        assert not is_delimiter(toy_vocab, "")
+        with pytest.raises(ValueError, match="empty token"):
+            word_end(toy_vocab, "")
+
+    @pytest.mark.parametrize("token", ["a__", "__", "a_b_"])
+    def test_content_holding_the_delimiter(self, toy_vocab, token):
+        with pytest.raises(ValueError, match="in its content"):
+            word_end(toy_vocab, token)
+
+    def test_other_delimiter(self):
+        vocab = make_vocab({"a", "b", "ab"}, "||")
+        assert [word_end(vocab, t) for t in ("ab||", "||", "a", "a|")] == ["ab", "", None, None]
+        with pytest.raises(ValueError):
+            word_end(vocab, "a||||")
 
 
 class TestDetokenize:
