@@ -53,6 +53,16 @@ def _cmd_build_fst(args) -> int:
     return 0
 
 
+def _refuse_delimiter(delimiter: str, sources) -> None:
+    """Refuse a word holding the vocabulary's delimiter, which no token
+    sequence can spell; ``sources`` pairs each ``where`` with its words."""
+    for where, words in sources:
+        for word in words:
+            if delimiter in word:
+                raise InputFormatError(
+                    f"{where}: word {word!r} contains the subword delimiter {delimiter!r}")
+
+
 def _load_biaser(args, vocab, entries):
     if args.bindings and not args.class_fst:
         raise InputFormatError(f"--bindings {args.bindings} requires --class-fst")
@@ -63,11 +73,16 @@ def _load_biaser(args, vocab, entries):
             raise InputFormatError(f"--word-level has no effect with --class-fst {args.class_fst}")
         cfst = context.load_class_fst(args.class_fst)
         bindings = context.load_bindings(args.bindings, cfst)
+        _refuse_delimiter(vocab.delimiter, [
+            (args.class_fst, (w for w in cfst.fst.arc_words if w not in cfst.tags)),
+            *((f"{args.bindings}: {tag} automaton", a.arc_words)
+              for tag, a in sorted(bindings.items())),
+        ])
         return context.ContextualBiaser(cfst, bindings)
     if entries is None:
         return None
-    # A catalog word holding the vocabulary's delimiter could never match.
-    automaton = fst.build_catalog_fst(entries, delimiter=vocab.delimiter)
+    _refuse_delimiter(vocab.delimiter, ((e.where, e.phrase) for e in entries))
+    automaton = fst.build_catalog_fst(entries)
     if args.word_level:
         return decode.WordBiaser(automaton)
     return decode.SubwordBiaser(automaton)

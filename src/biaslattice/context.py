@@ -23,7 +23,6 @@ from typing import Iterable, NamedTuple
 from .errors import InputFormatError, open_text, records
 from .fst import (
     CatalogEntry,
-    CatalogError,
     WordFst,
     build_catalog_fst,
     empty_fst,
@@ -96,10 +95,8 @@ def build_class_fst(
         tokens = parse_annotated(line.lower(), where=where)
         templates[tuple(tok.tag if isinstance(tok, Span) else tok for tok in tokens)] += 1
     kept = sorted(t for t, c in templates.items() if c >= min_count)
-    try:
-        fst = build_catalog_fst(CatalogEntry(t, 0.0) for t in kept) if kept else empty_fst()
-    except CatalogError as exc:
-        raise InputFormatError(f"{source}: {exc}") from None
+    # Distinct templates, all at weight 0: the builder has nothing to refuse.
+    fst = build_catalog_fst(CatalogEntry(t, 0.0) for t in kept) if kept else empty_fst()
     return _class_fst(fst)
 
 
@@ -165,7 +162,11 @@ class ContextualBiaser:
     a single tag the nested walk's increments pass straight through.
     ``dropped_bank`` is the strongest ``(total, tag)`` of walks that
     completed a phrase and were then dropped: that banked score is kept even
-    if every sibling later dies.  Every pick of the race is ``strongest``.
+    if every sibling later dies.  End of stream fails every walk, as a word
+    that matches nothing does: a walk that banked a phrase competes with
+    ``dropped_bank``, one that banked nothing pays everything back and does
+    not compete, and with no banked total the race settles at 0.  Every
+    pick of the race is ``strongest``.
 
     Each bound automaton has one lookahead cache, shared by the walks of
     every tag bound to it and by every utterance; it keeps live bands only,
@@ -236,7 +237,8 @@ class ContextualBiaser:
             if word:
                 pos = self._skeleton_step(pos, word)
             return 0.0, None, (pos, None, "")
-        increment, race, tag, consumed = self._race_finish(race, content)
+        increment, race, tag, consumed = _settle(
+            race, [self.walks[t].finish_word(ws, content) for t, ws, _ in race[0]])
         if race is not None:
             return increment, None, (pos, race, "")
         if tag is not None:
@@ -246,15 +248,13 @@ class ContextualBiaser:
         return increment, tag, (pos, None, "")
 
     def finalize(self, state):
+        """End of stream: every open walk fails, as at a word that matches nothing."""
         pos, race, chars = state
         if race is None:
             return 0.0, state
-        # Keep the strongest banked total; pay back everything unsettled.
-        entries, a_prev, dropped = race
-        best_banked = strongest(t + self.walks[tag].finalize(ws)[0] for tag, ws, t in entries)
-        if dropped is not None:
-            best_banked = strongest(best_banked, dropped[0])
-        return best_banked - a_prev, (pos, None, chars)
+        ends = (self.walks[t].finalize(ws) for t, ws, _ in race[0])
+        increment = _settle(race, [(i, WordOutcome.FAILED, ws) for i, ws in ends])[0]
+        return increment, (pos, None, chars)
 
     def _word_start(self, pos):
         # A dead-end template position can match nothing: restart the walk
@@ -264,38 +264,34 @@ class ContextualBiaser:
             pos = fst.start
         return pos, self._races.get(pos)
 
-    def _race_finish(self, race, content):
-        """``(increment, race or None once resolved, tag, consumed)``.
-
-        ``consumed`` is False when the closing word still needs a skeleton
-        step; ``tag`` is None when the whole tag attempt failed.
-        """
-        entries, a_prev, dropped = race
-        walks = self.walks
-        closed = []
-        for tag, ws, total in entries:
-            increment, outcome, ws = walks[tag].finish_word(ws, content)
-            closed.append((tag, ws, total + increment, outcome))
-        winner = strongest(
-            ((t, tag) for tag, _, t, outcome in closed if outcome is WordOutcome.COMPLETED),
-            default=None,
-        )
-        if winner is not None:
-            return winner[0] - a_prev, None, winner[1], True
-        kept = []
-        for tag, ws, total, outcome in closed:
-            if outcome is not WordOutcome.FAILED:
-                kept.append((tag, ws, total))
-            elif ws[7]:
-                dropped = (total, tag) if dropped is None else strongest(dropped, (total, tag))
-        if kept:
-            agg = strongest(t for _, _, t in kept)
-            return agg - a_prev, (tuple(kept), agg, dropped), None, False
-        if dropped is not None:
-            return dropped[0] - a_prev, None, dropped[1], False
-        return 0.0 - a_prev, None, None, False
-
     def _skeleton_step(self, pos, word):
         fst = self.class_fst.fst
         i = fst.arc_id(pos, word)
         return fst.start if i is None else fst.targets[i]
+
+
+def _settle(race, closed):
+    """Settle ``race`` on each entry's ``(increment, outcome, walk state)``
+    in ``closed``: ``(increment, race or None once resolved, tag, consumed)``.
+
+    ``consumed`` is False when the closing word still needs a skeleton
+    step; ``tag`` is None when the whole tag attempt failed.
+    """
+    entries, a_prev, dropped = race
+    winner = None
+    kept = []
+    for (tag, _, total), (increment, outcome, ws) in zip(entries, closed):
+        total += increment
+        if outcome is WordOutcome.COMPLETED:
+            winner = (total, tag) if winner is None else strongest(winner, (total, tag))
+        elif outcome is not WordOutcome.FAILED:
+            kept.append((tag, ws, total))
+        elif ws[7]:
+            dropped = (total, tag) if dropped is None else strongest(dropped, (total, tag))
+    if winner is not None:
+        return winner[0] - a_prev, None, winner[1], True
+    if kept:
+        agg = strongest(t for _, _, t in kept)
+        return agg - a_prev, (tuple(kept), agg, dropped), None, False
+    total, tag = dropped or (0.0, None)
+    return total - a_prev, None, tag, False

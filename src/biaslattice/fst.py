@@ -48,7 +48,6 @@ from operator import ge, gt, not_, sub
 from typing import Iterable
 
 from .errors import InputFormatError, open_text, records
-from .wordpiece import DEFAULT_DELIMITER
 
 DEFAULT_WEIGHT = -1.0
 
@@ -175,9 +174,7 @@ class WordFst:
         return i if i < hi and words[i] == word else None
 
 
-def build_catalog_fst(
-    entries: Iterable[CatalogEntry], *, delimiter: str = DEFAULT_DELIMITER
-) -> WordFst:
+def build_catalog_fst(entries: Iterable[CatalogEntry]) -> WordFst:
     """Compile catalog entries into a prefix-sharing word automaton.
 
     Phrases sharing leading words share arcs, so their per-word weights must
@@ -195,8 +192,9 @@ def build_catalog_fst(
     states on their parent lays the arcs out state by state, each state's
     arcs in word order.
 
-    Raises CatalogError on an empty catalog, duplicate phrases, words
-    containing the subword delimiter, or conflicting weights on a shared
+    The automaton knows no vocabulary, so any word builds; decoding refuses
+    a word holding its vocabulary's delimiter.  Raises CatalogError on an
+    empty catalog, duplicate phrases, or conflicting weights on a shared
     prefix arc; an error about an entry names its ``where``, if it has one.
     """
     entries = list(entries)
@@ -210,8 +208,6 @@ def build_catalog_fst(
             raise entry.error(f"duplicate catalog phrase: {entry.text!r}")
         phrases.add(phrase)
         for i, word in enumerate(phrase, 1):
-            if delimiter in word:
-                raise entry.error(f"word {word!r} contains the subword delimiter {delimiter!r}")
             shared = paths.setdefault(phrase[:i], weight)
             if shared != weight:
                 raise entry.error(

@@ -83,31 +83,22 @@ class NGramLM:
                     paths.setdefault(word, []).append((tag, lp))
         return {w: tuple(p) for w, p in paths.items()}
 
-    @cached_property
-    def _start(self) -> tuple[str, ...]:
-        return (BOS,) * (self.order - 1) if self.order > 1 else ()
-
     def logprob(self, words: Iterable[str]) -> float:
         """Natural-log probability of a word sequence, including sentence end."""
-        ctx = self._start
-        total = 0.0
-        for word in words:
-            lp, tok = self._surface(ctx, word.lower())
-            total += lp
-            ctx = (ctx + (tok,))[1:] if ctx else ctx
-        return total + self._cond(ctx, EOS_WORD)
+        return self.nbest_logprob((tuple(words),))[0]
 
     def nbest_logprob(self, sentences: Iterable[Sequence[str]]) -> list[float]:
-        """:meth:`logprob` of each word sequence, each equal to it with ``==``.
+        """Natural-log probability of each word sequence, including sentence end.
 
         The interface rescoring models plug into.  The sentences are walked as
         a tree of word prefixes, so a prefix shared by several sentences is
-        scored once, by the same steps in the same order as :meth:`logprob`.
-        The tree lives for this call only.
+        scored once, by the same steps in the same order as for that sentence
+        alone: each score is ``==`` to :meth:`logprob` of its sentence.  The
+        tree lives for this call only.
         """
         # A node is [log-prob so far, context, children by word or None,
         # sentence score or None]; a leaf gets its children dict on demand.
-        root = [0.0, self._start, None, None]
+        root = [0.0, (BOS,) * (self.order - 1), None, None]
         scores = []
         for words in sentences:
             node = root

@@ -20,10 +20,10 @@ from typing import Iterable
 from biaslattice.decode import END, Hypothesis, NBestList, NullBiaser, _check_normalized, fuse_step
 from biaslattice.errors import InputFormatError
 from biaslattice.context import Span, parse_annotated
-from biaslattice.fst import DEFAULT_DELIMITER, CatalogEntry, CatalogError, WordFst
+from biaslattice.fst import CatalogEntry, CatalogError, WordFst
 from biaslattice.lm import EOS_WORD, NGramLM
 from biaslattice.lookahead import PhraseWalk, WordOutcome
-from biaslattice.wordpiece import detokenize
+from biaslattice.wordpiece import DEFAULT_DELIMITER, detokenize
 
 
 # -- tries ----------------------------------------------------------------------
@@ -435,9 +435,7 @@ class _Node:
         self.final = False
 
 
-def reference_build_catalog_fst(
-    entries: Iterable[CatalogEntry], *, delimiter: str = DEFAULT_DELIMITER
-) -> WordFst:
+def reference_build_catalog_fst(entries: Iterable[CatalogEntry]) -> WordFst:
     entries = list(entries)
     if not entries:
         raise CatalogError("catalog is empty")
@@ -449,10 +447,6 @@ def reference_build_catalog_fst(
         seen.add(entry.phrase)
         node = root
         for word in entry.phrase:
-            if delimiter in word:
-                raise CatalogError(
-                    f"word {word!r} contains the subword delimiter {delimiter!r}"
-                )
             edge = node.edges.get(word)
             if edge is None:
                 child = _Node()

@@ -65,6 +65,14 @@ class TestBuildFst:
         fst = load_fst(out)
         assert "@contactname" in fst.arc_words
 
+    def test_word_holding_the_default_delimiter_builds(self, workdir):
+        # An automaton knows no vocabulary: only decode, which reads one, can
+        # tell whether a word holds its delimiter.
+        path = workdir / "catalog.tsv"
+        path.write_text("bodu\t1\nbo_du\t-1\n")
+        assert run("build-fst", "--catalog", path, "--out", workdir / "c.fst") == 0
+        assert load_fst(workdir / "c.fst").arc_words == ["bo_du", "bodu"]
+
     def test_requires_exactly_one_source(self, workdir, capsys):
         assert run("build-fst", "--out", workdir / "x.fst") == 2
         assert "exactly one" in capsys.readouterr().err
@@ -347,14 +355,17 @@ class TestBlamedLine:
                    f"{path}:3: the class automaton has no tag '@contactnme'")
         assert not (workdir / "x.jsonl").exists()
 
-    @pytest.mark.parametrize("command", ["build-fst", "decode"])
-    @pytest.mark.parametrize("catalog, message", [
-        pytest.param("ada lovelace\t-1\nbodu\t-1\nada\t-2\n",
+    # build-fst knows no vocabulary, so only decode refuses a word holding
+    # the delimiter.
+    @pytest.mark.parametrize("command, catalog, message", [
+        pytest.param(command, "ada lovelace\t-1\nbodu\t-1\nada\t-2\n",
                      "3: conflicting weights -1.0 vs -2.0 on shared prefix arc 'ada'",
-                     id="conflicting-weights"),
-        pytest.param("# contacts\nbodu\t1\nbo_du\t-1\n",
+                     id=f"conflicting-weights-{command}")
+        for command in ("build-fst", "decode")
+    ] + [
+        pytest.param("decode", "# contacts\nbodu\t1\nbo_du\t-1\n",
                      "3: word 'bo_du' contains the subword delimiter '_'",
-                     id="delimiter-in-a-word"),
+                     id="delimiter-in-a-word-decode"),
     ])
     def test_catalog_entry_the_builder_refuses(self, workdir, capsys, command, catalog,
                                                 message):
@@ -379,6 +390,26 @@ class TestBlamedLine:
         self.check(capsys, run("decode", "--vocab", vocab, "--refs", workdir / "refs.tsv",
                                "--catalog", path, "--out", workdir / "x.out"),
                    f"{path}:2: word 'bo|du' contains the subword delimiter '|'")
+
+    @pytest.mark.parametrize("corpus, catalog, word, blamed", [
+        pytest.param("call|me @contactname(bodu)\n", "bodu\t1\n", "call|me", "class.fst",
+                     id="class-automaton"),
+        pytest.param("call @contactname(bodu)\n", "bodu\t1\nbo|du\t-1\n", "bo|du",
+                     "bindings.tsv: @contactname automaton", id="bound-automaton"),
+    ])
+    def test_automaton_word_holding_the_vocabulary_delimiter(self, workdir, capsys, corpus,
+                                                             catalog, word, blamed):
+        # Both automata build, but decoding with a vocabulary whose delimiter
+        # is "|" could never match a word holding it.
+        vocab = workdir / "vocab.txt"
+        vocab.write_text("#delimiter |\n" + vocab.read_text())
+        (workdir / "class.txt").write_text(corpus * 12)
+        (workdir / "catalog.tsv").write_text(catalog)
+        bindings = workdir / "bindings.tsv"
+        bindings.write_text("@contactname\tcontacts.fst\n")
+        self.check(capsys, _decode_bound(workdir, bindings),
+                   f"{workdir / blamed}: word {word!r} contains the subword delimiter '|'")
+        assert not (workdir / "x.jsonl").exists()
 
 
 class TestCorruptAutomata:

@@ -408,9 +408,6 @@ class TestTagRaceReference:
         got, want = _race_totals(case)
         assert got[:-1] == pytest.approx(want[:-1], abs=1e-9)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "finalize weighs a tag that banked nothing as a 0 candidate, so an open "
-        "race ending at end of stream can drop a banked phrase"))
     @given(case=_tag_races())
     @example(case=_BANKED_AND_OPEN)
     @settings(max_examples=400, deadline=None)

@@ -394,6 +394,21 @@ class TestDecodeSplitsEachToken:
         assert any(h.sf_score for nb in underscore for h in nb.hyps) == (biaser is not None)
 
 
+class TestTwoTagRace:
+    def test_end_of_stream_keeps_the_banked_phrase(self, mini_vocab):
+        # The start state offers @a and @b.  After "a_", @a has banked "a"
+        # (+1) with "a a" open, and @b is mid-way through "a a".  End of
+        # stream fails both walks: @a's banked +1 stands, and @b, which
+        # banked nothing, pays back and does not compete.
+        biaser = ContextualBiaser(
+            build_class_fst(["@a(x)", "@b(x)"], min_count=1),
+            {"@a": build_catalog_fst([CatalogEntry(("a",), 1.0), CatalogEntry(("a", "a"), 1.0)]),
+             "@b": build_catalog_fst([CatalogEntry(("a", "a"), 0.0)])})
+        (hyp,) = beam_search(_Script({"a_": 0.0}), biaser, mini_vocab, 1.0, 1, 1).hyps
+        assert hyp.tokens == ("a_",)
+        assert hyp.sf_score == 1.0
+
+
 class TestNoBiaserKnowsTheDelimiter:
     @pytest.mark.parametrize("make", [
         PhraseWalk, WordWalk, SubwordBiaser, WordBiaser,

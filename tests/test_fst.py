@@ -102,9 +102,10 @@ class TestBuild:
         with pytest.raises(CatalogError, match="duplicate"):
             build_catalog_fst([CatalogEntry(("a",), -1.0), CatalogEntry(("a",), -2.0)])
 
-    def test_delimiter_in_word_rejected(self):
-        with pytest.raises(CatalogError, match="delimiter"):
-            build_catalog_fst([CatalogEntry(("a_b",), -1.0)])
+    def test_words_holding_any_delimiter_build(self):
+        # An automaton knows no vocabulary; decoding refuses the delimiter.
+        fst = build_catalog_fst([CatalogEntry(("a_b",), -1.0), CatalogEntry(("c|d",), -1.0)])
+        assert fst.arc_words == ["a_b", "c|d"]
 
     def test_conflicting_shared_prefix_weight_rejected(self):
         entries = [
@@ -284,16 +285,14 @@ class TestBuildParity:
     def test_same_error(self, entries, data):
         entries = list(entries)
         for _ in range(data.draw(st.integers(1, 3))):
-            kind = data.draw(st.sampled_from(["duplicate", "delimiter", "conflict"]))
+            kind = data.draw(st.sampled_from(["duplicate", "conflict"]))
             base = data.draw(st.sampled_from(entries))
-            keep = data.draw(st.integers(0, len(base.phrase)))
             if kind == "duplicate":
                 bad = CatalogEntry(base.phrase, data.draw(WEIGHTS))
-            elif kind == "delimiter":
-                bad = CatalogEntry(base.phrase[:keep] + ("a_é",), base.weight)
             else:
+                keep = data.draw(st.integers(1, len(base.phrase)))
                 tail = tuple(data.draw(st.lists(WORDS, min_size=1, max_size=2)))
-                bad = CatalogEntry(base.phrase[:max(keep, 1)] + tail, base.weight + 1.0)
+                bad = CatalogEntry(base.phrase[:keep] + tail, base.weight + 1.0)
             entries.insert(data.draw(st.integers(0, len(entries))), bad)
         expected = outcome(reference_build_catalog_fst, entries)
         assert isinstance(expected, CatalogError)
