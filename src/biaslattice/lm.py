@@ -12,7 +12,8 @@ vocabulary.
 
 Models serialize to the standard back-off text format (header with per-order
 counts, then ``logprob  gram  [backoff]`` blocks, log base 10) plus a sidecar
-``tag<TAB>member<TAB>logprob`` file for class members.
+``tag<TAB>member<TAB>logprob`` file for class members.  A model holds these
+log10 numbers, so a written model reads back equal; scores are natural logs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -30,21 +31,22 @@ from .errors import InputFormatError, open_text, records
 BOS = "<s>"
 EOS_WORD = "</s>"
 UNK = "<unk>"
+_LN10 = math.log(10.0)  # the scoring tables' one conversion, log10 to natural log
 
 
-@dataclass
+@dataclass(frozen=True)
 class NGramLM:
     """Interpolated KN model in back-off form.
 
-    ``logprobs`` maps n-gram tuples (any order) to natural-log conditional
-    probabilities; ``backoffs`` maps context tuples to natural-log back-off
+    ``logprobs`` maps n-gram tuples (any order) to log10 conditional
+    probabilities; ``backoffs`` maps context tuples to log10 back-off
     weights.  ``vocab`` holds every predictable token, including class tags,
     the sentence end, and the unknown word.  ``classes`` maps a tag to its
-    members' natural-log in-class probabilities.
+    members' log10 in-class probabilities: the numbers the model files hold.
 
-    Scoring reads two tables built from these fields on first use: each
-    context's continuations with its back-off weight, and each surface word's
-    paths.  Change no field after a model has scored.
+    Scoring reads two tables built from these fields on first use, converted
+    to natural log: each context's continuations with its back-off weight,
+    and each surface word's paths.  So every score is a natural log.
     """
 
     order: int
@@ -55,32 +57,29 @@ class NGramLM:
 
     @cached_property
     def _contexts(self) -> dict[tuple[str, ...], tuple[dict[str, float], float]]:
-        """Context -> ({token: log-prob}, back-off weight), for every context
-        that has a continuation or a back-off weight."""
-        table: dict[tuple[str, ...], tuple[dict[str, float], float]] = {}
+        """Context -> ({token: log-prob}, back-off weight), natural log, for
+        every context that has a continuation or a back-off weight."""
+        table = {ctx: ({}, bow * _LN10) for ctx, bow in self.backoffs.items()}
         for gram, lp in self.logprobs.items():
             ctx = gram[:-1]
             entry = table.get(ctx)
             if entry is None:
-                entry = table[ctx] = ({}, self.backoffs.get(ctx, 0.0))
-            entry[0][gram[-1]] = lp
-        for ctx, bow in self.backoffs.items():
-            if ctx not in table:
-                table[ctx] = ({}, bow)
+                entry = table[ctx] = ({}, 0.0)
+            entry[0][gram[-1]] = lp * _LN10
         return table
 
     @cached_property
     def _paths(self) -> dict[str, tuple[tuple[str, float], ...]]:
-        """Surface word -> its ``(token, member log-prob)`` paths: the plain
-        word (member log-prob 0) first, then each class in ``classes`` order.
-        A word with no path scores as ``((UNK, 0.0),)``."""
+        """Surface word -> its ``(token, member log-prob)`` paths in natural
+        log: the plain word (member log-prob 0) first, then each class in
+        ``classes`` order.  A word with no path scores as ``((UNK, 0.0),)``."""
         paths: dict[str, list[tuple[str, float]]] = {
             w: [(w, 0.0)] for w in self.vocab if w not in self.classes
         }
         for tag, members in self.classes.items():
             if tag in self.vocab:
                 for word, lp in members.items():
-                    paths.setdefault(word, []).append((tag, lp))
+                    paths.setdefault(word, []).append((tag, lp * _LN10))
         return {w: tuple(p) for w, p in paths.items()}
 
     def logprob(self, words: Iterable[str]) -> float:
@@ -252,17 +251,16 @@ def train_kn_lm(
     backoffs: dict[tuple[str, ...], float] = {}
     uniform = 1.0 / len(vocab)
 
-    def lower_prob(context: tuple[str, ...], token: str) -> float:
+    def lower_prob(ctx: tuple[str, ...], token: str) -> float:
         # Linear-domain eval against the tables built so far.
-        ctx = context
         scale = 1.0
         while True:
             p = logprobs.get(ctx + (token,))
             if p is not None:
-                return scale * math.exp(p)
+                return scale * 10.0 ** p
             if not ctx:
                 return scale * uniform
-            scale *= math.exp(backoffs.get(ctx, 0.0))
+            scale *= 10.0 ** backoffs.get(ctx, 0.0)
             ctx = ctx[1:]
 
     for k in range(1, order + 1):
@@ -285,21 +283,16 @@ def train_kn_lm(
                 continue  # context never observed at this order
             interp = discount * types[ctx] / denom[ctx]
             p = max(c - discount, 0.0) / denom[ctx] + interp * lower_prob(ctx[1:], gram[-1])
-            logprobs[gram] = math.log(p)
-        for ctx in sorted(denom):
-            backoffs[ctx] = math.log(discount * types[ctx] / denom[ctx])
+            logprobs[gram] = math.log10(p)
+        # No score charges the empty context's back-off, and no file holds one.
+        for ctx in sorted(denom) if k > 1 else ():
+            backoffs[ctx] = math.log10(discount * types[ctx] / denom[ctx])
 
     classes = {}
     for tag, cnt in sorted(member_counts.items()):
         total = sum(cnt.values())
-        classes[tag] = {word: math.log(c / total) for word, c in sorted(cnt.items())}
-    return NGramLM(
-        order=order,
-        logprobs=logprobs,
-        backoffs=backoffs,
-        vocab=frozenset(vocab),
-        classes=classes,
-    )
+        classes[tag] = {word: math.log10(c / total) for word, c in sorted(cnt.items())}
+    return NGramLM(order, logprobs, backoffs, frozenset(vocab), classes)
 
 
 def surface_prob(lm: NGramLM, context: tuple[str, ...], word: str) -> tuple[float, str]:
@@ -316,37 +309,28 @@ def surface_prob(lm: NGramLM, context: tuple[str, ...], word: str) -> tuple[floa
 
 # -- model files ---------------------------------------------------------------
 
-_LN10 = math.log(10.0)
 _BOW_ONLY = -99.0  # sentinel logprob for grams that exist only as contexts
 # How far above 0 a stored log10-prob may sit: a trained model can write a
 # probability a rounding error above 1, and nothing larger is a probability.
 _LOGPROB_TOLERANCE = 1e-6
-_LOG_MAX = math.log(sys.float_info.max)  # the largest argument math.exp takes
+_LOG10_MAX = math.log10(sys.float_info.max)  # the log10 of the largest float
 
 
 def write_arpa(lm: NGramLM, path) -> None:
-    by_order: dict[int, list[tuple[str, ...]]] = defaultdict(list)
-    for gram in lm.logprobs:
-        by_order[len(gram)].append(gram)
-    for ctx in lm.backoffs:
-        if ctx not in lm.logprobs and 1 <= len(ctx) < lm.order:
-            by_order[len(ctx)].append(ctx)  # bow-only gram, written with sentinel
+    # A gram that is only a context is written with the sentinel log-prob.
+    grams = {*lm.logprobs, *(ctx for ctx in lm.backoffs if 1 <= len(ctx) < lm.order)}
+    by_order = [sorted(g for g in grams if len(g) == k) for k in range(1, lm.order + 1)]
     with open(path, "w", encoding="utf-8") as f:
         f.write("\\data\\\n")
-        for k in range(1, lm.order + 1):
-            f.write(f"ngram {k}={len(by_order.get(k, ()))}\n")
-        f.write("\n")
-        for k in range(1, lm.order + 1):
-            f.write(f"\\{k}-grams:\n")
-            for gram in sorted(by_order.get(k, ())):
-                lp = lm.logprobs.get(gram)
-                p10 = _BOW_ONLY if lp is None else lp / _LN10
-                line = f"{p10:.12g}\t{' '.join(gram)}"
+        f.writelines(f"ngram {k}={len(section)}\n" for k, section in enumerate(by_order, 1))
+        for k, section in enumerate(by_order, 1):
+            f.write(f"\n\\{k}-grams:\n")
+            for gram in section:
+                line = f"{lm.logprobs.get(gram, _BOW_ONLY)!r}\t{' '.join(gram)}"
                 if k < lm.order and gram in lm.backoffs:
-                    line += f"\t{lm.backoffs[gram] / _LN10:.12g}"
+                    line += f"\t{lm.backoffs[gram]!r}"
                 f.write(line + "\n")
-            f.write("\n")
-        f.write("\\end\\\n")
+        f.write("\n\\end\\\n")
 
 
 def read_arpa(path) -> NGramLM:
@@ -411,18 +395,17 @@ def read_arpa(path) -> NGramLM:
             if words in seen:
                 raise InputFormatError(f"{path}:{i}: {section}-gram {' '.join(words)!r} listed twice")
             seen.add(words)
-            # A log-prob of -99 or -inf marks a gram kept only as a back-off
-            # context.  Values are checked in natural log, where they are used.
-            if not p10 * _LN10 < math.inf:
+            # A log-prob of -99 or -inf marks a gram kept only as a context.
+            if not p10 < math.inf:
                 raise InputFormatError(f"{path}:{i}: non-finite log-prob in {line!r}")
-            if bow is not None and not math.isfinite(bow * _LN10):
+            if bow is not None and not math.isfinite(bow):
                 raise InputFormatError(f"{path}:{i}: non-finite back-off in {line!r}")
             if p10 > _LOGPROB_TOLERANCE:
                 raise InputFormatError(f"{path}:{i}: log-prob above 0 in {line!r}")
             if p10 > _BOW_ONLY + 0.5:
-                logprobs[words] = p10 * _LN10
+                logprobs[words] = p10
             if bow is not None:
-                backoffs[words] = bow * _LN10
+                backoffs[words] = bow
                 if bow > largest_bow[0]:
                     largest_bow = (bow, i, line)
                 if bow < smallest_bow[0]:
@@ -440,26 +423,24 @@ def read_arpa(path) -> NGramLM:
     # word's score a fixed distance from 0, so a sum of scores stays finite.
     charges = max(order - 1, 1)
     bow, i, line = largest_bow
-    if (charges * bow + _LOGPROB_TOLERANCE) * _LN10 > _LOG_MAX:
+    if charges * bow + _LOGPROB_TOLERANCE > _LOG10_MAX:
         raise InputFormatError(f"{path}:{i}: back-off too large to score in {line!r}")
     bow, i, line = smallest_bow
-    if charges * bow * _LN10 < -_LOG_MAX:
+    if charges * bow < -_LOG10_MAX:
         raise InputFormatError(f"{path}:{i}: back-off too small to score in {line!r}")
     # Every sentence ends in EOS_WORD, and a word outside the model scores as UNK.
     missing = [w for w in (EOS_WORD, UNK) if (w,) not in logprobs]
     if missing:
         raise InputFormatError(f"{path}: no unigram log-prob for {' '.join(missing)}")
     vocab = frozenset(g[0] for g in logprobs if len(g) == 1)
-    return NGramLM(
-        order=order, logprobs=logprobs, backoffs=backoffs, vocab=vocab, classes={}
-    )
+    return NGramLM(order=order, logprobs=logprobs, backoffs=backoffs, vocab=vocab)
 
 
 def write_members(lm: NGramLM, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for tag, members in sorted(lm.classes.items()):
             for word, lp in sorted(members.items()):
-                f.write(f"{tag}\t{word}\t{lp / _LN10:.12g}\n")
+                f.write(f"{tag}\t{word}\t{lp!r}\n")
 
 
 def read_members(path) -> dict[str, dict[str, float]]:
@@ -473,22 +454,20 @@ def read_members(path) -> dict[str, dict[str, float]]:
                 logprob = float(parts[2])
             except ValueError:
                 raise InputFormatError(f"{where}: bad logprob") from None
-            if not math.isfinite(logprob * _LN10):
+            if not math.isfinite(logprob):
                 raise InputFormatError(f"{where}: non-finite logprob {parts[2]!r}")
             if logprob > _LOGPROB_TOLERANCE:
                 raise InputFormatError(f"{where}: logprob above 0: {parts[2]!r}")
             # The same floor as summed back-offs, so a member's score stays finite.
-            if logprob * _LN10 < -_LOG_MAX:
+            if logprob < -_LOG10_MAX:
                 raise InputFormatError(f"{where}: logprob too small to score: {parts[2]!r}")
             members = classes[parts[0]]
             if parts[1] in members:
                 raise InputFormatError(f"{where}: duplicate member {parts[1]!r} of {parts[0]!r}")
-            members[parts[1]] = logprob * _LN10
+            members[parts[1]] = logprob
     return dict(classes)
 
 
 def load_lm(arpa_path, members_path=None) -> NGramLM:
     lm = read_arpa(arpa_path)
-    if members_path is not None:
-        lm.classes = read_members(members_path)
-    return lm
+    return lm if members_path is None else replace(lm, classes=read_members(members_path))

@@ -37,23 +37,30 @@ class WordpieceVocab:
     def __post_init__(self):
         if not self.delimiter:
             raise ValueError("delimiter must be non-empty")
-        content = {p for p in self.pieces if p != self.delimiter}
-        if any(not p for p in content):
-            raise ValueError("empty piece in vocabulary")
-        if any(self.delimiter in p for p in content):
-            raise ValueError("content pieces must not contain the delimiter")
-        alphabet = {p for p in content if len(p) == 1}
-        for p in content:
-            missing = set(p) - alphabet
-            if missing:
-                raise ValueError(
-                    f"piece {p!r} uses characters {sorted(missing)} that are not "
-                    "single-character pieces themselves"
-                )
+        fault = _first_fault(sorted(self.pieces), self.delimiter)
+        if fault:
+            raise ValueError(fault[1])
 
     @cached_property
     def _max_piece_len(self) -> int:
         return max((len(p) for p in self.pieces if p != self.delimiter), default=0)
+
+
+def _first_fault(pieces: list[str], delimiter: str) -> tuple[str, str] | None:
+    """``(piece, what is wrong)`` for the first of ``pieces`` that a vocabulary
+    with this delimiter cannot hold, or None."""
+    content = [p for p in pieces if p != delimiter]
+    alphabet = {p for p in content if len(p) == 1}
+    for p in content:
+        if not p:
+            return p, "empty piece in vocabulary"
+        if delimiter in p:
+            return p, f"piece {p!r} holds the delimiter {delimiter!r}"
+        missing = set(p) - alphabet
+        if missing:
+            return p, (f"piece {p!r} uses characters {sorted(missing)} that are not "
+                       "single-character pieces themselves")
+    return None
 
 
 def make_vocab(pieces: Iterable[str], delimiter: str = DEFAULT_DELIMITER) -> WordpieceVocab:
@@ -129,13 +136,14 @@ def detokenize(vocab: WordpieceVocab, tokens: Iterable[str]) -> str:
 
 # -- vocabulary files --------------------------------------------------------
 #
-# UTF-8 text, one piece per line.  A directive line ``#delimiter <str>``
-# overrides the default delimiter; other ``#``-prefixed lines are comments.
+# UTF-8 text, one piece per line.  One directive line ``#delimiter <str>``
+# may override the default delimiter; other ``#``-prefixed lines are comments.
 
 
 def read_vocab(lines: Iterable[str], *, source: str = "<vocab>") -> WordpieceVocab:
-    pieces = []
-    delimiter = DEFAULT_DELIMITER
+    """A vocabulary from its file's lines; an error names ``source:line``."""
+    lineno_of: dict[str, int] = {}  # piece -> the line it first appears on
+    delimiter, directive = DEFAULT_DELIMITER, 0  # directive: its line, once read
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line:
@@ -145,15 +153,18 @@ def read_vocab(lines: Iterable[str], *, source: str = "<vocab>") -> WordpieceVoc
             if parts[0] == "#delimiter":
                 if len(parts) != 2:
                     raise InputFormatError(f"{source}:{lineno}: bad #delimiter directive")
-                delimiter = parts[1]
+                if directive:
+                    raise InputFormatError(f"{source}:{lineno}: a second #delimiter directive "
+                                           f"(the first is on line {directive})")
+                delimiter, directive = parts[1], lineno
             continue
-        pieces.append(line)
-    if not pieces:
+        lineno_of.setdefault(line, lineno)
+    if not lineno_of:
         raise InputFormatError(f"{source}: no pieces found")
-    try:
-        return make_vocab(pieces, delimiter)
-    except ValueError as exc:
-        raise InputFormatError(f"{source}: {exc}") from None
+    fault = _first_fault(list(lineno_of), delimiter)
+    if fault:
+        raise InputFormatError(f"{source}:{lineno_of[fault[0]]}: {fault[1]}")
+    return make_vocab(lineno_of, delimiter)
 
 
 def load_vocab(path) -> WordpieceVocab:
@@ -162,8 +173,17 @@ def load_vocab(path) -> WordpieceVocab:
 
 
 def save_vocab(vocab: WordpieceVocab, path) -> None:
+    """Write ``vocab`` as :func:`load_vocab` reads it back equal, or raise
+    ValueError, writing nothing, for a vocabulary no file can hold."""
+    pieces = sorted(vocab.pieces)
+    if not pieces:
+        raise ValueError("a vocabulary file holds at least one piece")
+    if vocab.delimiter.split() != [vocab.delimiter]:
+        raise ValueError(f"delimiter {vocab.delimiter!r} holds whitespace")
+    for piece in pieces:
+        if piece.startswith("#") or piece != piece.strip():
+            raise ValueError(f"piece {piece!r} starts with '#' or has surrounding whitespace")
     with open(path, "w", encoding="utf-8") as f:
         if vocab.delimiter != DEFAULT_DELIMITER:
             f.write(f"#delimiter {vocab.delimiter}\n")
-        for piece in sorted(vocab.pieces):
-            f.write(piece + "\n")
+        f.writelines(piece + "\n" for piece in pieces)

@@ -739,7 +739,7 @@ def reference_train_kn_lm(
 
     ``lines`` hold whitespace-separated tokens; spans written
     ``@tag(word ...)`` become class tags in the token stream and their words
-    become class members.
+    become class members.  The model holds log10 values, as its files do.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -796,10 +796,10 @@ def reference_train_kn_lm(
         while True:
             p = logprobs.get(ctx + (token,))
             if p is not None:
-                return scale * math.exp(p)
+                return scale * 10.0 ** p
             if not ctx:
                 return scale * uniform
-            scale *= math.exp(backoffs.get(ctx, 0.0))
+            scale *= 10.0 ** backoffs.get(ctx, 0.0)
             ctx = ctx[1:]
 
     for k in range(1, order + 1):
@@ -822,13 +822,14 @@ def reference_train_kn_lm(
                 continue  # context never observed at this order
             interp = discount * types[ctx] / denom[ctx]
             p = max(c - discount, 0.0) / denom[ctx] + interp * lower_prob(ctx[1:], gram[-1])
-            logprobs[gram] = math.log(p)
-        for ctx in sorted(denom):
-            backoffs[ctx] = math.log(discount * types[ctx] / denom[ctx])
+            logprobs[gram] = math.log10(p)
+        if k > 1:  # the empty context's back-off is never charged
+            for ctx in sorted(denom):
+                backoffs[ctx] = math.log10(discount * types[ctx] / denom[ctx])
 
     classes = {
         tag: {
-            word: math.log(c / sum(cnt.values())) for word, c in sorted(cnt.items())
+            word: math.log10(c / sum(cnt.values())) for word, c in sorted(cnt.items())
         }
         for tag, cnt in sorted(member_counts.items())
     }

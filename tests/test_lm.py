@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -29,6 +30,9 @@ from biaslattice.lm import (
 )
 from conftest import BAD_ARPA, UNDERFLOW_ARPA
 from oracles import RefKN, reference_train_kn_lm
+
+
+LN10 = math.log(10.0)
 
 
 def random_corpus(rng, vocab="abcde", n_sentences=8, max_len=6):
@@ -118,16 +122,16 @@ class TestClasses:
         _, tok = surface_prob(lm, ctx, "call")
         ctx2 = (tok,)
         lp_john, tok2 = surface_prob(lm, ctx2, "john")
-        want = lm.cond_logprob(ctx2, "@contactname") + lm.classes["@contactname"]["john"]
+        want = lm.cond_logprob(ctx2, "@contactname") + lm.classes["@contactname"]["john"] * LN10
         assert lp_john == pytest.approx(want, rel=1e-12)
         assert tok2 == "@contactname"
 
     def test_members_normalize(self):
         lines = ["call @contactname(ada)"] * 2 + ["call @contactname(grace)"] * 3
         lm = train_kn_lm(lines, order=2)
-        total = sum(math.exp(v) for v in lm.classes["@contactname"].values())
+        total = sum(10 ** v for v in lm.classes["@contactname"].values())
         assert total == pytest.approx(1.0, abs=1e-9)
-        assert math.exp(lm.classes["@contactname"]["grace"]) == pytest.approx(0.6)
+        assert 10 ** lm.classes["@contactname"]["grace"] == pytest.approx(0.6)
 
     def test_surface_normalization_with_classes(self):
         lines = ["call @contactname(ada)"] * 4 + ["play music"] * 3
@@ -279,7 +283,7 @@ class TestDistinctLineTraining:
         lm = train_kn_lm(lines, order=2)
         assert time.perf_counter() - start < 3.0
         for members in lm.classes.values():
-            assert math.fsum(math.exp(lp) for lp in members.values()) == pytest.approx(1.0)
+            assert math.fsum(10 ** lp for lp in members.values()) == pytest.approx(1.0)
         assert len(lm.classes["@contactname"]) == 32_000
 
 
@@ -294,9 +298,7 @@ class TestModelFiles:
         assert loaded.order == lm.order
         for _ in range(20):
             words = random_corpus(rng, vocab="abcdefg", n_sentences=1)[0].split()
-            assert loaded.logprob(words) == pytest.approx(
-                lm.logprob(words), abs=1e-9
-            )
+            assert loaded.logprob(words) == lm.logprob(words)
 
     def test_members_round_trip(self, tmp_path):
         lm = train_kn_lm(["call @contactname(ada)", "call @contactname(bo)"], order=2)
@@ -305,7 +307,7 @@ class TestModelFiles:
         got = read_members(path)
         for tag, members in lm.classes.items():
             for w, lp in members.items():
-                assert got[tag][w] == pytest.approx(lp, abs=1e-9)
+                assert got[tag][w] == lp
 
     def test_load_lm_with_members(self, tmp_path):
         lm = train_kn_lm(["call @contactname(ada)"] * 3 + ["play music"], order=2)
@@ -313,7 +315,7 @@ class TestModelFiles:
         write_members(lm, tmp_path / "m.members")
         loaded = load_lm(tmp_path / "m.arpa", tmp_path / "m.members")
         words = ["call", "ada"]
-        assert loaded.logprob(words) == pytest.approx(lm.logprob(words), abs=1e-9)
+        assert loaded.logprob(words) == lm.logprob(words)
 
     def test_missing_header_rejected(self, tmp_path):
         p = tmp_path / "bad.arpa"
@@ -353,13 +355,18 @@ class TestModelFiles:
             read_arpa(p)
         assert str(info.value) == f"{p}: no unigram log-prob for {missing}"
 
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e308"])
-    def test_non_finite_backoff_rejected(self, tmp_path, value):
+    # 1e308 is a finite log10 value, yet 10^1e308 is not: such a back-off is
+    # refused as past what a score can hold.
+    @pytest.mark.parametrize("value, error", [
+        *(pytest.param(v, "non-finite back-off", id=v) for v in ("inf", "-inf", "nan")),
+        pytest.param("1e308", "back-off too large to score", id="1e308"),
+    ])
+    def test_non_finite_backoff_rejected(self, tmp_path, value, error):
         p = self.arpa(tmp_path, "-1\t</s>", "-1\t<unk>", f"-1\ta\t{value}")
-        with pytest.raises(InputFormatError, match=f"^{re.escape(str(p))}:7: non-finite back-off"):
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(p))}:7: {error}"):
             read_arpa(p)
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_logprob_rejected(self, tmp_path, value):
         p = self.arpa(tmp_path, "-1\t</s>", "-1\t<unk>", f"{value}\ta")
         with pytest.raises(InputFormatError, match=f"^{re.escape(str(p))}:7: non-finite log-prob"):
@@ -370,16 +377,20 @@ class TestModelFiles:
         p = self.arpa(tmp_path, "-1\t</s>", "-1\t<unk>", f"{value}\ta\t-0.5")
         lm = read_arpa(p)
         assert ("a",) not in lm.logprobs and "a" not in lm.vocab
-        assert lm.backoffs[("a",)] == pytest.approx(-0.5 * math.log(10.0))
+        assert lm.backoffs[("a",)] == -0.5
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
-    def test_non_finite_member_logprob_rejected(self, tmp_path, value):
+    # A member log10-prob of 1e308 is finite, and refused as above 0.
+    @pytest.mark.parametrize("value, error", [
+        *(pytest.param(v, "non-finite logprob", id=v) for v in ("nan", "inf", "-inf")),
+        pytest.param("1e308", "logprob above 0", id="1e308"),
+    ])
+    def test_non_finite_member_logprob_rejected(self, tmp_path, value, error):
         p = tmp_path / "m.members"
         p.write_text(f"@contactname\tada\t-0.3\n@contactname\tbo\t{value}\n")
-        with pytest.raises(InputFormatError, match=f"^{re.escape(str(p))}:2: non-finite logprob"):
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(p))}:2: {error}"):
             read_members(p)
 
-    @pytest.mark.parametrize("value", ["400", "0.001"])
+    @pytest.mark.parametrize("value", ["400", "0.001", "1e308"])
     def test_logprob_above_zero_rejected(self, tmp_path, value):
         p = self.arpa(tmp_path, "-1\t</s>", "-1\t<unk>", f"{value}\ta")
         with pytest.raises(InputFormatError, match=f"^{re.escape(str(p))}:7: log-prob above 0"):
@@ -388,7 +399,7 @@ class TestModelFiles:
     @pytest.mark.parametrize("value", ["0", "-0", "1e-9", "1e-6"])
     def test_logprob_a_rounding_error_above_zero_loads(self, tmp_path, value):
         lm = read_arpa(self.arpa(tmp_path, "-1\t</s>", "-1\t<unk>", f"{value}\ta"))
-        assert lm.logprobs[("a",)] == float(value) * math.log(10.0)
+        assert lm.logprobs[("a",)] == float(value)
 
     def trigram_arpa(self, tmp_path, bow):
         p = tmp_path / "m.arpa"
@@ -463,7 +474,7 @@ class TestModelFiles:
             write_members(lm, tmp_path / "m.members")
             loaded = load_lm(tmp_path / "m.arpa", tmp_path / "m.members")
             words = lines[0].split()
-            assert loaded.logprob(words) == pytest.approx(lm.logprob(words), abs=1e-9)
+            assert loaded.logprob(words) == lm.logprob(words)
 
     def test_bad_members_line_rejected(self, tmp_path):
         p = tmp_path / "bad.members"
@@ -567,7 +578,7 @@ class TestLogDomain:
         lm = train_kn_lm(["call @contactname(john)", "call john"] * 3, order=2)
         lp, tok = surface_prob(lm, ("call",), "john")
         word = lm.cond_logprob(("call",), "john")
-        tag = lm.cond_logprob(("call",), "@contactname") + lm.classes["@contactname"]["john"]
+        tag = lm.cond_logprob(("call",), "@contactname") + lm.classes["@contactname"]["john"] * LN10
         assert lp == pytest.approx(math.log(math.exp(word) + math.exp(tag)), rel=1e-12)
         assert tok == ("john" if word >= tag else "@contactname")
 
@@ -612,3 +623,41 @@ class TestLogDomain:
             lm = _load_accepted(files, Path(tmp))
         for sentences in lists:
             assert lm.nbest_logprob(sentences) == [lm.logprob(s) for s in sentences]
+
+
+_MODEL_WORDS = st.sampled_from(("a", "b", "call", "Ada", "<unk>"))
+_MODEL_SPANS = st.builds(lambda tag, words: f"{tag}({' '.join(words)})",
+                         st.sampled_from(("@x", "@y")),
+                         st.lists(_MODEL_WORDS, min_size=1, max_size=3))
+# 1-12 lines of 1-5 words or spans; a small alphabet makes lines repeat.
+_ANNOTATED_CORPORA = st.lists(
+    st.lists(_MODEL_WORDS | _MODEL_SPANS, min_size=1, max_size=5).map(" ".join),
+    min_size=1, max_size=12)
+
+
+class TestWrittenModelReadsBack:
+    """A model holds the log10 numbers its files hold, so a written model
+    reads back ``==`` field by field and scores ``==`` to the one in memory."""
+
+    @given(_ANNOTATED_CORPORA, st.integers(1, 4),
+           st.lists(_shared_prefix_lists(), min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_files_read_back_equal(self, corpus, order, lists):
+        lm = train_kn_lm(corpus, order=order)
+        with tempfile.TemporaryDirectory() as tmp:
+            arpa, members = Path(tmp) / "m.arpa", Path(tmp) / "m.members"
+            write_arpa(lm, arpa)
+            write_members(lm, members)
+            loaded = load_lm(arpa, members)
+        assert (loaded.order, loaded.vocab) == (lm.order, lm.vocab)
+        assert loaded.logprobs == lm.logprobs
+        assert loaded.backoffs == lm.backoffs
+        assert loaded.classes == lm.classes
+        for sentences in lists:
+            assert loaded.nbest_logprob(sentences) == lm.nbest_logprob(sentences)
+
+    def test_fields_are_frozen(self):
+        lm = train_kn_lm(["call @x(ada)"], order=2)
+        lm.logprob(["call", "ada"])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lm.classes = {}

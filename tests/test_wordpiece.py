@@ -1,13 +1,19 @@
+import re
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from biaslattice.errors import InputFormatError
 from biaslattice.wordpiece import (
     SegmentationError,
     detokenize,
+    load_vocab,
     make_vocab,
     read_vocab,
+    save_vocab,
     segment,
     word_end,
 )
@@ -112,6 +118,20 @@ class TestVocabValidation:
         assert segment(vocab, "a") == ("a", "_")
 
 
+@st.composite
+def _vocabularies(draw):
+    """Vocabularies over letters, ``#``, delimiters and whitespace, line ends
+    included: up to 6 single-character pieces, up to 4 longer pieces over
+    them, maybe the delimiter (one or two characters) as a piece."""
+    delimiter = draw(st.text("_|#", min_size=1, max_size=2) | st.sampled_from((" ", "\t|")))
+    chars = draw(st.sets(st.sampled_from("ab#_|"), max_size=5)
+                 | st.sets(st.sampled_from("ab \t\n\r\x85"), max_size=6)) - {delimiter}
+    longer = draw(st.sets(st.text(sorted(chars), min_size=2, max_size=3), max_size=4)
+                  if chars else st.just(set()))
+    pieces = chars | {p for p in longer if delimiter not in p}
+    return make_vocab(pieces | ({delimiter} if draw(st.booleans()) else set()), delimiter)
+
+
 class TestVocabFiles:
     def test_basic_and_delimiter_directive(self):
         vocab = read_vocab(["#delimiter |", "# comment", "a", "b", "ab"])
@@ -125,3 +145,45 @@ class TestVocabFiles:
     def test_bad_directive(self):
         with pytest.raises(InputFormatError):
             read_vocab(["#delimiter", "a"])
+
+    @pytest.mark.parametrize("lines, lineno, message", [
+        (["a", "b", "_", "a_b", "zz"], 4, "piece 'a_b' holds the delimiter '_'"),
+        (["#delimiter |", "a", "", "a|b", "b"], 4, "piece 'a|b' holds the delimiter '|'"),
+        (["a", "# b", "ab", "_"], 3, "piece 'ab' uses characters ['b']"),
+        (["a", "cb", "a_b", "b"], 2, "piece 'cb' uses characters ['c']"),
+        (["#delimiter |", "a", "#delimiter _", "b"], 3,
+         "a second #delimiter directive (the first is on line 1)"),
+    ])
+    def test_error_names_its_line(self, tmp_path, lines, lineno, message):
+        p = tmp_path / "vocab.txt"
+        p.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(InputFormatError, match=f"^{re.escape(f'{p}:{lineno}: {message}')}"):
+            load_vocab(p)
+
+    @pytest.mark.parametrize("pieces, delimiter, named", [
+        ({"a", "b", "c", "#", "c#"}, "_", "piece '#'"),
+        ({"a", "#"}, "#", "piece '#'"),
+        ({"a", " "}, "_", "piece ' '"),
+        ({"a", "\u2028"}, "_", "piece '\\u2028'"),
+        ({"a"}, "| |", "delimiter '| |'"),
+        ({"a"}, "\t", "delimiter '\\t'"),
+        (set(), "_", "at least one piece"),
+    ])
+    def test_save_refuses_what_cannot_read_back(self, tmp_path, pieces, delimiter, named):
+        vocab = make_vocab(pieces, delimiter)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            save_vocab(vocab, tmp_path / "vocab.txt")
+        assert not (tmp_path / "vocab.txt").exists()
+
+    @given(_vocabularies())
+    @example(make_vocab({"a", "b", "c", "#", "c#"}))
+    @settings(max_examples=300, deadline=None)
+    def test_saved_vocab_reads_back_equal(self, vocab):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "vocab.txt"
+            try:
+                save_vocab(vocab, path)
+            except ValueError:
+                assert not path.exists()
+                return
+            assert load_vocab(path) == vocab
