@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .errors import InputFormatError, open_text, records
@@ -109,11 +109,20 @@ def _class_fst(fst: WordFst) -> ClassFst:
     return ClassFst(fst, frozenset(word for word in fst.arc_words if word.startswith("@")))
 
 
+@dataclass(frozen=True)
+class Binding:
+    """The automaton path a manifest line binds to a tag.  Errors blaming it
+    name ``where``, the ``file:line`` it was read from."""
+
+    path: str
+    where: str | None = field(default=None, compare=False, repr=False)
+
+
 def read_bindings(
     lines: Iterable[str], *, tags: frozenset[str], source: str = "<bindings>"
-) -> dict[str, str]:
+) -> dict[str, Binding]:
     """Parse a binding manifest: ``@tag<TAB>path`` per line, each tag one of ``tags``."""
-    out: dict[str, str] = {}
+    out: dict[str, Binding] = {}
     for where, line in records(lines, source):
         tag, sep, path = line.partition("\t")
         tag = tag.strip()
@@ -123,19 +132,29 @@ def read_bindings(
             raise InputFormatError(f"{where}: the class automaton has no tag {tag!r}")
         if tag in out:
             raise InputFormatError(f"{where}: duplicate binding for {tag!r}")
-        out[tag] = path.strip()
+        out[tag] = Binding(path.strip(), where)
     if not out:
         raise InputFormatError(f"{source}: no bindings found")
     return out
 
 
 def load_bindings(path, class_fst: ClassFst) -> dict[str, WordFst]:
-    """The automata a manifest binds: exactly the tags of ``class_fst``, each once."""
+    """The automata a manifest binds: exactly the tags of ``class_fst``, each once.
+
+    A bound path that cannot be opened, such as a missing file or a path
+    holding a NUL byte, raises InputFormatError naming its manifest line.
+    """
     with open_text(path) as f:
         manifest = read_bindings(f, tags=class_fst.tags, source=str(path))
     base = os.path.dirname(os.fspath(path))
-    # join() keeps an absolute path as it is and resolves a relative one.
-    bindings = {tag: load_fst(os.path.join(base, p)) for tag, p in manifest.items()}
+    bindings = {}
+    for tag, binding in manifest.items():
+        try:
+            # join() keeps an absolute path as it is and resolves a relative one.
+            bindings[tag] = load_fst(os.path.join(base, binding.path))
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            raise InputFormatError(
+                f"{binding.where}: cannot open {binding.path!r}: {exc}") from None
     missing = class_fst.tags - bindings.keys()
     if missing:
         raise InputFormatError(f"{path}: no binding for {sorted(missing)}")

@@ -355,6 +355,20 @@ class TestBlamedLine:
                    f"{path}:3: the class automaton has no tag '@contactnme'")
         assert not (workdir / "x.jsonl").exists()
 
+    @pytest.mark.parametrize("bound, reason", [
+        pytest.param("cat\x00alog.fst", "embedded null byte", id="nul-byte"),
+        pytest.param("absent.fst", "No such file or directory", id="missing-file"),
+    ])
+    def test_bound_path_that_cannot_be_opened(self, workdir, capsys, bound, reason):
+        path = workdir / "bindings.tsv"
+        path.write_text(f"@contactname\t{bound}\n")
+        assert _decode_bound(workdir, path) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}:1: cannot open {bound!r}: " in err
+        assert reason in err
+        assert "Traceback" not in err
+        assert not (workdir / "x.jsonl").exists()
+
     # build-fst knows no vocabulary, so only decode refuses a word holding
     # the delimiter.
     @pytest.mark.parametrize("command, catalog, message", [

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biaslattice.context import (
+    Binding,
     ContextualBiaser,
     Span,
     build_class_fst,
@@ -420,7 +421,8 @@ class TestBindings:
     def test_manifest_parsing(self):
         got = read_bindings(["@contactname\tcontacts.fst", "# c", "@appname\tapps.fst"],
                             tags=frozenset({"@contactname", "@appname"}))
-        assert got == {"@contactname": "contacts.fst", "@appname": "apps.fst"}
+        assert got == {"@contactname": Binding("contacts.fst"), "@appname": Binding("apps.fst")}
+        assert got["@appname"].where == "<bindings>:3"
 
     def test_bad_line(self):
         with pytest.raises(InputFormatError):

@@ -860,6 +860,21 @@ class TestNBestIO:
         loaded = read_nbest(path)
         assert loaded == lists
 
+    @pytest.mark.parametrize("kind", ["subword", "context"])
+    @given(lam=st.floats(0.0, 10.0))
+    @example(lam=0.0)
+    @example(lam=1e-3)
+    @example(lam=2.5)
+    @settings(max_examples=25, deadline=None)
+    def test_decoded_lists_round_trip(self, small_task, tmp_path_factory, kind, lam):
+        task, oracle, factories = small_task
+        lists = decode_corpus(oracle, factories[kind](), task.vocab, lam, 8, 4)
+        path = tmp_path_factory.mktemp("nbest") / "nbest.jsonl"
+        write_nbest(lists, path)
+        loaded = read_nbest(path)
+        assert [_bits(nb) for nb in loaded] == [_bits(nb) for nb in lists]
+        assert loaded == lists
+
     def test_bad_record_reports_line(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         p.write_text('{"id": "u", "ref": "a"}\n')

@@ -301,6 +301,50 @@ class TestBuildParity:
         assert str(info.value) == str(expected)
 
 
+def _entries(*lines):
+    """Catalog entries from ``(text, weight)`` lines of a file named ``c``."""
+    return [CatalogEntry(tuple(text.split()), weight, f"c:{i}")
+            for i, (text, weight) in enumerate(lines, 1)]
+
+
+class TestLineOrder:
+    """The builder sweeps the phrases in sorted order.  Where that order and
+    the input order disagree, it names the first offending line in input
+    order, and it builds the same automaton from the lines in any order."""
+
+    def test_conflict_named_at_its_line(self):
+        entries = _entries(("zed", 1.0), ("ada lovelace", 1.0), ("ada", 2.0), ("zed", 1.0))
+        with pytest.raises(CatalogError) as info:
+            build_catalog_fst(entries)
+        assert str(info.value) == (
+            "c:3: conflicting weights 1.0 vs 2.0 on shared prefix arc 'ada' (phrase 'ada')")
+
+    def test_duplicate_named_at_its_line(self):
+        entries = _entries(("bob", 1.0), ("bob", 1.0), ("ada x", 1.0), ("ada", 3.0))
+        with pytest.raises(CatalogError) as info:
+            build_catalog_fst(entries)
+        assert str(info.value) == "c:2: duplicate catalog phrase: 'bob'"
+
+    @pytest.mark.parametrize("weights, sign", [((0.0, -0.0), 1.0), ((-0.0, 0.0), -1.0)])
+    def test_a_shared_arc_keeps_the_earliest_zero_sign(self, weights, sign):
+        fst = build_catalog_fst(_entries(("ada x", weights[0]), ("ada", weights[1])))
+        assert math.copysign(1.0, fst.weights[fst.arc_id(fst.start, "ada")]) == sign
+
+    @given(catalogs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_line_order_builds_the_same_automaton(self, entries, data):
+        built = build_catalog_fst(entries)
+        shuffled = build_catalog_fst(data.draw(st.permutations(entries)))
+        assert shuffled == built
+        # Phrases sharing an arc share their first word.  Unless such
+        # phrases give it 0.0 and -0.0, the bytes match too.
+        signs: dict[str, set[float]] = {}
+        for entry in entries:
+            signs.setdefault(entry.phrase[0], set()).add(math.copysign(1.0, entry.weight))
+        if all(len(group) == 1 for group in signs.values()):
+            assert serialize(shuffled) == serialize(built)
+
+
 def _message(fn, fst):
     try:
         fn(fst)

@@ -90,7 +90,8 @@ def test_a_binding_tag_is_stripped_and_must_be_a_class_tag(tmp_path):
             f"^{re.escape(str(path))}:3: the class automaton has no tag '@contactnme'$")):
         read(path)
     path.write_text("@appname \ta.fst\n@contactname\tc.fst\n", encoding="utf-8")
-    assert read(path) == {"@appname": "a.fst", "@contactname": "c.fst"}
+    assert read(path) == {"@appname": context.Binding("a.fst"),
+                          "@contactname": context.Binding("c.fst")}
 
 
 def test_a_catalog_entry_names_its_line_in_builder_errors(tmp_path):
