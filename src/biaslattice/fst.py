@@ -18,13 +18,12 @@ nothing to walk.  Final states are a column too: ``final`` holds one byte
 per state, 1 for a final state, as the ``BLFST2`` file's flag bytes hold
 them, so no set of state numbers exists either.
 
-The builder sorts the phrases and makes the states of each phrase's words
-past those it shares with the previous one, which numbers them in the
-preorder walk of the trie; no node objects or prefix tuples are made.  The
-``BLFST2`` file holds the same columns: writing it joins their bytes, and
-reading it copies them back into arrays and splits one block of words.  One
-routine checks every automaton, however its columns were made, with C-level
-loops over them.
+The builder sweeps the sorted phrases and makes a state for each word past
+those a phrase shares with the previous one, which numbers the states in the
+preorder walk of the trie; no node objects are made.  The ``BLFST2`` file
+holds the same columns: writing it joins their bytes, and reading it copies
+them back into arrays and splits one block of words.  One routine checks
+every automaton, however its columns were made, with C-level loops over them.
 
 Automata are immutable after construction and safe to share across threads;
 all mutation happens inside the builder and the reader.  The columns are a
@@ -45,8 +44,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import eq, ge, gt, ne, not_, sub
-from typing import Iterable
+from operator import ge, gt, not_, sub
+from typing import Iterable, NoReturn
 
 from .errors import InputFormatError, open_text, records
 
@@ -182,84 +181,67 @@ def build_catalog_fst(entries: Iterable[CatalogEntry]) -> WordFst:
     agree on the shared prefix.  Each phrase ends in a final state and the sum
     of arc weights along its path equals ``len(phrase) * entry.weight``.
 
-    One sweep over the phrases in sorted order builds the trie, as Daciuk et
-    al. (2000) do before they minimize it.  A phrase shares states only with
-    the previous one, and only if its first word repeats, so C-level passes
-    make every other phrase's states and a Python loop visits the sharing
-    ones.  A stable sort of the states on their parent lays out the arcs.  A
-    shared arc keeps the weight of the earliest entry through it, in input
-    order: their weights are ``==``, but 0.0 and -0.0 differ in their bits.
+    One sweep over the sorted phrases builds the trie, as Daciuk et al. (2000)
+    do before they minimize it: a phrase makes a state for each word past
+    those it shares with the previous one, in preorder, and a stable sort of
+    the states on their parent lays out the arcs.  A shared arc keeps the
+    weight of the earliest entry through it, so 0.0 and -0.0 keep their sign.
 
-    The automaton knows no vocabulary, so any word builds; decoding refuses
-    a word holding its vocabulary's delimiter.  Raises CatalogError on an
-    empty catalog, duplicate phrases, or conflicting weights on a shared
-    prefix arc.  The sweep sees a fault where a phrase equals the previous
-    one or shares an arc whose weight ``!=`` its own; then the input-order
-    scan of :func:`_first_fault` names the first offending entry.
+    The automaton knows no vocabulary, so any word builds; decoding refuses a
+    word holding its vocabulary's delimiter.  Raises CatalogError on an empty
+    catalog, or where the sweep sees a phrase equal to the previous one or a
+    shared arc weighed ``!=``; :func:`_first_fault` names the entry at fault.
     """
     entries = list(entries)
     if not entries:
         raise CatalogError("catalog is empty")
-    phrases = [entry.phrase for entry in entries]
+    phrases, weights = [e.phrase for e in entries], [e.weight for e in entries]
     order = array("I", sorted(range(len(entries)), key=phrases.__getitem__))
-    phrases = list(map(phrases.__getitem__, order))
-    weights = [entries[i].weight for i in order]
-    firsts = [phrase[0] for phrase in phrases]
-    # tails[j] is the words phrase j adds, heads[j] the parent of its first
-    # new state, and signs the (state, weight) of each shared arc whose zero
-    # sign an earlier entry sets.  The loop visits the sharing phrases: saved
-    # counts their shared states, path and owners hold phrase j - 1's states
-    # and the earliest entry through each.
-    tails, heads, signs = phrases.copy(), [0] * len(phrases), []
+    phrases, weights = list(map(phrases.__getitem__, order)), list(map(weights.__getitem__, order))
+    # Sorted phrase j makes a state for each word of tails[j], the first under
+    # heads[j]; path holds the states of phrase j - 1 as deep as j shares them.
+    tails, heads, signs, path, saved = phrases.copy(), [0] * len(phrases), [], [0], 0
     starts = array("I", accumulate(map(len, phrases), initial=1))  # were nothing shared
-    saved, path, owners = 0, [], []
-    for j in compress(range(1, len(phrases)), map(eq, islice(firsts, 1, None), firsts)):
-        phrase, prev, weight = phrases[j], phrases[j - 1], weights[j]
-        if phrase == prev or weight != weights[j - 1]:
+    for j, prev, phrase in zip(count(1), phrases, islice(phrases, 1, None)):
+        if phrase[0] != prev[0]:
+            continue  # then it shares no state with phrase j - 1
+        k = 1
+        while k < len(prev) and phrase[k] == prev[k]:
+            k += 1
+        weight, made = weights[j], len(tails[j - 1])
+        if k == len(phrase) or weight != weights[j - 1]:
             _first_fault(entries)
-        k = next(compress(count(), map(ne, phrase, prev)), len(prev))
-        if tails[j - 1] is prev:  # phrase j - 1 shares nothing: it made its whole path
-            path[:] = range(starts[j - 1] - saved, starts[j] - saved)
-            owners[:] = repeat(order[j - 1], len(prev))
-        if not weight:
-            signs += ((path[d], weight) for d in range(k) if order[j] < owners[d])
-            owners[:k] = map(min, owners[:k], repeat(order[j]))
-        state = starts[j] - saved
-        heads[j] = path[k - 1]
-        path[k:] = range(state, state + len(phrase) - k)
-        owners[k:] = repeat(order[j], len(phrase) - k)
-        tails[j] = phrase[k:]
+        if k > len(prev) - made:  # phrase j shares a state that phrase j - 1 made
+            path[len(prev) - made + 1:] = range(starts[j] - saved - made, starts[j] - saved)
+        if not weight:  # 0.0 == -0.0: the earliest entry through a state gives its sign
+            signs += zip(path[1:k + 1], repeat(j))
+        heads[j], tails[j] = path[k], phrase[k:]
         saved += k
-    # State s is reached by an arc labelled words[s], weighing state_weights[s],
-    # from parents[s]: the state made before it, or its phrase's head.
+    # State s is reached by an arc labelled words[s] from parents[s], weighed by phrase owners[s].
     starts = array("I", accumulate(map(len, tails), initial=1))
     n = starts[-1]
     words = ["", *chain.from_iterable(tails)]
-    state_weights = [0.0, *chain.from_iterable(map(repeat, weights, map(len, tails)))]
-    for state, weight in signs:
-        state_weights[state] = weight
-    parents = list(range(-1, n - 1))
-    deque(map(parents.__setitem__, islice(starts, len(phrases)), heads), maxlen=0)
     final = _marks(map(sub, islice(starts, 1, None), repeat(1)), n)
-    # One arc to the next state of its phrase, unless the state ends it.
+    owners = list(accumulate(final[:-1], initial=0))
+    for state, j in signs:
+        owners[state] = min(owners[state], j, key=order.__getitem__)
+    state_weights = list(map(weights.__getitem__, owners))
+    parents = list(range(-1, n - 1))
+    deque(map(parents.__setitem__, starts, heads), maxlen=0)
+    # One arc to the next state of its phrase unless the state ends it; the start's is phrase 0's.
     degrees = list(final.translate(bytes.maketrans(b"\0\1", b"\1\0")))
-    degrees[0] = heads.count(0)
-    for parent in filter(None, heads):
-        degrees[parent] += 1
-    # Free the per-phrase lists before the columns are made, so that the
-    # columns reuse their memory and the resident set does not keep both.
-    del phrases, weights, firsts, tails, heads, order, starts
-    targets = sorted(range(1, n), key=parents.__getitem__)
+    for head in islice(heads, 1, None):
+        degrees[head] += 1
+    del phrases, order, weights, tails, heads, starts, owners  # the columns reuse their memory
+    targets = array("I", sorted(range(1, n), key=parents.__getitem__))
     return WordFst(
         start=0, final=bytes(final), offsets=array("I", accumulate(degrees, initial=0)),
         arc_words=list(map(words.__getitem__, targets)),
-        weights=array("d", map(state_weights.__getitem__, targets)), targets=array("I", targets),
-    )
+        weights=array("d", map(state_weights.__getitem__, targets)), targets=targets)
 
 
-def _first_fault(entries: list[CatalogEntry]) -> None:
-    """Raise the CatalogError of the first entry, in input order, that repeats
-    a phrase or gives a shared prefix arc another weight."""
+def _first_fault(entries: list[CatalogEntry]) -> NoReturn:
+    """Raise the CatalogError of the first entry that repeats a phrase or reweighs an arc."""
     phrases: set[tuple[str, ...]] = set()
     paths: dict[tuple[str, ...], float] = {}
     for entry in entries:
