@@ -141,17 +141,23 @@ def read_bindings(
 def load_bindings(path, class_fst: ClassFst) -> dict[str, WordFst]:
     """The automata a manifest binds: exactly the tags of ``class_fst``, each once.
 
+    Each distinct file is loaded once, so tags bound to one file share its
+    automaton, and :class:`ContextualBiaser` gives them one lookahead cache.
     A bound path that cannot be opened, such as a missing file or a path
     holding a NUL byte, raises InputFormatError naming its manifest line.
     """
     with open_text(path) as f:
         manifest = read_bindings(f, tags=class_fst.tags, source=str(path))
     base = os.path.dirname(os.fspath(path))
-    bindings = {}
+    bindings, loaded = {}, {}
     for tag, binding in manifest.items():
         try:
             # join() keeps an absolute path as it is and resolves a relative one.
-            bindings[tag] = load_fst(os.path.join(base, binding.path))
+            bound = os.path.join(base, binding.path)
+            file = os.path.realpath(bound)
+            if file not in loaded:
+                loaded[file] = load_fst(bound)
+            bindings[tag] = loaded[file]
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise InputFormatError(
                 f"{binding.where}: cannot open {binding.path!r}: {exc}") from None

@@ -18,12 +18,16 @@ nothing to walk.  Final states are a column too: ``final`` holds one byte
 per state, 1 for a final state, as the ``BLFST2`` file's flag bytes hold
 them, so no set of state numbers exists either.
 
-The builder sweeps the sorted phrases and makes a state for each word past
-those a phrase shares with the previous one, which numbers the states in the
-preorder walk of the trie; no node objects are made.  The ``BLFST2`` file
-holds the same columns: writing it joins their bytes, and reading it copies
-them back into arrays and splits one block of words.  One routine checks
-every automaton, however its columns were made, with C-level loops over them.
+The builder sweeps the sorted phrases once, then numbers the states of the
+trie level by level, as LOUDS does (Jacobson 1989; Delpratt, Rahman and
+Raman 2006): the start, then every state one word deep, then two, each level
+in sorted order.  The arc into state t is then arc t - 1, so the columns of
+each level come from C-level passes over the sorted phrases, with no node
+objects and no sort of the arcs by state.  The ``BLFST2`` file holds the
+same columns: writing it joins their bytes, and reading it copies them back
+into arrays and splits one block of words.  One routine checks every
+automaton, however its columns were made; a level-order one it proves sound
+with C-level loops over them.
 
 Automata are immutable after construction and safe to share across threads;
 all mutation happens inside the builder and the reader.  The columns are a
@@ -44,7 +48,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import ge, gt, not_, sub
+from operator import and_, ge, gt, itemgetter, not_, or_, sub
 from typing import Iterable, NoReturn
 
 from .errors import InputFormatError, open_text, records
@@ -181,10 +185,12 @@ def build_catalog_fst(entries: Iterable[CatalogEntry]) -> WordFst:
     agree on the shared prefix.  Each phrase ends in a final state and the sum
     of arc weights along its path equals ``len(phrase) * entry.weight``.
 
-    One sweep over the sorted phrases builds the trie, as Daciuk et al. (2000)
-    do before they minimize it: a phrase makes a state for each word past
-    those it shares with the previous one, in preorder, and a stable sort of
-    the states on their parent lays out the arcs.  A shared arc keeps the
+    One sweep over the sorted phrases finds the words each shares with the
+    previous one, as Daciuk et al. (2000) do before they minimize a trie; a
+    phrase makes a state for each word past those.  States are numbered level
+    by level, each level in sorted order, so the arc into state t is arc t - 1:
+    C-level passes over the phrases lay out each level's columns, and loading
+    the automaton skips the state-by-state check.  A shared arc keeps the
     weight of the earliest entry through it, so 0.0 and -0.0 keep their sign.
 
     The automaton knows no vocabulary, so any word builds; decoding refuses a
@@ -198,46 +204,47 @@ def build_catalog_fst(entries: Iterable[CatalogEntry]) -> WordFst:
     phrases, weights = [e.phrase for e in entries], [e.weight for e in entries]
     order = array("I", sorted(range(len(entries)), key=phrases.__getitem__))
     phrases, weights = list(map(phrases.__getitem__, order)), list(map(weights.__getitem__, order))
-    # Sorted phrase j makes a state for each word of tails[j], the first under
-    # heads[j]; path holds the states of phrase j - 1 as deep as j shares them.
-    tails, heads, signs, path, saved = phrases.copy(), [0] * len(phrases), [], [0], 0
-    starts = array("I", accumulate(map(len, phrases), initial=1))  # were nothing shared
+    # Sorted phrase j shares its first shared[j] words, and their states, with phrase j - 1.
+    shared, signs = [0] * len(phrases), []
     for j, prev, phrase in zip(count(1), phrases, islice(phrases, 1, None)):
         if phrase[0] != prev[0]:
             continue  # then it shares no state with phrase j - 1
         k = 1
         while k < len(prev) and phrase[k] == prev[k]:
             k += 1
-        weight, made = weights[j], len(tails[j - 1])
-        if k == len(phrase) or weight != weights[j - 1]:
+        if k == len(phrase) or weights[j] != weights[j - 1]:
             _first_fault(entries)
-        if k > len(prev) - made:  # phrase j shares a state that phrase j - 1 made
-            path[len(prev) - made + 1:] = range(starts[j] - saved - made, starts[j] - saved)
-        if not weight:  # 0.0 == -0.0: the earliest entry through a state gives its sign
-            signs += zip(path[1:k + 1], repeat(j))
-        heads[j], tails[j] = path[k], phrase[k:]
-        saved += k
-    # State s is reached by an arc labelled words[s] from parents[s], weighed by phrase owners[s].
-    starts = array("I", accumulate(map(len, tails), initial=1))
-    n = starts[-1]
-    words = ["", *chain.from_iterable(tails)]
-    final = _marks(map(sub, islice(starts, 1, None), repeat(1)), n)
-    owners = list(accumulate(final[:-1], initial=0))
-    for state, j in signs:
-        owners[state] = min(owners[state], j, key=order.__getitem__)
-    state_weights = list(map(weights.__getitem__, owners))
-    parents = list(range(-1, n - 1))
-    deque(map(parents.__setitem__, starts, heads), maxlen=0)
-    # One arc to the next state of its phrase unless the state ends it; the start's is phrase 0's.
-    degrees = list(final.translate(bytes.maketrans(b"\0\1", b"\1\0")))
-    for head in islice(heads, 1, None):
-        degrees[head] += 1
-    del phrases, order, weights, tails, heads, starts, owners  # the columns reuse their memory
-    targets = array("I", sorted(range(1, n), key=parents.__getitem__))
+        if not weights[j]:  # 0.0 == -0.0: the earliest entry through a state gives its sign
+            signs.append(j)
+        shared[j] = k
+    # Phrase j makes a depth-d state where shared[j] < d <= len(phrase j), and
+    # the arc into state t, arc t - 1, takes the weight of phrase owners[t - 1].
+    # ids, shares, lens and phrases keep the phrases at least d words long;
+    # firsts[d] is the first depth-d state.
+    ids, shares, lens = range(len(phrases)), shared, list(map(len, phrases))
+    words, owners, final, offsets, firsts = [], array("I"), bytearray(1), array("I", [0]), [0, 1]
+    for d in count(1):
+        makes, longer = list(map(gt, repeat(d), shares)), list(map(gt, lens, repeat(d)))
+        words += compress(map(itemgetter(d - 1), phrases), makes)
+        owners.extend(compress(ids, makes))
+        final.extend(compress(map(not_, longer), makes))
+        firsts.append(firsts[d] + makes.count(True))
+        # A state's arcs start past the depth-(d + 1) states of the phrases before its maker.
+        below = map(and_, longer, map(ge, repeat(d), shares))
+        offsets.extend(compress(accumulate(below, initial=firsts[d + 1] - 1), makes))
+        if not any(longer):
+            break
+        ids, shares, lens, phrases = (
+            list(compress(column, longer)) for column in (ids, shares, lens, phrases))
+    offsets.append(firsts[-1] - 1)
+    for j in signs:  # owners[i] <= j < owners[i + 1] at each depth-d state that j shares
+        for d in range(1, shared[j] + 1):
+            i = bisect.bisect_right(owners, j, firsts[d] - 1, firsts[d + 1] - 1) - 1
+            owners[i] = min(owners[i], j, key=order.__getitem__)
     return WordFst(
-        start=0, final=bytes(final), offsets=array("I", accumulate(degrees, initial=0)),
-        arc_words=list(map(words.__getitem__, targets)),
-        weights=array("d", map(state_weights.__getitem__, targets)), targets=targets)
+        start=0, final=bytes(final), offsets=offsets, arc_words=words,
+        weights=array("d", map(weights.__getitem__, owners)),
+        targets=array("I", range(1, firsts[-1])))
 
 
 def _first_fault(entries: list[CatalogEntry]) -> NoReturn:
@@ -290,27 +297,23 @@ def _check_columns(fst: WordFst) -> str | None:
     """The first structural problem of ``fst``, or None if it has none.
 
     The normal path proves soundness with C-level loops over whole columns,
-    for automata numbered as the builder numbers them, and builds no set:
-    positions are marked in byte columns instead.  Every state is reachable
-    when the start is 0, every arc points to a higher state and every state
-    but the start is a target, by induction on the state number.  Any
-    failure, or any other numbering, falls to :func:`_first_problem`.
+    for automata numbered level by level, as the builder numbers them: arc
+    t - 1 enters state t and ``offsets[s] >= s``, so each arc leads past its
+    source, and every state is reachable from the start 0 by induction.  Any
+    failure or other numbering, such as the preorder of earlier versions'
+    files, falls to :func:`_first_problem`.
     """
-    n, start, final = fst.num_states, fst.start, fst.final
-    offsets, words, targets = fst.offsets, fst.arc_words, fst.targets
+    n, offsets, words, final = fst.num_states, fst.offsets, fst.arc_words, fst.final
     sizes = list(map(sub, islice(offsets, 1, None), offsets))
     # Adjacent words may fall only where a state's arcs begin.
     falls = compress(range(1, len(words)), map(ge, words, islice(words, 1, None)))
-    sources = chain.from_iterable(map(repeat, range(n), sizes))
-    dead_ends = compress(range(1, n), map(not_, islice(sizes, 1, None)))
     if (
-        offsets[0] == 0 and offsets[n] == len(words) and min(sizes, default=0) >= 0
-        and start == 0 < n
-        and all(words) and all(map(_marks(offsets, len(words) + 1).__getitem__, falls))
-        and all(map(math.isfinite, fst.weights))
-        and max(targets, default=0) < n
-        and len(final) == n and all(map(final.__getitem__, dead_ends))
-        and all(map(gt, targets, sources)) and _marks(targets, n).count(1, 1) == n - 1
+        fst.start == 0 < n and len(words) == n - 1 and fst.targets == array("I", range(1, n))
+        and offsets[0] == 0 and offsets[n] == n - 1 and min(sizes) >= 0
+        and all(map(ge, offsets, range(n))) and all(map(math.isfinite, fst.weights))
+        and all(words) and all(map(_marks(offsets, n).__getitem__, falls))
+        # Every state but the start has arcs or is final.
+        and len(final) == n and all(map(or_, islice(final, 1, None), islice(sizes, 1, None)))
     ):
         return None
     return _first_problem(fst)

@@ -14,7 +14,7 @@ import itertools
 import math
 import struct
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from typing import Iterable
 
 from biaslattice.decode import END, Hypothesis, NBestList, NullBiaser, _check_normalized, fuse_step
@@ -423,8 +423,9 @@ def hand_fst(
 
 # -- catalog automata, built through an object trie ------------------------------
 #
-# The builder as it stood before the sorted-path construction: one node object
-# per state, then a preorder walk over sorted edges to number the states.
+# The builder as it stood before the sorted-path construction, one node object
+# per state, except that a first-in first-out walk over sorted edges numbers
+# the states level by level, as the package's builder now does.
 
 
 class _Node:
@@ -461,16 +462,16 @@ def reference_build_catalog_fst(entries: Iterable[CatalogEntry]) -> WordFst:
             node = node.edges[word][1]
         node.final = True
 
-    # Deterministic numbering: preorder walk with edges in sorted order.
+    # Deterministic numbering: first-in first-out walk with edges in sorted order.
     order: list[_Node] = []
     ids: dict[int, int] = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
+    queue = deque([root])
+    while queue:
+        node = queue.popleft()
         ids[id(node)] = len(order)
         order.append(node)
-        for word in sorted(node.edges, reverse=True):
-            stack.append(node.edges[word][1])
+        for word in sorted(node.edges):
+            queue.append(node.edges[word][1])
 
     arcs = tuple(
         tuple(
@@ -480,6 +481,23 @@ def reference_build_catalog_fst(entries: Iterable[CatalogEntry]) -> WordFst:
         for node in order
     )
     finals = frozenset(ids[id(n)] for n in order if n.final)
+    return hand_fst(start=0, finals=finals, arcs=arcs)
+
+
+def preorder_relabel(fst: WordFst) -> WordFst:
+    """``fst`` with its states renumbered in the preorder walk from the start
+    over each state's arcs in column order: the numbering of the automata
+    that versions before level-order numbering built and wrote."""
+    number: dict[int, int] = {}
+    stack = [fst.start]
+    while stack:
+        state = stack.pop()
+        number[state] = len(number)
+        stack += reversed(fst.targets[fst.offsets[state] : fst.offsets[state + 1]])
+    arcs = [()] * len(number)
+    for state, new in number.items():
+        arcs[new] = [(word, weight, number[t]) for word, weight, t in _state_arcs(fst, state)]
+    finals = [new for state, new in number.items() if fst.final[state]]
     return hand_fst(start=0, finals=finals, arcs=arcs)
 
 

@@ -11,11 +11,12 @@ from biaslattice.context import (
     ContextualBiaser,
     Span,
     build_class_fst,
+    load_bindings,
     parse_annotated,
     read_bindings,
 )
 from biaslattice.errors import InputFormatError
-from biaslattice.fst import CatalogEntry, build_catalog_fst
+from biaslattice.fst import CatalogEntry, build_catalog_fst, save_fst
 from biaslattice.lookahead import PhraseWalk
 from conftest import random_catalog
 from oracles import phrase_end, reference_tag_race
@@ -427,3 +428,20 @@ class TestBindings:
     def test_bad_line(self):
         with pytest.raises(InputFormatError):
             read_bindings(["contactname contacts.fst"], tags=frozenset({"@contactname"}))
+
+    def test_tags_bound_to_one_file_share_its_automaton(self, tmp_path):
+        class_fst = build_class_fst(["call @a(kate) or @b(kate)"], min_count=1)
+        save_fst(build_catalog_fst([CatalogEntry(("kate",), 1.0)]), tmp_path / "c.fst")
+        manifest = tmp_path / "bindings.tsv"
+        manifest.write_text("@a\tc.fst\n@b\t./c.fst\n")
+        bindings = load_bindings(manifest, class_fst)
+        assert bindings["@a"] is bindings["@b"]
+        walks = ContextualBiaser(class_fst, bindings).walks
+        assert walks["@a"].cache is walks["@b"].cache
+
+    def test_a_file_that_cannot_be_opened_names_its_first_line(self, tmp_path):
+        class_fst = build_class_fst(["call @a(kate) or @b(kate)"], min_count=1)
+        manifest = tmp_path / "bindings.tsv"
+        manifest.write_text("@a\tabsent.fst\n@b\tabsent.fst\n")
+        with pytest.raises(InputFormatError, match=f"^{manifest}:1: cannot open 'absent.fst': "):
+            load_bindings(manifest, class_fst)

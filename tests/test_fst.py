@@ -4,12 +4,15 @@ import math
 import random
 import tracemalloc
 from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaslattice.context import build_class_fst
+from biaslattice import fst as fst_module
+from biaslattice.context import ContextualBiaser, build_class_fst, load_class_fst
+from biaslattice.decode import SubwordBiaser, SynthOracle, WordBiaser, decode_corpus
 from biaslattice.errors import InputFormatError
 from biaslattice.fst import (
     CatalogEntry,
@@ -18,7 +21,9 @@ from biaslattice.fst import (
     build_catalog_fst,
     deserialize,
     empty_fst,
+    load_fst,
     read_catalog,
+    save_fst,
     serialize,
     validate_fst,
 )
@@ -27,6 +32,7 @@ from conftest import random_catalog
 from oracles import (
     hand_fst,
     phrase_end,
+    preorder_relabel,
     reference_build_catalog_fst,
     reference_deserialize,
     reference_deserialize_columnar,
@@ -405,6 +411,64 @@ class TestCheckParity:
         assert _message(reference_validate, f) == "3 states unreachable from start"
 
 
+class TestLevelOrder:
+    """The builder numbers states level by level: the arc into state t is
+    arc t - 1, so the check proves a built or loaded automaton sound without
+    the state-by-state walk, which makes loading a 100k-entry automaton about
+    2.5 times slower.  A builder change that breaks level order fails here."""
+
+    @given(catalogs())
+    @settings(max_examples=200, deadline=None)
+    def test_built_and_loaded_automata_take_the_fast_path(self, entries):
+        built = build_catalog_fst(entries)
+        with mock.patch.object(fst_module, "_first_problem",
+                               side_effect=AssertionError("state-by-state check")):
+            validate_fst(built)
+            loaded = deserialize(serialize(built))
+        for f in built, loaded:
+            assert f.targets.tolist() == list(range(1, f.num_states))
+
+
+class TestPreorderFiles:
+    """Versions before level-order numbering wrote their automata in
+    preorder.  Such a file loads unchanged, through the state-by-state
+    check, and decodes as its level-order twin does."""
+
+    @given(catalogs())
+    @settings(max_examples=100, deadline=None)
+    def test_loads_equal_through_the_state_by_state_check(self, entries):
+        old = preorder_relabel(build_catalog_fst(entries))
+        with mock.patch.object(fst_module, "_first_problem",
+                               wraps=fst_module._first_problem) as first_problem:
+            assert deserialize(serialize(old)) == old
+        level_order = old.targets.tolist() == list(range(1, old.num_states))
+        assert first_problem.call_count == (not level_order)
+
+    def test_decodes_as_its_level_order_twin(self, tmp_path):
+        task = make_task(7, n_test=10)
+        built = {name: build_catalog_fst(entries) for name, entries in (
+            ("all", task.all_bias_entries()), ("@contactname", task.contacts),
+            ("@devicename", task.devices), ("@appname", task.apps))}
+        classes = build_class_fst(task.class_corpus, min_count=10)
+        for i, f in enumerate([*built.values(), classes.fst]):
+            save_fst(preorder_relabel(f), tmp_path / f"{i}.fst")
+        loaded = {name: load_fst(tmp_path / f"{i}.fst") for i, name in enumerate(built)}
+        old_classes = load_class_fst(tmp_path / f"{len(built)}.fst")
+        assert loaded["all"] == preorder_relabel(built["all"]) != built["all"]
+        assert old_classes.fst == preorder_relabel(classes.fst) != classes.fst
+
+        def biasers(fsts, class_fst):
+            bindings = {tag: f for tag, f in fsts.items() if tag.startswith("@")}
+            return (WordBiaser(fsts["all"]), SubwordBiaser(fsts["all"]),
+                    ContextualBiaser(class_fst, bindings))
+
+        oracle = SynthOracle(task.vocab, task.refs_test, noise=0.3, seed=7,
+                             noisy_words=task.noisy_words)
+        for new, old in zip(biasers(built, classes), biasers(loaded, old_classes)):
+            assert (decode_corpus(oracle, old, task.vocab, 2.5)
+                    == decode_corpus(oracle, new, task.vocab, 2.5))
+
+
 class TestReaderParity:
     """The columnar reader against the element-by-element reference."""
 
@@ -599,34 +663,50 @@ class TestFinalColumn:
 class TestFormatPin:
     """Bytes of the seed-7 task's automata, pinned by sha256.
 
-    The ``BLFST1`` values were recorded from the writer that kept one tuple
-    per arc, now the reference writer; the ``BLFST2`` values from an
+    Each format pins (bytes, sha256) of the catalog and the class automaton
+    as the builder numbers them, level by level, and then relabelled to the
+    preorder of earlier versions.  The preorder values were recorded before
+    level-order numbering: the ``BLFST1`` ones from the writer that kept one
+    tuple per arc, now the reference writer, and the ``BLFST2`` ones from an
     element-by-element writer, before the columnar writer existed."""
+
+    PINS = {
+        "BLFST1": [
+            (23409, "fc7435d45b98cacb445ae8ccdb6e7d2f37b461dbb16c67405bb755c459f41955"),
+            (527, "78c6b9f18479fc27dd682c9b03ea693a5d1fc2df56135ab1238dcede9169fb65"),
+            (23409, "72803fbdc7530ef8202d5dbdf93bdf188728f42097c428816ec425c539b2efe3"),
+            (527, "e15e69a9bc506a3bd59aa26c6907f6a5e297af4c9e2bf828a5f3b87538232583"),
+        ],
+        "BLFST2": [
+            (20792, "10eee60ae3de90d1cf02d35fbd9b1d0525602e128967f32cc2c51c9777a9214d"),
+            (484, "a10146e96c404efea3fffa3805449ddcb5162bcd75b331210552040de2c0256a"),
+            (20792, "902c90c7ef78fa3755428dccf4a042f9d67b027c617224ec5359b0b3a766c216"),
+            (484, "c16d967341f675ac8e1bb092113cab471157813cd2497a600e66cf7b2822ea28"),
+        ],
+    }
 
     def automata(self):
         task = make_task(7)
-        return (build_catalog_fst(task.all_bias_entries()),
-                build_class_fst(task.class_corpus, min_count=10).fst)
+        built = (build_catalog_fst(task.all_bias_entries()),
+                 build_class_fst(task.class_corpus, min_count=10).fst)
+        return [*built, *map(preorder_relabel, built)]
+
+    def pinned(self, data: bytes):
+        return len(data), hashlib.sha256(data).hexdigest()
 
     def test_seed7_bytes(self):
-        catalog, classes = map(reference_serialize, self.automata())
-        assert (len(catalog), hashlib.sha256(catalog).hexdigest()) == (
-            23409, "72803fbdc7530ef8202d5dbdf93bdf188728f42097c428816ec425c539b2efe3")
-        assert (len(classes), hashlib.sha256(classes).hexdigest()) == (
-            527, "e15e69a9bc506a3bd59aa26c6907f6a5e297af4c9e2bf828a5f3b87538232583")
-        assert reference_serialize(reference_deserialize(catalog)) == catalog
-        assert reference_serialize(reference_deserialize(classes)) == classes
+        files = list(map(reference_serialize, self.automata()))
+        assert list(map(self.pinned, files)) == self.PINS["BLFST1"]
+        for data in files:
+            assert reference_serialize(reference_deserialize(data)) == data
 
     def test_seed7_columnar_bytes(self):
         automata = self.automata()
-        catalog, classes = map(serialize, automata)
-        assert (len(catalog), hashlib.sha256(catalog).hexdigest()) == (
-            20792, "902c90c7ef78fa3755428dccf4a042f9d67b027c617224ec5359b0b3a766c216")
-        assert (len(classes), hashlib.sha256(classes).hexdigest()) == (
-            484, "c16d967341f675ac8e1bb092113cab471157813cd2497a600e66cf7b2822ea28")
-        assert (deserialize(catalog), deserialize(classes)) == automata
-        assert serialize(deserialize(catalog)) == catalog
-        assert serialize(deserialize(classes)) == classes
+        files = list(map(serialize, automata))
+        assert list(map(self.pinned, files)) == self.PINS["BLFST2"]
+        assert list(map(deserialize, files)) == automata
+        for data in files:
+            assert serialize(deserialize(data)) == data
 
 
 def _retained_bytes(fn, *args):
