@@ -145,6 +145,18 @@ def _load_domain_lms(args) -> rescore.DomainLms:
     return rescore.DomainLms(generic=generic, contacts=contacts, catalog_words=catalog_words)
 
 
+def _read_refs(path, lists, nbest_path):
+    """The references in ``path`` (None without one), which must cover every list."""
+    if not path:
+        return None
+    refs = metrics.read_refs(path)
+    for nb in lists:
+        if nb.utt_id not in refs:
+            raise InputFormatError(f"{path}: no reference for utterance {nb.utt_id!r} "
+                                   f"of {nbest_path}")
+    return refs
+
+
 def _cmd_rescore(args) -> int:
     lists = decode.read_nbest(args.nbest)
     lms = _load_domain_lms(args)
@@ -168,7 +180,7 @@ def _cmd_tune(args) -> int:
     if args.budget < seeds:
         raise InputFormatError(f"--budget must be >= {seeds}, the seed grid, got {args.budget}")
     dev = decode.read_nbest(args.dev)
-    refs = metrics.read_refs(args.refs) if args.refs else None
+    refs = _read_refs(args.refs, dev, args.dev)
     refs = {nb.utt_id: metrics.ref_for(nb, refs) for nb in dev}
     lms = _load_domain_lms(args)
     result = rescore.tune(
@@ -194,7 +206,7 @@ def _cmd_tune(args) -> int:
 
 def _cmd_eval(args) -> int:
     lists = decode.read_nbest(args.nbest)
-    refs = metrics.read_refs(args.refs) if args.refs else None
+    refs = _read_refs(args.refs, lists, args.nbest)
     baseline = decode.read_nbest(args.baseline) if args.baseline else None
     report = metrics.evaluate(lists, refs, baseline=baseline)
     print(metrics.format_report(report))

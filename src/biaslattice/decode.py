@@ -481,8 +481,9 @@ def read_nbest(path) -> list[NBestList]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = _typed(json.loads(line), dict, "record")
                 lam = float(obj.get("lambda", 1.0))
+                raw = [_typed(h, dict, "hypothesis") for h in _typed(obj["hyps"], list, "hyps")]
                 hyps = [
                     Hypothesis(
                         tokens=tuple(
@@ -493,7 +494,7 @@ def read_nbest(path) -> list[NBestList]:
                         sf_score=float(h["sf_score"]),
                         fused=fuse_step(float(h["rnnt_logp"]), float(h["sf_score"]), lam),
                     )
-                    for h in obj["hyps"]
+                    for h in raw
                 ]
                 if not hyps:
                     raise ValueError('empty "hyps" list')

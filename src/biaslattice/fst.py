@@ -308,7 +308,8 @@ def _check_columns(fst: WordFst) -> str | None:
     # Adjacent words may fall only where a state's arcs begin.
     falls = compress(range(1, len(words)), map(ge, words, islice(words, 1, None)))
     if (
-        fst.start == 0 < n and len(words) == n - 1 and fst.targets == array("I", range(1, n))
+        fst.start == 0 < n and len(words) == len(fst.weights) == n - 1
+        and fst.targets == array("I", range(1, n))
         and offsets[0] == 0 and offsets[n] == n - 1 and min(sizes) >= 0
         and all(map(ge, offsets, range(n))) and all(map(math.isfinite, fst.weights))
         and all(words) and all(map(_marks(offsets, n).__getitem__, falls))
@@ -322,6 +323,9 @@ def _check_columns(fst: WordFst) -> str | None:
 def _first_problem(fst: WordFst) -> str | None:
     """The first violation in state order, found one state at a time."""
     n, offsets, words, final = fst.num_states, fst.offsets, fst.arc_words, fst.final
+    if not len(words) == len(fst.weights) == len(fst.targets):
+        return (f"{len(words)} arc words, {len(fst.weights)} weights "
+                f"and {len(fst.targets)} targets")
     if len(final) < n:
         return f"{len(final)} final flags for {n} states"
     if offsets[0] != 0 or offsets[n] != len(words):

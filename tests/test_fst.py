@@ -236,6 +236,22 @@ class TestValidate:
         with pytest.raises(ValueError, match="dead end"):
             validate_fst(f)
 
+    @pytest.mark.parametrize("column", ["weights", "targets"])
+    @pytest.mark.parametrize("numbering", ["level order", "preorder"])
+    def test_short_column_rejected(self, column, numbering):
+        # Level order numbers the states after "a", "a b" and "c" 1, 3 and 2;
+        # the preorder of earlier versions numbers them 1, 2 and 3.
+        f = build_catalog_fst([CatalogEntry(("a", "b"), 1.0), CatalogEntry(("c",), 1.0)])
+        if numbering == "preorder":
+            f = preorder_relabel(f)
+        columns = dict(weights=f.weights, targets=f.targets)
+        columns[column] = columns[column][:-1]
+        g = WordFst(start=f.start, final=f.final, offsets=f.offsets, arc_words=f.arc_words,
+                    **columns)
+        short = {"weights": "3 arc words, 2 weights and 3 targets",
+                 "targets": "3 arc words, 3 weights and 2 targets"}[column]
+        assert _message(validate_fst, g) == short
+
 
 # Words over a small alphabet with a non-ASCII letter, so phrases share
 # leading words and words share leading letters; weights of both signs,

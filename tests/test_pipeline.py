@@ -7,13 +7,22 @@ corpus), ``decode`` with each biaser kind (none, word-level, subword and
 contextual), ``train-lm``, ``rescore``, ``tune`` and ``eval``.  Each step
 reads what the steps before it wrote, so a file that one step refused is
 missing for the next, which must then exit 2 naming it.
+
+A second property starts from a valid file of every kind a command reads,
+the binary automata and the n-best file included, mutates one of them at
+byte level (flip, delete, insert, truncate) or at line level (duplicate,
+swap), or puts another JSON value in place of one n-best record, and runs
+the commands that read it under the same contract.
 """
 
 import contextlib
 import io
+import json
+import shutil
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,3 +116,117 @@ def test_every_command_exits_0_or_2_naming_a_file(case):
               "--out", d / "rescored.nbest"], files)
         _run(["tune", "--dev", d / "subword.nbest", *lms, "--budget", 30], files)
         _run(["eval", "--nbest", d / "rescored.nbest", "--refs", d / "refs.tsv"], files)
+
+
+# The text files of a small valid task.
+_VALID = {
+    "vocab.txt": "_\na\nb\nk\nab\nka\n",
+    "catalog.tsv": "ab ka\t1.8\nbak\t-2\n",
+    "refs.tsv": "contacts-0\tab ka\ngeneral-1\tbak ab\n",
+    "class.txt": "ab @contactname(ab ka)\nka @contactname(bak)\nbak ab\n",
+    "bindings.tsv": "@contactname\tcatalog.fst\n",
+}
+_DECODE = ("decode --vocab {d}/vocab.txt --refs {d}/refs.tsv --catalog {d}/catalog.tsv"
+           " --beam 4 --nbest 2")
+_CONTEXT = _DECODE + " --class-fst {d}/class.fst --bindings {d}/bindings.tsv"
+_RESCORE = ("rescore --nbest {d}/subword.nbest --lm-generic {d}/lm.arpa --lm-contacts {d}/lm.arpa"
+            " --lm-members {d}/lm.members --catalog {d}/catalog.tsv --out {d}/rescored.nbest")
+# Each file's name -> the command lines that read it, ``{d}`` standing for
+# its directory.
+_READERS = {
+    "catalog.tsv": ["build-fst --catalog {d}/catalog.tsv --out {d}/x.fst"],
+    "vocab.txt": [_DECODE + " --out {d}/x.nbest"],
+    "refs.tsv": [_DECODE + " --out {d}/x.nbest"],
+    "class.txt": ["build-fst --class-corpus {d}/class.txt --min-count 1 --out {d}/x.fst",
+                  "train-lm --corpus {d}/class.txt --order 2 --out {d}/x.arpa"],
+    "bindings.tsv": [_CONTEXT + " --out {d}/x.nbest"],
+    "catalog.fst": [_CONTEXT + " --out {d}/x.nbest"],
+    "class.fst": [_CONTEXT + " --out {d}/x.nbest"],
+    "lm.arpa": [_RESCORE],
+    "lm.members": [_RESCORE],
+    "subword.nbest": ["eval --nbest {d}/subword.nbest --refs {d}/refs.tsv", _RESCORE],
+}
+# The files the commands above write, made once from the valid text files.
+_BUILD = [
+    "build-fst --catalog {d}/catalog.tsv --out {d}/catalog.fst",
+    "build-fst --class-corpus {d}/class.txt --min-count 1 --out {d}/class.fst",
+    "train-lm --corpus {d}/class.txt --order 2 --out {d}/lm.arpa --members {d}/lm.members",
+    _DECODE + " --lambda 1.5 --out {d}/subword.nbest",
+]
+
+
+def _argv(command_line, d):
+    return [arg.replace("{d}", str(d)) for arg in command_line.split()]
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """A directory holding a valid file of every kind in ``_READERS``."""
+    d = tmp_path_factory.mktemp("valid")
+    for name, text in _VALID.items():
+        (d / name).write_text(text)
+    for command_line in _BUILD:
+        assert _run(_argv(command_line, d), []) == 0
+    assert sorted(p.name for p in d.iterdir()) == sorted(_READERS)
+    for command_line in {c for lines in _READERS.values() for c in lines}:
+        assert _run(_argv(command_line, d), []) == 0
+    for out in set(d.iterdir()) - {d / name for name in _READERS}:
+        out.unlink()
+    return d
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _mutated(draw, data, records):
+    """``data`` with one byte flipped, deleted or inserted, cut short, one
+    line duplicated or two swapped, or, if its lines are JSON ``records``,
+    one record or one of its fields or first hypothesis's replaced by
+    another JSON value."""
+    kinds = st.sampled_from(["flip", "delete", "insert", "truncate", "duplicate", "swap"])
+    kind = draw(kinds | st.just("json") if records else kinds)
+    if kind in ("flip", "delete", "insert", "truncate"):
+        i = draw(st.integers(0, len(data) - 1))
+        byte = draw(st.integers(1, 255))
+        return {
+            "flip": data[:i] + bytes([data[i] ^ byte]) + data[i + 1:],
+            "delete": data[:i] + data[i + 1:],
+            "insert": data[:i] + bytes([byte]) + data[i:],
+            "truncate": data[:i],
+        }[kind]
+    lines = data.splitlines(keepends=True)
+    i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+    if kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        value, record = draw(_JSON), json.loads(lines[i])
+        hyp = record["hyps"][0]
+        field = draw(st.sampled_from([None, *record, *hyp]))
+        if field is None:
+            record = value
+        else:
+            (record if field in record else hyp)[field] = value
+        lines[i] = json.dumps(record).encode() + b"\n"
+    return b"".join(lines)
+
+
+@given(st.sampled_from(sorted(_READERS)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_mutated_file_exits_0_or_2_naming_a_file(valid, name, data):
+    original = (valid / name).read_bytes()
+    mutated = data.draw(_mutated(original, name.endswith(".nbest")), label="mutated")
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for path in valid.iterdir():
+            shutil.copy(path, d)
+        (d / name).write_bytes(mutated)
+        files = list(d.iterdir())
+        for command_line in _READERS[name]:
+            _run(_argv(command_line, d), files)
