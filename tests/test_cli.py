@@ -252,18 +252,19 @@ def _not_utf8(name):
     return lambda w: b"\xff" + (w / name).read_bytes()
 
 
-def refusal(name, command_line, message, files=None):
-    """A row: ``files`` (name -> text, bytes, or a function of the directory
-    giving either) are written over ``built``, then ``command_line`` must
-    exit 2 with ``message`` on stderr."""
-    return pytest.param(files or {}, command_line, message, id=name)
+def refusal(test, command_line, message, files=None):
+    """A row of the test ``test`` names, ``Class::test[case]``, ``test[case]``
+    or a bare test name: ``files`` (name -> text, bytes, or a function of the
+    directory giving either) are written over ``built``, then
+    ``command_line`` must exit 2 with ``message`` on stderr."""
+    return test, (files or {}, command_line, message)
 
 
 BAR_WORD = "bodu\t1\nbo|du\t-1\n"  # "bo|du" builds, but no "|"-delimited token spells it
 
 REFUSALS = [
     # Flags: out of range, or left unused by the other flags given.
-    *(refusal(f"decode-{flag}-{value}", f"{DECODE} {flag} {value}", message)
+    *(refusal(f"TestBadFlags::test_decode[{flag}-{value}]", f"{DECODE} {flag} {value}", message)
       for flag, value, message in [
           ("--beam", "0", "argument --beam: must be >= 1, got '0'"),
           ("--beam", "1.5", "argument --beam: not a valid int: '1.5'"),
@@ -272,133 +273,150 @@ REFUSALS = [
           ("--lambda", "nan", "argument --lambda: must be finite and >= 0, got 'nan'"),
           ("--noise", "2", "argument --noise: must be in [0, 1], got '2'"),
       ]),
-    refusal("train-lm---order-0", "train-lm --corpus {w}/lmcorpus.txt --order 0 --out {w}/x.arpa",
+    refusal("TestBadFlags::test_train_lm",
+            "train-lm --corpus {w}/lmcorpus.txt --order 0 --out {w}/x.arpa",
             "argument --order: must be >= 1, got '0'"),
-    refusal("build-fst---min-count-0",
+    refusal("TestBadFlags::test_build_fst",
             "build-fst --class-corpus {w}/class.txt --min-count 0 --out {w}/x.fst",
             "argument --min-count: must be >= 1, got '0'"),
-    refusal("build-fst-without-a-source", "build-fst --out {w}/x.fst",
+    refusal("TestBuildFst::test_requires_exactly_one_source", "build-fst --out {w}/x.fst",
             "build-fst needs exactly one of --catalog / --class-corpus"),
-    *(refusal(f"tune-{flag}-{value}", f"{TUNE} {flag} {value}", message)
+    *(refusal(f"TestBadFlags::test_tune[{flag}-{value}]", f"{TUNE} {flag} {value}", message)
       for flag, value, message in [
           ("--budget", "0", "argument --budget: must be >= 1, got '0'"),
           ("--budget", "10", "--budget must be >= 26, the seed grid, got 10"),
-          ("--bounds", "nope", "--bounds must be 'a0,a1,b0,b1', got 'nope'"),
           *(("--bounds", bounds, "--bounds must be finite with a0 <= a1 and b0 <= b1, "
              f"got '{bounds}'") for bounds in ["4,-2,0,4", "nan,1,0,4", "0,1,inf,4"]),
       ]),
-    *(refusal(f"rescore-{flag}-nan", f"{RESCORE} {flag} nan",
+    refusal("TestPipeline::test_bad_bounds_exit_2", f"{TUNE} --bounds nope",
+            "--bounds must be 'a0,a1,b0,b1', got 'nope'"),
+    *(refusal(f"TestBadFlags::test_rescore[{flag}]", f"{RESCORE} {flag} nan",
               f"argument {flag}: must be finite, got 'nan'") for flag in ["--alpha", "--beta"]),
-    *(refusal(f"{command}-{flag}-without-{needs}", f"{argv} {flag} {{w}}/{name}",
-              f"{flag} {{w}}/{name} requires {needs}")
+    *(refusal(f"TestIgnoredFlags::test_second_pass_routing[{flag}-{name}-{needs}-{command}]",
+              f"{argv} {flag} {{w}}/{name}", f"{flag} {{w}}/{name} requires {needs}")
       for command, argv in SECOND_PASS.items()
       for flag, name, needs in [("--lm-contacts", "c.arpa", "--catalog"),
                                 ("--catalog", "catalog.tsv", "--lm-contacts"),
                                 ("--lm-members", "c.members", "--lm-contacts")]),
-    refusal("decode---bindings-without---class-fst",
-            CATALOG_DECODE + " --bindings {w}/bindings.tsv",
-            "--bindings {w}/bindings.tsv requires --class-fst"),
-    refusal("decode---word-level-with---class-fst", CONTEXT + " --word-level",
-            "--word-level has no effect with --class-fst {w}/class.fst"),
+    *(refusal(f"TestIgnoredFlags::test_decode_biaser[{extra}-{message}]",
+              f"{CATALOG_DECODE} {extra}", message)
+      for extra, message in [
+          ("--bindings {w}/bindings.tsv", "--bindings {w}/bindings.tsv requires --class-fst"),
+          ("--class-fst {w}/class.fst --bindings {w}/bindings.tsv --word-level",
+           "--word-level has no effect with --class-fst {w}/class.fst"),
+      ]),
     # Catalogs and the automata built from them.
-    refusal("catalog-bad-weight", "build-fst --catalog {w}/catalog.tsv --out {w}/x.fst",
+    refusal("TestBuildFst::test_malformed_catalog_exits_2",
+            "build-fst --catalog {w}/catalog.tsv --out {w}/x.fst",
             "{w}/catalog.tsv:1: bad weight 'notaweight'", {"catalog.tsv": "name\tnotaweight\n"}),
-    refusal("catalog-repeated-phrase", "build-fst --catalog {w}/catalog.tsv --out {w}/x.fst",
+    refusal("TestRepeatedKeys::test_catalog_phrase",
+            "build-fst --catalog {w}/catalog.tsv --out {w}/x.fst",
             "{w}/catalog.tsv:5: duplicate catalog phrase: 'kela'",
             {"catalog.tsv": CATALOG + "Kela\t1.8\n"}),
-    *(refusal(f"catalog-conflicting-weights-{command}", f"{argv} --catalog {{w}}/catalog.tsv",
+    *(refusal("TestBlamedLine::test_catalog_entry_the_builder_refuses"
+              f"[conflicting-weights-{command}]", f"{argv} --catalog {{w}}/catalog.tsv",
               "{w}/catalog.tsv:3: conflicting weights -1.0 vs -2.0 on shared prefix arc 'ada'",
               {"catalog.tsv": "ada lovelace\t-1\nbodu\t-1\nada\t-2\n"})
       for command, argv in [("build-fst", "build-fst --out {w}/x.fst"), ("decode", DECODE)]),
-    refusal("catalog-word-holding-the-delimiter", CATALOG_DECODE,
-            "{w}/catalog.tsv:3: word 'bo_du' contains the subword delimiter '_'",
+    refusal("TestBlamedLine::test_catalog_entry_the_builder_refuses[delimiter-in-a-word-decode]",
+            CATALOG_DECODE, "{w}/catalog.tsv:3: word 'bo_du' contains the subword delimiter '_'",
             {"catalog.tsv": "# contacts\nbodu\t1\nbo_du\t-1\n"}),
-    refusal("catalog-word-holding-the-vocabulary-delimiter", CATALOG_DECODE,
+    refusal("TestBlamedLine::test_catalog_word_holding_the_vocabulary_delimiter", CATALOG_DECODE,
             "{w}/catalog.tsv:2: word 'bo|du' contains the subword delimiter '|'",
             {"vocab.txt": _bar_vocab, "catalog.tsv": BAR_WORD}),
-    *(refusal(f"catalog-huge-weight{kind}", f"{CATALOG_DECODE} --noise 0.5 {extra}",
+    *(refusal(f"TestScoreRange::test_huge_weight_exits_2[extra{i}]",
+              f"{CATALOG_DECODE} --noise 0.5 {extra}",
               "{w}/catalog.tsv: catalog weight 1e+308", {"catalog.tsv": "bodu\t1e308\n"})
-      for kind, extra in [("", ""), ("-lambda-10", "--lambda 10"),
-                          ("-word-level", "--word-level")]),
+      for i, extra in enumerate(["", "--lambda 10", "--word-level"])),
     # Vocabularies, references and bindings manifests.
-    refusal("vocab-piece-holding-the-delimiter", DECODE,
+    refusal("test_refused[vocab-piece-holding-the-delimiter]", DECODE,
             "{w}/vocab.txt:3: piece 'a_b' holds the delimiter '_'", {"vocab.txt": "a\nb\na_b\n"}),
-    refusal("vocab-second-delimiter-directive", DECODE,
+    refusal("test_refused[vocab-second-delimiter-directive]", DECODE,
             "{w}/vocab.txt:3: a second #delimiter directive",
             {"vocab.txt": "#delimiter |\na\n#delimiter _\n"}),
-    refusal("refs-missing", "decode --vocab {w}/vocab.txt --refs {w}/norefs.tsv --out {w}/x.nbest",
+    refusal("TestPipeline::test_missing_refs_exits_2",
+            "decode --vocab {w}/vocab.txt --refs {w}/norefs.tsv --out {w}/x.nbest",
             "No such file or directory: '{w}/norefs.tsv'"),
-    *(refusal(f"bindings-repeated-tag{kind}", CONTEXT, "{w}/bindings.tsv:2: duplicate ",
+    *(refusal(f"TestRepeatedKeys::test_binding_tag{kind}", CONTEXT,
+              "{w}/bindings.tsv:2: duplicate ",
               {"bindings.tsv": f"@contactname\tcontacts.fst\n@contactname{space}\tcontacts.fst\n"})
       # The tag is stripped, so "@contactname " repeats "@contactname".
-      for kind, space in [("", ""), ("-with-a-trailing-space", " ")]),
-    refusal("bindings-tag-the-class-automaton-lacks", CONTEXT,
+      for kind, space in [("", ""), ("_with_a_trailing_space", " ")]),
+    refusal("TestBlamedLine::test_binding_for_a_tag_the_class_automaton_lacks", CONTEXT,
             "{w}/bindings.tsv:3: the class automaton has no tag '@contactnme'",
             {"bindings.tsv": "@contactname\tcontacts.fst\n# a typo\n@contactnme\tcontacts.fst\n"}),
-    refusal("bindings-nul-byte", CONTEXT,
+    refusal("TestBlamedLine::test_bound_path_that_cannot_be_opened[nul-byte]", CONTEXT,
             "{w}/bindings.tsv:1: cannot open 'cat\\x00alog.fst': embedded null byte",
             {"bindings.tsv": "@contactname\tcat\x00alog.fst\n"}),
-    refusal("bindings-missing-file", CONTEXT,
+    refusal("TestBlamedLine::test_bound_path_that_cannot_be_opened[missing-file]", CONTEXT,
             "{w}/bindings.tsv:1: cannot open 'absent.fst': [Errno 2] No such file or directory",
             {"bindings.tsv": "@contactname\tabsent.fst\n"}),
-    *(refusal(f"bound-huge-weight{kind}", f"{CONTEXT} --noise 0.5 --lambda 10 {extra}",
+    *(refusal(f"TestBoundScoreRange::test_huge_bound_weight_exits_2[{with_catalog}]",
+              f"{CONTEXT} --noise 0.5 --lambda 10 {extra}",
               "{w}/bindings.tsv: @contactname automaton weight 1e+308",
               {"contacts.fst": _catalog_fst("bodu\t1e308\n")})
-      for kind, extra in [("", ""), ("-with-a-catalog", "--catalog {w}/catalog.tsv")]),
-    refusal("bound-word-holding-the-vocabulary-delimiter", CONTEXT,
+      for with_catalog, extra in [(False, ""), (True, "--catalog {w}/catalog.tsv")]),
+    refusal("TestBlamedLine::test_automaton_word_holding_the_vocabulary_delimiter"
+            "[bound-automaton]", CONTEXT,
             "{w}/bindings.tsv: @contactname automaton: word 'bo|du' contains the subword "
             "delimiter '|'", {"vocab.txt": _bar_vocab, "contacts.fst": _catalog_fst(BAR_WORD)}),
-    refusal("class-word-holding-the-vocabulary-delimiter", CONTEXT,
+    refusal("TestBlamedLine::test_automaton_word_holding_the_vocabulary_delimiter"
+            "[class-automaton]", CONTEXT,
             "{w}/class.fst: word 'call|me' contains the subword delimiter '|'",
             {"vocab.txt": _bar_vocab, "class.fst": _class_fst("call|me @contactname(bodu)\n")}),
     # Automaton files: the class.fst of ``built`` is 134 bytes.
-    refusal("class-fst-truncated", CONTEXT,
+    refusal("TestCorruptAutomata::test_truncated_class_fst", CONTEXT,
             "{w}/class.fst: truncated automaton: ends at offset 131, needed 134 bytes",
             {"class.fst": lambda w: (w / "class.fst").read_bytes()[:-3]}),
-    refusal("class-fst-blfst1", CONTEXT,
+    refusal("TestCorruptAutomata::test_blfst1_class_fst_asks_for_a_rebuild", CONTEXT,
             "{w}/class.fst: BLFST1 automata are no longer read; rebuild with "
             "`biaslattice build-fst`",
             {"class.fst": lambda w: reference_serialize(load_fst(w / "class.fst"))}),
-    refusal("bound-fst-corrupt-flags", CONTEXT,
+    refusal("TestCorruptAutomata::test_bound_automaton_with_corrupt_flags", CONTEXT,
             "{w}/contacts.fst: unknown state flags 0x80 at offset 18",
             {"contacts.fst": _corrupt_flags}),
     # Training text and language models.
-    refusal("train-lm-sentence-marker", "train-lm --corpus {w}/marked.txt --out {w}/x.arpa",
+    refusal("test_train_lm_refuses_sentence_markers",
+            "train-lm --corpus {w}/marked.txt --out {w}/x.arpa",
             "{w}/marked.txt:2: reserved sentence marker in training text: <s>",
             {"marked.txt": "play some music\nplay <S> some music\n"}),
-    *(refusal(f"arpa-missing-unigram-{command}", SECOND_PASS[command],
-              f"{{w}}/c.arpa: no unigram log-prob for {missing}",
+    *(refusal(f"TestUnusableLm::test_missing_unigram_exits_2[{command}-grams{i}-{missing}]",
+              SECOND_PASS[command], f"{{w}}/c.arpa: no unigram log-prob for {missing}",
               {"c.arpa": "\\data\\\nngram 1=%d\n\n\\1-grams:\n%s\n\\end\\\n"
                          % (len(grams), "".join(g + "\n" for g in grams))})
-      for command, grams, missing in [("rescore", ["-1\ta"], "</s> <unk>"),
-                                      ("tune", ["-1\ta", "-1\t</s>"], "<unk>")]),
-    refusal("arpa-log-prob-above-0", RESCORE, "{w}/c.arpa:5: log-prob above 0",
+      for i, (command, grams, missing) in enumerate([("rescore", ["-1\ta"], "</s> <unk>"),
+                                                     ("tune", ["-1\ta", "-1\t</s>"], "<unk>")])),
+    refusal("TestUnusableLm::test_logprob_above_zero_exits_2_naming_the_line", RESCORE,
+            "{w}/c.arpa:5: log-prob above 0",
             {"c.arpa": "\\data\\\nngram 1=3\n\n\\1-grams:\n400\ta\n-1\t</s>\n-1\t<unk>\n"
                        "\n\\end\\\n"}),
-    *(refusal(f"arpa-{case}", RESCORE, f"{{w}}/c.arpa:{line}: {message}", {"c.arpa": text})
+    *(refusal(f"TestUnusableLm::test_unscorable_model_exits_2_naming_the_line[{case}]",
+              RESCORE, f"{{w}}/c.arpa:{line}: {message}", {"c.arpa": text})
       for case, (text, line, message) in sorted(BAD_ARPA.items())),
-    refusal("members-repeated-member", RESCORE + ROUTED,
+    refusal("TestRepeatedKeys::test_class_member", RESCORE + ROUTED,
             "{w}/c.members:2: duplicate member 'bodu' of '@contactname'",
             {"c.members": _member_twice}),
     # N-best files.
-    refusal("nbest-repeated-id", EVAL, "{w}/d.nbest:2: duplicate utterance id 'contacts-t0000'",
+    refusal("TestRepeatedKeys::test_nbest_id", EVAL,
+            "{w}/d.nbest:2: duplicate utterance id 'contacts-t0000'",
             {"d.nbest": _lines(RECORD, RECORD)}),
-    *(refusal(f"nbest-empty-hyps-{command}", argv,
+    *(refusal(f"TestEmptyNBestRecord::test_exits_2[{command}]", argv,
               '{w}/d.nbest:2: bad n-best record: empty "hyps" list',
               {"d.nbest": _lines(RECORD, dict(RECORD, id="contacts-t0001", hyps=[]))})
       for command, argv in READS_NBEST.items()),
-    *(refusal(f"nbest-id-missing-from-refs-{command}", f"{argv} --refs {{w}}/refs.tsv",
+    *(refusal(f"TestRefsCoverDev::test_missing_id_exits_2[{command}]",
+              f"{argv} --refs {{w}}/refs.tsv",
               "{w}/refs.tsv: no reference for utterance 'general-t0009' of {w}/d.nbest",
               {"d.nbest": _lines(RECORD, dict(RECORD, id="general-t0009"))})
       for command, argv in [("eval", EVAL), ("tune", TUNE)]),
-    *(refusal(f"nbest-{field}-{type(value).__name__}-{command}", READS_NBEST[command],
-              f'{{w}}/d.nbest:1: bad n-best record: "{field}" needs a ',
+    *(refusal(f"TestNBestFieldTypes::test_exits_2[{command}-{field}-{case}]",
+              READS_NBEST[command], f'{{w}}/d.nbest:1: bad n-best record: "{field}" needs a ',
               {"d.nbest": _lines(dict(RECORD, **{field: value}) if field in RECORD else
                                  dict(RECORD, hyps=[dict(HYP, **{field: value})]))})
-      for field, value in [("tokens", [1, 2]), ("tokens", "play_"), ("text", 3), ("id", 7),
-                           ("ref", None)]
+      for field, value, case in [("tokens", [1, 2], "value0"), ("tokens", "play_", "play_"),
+                                 ("text", 3, 3), ("id", 7, 7), ("ref", None, None)]
       for command in ["eval", "rescore"]),
-    *(refusal(f"nbest-{name}-{command}", argv,
+    *(refusal(f"test_refused[nbest-{name}-{command}]", argv,
               f'{{w}}/d.nbest:1: bad n-best record: "{field}" needs a {kind}, got ',
               {"d.nbest": line})
       for name, line, field, kind in [
@@ -410,15 +428,15 @@ REFUSALS = [
       ]
       for command, argv in READS_NBEST.items()),
     # Text that is not UTF-8, whichever reader meets it.
-    *(refusal(f"not-utf8-{reader}", argv, f"{{w}}/{name}: not UTF-8 text",
-              {name: _not_utf8(name)})
+    *(refusal(f"TestInvalidUtf8::test_exits_2_naming_the_file[{reader}]", argv,
+              f"{{w}}/{name}: not UTF-8 text", {name: _not_utf8(name)})
       for reader, (name, argv) in sorted(READERS.items())),
 ]
 
 
-@pytest.mark.usefixtures("built")
-@pytest.mark.parametrize("files, command_line, message", REFUSALS)
-def test_refused(workdir, capsys, files, command_line, message):
+def check_refused(workdir, capsys, files, command_line, message):
+    """Write ``files`` over ``workdir``, run ``command_line`` and check that
+    it exits 2 with ``message``, no traceback and no output file."""
     for name, content in files.items():
         content = content(workdir) if callable(content) else content
         path = workdir / name
@@ -438,6 +456,41 @@ def test_refused(workdir, capsys, files, command_line, message):
     for flag in ("--out", "--json", "--members"):
         if flag in argv:
             assert not Path(argv[argv.index(flag) + 1]).exists()
+
+
+def _refusal_test(cases):
+    """A test running ``check_refused`` on each of ``cases`` (case id ->
+    row), or on its one row where the test names no case."""
+    if list(cases) == [""]:
+        row = cases[""]
+
+        def test(workdir, capsys):
+            check_refused(workdir, capsys, *row)
+    else:
+        @pytest.mark.parametrize("row", list(cases.values()), ids=list(cases))
+        def test(workdir, capsys, row):
+            check_refused(workdir, capsys, *row)
+    return pytest.mark.usefixtures("built")(test)
+
+
+def _install_refusal_tests(rows):
+    """Define the tests the rows name, each in its class where it has one, so
+    that every case keeps one id however the table is ordered."""
+    tests = {}
+    for test, row in rows:
+        name, _, case = test.removesuffix("]").partition("[")
+        tests.setdefault(name, {})[case] = row
+    module = globals()
+    for name, cases in tests.items():
+        cls, _, method = name.rpartition("::")
+        test = _refusal_test(cases)
+        if cls:
+            setattr(module.setdefault(cls, type(cls, (), {})), method, staticmethod(test))
+        else:
+            module[method] = test
+
+
+_install_refusal_tests(REFUSALS)
 
 
 @pytest.mark.usefixtures("built")
