@@ -146,9 +146,7 @@ def _load_domain_lms(args) -> rescore.DomainLms:
 
 
 def _read_refs(path, lists, nbest_path):
-    """The references in ``path`` (None without one), which must cover every list."""
-    if not path:
-        return None
+    """The references in ``path``, which must cover every list of ``nbest_path``."""
     refs = metrics.read_refs(path)
     for nb in lists:
         if nb.utt_id not in refs:
@@ -180,8 +178,10 @@ def _cmd_tune(args) -> int:
     if args.budget < seeds:
         raise InputFormatError(f"--budget must be >= {seeds}, the seed grid, got {args.budget}")
     dev = decode.read_nbest(args.dev)
-    refs = _read_refs(args.refs, dev, args.dev)
-    refs = {nb.utt_id: metrics.ref_for(nb, refs) for nb in dev}
+    if args.refs:
+        refs = _read_refs(args.refs, dev, args.dev)
+    else:
+        refs = {nb.utt_id: nb.ref for nb in dev}
     lms = _load_domain_lms(args)
     result = rescore.tune(
         dev, refs, lms,
@@ -206,7 +206,7 @@ def _cmd_tune(args) -> int:
 
 def _cmd_eval(args) -> int:
     lists = decode.read_nbest(args.nbest)
-    refs = _read_refs(args.refs, lists, args.nbest)
+    refs = _read_refs(args.refs, lists, args.nbest) if args.refs else None
     baseline = decode.read_nbest(args.baseline) if args.baseline else None
     report = metrics.evaluate(lists, refs, baseline=baseline)
     print(metrics.format_report(report))

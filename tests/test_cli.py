@@ -52,6 +52,139 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+HYP = {"text": "call bodu", "tokens": ["call_", "bodu_"], "rnnt_logp": -1.0, "sf_score": 0.0}
+RECORD = {"id": "contacts-t0000", "ref": "call bodu", "lambda": 1.0, "hyps": [HYP]}
+
+
+def _lines(*records):
+    """An n-best file holding ``records``, one JSON line each."""
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
+@pytest.fixture()
+def built(workdir):
+    """A trained contacts model, the class and catalog automata, a bindings
+    manifest and a one-list n-best file in ``workdir``."""
+    assert run("train-lm", "--corpus", workdir / "contactscorpus.txt", "--order", 2,
+               "--out", workdir / "c.arpa", "--members", workdir / "c.members") == 0
+    assert run("build-fst", "--class-corpus", workdir / "class.txt",
+               "--out", workdir / "class.fst") == 0
+    assert run("build-fst", "--catalog", workdir / "catalog.tsv",
+               "--out", workdir / "contacts.fst") == 0
+    (workdir / "bindings.tsv").write_text("@contactname\tcontacts.fst\n")
+    (workdir / "d.nbest").write_text(_lines(RECORD))
+
+
+# Command lines over the files of ``built``; ``{w}`` stands for its directory.
+DECODE = "decode --vocab {w}/vocab.txt --refs {w}/refs.tsv --out {w}/x.nbest"
+CATALOG_DECODE = DECODE + " --catalog {w}/catalog.tsv"
+CONTEXT = DECODE + " --class-fst {w}/class.fst --bindings {w}/bindings.tsv"
+EVAL = "eval --nbest {w}/d.nbest --json {w}/x.json"
+RESCORE = "rescore --nbest {w}/d.nbest --lm-generic {w}/c.arpa --out {w}/x.nbest"
+TUNE = "tune --dev {w}/d.nbest --lm-generic {w}/c.arpa --out {w}/x.json"
+SECOND_PASS = {"rescore": RESCORE, "tune": TUNE}
+READS_NBEST = {"eval": EVAL, **SECOND_PASS}
+ROUTED = " --lm-contacts {w}/c.arpa --lm-members {w}/c.members --catalog {w}/catalog.tsv"
+
+# Reader -> (the file it reads, a command line that reads it).
+READERS = {
+    "catalog": ("catalog.tsv", "build-fst --catalog {w}/catalog.tsv --out {w}/x.fst"),
+    "class-corpus": ("class.txt", "build-fst --class-corpus {w}/class.txt --out {w}/x.fst"),
+    "train-lm": ("lmcorpus.txt", "train-lm --corpus {w}/lmcorpus.txt --out {w}/x.arpa"),
+    "vocab": ("vocab.txt", DECODE),
+    "refs": ("refs.tsv", DECODE),
+    "bindings": ("bindings.tsv", CONTEXT),
+    "nbest": ("d.nbest", EVAL),
+    "arpa": ("c.arpa", RESCORE),
+    # --lm-contacts routes nothing without --catalog, which rescore refuses.
+    "members": ("c.members", RESCORE + ROUTED),
+}
+
+
+def _argv(command_line, w):
+    return [arg.replace("{w}", str(w)) for arg in command_line.split()]
+
+
+def check_refused(workdir, capsys, command_line, message, files=None):
+    """Write ``files`` (name -> text, bytes, or a function of the directory
+    giving either) over ``workdir``, run ``command_line`` and check that it
+    exits 2, printing one error line that starts with ``message`` (is all of
+    ``message`` where that ends in a newline) and no traceback, and writes no
+    output file."""
+    for name, content in (files or {}).items():
+        content = content(workdir) if callable(content) else content
+        path = workdir / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+    argv = _argv(command_line, workdir)
+    try:
+        code, usage = main(argv), False
+    except SystemExit as exc:  # argparse refuses a flag value after its usage lines
+        code, usage = exc.code, True
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert usage or err.count("\n") == 1, err
+    assert err.partition("error: ")[2].startswith(message.replace("{w}", str(workdir))), err
+    for flag in ("--out", "--json", "--members"):
+        if flag in argv:
+            assert not Path(argv[argv.index(flag) + 1]).exists()
+
+
+# The refusal table: every input the command line refuses with exit code 2.
+# Each row is (command line, message, files written over ``built`` first) for
+# ``check_refused``; ``refused`` makes a test of one row and ``refused_each``
+# one test parametrized over rows keyed by case id.  Rows are grouped under
+# named tests so that each case keeps one id from run to run.
+
+
+def refused(command_line, message, files=None):
+    @pytest.mark.usefixtures("built")
+    def test(self, workdir, capsys):
+        check_refused(workdir, capsys, command_line, message, files)
+    return test
+
+
+def refused_each(rows):
+    @pytest.mark.usefixtures("built")
+    @pytest.mark.parametrize("row", list(rows.values()), ids=list(rows))
+    def test(self, workdir, capsys, row):
+        check_refused(workdir, capsys, *row)
+    return test
+
+
+def _catalog_fst(text):
+    return serialize(build_catalog_fst(read_catalog(text.splitlines())))
+
+
+def _class_fst(text):
+    return serialize(build_class_fst(text.splitlines(), 1).fst)
+
+
+def _bar_vocab(w):
+    return "#delimiter |\n" + (w / "vocab.txt").read_text()
+
+
+def _corrupt_flags(w):
+    data = bytearray((w / "contacts.fst").read_bytes())
+    data[18] = 0x80  # the start state's flag byte, after magic and three u32s
+    return bytes(data)
+
+
+def _member_twice(w):
+    first, *rest = (w / "c.members").read_text().splitlines(keepends=True)
+    return "".join([first, first, *rest])
+
+
+def _not_utf8(name):
+    return lambda w: b"\xff" + (w / name).read_bytes()
+
+
+BAR_WORD = "bodu\t1\nbo|du\t-1\n"  # "bo|du" builds, but no "|"-delimited token spells it
+
+
 class TestBuildFst:
     def test_catalog_build(self, workdir, capsys):
         out = workdir / "catalog.fst"
@@ -74,6 +207,12 @@ class TestBuildFst:
         path.write_text("bodu\t1\nbo_du\t-1\n")
         assert run("build-fst", "--catalog", path, "--out", workdir / "c.fst") == 0
         assert load_fst(workdir / "c.fst").arc_words == ["bo_du", "bodu"]
+
+    test_requires_exactly_one_source = refused(
+        "build-fst --out {w}/x.fst", "build-fst needs exactly one of --catalog / --class-corpus")
+    test_malformed_catalog_exits_2 = refused(
+        "build-fst --catalog {w}/catalog.tsv --out {w}/x.fst",
+        "{w}/catalog.tsv:1: bad weight 'notaweight'", {"catalog.tsv": "name\tnotaweight\n"})
 
 
 class TestPipeline:
@@ -154,6 +293,12 @@ class TestPipeline:
         out = workdir / "word.jsonl"
         assert self.decode(workdir, out, 1.0, extra=["--word-level"]) == 0
 
+    test_missing_refs_exits_2 = refused(
+        "decode --vocab {w}/vocab.txt --refs {w}/norefs.tsv --out {w}/x.nbest",
+        "[Errno 2] No such file or directory: '{w}/norefs.tsv'")
+    test_bad_bounds_exit_2 = refused(f"{TUNE} --bounds nope",
+                                     "--bounds must be 'a0,a1,b0,b1', got 'nope'")
+
 
 class TestUnderflowingLm:
     """A model whose summed back-offs take a word's probability below the
@@ -172,328 +317,227 @@ class TestUnderflowingLm:
         assert json.loads((tmp_path / "o.nbest").read_text())["hyps"][0]["text"] == "a a"
 
 
-HYP = {"text": "call bodu", "tokens": ["call_", "bodu_"], "rnnt_logp": -1.0, "sf_score": 0.0}
-RECORD = {"id": "contacts-t0000", "ref": "call bodu", "lambda": 1.0, "hyps": [HYP]}
+class TestBadFlags:
+    """A flag value out of range."""
+
+    test_decode = refused_each({f"{flag}-{value}": (f"{DECODE} {flag} {value}", message)
+                                for flag, value, message in [
+        ("--beam", "0", "argument --beam: must be >= 1, got '0'"),
+        ("--beam", "1.5", "argument --beam: not a valid int: '1.5'"),
+        ("--nbest", "20", "--nbest 20 exceeds --beam 16"),
+        ("--lambda", "-1", "argument --lambda: must be finite and >= 0, got '-1'"),
+        ("--lambda", "nan", "argument --lambda: must be finite and >= 0, got 'nan'"),
+        ("--noise", "2", "argument --noise: must be in [0, 1], got '2'"),
+    ]})
+    test_train_lm = refused("train-lm --corpus {w}/lmcorpus.txt --order 0 --out {w}/x.arpa",
+                            "argument --order: must be >= 1, got '0'")
+    test_build_fst = refused(
+        "build-fst --class-corpus {w}/class.txt --min-count 0 --out {w}/x.fst",
+        "argument --min-count: must be >= 1, got '0'")
+    test_tune = refused_each({f"{flag}-{value}": (f"{TUNE} {flag} {value}", message)
+                              for flag, value, message in [
+        ("--budget", "0", "argument --budget: must be >= 1, got '0'"),
+        ("--budget", "10", "--budget must be >= 26, the seed grid, got 10"),
+        *(("--bounds", bounds, "--bounds must be finite with a0 <= a1 and b0 <= b1, "
+           f"got '{bounds}'") for bounds in ["4,-2,0,4", "nan,1,0,4", "0,1,inf,4"]),
+    ]})
+    test_rescore = refused_each({flag: (f"{RESCORE} {flag} nan",
+                                        f"argument {flag}: must be finite, got 'nan'")
+                                 for flag in ["--alpha", "--beta"]})
 
 
-def _lines(*records):
-    """An n-best file holding ``records``, one JSON line each."""
-    return "".join(json.dumps(record) + "\n" for record in records)
+class TestIgnoredFlags:
+    """A flag that the other flags given would make a no-op."""
+
+    test_second_pass_routing = refused_each({
+        f"{flag}-{name}-{needs}-{command}": (f"{argv} {flag} {{w}}/{name}",
+                                             f"{flag} {{w}}/{name} requires {needs}")
+        for command, argv in SECOND_PASS.items()
+        for flag, name, needs in [("--lm-contacts", "c.arpa", "--catalog"),
+                                  ("--catalog", "catalog.tsv", "--lm-contacts"),
+                                  ("--lm-members", "c.members", "--lm-contacts")]})
+    test_decode_biaser = refused_each({
+        # The message is all that stderr holds.
+        f"{extra}-{message}": (f"{CATALOG_DECODE} {extra}", message + "\n")
+        for extra, message in [
+            ("--bindings {w}/bindings.tsv", "--bindings {w}/bindings.tsv requires --class-fst"),
+            ("--class-fst {w}/class.fst --bindings {w}/bindings.tsv --word-level",
+             "--word-level has no effect with --class-fst {w}/class.fst"),
+        ]})
 
 
-@pytest.fixture()
-def built(workdir):
-    """A trained contacts model, the class and catalog automata, a bindings
-    manifest and a one-list n-best file in ``workdir``."""
-    assert run("train-lm", "--corpus", workdir / "contactscorpus.txt", "--order", 2,
-               "--out", workdir / "c.arpa", "--members", workdir / "c.members") == 0
-    assert run("build-fst", "--class-corpus", workdir / "class.txt",
-               "--out", workdir / "class.fst") == 0
-    assert run("build-fst", "--catalog", workdir / "catalog.tsv",
-               "--out", workdir / "contacts.fst") == 0
-    (workdir / "bindings.tsv").write_text("@contactname\tcontacts.fst\n")
-    (workdir / "d.nbest").write_text(_lines(RECORD))
+class TestScoreRange:
+    """A catalog weight that could overflow decode scores."""
+
+    test_huge_weight_exits_2 = refused_each({
+        f"extra{i}": (f"{CATALOG_DECODE} --noise 0.5 {extra}",
+                      "{w}/catalog.tsv: catalog weight 1e+308", {"catalog.tsv": "bodu\t1e308\n"})
+        for i, extra in enumerate(["", "--lambda 10", "--word-level"])})
 
 
-# Command lines over the files of ``built``; ``{w}`` stands for its directory.
-DECODE = "decode --vocab {w}/vocab.txt --refs {w}/refs.tsv --out {w}/x.nbest"
-CATALOG_DECODE = DECODE + " --catalog {w}/catalog.tsv"
-CONTEXT = DECODE + " --class-fst {w}/class.fst --bindings {w}/bindings.tsv"
-EVAL = "eval --nbest {w}/d.nbest --json {w}/x.json"
-RESCORE = "rescore --nbest {w}/d.nbest --lm-generic {w}/c.arpa --out {w}/x.nbest"
-TUNE = "tune --dev {w}/d.nbest --lm-generic {w}/c.arpa --out {w}/x.json"
-SECOND_PASS = {"rescore": RESCORE, "tune": TUNE}
-READS_NBEST = {"eval": EVAL, **SECOND_PASS}
-ROUTED = " --lm-contacts {w}/c.arpa --lm-members {w}/c.members --catalog {w}/catalog.tsv"
+class TestBoundScoreRange:
+    """A bound automaton weight that could overflow contextual decode scores:
+    the bindings file is named even when the catalog given is as large."""
 
-# Reader -> (the file it reads, a command line that reads it).
-READERS = {
-    "catalog": ("catalog.tsv", "build-fst --catalog {w}/catalog.tsv --out {w}/x.fst"),
-    "class-corpus": ("class.txt", "build-fst --class-corpus {w}/class.txt --out {w}/x.fst"),
-    "train-lm": ("lmcorpus.txt", "train-lm --corpus {w}/lmcorpus.txt --out {w}/x.arpa"),
-    "vocab": ("vocab.txt", DECODE),
-    "refs": ("refs.tsv", DECODE),
-    "bindings": ("bindings.tsv", CONTEXT),
-    "nbest": ("d.nbest", EVAL),
-    "arpa": ("c.arpa", RESCORE),
-    # --lm-contacts routes nothing without --catalog, which rescore refuses.
-    "members": ("c.members", RESCORE + ROUTED),
-}
+    test_huge_bound_weight_exits_2 = refused_each({
+        str(with_catalog): (f"{CONTEXT} --noise 0.5 --lambda 10 {extra}",
+                            "{w}/bindings.tsv: @contactname automaton weight 1e+308",
+                            {"contacts.fst": _catalog_fst("bodu\t1e308\n"), **catalog})
+        for with_catalog, extra, catalog in [
+            (False, "", {}),
+            (True, "--catalog {w}/catalog.tsv", {"catalog.tsv": "bodu\t1e308\n"}),
+        ]})
 
 
-def _argv(command_line, w):
-    return [arg.replace("{w}", str(w)) for arg in command_line.split()]
+class TestRepeatedKeys:
+    """A key that a file may hold once, given twice."""
+
+    test_catalog_phrase = refused("build-fst --catalog {w}/catalog.tsv --out {w}/x.fst",
+                                  "{w}/catalog.tsv:5: duplicate catalog phrase: 'kela'",
+                                  {"catalog.tsv": CATALOG + "Kela\t1.8\n"})
+    test_binding_tag = refused(CONTEXT, "{w}/bindings.tsv:2: duplicate binding for '@contactname'",
+                               {"bindings.tsv": "@contactname\tcontacts.fst\n" * 2})
+    # The tag is stripped, so "@contactname " repeats "@contactname".
+    test_binding_tag_with_a_trailing_space = refused(
+        CONTEXT, "{w}/bindings.tsv:2: duplicate binding for '@contactname'",
+        {"bindings.tsv": "@contactname\tcontacts.fst\n@contactname \tcontacts.fst\n"})
+    test_class_member = refused(RESCORE + ROUTED,
+                                "{w}/c.members:2: duplicate member 'bodu' of '@contactname'",
+                                {"c.members": _member_twice})
+    test_nbest_id = refused(EVAL, "{w}/d.nbest:2: duplicate utterance id 'contacts-t0000'",
+                            {"d.nbest": _lines(RECORD, RECORD)})
 
 
-def _catalog_fst(text):
-    return serialize(build_catalog_fst(read_catalog(text.splitlines())))
+class TestBlamedLine:
+    """Input the reader parses but the program cannot use: the file and line
+    at fault are named."""
 
-
-def _class_fst(text):
-    return serialize(build_class_fst(text.splitlines(), 1).fst)
-
-
-def _bar_vocab(w):
-    return "#delimiter |\n" + (w / "vocab.txt").read_text()
-
-
-def _corrupt_flags(w):
-    data = bytearray((w / "contacts.fst").read_bytes())
-    data[18] = 0x80  # the start state's flag byte, after magic and three u32s
-    return bytes(data)
-
-
-def _member_twice(w):
-    first, *rest = (w / "c.members").read_text().splitlines(keepends=True)
-    return "".join([first, first, *rest])
-
-
-def _not_utf8(name):
-    return lambda w: b"\xff" + (w / name).read_bytes()
-
-
-def refusal(test, command_line, message, files=None):
-    """A row of the test ``test`` names, ``Class::test[case]``, ``test[case]``
-    or a bare test name: ``files`` (name -> text, bytes, or a function of the
-    directory giving either) are written over ``built``, then
-    ``command_line`` must exit 2 with ``message`` on stderr."""
-    return test, (files or {}, command_line, message)
-
-
-BAR_WORD = "bodu\t1\nbo|du\t-1\n"  # "bo|du" builds, but no "|"-delimited token spells it
-
-REFUSALS = [
-    # Flags: out of range, or left unused by the other flags given.
-    *(refusal(f"TestBadFlags::test_decode[{flag}-{value}]", f"{DECODE} {flag} {value}", message)
-      for flag, value, message in [
-          ("--beam", "0", "argument --beam: must be >= 1, got '0'"),
-          ("--beam", "1.5", "argument --beam: not a valid int: '1.5'"),
-          ("--nbest", "20", "--nbest 20 exceeds --beam 16"),
-          ("--lambda", "-1", "argument --lambda: must be finite and >= 0, got '-1'"),
-          ("--lambda", "nan", "argument --lambda: must be finite and >= 0, got 'nan'"),
-          ("--noise", "2", "argument --noise: must be in [0, 1], got '2'"),
-      ]),
-    refusal("TestBadFlags::test_train_lm",
-            "train-lm --corpus {w}/lmcorpus.txt --order 0 --out {w}/x.arpa",
-            "argument --order: must be >= 1, got '0'"),
-    refusal("TestBadFlags::test_build_fst",
-            "build-fst --class-corpus {w}/class.txt --min-count 0 --out {w}/x.fst",
-            "argument --min-count: must be >= 1, got '0'"),
-    refusal("TestBuildFst::test_requires_exactly_one_source", "build-fst --out {w}/x.fst",
-            "build-fst needs exactly one of --catalog / --class-corpus"),
-    *(refusal(f"TestBadFlags::test_tune[{flag}-{value}]", f"{TUNE} {flag} {value}", message)
-      for flag, value, message in [
-          ("--budget", "0", "argument --budget: must be >= 1, got '0'"),
-          ("--budget", "10", "--budget must be >= 26, the seed grid, got 10"),
-          *(("--bounds", bounds, "--bounds must be finite with a0 <= a1 and b0 <= b1, "
-             f"got '{bounds}'") for bounds in ["4,-2,0,4", "nan,1,0,4", "0,1,inf,4"]),
-      ]),
-    refusal("TestPipeline::test_bad_bounds_exit_2", f"{TUNE} --bounds nope",
-            "--bounds must be 'a0,a1,b0,b1', got 'nope'"),
-    *(refusal(f"TestBadFlags::test_rescore[{flag}]", f"{RESCORE} {flag} nan",
-              f"argument {flag}: must be finite, got 'nan'") for flag in ["--alpha", "--beta"]),
-    *(refusal(f"TestIgnoredFlags::test_second_pass_routing[{flag}-{name}-{needs}-{command}]",
-              f"{argv} {flag} {{w}}/{name}", f"{flag} {{w}}/{name} requires {needs}")
-      for command, argv in SECOND_PASS.items()
-      for flag, name, needs in [("--lm-contacts", "c.arpa", "--catalog"),
-                                ("--catalog", "catalog.tsv", "--lm-contacts"),
-                                ("--lm-members", "c.members", "--lm-contacts")]),
-    *(refusal(f"TestIgnoredFlags::test_decode_biaser[{extra}-{message}]",
-              f"{CATALOG_DECODE} {extra}", message)
-      for extra, message in [
-          ("--bindings {w}/bindings.tsv", "--bindings {w}/bindings.tsv requires --class-fst"),
-          ("--class-fst {w}/class.fst --bindings {w}/bindings.tsv --word-level",
-           "--word-level has no effect with --class-fst {w}/class.fst"),
-      ]),
-    # Catalogs and the automata built from them.
-    refusal("TestBuildFst::test_malformed_catalog_exits_2",
-            "build-fst --catalog {w}/catalog.tsv --out {w}/x.fst",
-            "{w}/catalog.tsv:1: bad weight 'notaweight'", {"catalog.tsv": "name\tnotaweight\n"}),
-    refusal("TestRepeatedKeys::test_catalog_phrase",
-            "build-fst --catalog {w}/catalog.tsv --out {w}/x.fst",
-            "{w}/catalog.tsv:5: duplicate catalog phrase: 'kela'",
-            {"catalog.tsv": CATALOG + "Kela\t1.8\n"}),
-    *(refusal("TestBlamedLine::test_catalog_entry_the_builder_refuses"
-              f"[conflicting-weights-{command}]", f"{argv} --catalog {{w}}/catalog.tsv",
-              "{w}/catalog.tsv:3: conflicting weights -1.0 vs -2.0 on shared prefix arc 'ada'",
-              {"catalog.tsv": "ada lovelace\t-1\nbodu\t-1\nada\t-2\n"})
-      for command, argv in [("build-fst", "build-fst --out {w}/x.fst"), ("decode", DECODE)]),
-    refusal("TestBlamedLine::test_catalog_entry_the_builder_refuses[delimiter-in-a-word-decode]",
+    test_catalog_entry_the_builder_refuses = refused_each({
+        **{f"conflicting-weights-{command}": (
+            f"{argv} --catalog {{w}}/catalog.tsv",
+            "{w}/catalog.tsv:3: conflicting weights -1.0 vs -2.0 on shared prefix arc 'ada'",
+            {"catalog.tsv": "ada lovelace\t-1\nbodu\t-1\nada\t-2\n"})
+           for command, argv in [("build-fst", "build-fst --out {w}/x.fst"), ("decode", DECODE)]},
+        "delimiter-in-a-word-decode": (
             CATALOG_DECODE, "{w}/catalog.tsv:3: word 'bo_du' contains the subword delimiter '_'",
             {"catalog.tsv": "# contacts\nbodu\t1\nbo_du\t-1\n"}),
-    refusal("TestBlamedLine::test_catalog_word_holding_the_vocabulary_delimiter", CATALOG_DECODE,
-            "{w}/catalog.tsv:2: word 'bo|du' contains the subword delimiter '|'",
-            {"vocab.txt": _bar_vocab, "catalog.tsv": BAR_WORD}),
-    *(refusal(f"TestScoreRange::test_huge_weight_exits_2[extra{i}]",
-              f"{CATALOG_DECODE} --noise 0.5 {extra}",
-              "{w}/catalog.tsv: catalog weight 1e+308", {"catalog.tsv": "bodu\t1e308\n"})
-      for i, extra in enumerate(["", "--lambda 10", "--word-level"])),
-    # Vocabularies, references and bindings manifests.
-    refusal("test_refused[vocab-piece-holding-the-delimiter]", DECODE,
-            "{w}/vocab.txt:3: piece 'a_b' holds the delimiter '_'", {"vocab.txt": "a\nb\na_b\n"}),
-    refusal("test_refused[vocab-second-delimiter-directive]", DECODE,
-            "{w}/vocab.txt:3: a second #delimiter directive",
-            {"vocab.txt": "#delimiter |\na\n#delimiter _\n"}),
-    refusal("TestPipeline::test_missing_refs_exits_2",
-            "decode --vocab {w}/vocab.txt --refs {w}/norefs.tsv --out {w}/x.nbest",
-            "No such file or directory: '{w}/norefs.tsv'"),
-    *(refusal(f"TestRepeatedKeys::test_binding_tag{kind}", CONTEXT,
-              "{w}/bindings.tsv:2: duplicate ",
-              {"bindings.tsv": f"@contactname\tcontacts.fst\n@contactname{space}\tcontacts.fst\n"})
-      # The tag is stripped, so "@contactname " repeats "@contactname".
-      for kind, space in [("", ""), ("_with_a_trailing_space", " ")]),
-    refusal("TestBlamedLine::test_binding_for_a_tag_the_class_automaton_lacks", CONTEXT,
-            "{w}/bindings.tsv:3: the class automaton has no tag '@contactnme'",
-            {"bindings.tsv": "@contactname\tcontacts.fst\n# a typo\n@contactnme\tcontacts.fst\n"}),
-    refusal("TestBlamedLine::test_bound_path_that_cannot_be_opened[nul-byte]", CONTEXT,
-            "{w}/bindings.tsv:1: cannot open 'cat\\x00alog.fst': embedded null byte",
-            {"bindings.tsv": "@contactname\tcat\x00alog.fst\n"}),
-    refusal("TestBlamedLine::test_bound_path_that_cannot_be_opened[missing-file]", CONTEXT,
-            "{w}/bindings.tsv:1: cannot open 'absent.fst': [Errno 2] No such file or directory",
-            {"bindings.tsv": "@contactname\tabsent.fst\n"}),
-    *(refusal(f"TestBoundScoreRange::test_huge_bound_weight_exits_2[{with_catalog}]",
-              f"{CONTEXT} --noise 0.5 --lambda 10 {extra}",
-              "{w}/bindings.tsv: @contactname automaton weight 1e+308",
-              {"contacts.fst": _catalog_fst("bodu\t1e308\n")})
-      for with_catalog, extra in [(False, ""), (True, "--catalog {w}/catalog.tsv")]),
-    refusal("TestBlamedLine::test_automaton_word_holding_the_vocabulary_delimiter"
-            "[bound-automaton]", CONTEXT,
-            "{w}/bindings.tsv: @contactname automaton: word 'bo|du' contains the subword "
-            "delimiter '|'", {"vocab.txt": _bar_vocab, "contacts.fst": _catalog_fst(BAR_WORD)}),
-    refusal("TestBlamedLine::test_automaton_word_holding_the_vocabulary_delimiter"
-            "[class-automaton]", CONTEXT,
-            "{w}/class.fst: word 'call|me' contains the subword delimiter '|'",
-            {"vocab.txt": _bar_vocab, "class.fst": _class_fst("call|me @contactname(bodu)\n")}),
-    # Automaton files: the class.fst of ``built`` is 134 bytes.
-    refusal("TestCorruptAutomata::test_truncated_class_fst", CONTEXT,
-            "{w}/class.fst: truncated automaton: ends at offset 131, needed 134 bytes",
-            {"class.fst": lambda w: (w / "class.fst").read_bytes()[:-3]}),
-    refusal("TestCorruptAutomata::test_blfst1_class_fst_asks_for_a_rebuild", CONTEXT,
-            "{w}/class.fst: BLFST1 automata are no longer read; rebuild with "
-            "`biaslattice build-fst`",
-            {"class.fst": lambda w: reference_serialize(load_fst(w / "class.fst"))}),
-    refusal("TestCorruptAutomata::test_bound_automaton_with_corrupt_flags", CONTEXT,
-            "{w}/contacts.fst: unknown state flags 0x80 at offset 18",
-            {"contacts.fst": _corrupt_flags}),
-    # Training text and language models.
-    refusal("test_train_lm_refuses_sentence_markers",
-            "train-lm --corpus {w}/marked.txt --out {w}/x.arpa",
-            "{w}/marked.txt:2: reserved sentence marker in training text: <s>",
-            {"marked.txt": "play some music\nplay <S> some music\n"}),
-    *(refusal(f"TestUnusableLm::test_missing_unigram_exits_2[{command}-grams{i}-{missing}]",
-              SECOND_PASS[command], f"{{w}}/c.arpa: no unigram log-prob for {missing}",
-              {"c.arpa": "\\data\\\nngram 1=%d\n\n\\1-grams:\n%s\n\\end\\\n"
-                         % (len(grams), "".join(g + "\n" for g in grams))})
-      for i, (command, grams, missing) in enumerate([("rescore", ["-1\ta"], "</s> <unk>"),
-                                                     ("tune", ["-1\ta", "-1\t</s>"], "<unk>")])),
-    refusal("TestUnusableLm::test_logprob_above_zero_exits_2_naming_the_line", RESCORE,
-            "{w}/c.arpa:5: log-prob above 0",
-            {"c.arpa": "\\data\\\nngram 1=3\n\n\\1-grams:\n400\ta\n-1\t</s>\n-1\t<unk>\n"
-                       "\n\\end\\\n"}),
-    *(refusal(f"TestUnusableLm::test_unscorable_model_exits_2_naming_the_line[{case}]",
-              RESCORE, f"{{w}}/c.arpa:{line}: {message}", {"c.arpa": text})
-      for case, (text, line, message) in sorted(BAD_ARPA.items())),
-    refusal("TestRepeatedKeys::test_class_member", RESCORE + ROUTED,
-            "{w}/c.members:2: duplicate member 'bodu' of '@contactname'",
-            {"c.members": _member_twice}),
-    # N-best files.
-    refusal("TestRepeatedKeys::test_nbest_id", EVAL,
-            "{w}/d.nbest:2: duplicate utterance id 'contacts-t0000'",
-            {"d.nbest": _lines(RECORD, RECORD)}),
-    *(refusal(f"TestEmptyNBestRecord::test_exits_2[{command}]", argv,
-              '{w}/d.nbest:2: bad n-best record: empty "hyps" list',
-              {"d.nbest": _lines(RECORD, dict(RECORD, id="contacts-t0001", hyps=[]))})
-      for command, argv in READS_NBEST.items()),
-    *(refusal(f"TestRefsCoverDev::test_missing_id_exits_2[{command}]",
-              f"{argv} --refs {{w}}/refs.tsv",
-              "{w}/refs.tsv: no reference for utterance 'general-t0009' of {w}/d.nbest",
-              {"d.nbest": _lines(RECORD, dict(RECORD, id="general-t0009"))})
-      for command, argv in [("eval", EVAL), ("tune", TUNE)]),
-    *(refusal(f"TestNBestFieldTypes::test_exits_2[{command}-{field}-{case}]",
-              READS_NBEST[command], f'{{w}}/d.nbest:1: bad n-best record: "{field}" needs a ',
-              {"d.nbest": _lines(dict(RECORD, **{field: value}) if field in RECORD else
-                                 dict(RECORD, hyps=[dict(HYP, **{field: value})]))})
-      for field, value, case in [("tokens", [1, 2], "value0"), ("tokens", "play_", "play_"),
-                                 ("text", 3, 3), ("id", 7, 7), ("ref", None, None)]
-      for command in ["eval", "rescore"]),
-    *(refusal(f"test_refused[nbest-{name}-{command}]", argv,
-              f'{{w}}/d.nbest:1: bad n-best record: "{field}" needs a {kind}, got ',
-              {"d.nbest": line})
-      for name, line, field, kind in [
-          ("record-list", "[1]\n", "record", "dict"),
-          ("record-string", '"x"\n', "record", "dict"),
-          ("record-null", "null\n", "record", "dict"),
-          ("hyps-string", _lines(dict(RECORD, hyps="call bodu")), "hyps", "list"),
-          ("hypothesis-number", _lines(dict(RECORD, hyps=[1])), "hypothesis", "dict"),
-      ]
-      for command, argv in READS_NBEST.items()),
-    # Text that is not UTF-8, whichever reader meets it.
-    *(refusal(f"TestInvalidUtf8::test_exits_2_naming_the_file[{reader}]", argv,
-              f"{{w}}/{name}: not UTF-8 text", {name: _not_utf8(name)})
-      for reader, (name, argv) in sorted(READERS.items())),
-]
+    })
+    test_catalog_word_holding_the_vocabulary_delimiter = refused(
+        CATALOG_DECODE, "{w}/catalog.tsv:2: word 'bo|du' contains the subword delimiter '|'",
+        {"vocab.txt": _bar_vocab, "catalog.tsv": BAR_WORD})
+    test_vocabulary_line = refused_each({
+        "piece-holding-the-delimiter": (DECODE, "{w}/vocab.txt:3: piece 'a_b' holds the "
+                                        "delimiter '_'", {"vocab.txt": "a\nb\na_b\n"}),
+        "second-delimiter-directive": (DECODE, "{w}/vocab.txt:3: a second #delimiter directive",
+                                       {"vocab.txt": "#delimiter |\na\n#delimiter _\n"}),
+    })
+    test_binding_for_a_tag_the_class_automaton_lacks = refused(
+        CONTEXT, "{w}/bindings.tsv:3: the class automaton has no tag '@contactnme'",
+        {"bindings.tsv": "@contactname\tcontacts.fst\n# a typo\n@contactnme\tcontacts.fst\n"})
+    test_bound_path_that_cannot_be_opened = refused_each({
+        "nul-byte": (CONTEXT, "{w}/bindings.tsv:1: cannot open 'cat\\x00alog.fst': "
+                     "embedded null byte", {"bindings.tsv": "@contactname\tcat\x00alog.fst\n"}),
+        "missing-file": (CONTEXT, "{w}/bindings.tsv:1: cannot open 'absent.fst': [Errno 2] "
+                         "No such file or directory", {"bindings.tsv": "@contactname\tabsent.fst\n"}),
+    })
+    test_automaton_word_holding_the_vocabulary_delimiter = refused_each({
+        "bound-automaton": (CONTEXT, "{w}/bindings.tsv: @contactname automaton: word 'bo|du' "
+                            "contains the subword delimiter '|'",
+                            {"vocab.txt": _bar_vocab, "contacts.fst": _catalog_fst(BAR_WORD)}),
+        "class-automaton": (CONTEXT, "{w}/class.fst: word 'call|me' contains the subword "
+                            "delimiter '|'", {"vocab.txt": _bar_vocab,
+                                              "class.fst": _class_fst("call|me @contactname(bodu)\n")}),
+    })
 
 
-def check_refused(workdir, capsys, files, command_line, message):
-    """Write ``files`` over ``workdir``, run ``command_line`` and check that
-    it exits 2 with ``message``, no traceback and no output file."""
-    for name, content in files.items():
-        content = content(workdir) if callable(content) else content
-        path = workdir / name
-        if isinstance(content, bytes):
-            path.write_bytes(content)
-        else:
-            path.write_text(content)
-    argv = _argv(command_line, workdir)
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse refuses a flag value
-        code = exc.code
-    err = capsys.readouterr().err
-    assert code == 2, err
-    assert message.replace("{w}", str(workdir)) in err
-    assert "Traceback" not in err
-    for flag in ("--out", "--json", "--members"):
-        if flag in argv:
-            assert not Path(argv[argv.index(flag) + 1]).exists()
+class TestCorruptAutomata:
+    """An automaton file that does not load; the class.fst of ``built`` is 134 bytes."""
 
-
-def _refusal_test(cases):
-    """A test running ``check_refused`` on each of ``cases`` (case id ->
-    row), or on its one row where the test names no case."""
-    if list(cases) == [""]:
-        row = cases[""]
-
-        def test(workdir, capsys):
-            check_refused(workdir, capsys, *row)
-    else:
-        @pytest.mark.parametrize("row", list(cases.values()), ids=list(cases))
-        def test(workdir, capsys, row):
-            check_refused(workdir, capsys, *row)
-    return pytest.mark.usefixtures("built")(test)
-
-
-def _install_refusal_tests(rows):
-    """Define the tests the rows name, each in its class where it has one, so
-    that every case keeps one id however the table is ordered."""
-    tests = {}
-    for test, row in rows:
-        name, _, case = test.removesuffix("]").partition("[")
-        tests.setdefault(name, {})[case] = row
-    module = globals()
-    for name, cases in tests.items():
-        cls, _, method = name.rpartition("::")
-        test = _refusal_test(cases)
-        if cls:
-            setattr(module.setdefault(cls, type(cls, (), {})), method, staticmethod(test))
-        else:
-            module[method] = test
-
-
-_install_refusal_tests(REFUSALS)
+    test_truncated_class_fst = refused(
+        CONTEXT, "{w}/class.fst: truncated automaton: ends at offset 131, needed 134 bytes",
+        {"class.fst": lambda w: (w / "class.fst").read_bytes()[:-3]})
+    test_blfst1_class_fst_asks_for_a_rebuild = refused(
+        CONTEXT, "{w}/class.fst: BLFST1 automata are no longer read; rebuild with "
+        "`biaslattice build-fst`",
+        {"class.fst": lambda w: reference_serialize(load_fst(w / "class.fst"))})
+    test_bound_automaton_with_corrupt_flags = refused(
+        CONTEXT, "{w}/contacts.fst: unknown state flags 0x80 at offset 18",
+        {"contacts.fst": _corrupt_flags})
 
 
 @pytest.mark.usefixtures("built")
-def test_readers_accept_the_intact_files(workdir):
-    for _, command_line in READERS.values():
-        assert run(*_argv(command_line, workdir)) == 0
+def test_train_lm_refuses_sentence_markers(workdir, capsys):
+    check_refused(workdir, capsys, "train-lm --corpus {w}/marked.txt --out {w}/x.arpa",
+                  "{w}/marked.txt:2: reserved sentence marker in training text: <s>",
+                  {"marked.txt": "play some music\nplay <S> some music\n"})
+
+
+class TestUnusableLm:
+    """A back-off model the scorer cannot use, refused at load."""
+
+    test_missing_unigram_exits_2 = refused_each({
+        f"{command}-grams{i}-{missing}": (
+            SECOND_PASS[command], f"{{w}}/c.arpa: no unigram log-prob for {missing}",
+            {"c.arpa": "\\data\\\nngram 1=%d\n\n\\1-grams:\n%s\n\\end\\\n"
+                       % (len(grams), "".join(g + "\n" for g in grams))})
+        for i, (command, grams, missing) in enumerate([("rescore", ["-1\ta"], "</s> <unk>"),
+                                                       ("tune", ["-1\ta", "-1\t</s>"], "<unk>")])})
+    test_logprob_above_zero_exits_2_naming_the_line = refused(
+        RESCORE, "{w}/c.arpa:5: log-prob above 0",
+        {"c.arpa": "\\data\\\nngram 1=3\n\n\\1-grams:\n400\ta\n-1\t</s>\n-1\t<unk>\n\n\\end\\\n"})
+    test_unscorable_model_exits_2_naming_the_line = refused_each({
+        case: (RESCORE, f"{{w}}/c.arpa:{line}: {message}", {"c.arpa": text})
+        for case, (text, line, message) in sorted(BAD_ARPA.items())})
+
+
+class TestEmptyNBestRecord:
+    test_exits_2 = refused_each({
+        command: (argv, '{w}/d.nbest:2: bad n-best record: empty "hyps" list',
+                  {"d.nbest": _lines(RECORD, dict(RECORD, id="contacts-t0001", hyps=[]))})
+        for command, argv in READS_NBEST.items()})
+
+
+class TestNBestFieldTypes:
+    """An n-best record, field, ``hyps`` value or hypothesis of the wrong JSON type."""
+
+    test_exits_2 = refused_each({
+        **{f"{command}-{field}-{case}": (
+            READS_NBEST[command], f'{{w}}/d.nbest:1: bad n-best record: "{field}" needs a ',
+            {"d.nbest": _lines(dict(RECORD, **{field: value}) if field in RECORD else
+                               dict(RECORD, hyps=[dict(HYP, **{field: value})]))})
+           for field, value, case in [("tokens", [1, 2], "value0"), ("tokens", "play_", "play_"),
+                                      ("text", 3, 3), ("id", 7, 7), ("ref", None, None)]
+           for command in ["eval", "rescore"]},
+        **{f"{command}-{name}": (
+            argv, f'{{w}}/d.nbest:1: bad n-best record: "{field}" needs a {kind}, got ',
+            {"d.nbest": line})
+           for name, line, field, kind in [
+               ("record-list", "[1]\n", "record", "dict"),
+               ("record-string", '"x"\n', "record", "dict"),
+               ("record-null", "null\n", "record", "dict"),
+               ("hyps-string", _lines(dict(RECORD, hyps="call bodu")), "hyps", "list"),
+               ("hypothesis-number", _lines(dict(RECORD, hyps=[1])), "hypothesis", "dict"),
+           ]
+           for command, argv in READS_NBEST.items()},
+    })
+
+
+class TestRefsCoverDev:
+    test_missing_id_exits_2 = refused_each({
+        command: (f"{argv} --refs {{w}}/refs.tsv",
+                  "{w}/refs.tsv: no reference for utterance 'general-t0009' of {w}/d.nbest",
+                  {"d.nbest": _lines(RECORD, dict(RECORD, id="general-t0009"))})
+        for command, argv in [("eval", EVAL), ("tune", TUNE)]})
+
+
+class TestInvalidUtf8:
+    """Text that is not UTF-8, whichever reader meets it."""
+
+    test_exits_2_naming_the_file = refused_each({
+        reader: (argv, f"{{w}}/{name}: not UTF-8 text", {name: _not_utf8(name)})
+        for reader, (name, argv) in sorted(READERS.items())})
+
+    @pytest.mark.usefixtures("built")
+    def test_intact_files_exit_0(self, workdir):
+        for _, command_line in READERS.values():
+            assert run(*_argv(command_line, workdir)) == 0
