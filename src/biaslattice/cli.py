@@ -155,6 +155,20 @@ def _read_refs(path, lists, nbest_path):
     return refs
 
 
+def _read_baseline(path, lists, nbest_path):
+    """The n-best run in ``path``, which must hold the utterance ids of ``nbest_path``
+    and no others."""
+    baseline = decode.read_nbest(path)
+    ids, base_ids = {nb.utt_id for nb in lists}, {nb.utt_id for nb in baseline}
+    for nb in lists:
+        if nb.utt_id not in base_ids:
+            raise InputFormatError(f"{path}: no utterance {nb.utt_id!r} of {nbest_path}")
+    for nb in baseline:
+        if nb.utt_id not in ids:
+            raise InputFormatError(f"{path}: utterance {nb.utt_id!r} is not in {nbest_path}")
+    return baseline
+
+
 def _cmd_rescore(args) -> int:
     lists = decode.read_nbest(args.nbest)
     lms = _load_domain_lms(args)
@@ -207,7 +221,7 @@ def _cmd_tune(args) -> int:
 def _cmd_eval(args) -> int:
     lists = decode.read_nbest(args.nbest)
     refs = _read_refs(args.refs, lists, args.nbest) if args.refs else None
-    baseline = decode.read_nbest(args.baseline) if args.baseline else None
+    baseline = _read_baseline(args.baseline, lists, args.nbest) if args.baseline else None
     report = metrics.evaluate(lists, refs, baseline=baseline)
     print(metrics.format_report(report))
     if args.json:

@@ -472,6 +472,24 @@ def _typed(value, kind: type, field: str):
     return value
 
 
+def _number(value, field: str) -> float:
+    """A JSON number, int or float but not bool, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f'"{field}" needs a number, got {value!r}')
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f'"{field}" is out of range') from None
+
+
+def _hypothesis(h: dict, lam: float) -> Hypothesis:
+    tokens = tuple(_typed(t, str, "tokens") for t in _typed(h["tokens"], list, "tokens"))
+    text = _typed(h["text"], str, "text")
+    rnnt_logp, sf_score = _number(h["rnnt_logp"], "rnnt_logp"), _number(h["sf_score"], "sf_score")
+    return Hypothesis(tokens=tokens, text=text, rnnt_logp=rnnt_logp, sf_score=sf_score,
+                      fused=fuse_step(rnnt_logp, sf_score, lam))
+
+
 def read_nbest(path) -> list[NBestList]:
     """The n-best lists of a JSON-lines file; an utterance id given twice is refused."""
     out: dict[str, NBestList] = {}
@@ -482,20 +500,9 @@ def read_nbest(path) -> list[NBestList]:
                 continue
             try:
                 obj = _typed(json.loads(line), dict, "record")
-                lam = float(obj.get("lambda", 1.0))
+                lam = _number(obj.get("lambda", 1.0), "lambda")
                 raw = [_typed(h, dict, "hypothesis") for h in _typed(obj["hyps"], list, "hyps")]
-                hyps = [
-                    Hypothesis(
-                        tokens=tuple(
-                            _typed(t, str, "tokens") for t in _typed(h["tokens"], list, "tokens")
-                        ),
-                        text=_typed(h["text"], str, "text"),
-                        rnnt_logp=float(h["rnnt_logp"]),
-                        sf_score=float(h["sf_score"]),
-                        fused=fuse_step(float(h["rnnt_logp"]), float(h["sf_score"]), lam),
-                    )
-                    for h in raw
-                ]
+                hyps = [_hypothesis(h, lam) for h in raw]
                 if not hyps:
                     raise ValueError('empty "hyps" list')
                 utt_id, ref = _typed(obj["id"], str, "id"), _typed(obj["ref"], str, "ref")

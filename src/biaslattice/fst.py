@@ -27,7 +27,8 @@ objects and no sort of the arcs by state.  The ``BLFST2`` file holds the
 same columns: writing it joins their bytes, and reading it copies them back
 into arrays and splits one block of words.  One routine checks every
 automaton, however its columns were made; a level-order one it proves sound
-with C-level loops over them.
+with C-level loops over them and one set test, that adjacent words fall out
+of order only where a state's arcs begin.
 
 Automata are immutable after construction and safe to share across threads;
 all mutation happens inside the builder and the reader.  The columns are a
@@ -44,11 +45,10 @@ import math
 import struct
 import sys
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import and_, ge, gt, itemgetter, not_, or_, sub
+from operator import and_, attrgetter, ge, gt, itemgetter, not_, or_, sub
 from typing import Iterable, NoReturn
 
 from .errors import InputFormatError, open_text, records
@@ -201,9 +201,8 @@ def build_catalog_fst(entries: Iterable[CatalogEntry]) -> WordFst:
     entries = list(entries)
     if not entries:
         raise CatalogError("catalog is empty")
-    phrases, weights = [e.phrase for e in entries], [e.weight for e in entries]
-    order = array("I", sorted(range(len(entries)), key=phrases.__getitem__))
-    phrases, weights = list(map(phrases.__getitem__, order)), list(map(weights.__getitem__, order))
+    ordered = sorted(entries, key=attrgetter("phrase"))
+    phrases, weights = [e.phrase for e in ordered], [e.weight for e in ordered]
     # Sorted phrase j shares its first shared[j] words, and their states, with phrase j - 1.
     shared, signs = [0] * len(phrases), []
     for j, prev, phrase in zip(count(1), phrases, islice(phrases, 1, None)):
@@ -237,10 +236,15 @@ def build_catalog_fst(entries: Iterable[CatalogEntry]) -> WordFst:
         ids, shares, lens, phrases = (
             list(compress(column, longer)) for column in (ids, shares, lens, phrases))
     offsets.append(firsts[-1] - 1)
-    for j in signs:  # owners[i] <= j < owners[i + 1] at each depth-d state that j shares
-        for d in range(1, shared[j] + 1):
-            i = bisect.bisect_right(owners, j, firsts[d] - 1, firsts[d + 1] - 1) - 1
-            owners[i] = min(owners[i], j, key=order.__getitem__)
+    # Input order matters only where 0.0 and -0.0 share a state; the phrases
+    # through a state are adjacent, so some j in signs then differs from j - 1.
+    if len({math.copysign(1.0, weights[i]) for j in signs for i in (j - 1, j)}) > 1:
+        position = dict(zip(map(id, entries), count()))
+        order = list(map(position.__getitem__, map(id, ordered)))  # input position of phrase j
+        for j in signs:  # owners[i] <= j < owners[i + 1] at each depth-d state that j shares
+            for d in range(1, shared[j] + 1):
+                i = bisect.bisect_right(owners, j, firsts[d] - 1, firsts[d + 1] - 1) - 1
+                owners[i] = min(owners[i], j, key=order.__getitem__)
     return WordFst(
         start=0, final=bytes(final), offsets=offsets, arc_words=words,
         weights=array("d", map(weights.__getitem__, owners)),
@@ -286,24 +290,20 @@ def _count_reachable(start: int, offsets: array, targets: array) -> int:
     return len(seen)
 
 
-def _marks(positions: Iterable[int], size: int) -> bytearray:
-    """``size`` bytes, 1 at each of ``positions`` (all in range), else 0."""
-    marks = bytearray(size)
-    deque(map(marks.__setitem__, positions, repeat(1)), maxlen=0)
-    return marks
-
-
 def _check_columns(fst: WordFst) -> str | None:
     """The first structural problem of ``fst``, or None if it has none.
 
     The normal path proves soundness with C-level loops over whole columns,
     for automata numbered level by level, as the builder numbers them: arc
     t - 1 enters state t and ``offsets[s] >= s``, so each arc leads past its
-    source, and every state is reachable from the start 0 by induction.  Any
-    failure or other numbering, such as the preorder of earlier versions'
-    files, falls to :func:`_first_problem`.
+    source, and every state is reachable from the start 0 by induction.
+    Words are in order within each state if every position where a word is
+    not greater than the one before it starts a state: one set test of those
+    positions against the offsets, boxed once.  Any failure or other
+    numbering, such as the preorder of earlier versions' files, falls to
+    :func:`_first_problem`.
     """
-    n, offsets, words, final = fst.num_states, fst.offsets, fst.arc_words, fst.final
+    n, offsets, words, final = fst.num_states, fst.offsets.tolist(), fst.arc_words, fst.final
     sizes = list(map(sub, islice(offsets, 1, None), offsets))
     # Adjacent words may fall only where a state's arcs begin.
     falls = compress(range(1, len(words)), map(ge, words, islice(words, 1, None)))
@@ -312,7 +312,7 @@ def _check_columns(fst: WordFst) -> str | None:
         and fst.targets == array("I", range(1, n))
         and offsets[0] == 0 and offsets[n] == n - 1 and min(sizes) >= 0
         and all(map(ge, offsets, range(n))) and all(map(math.isfinite, fst.weights))
-        and all(words) and all(map(_marks(offsets, n).__getitem__, falls))
+        and all(words) and not set(falls).difference(offsets)
         # Every state but the start has arcs or is final.
         and len(final) == n and all(map(or_, islice(final, 1, None), islice(sizes, 1, None)))
     ):

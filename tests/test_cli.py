@@ -5,6 +5,7 @@ import pytest
 
 from biaslattice.cli import main
 from biaslattice.context import build_class_fst
+from biaslattice.decode import read_nbest
 from biaslattice.fst import build_catalog_fst, load_fst, read_catalog, serialize
 from biaslattice.metrics import write_refs
 from biaslattice.wordpiece import save_vocab
@@ -519,7 +520,26 @@ class TestNBestFieldTypes:
                ("hypothesis-number", _lines(dict(RECORD, hyps=[1])), "hypothesis", "dict"),
            ]
            for command, argv in READS_NBEST.items()},
+        **{f"{command}-{field}-{case}": (
+            argv, f"{{w}}/d.nbest:1: bad n-best record: {message}\n",
+            {"d.nbest": _lines(dict(RECORD, **{field: value}) if field in RECORD else
+                               dict(RECORD, hyps=[dict(HYP, **{field: value})]))})
+           for field, value, case, message in [
+               ("lambda", True, "true", '"lambda" needs a number, got True'),
+               ("rnnt_logp", "-1.5", "string", "\"rnnt_logp\" needs a number, got '-1.5'"),
+               ("sf_score", False, "false", '"sf_score" needs a number, got False'),
+               ("rnnt_logp", -10 ** 400, "huge", '"rnnt_logp" is out of range'),
+           ]
+           for command, argv in READS_NBEST.items()},
     })
+
+    @pytest.mark.usefixtures("built")
+    def test_json_integers_are_numbers(self, workdir):
+        (workdir / "d.nbest").write_text(
+            _lines(dict(RECORD, hyps=[dict(HYP, rnnt_logp=-1, sf_score=0)], **{"lambda": 2})))
+        assert run(*_argv(EVAL, workdir)) == 0
+        nb, = read_nbest(workdir / "d.nbest")
+        assert (nb.lam, nb.hyps[0].rnnt_logp, nb.hyps[0].sf_score) == (2.0, -1.0, 0.0)
 
 
 class TestRefsCoverDev:
@@ -528,6 +548,24 @@ class TestRefsCoverDev:
                   "{w}/refs.tsv: no reference for utterance 'general-t0009' of {w}/d.nbest",
                   {"d.nbest": _lines(RECORD, dict(RECORD, id="general-t0009"))})
         for command, argv in [("eval", EVAL), ("tune", TUNE)]})
+
+
+class TestBaselineIds:
+    """``eval --baseline`` names the baseline file and the first utterance id
+    that only one of the two runs holds."""
+
+    test_differing_id_exits_2 = refused_each({
+        "missing-from-baseline": (
+            f"{EVAL} --baseline {{w}}/b.nbest",
+            "{w}/b.nbest: no utterance 'general-t0009' of {w}/d.nbest\n",
+            {"d.nbest": _lines(RECORD, dict(RECORD, id="general-t0009")),
+             "b.nbest": _lines(RECORD)}),
+        "missing-from-run": (
+            f"{EVAL} --baseline {{w}}/b.nbest",
+            "{w}/b.nbest: utterance 'general-t0009' is not in {w}/d.nbest\n",
+            {"d.nbest": _lines(RECORD),
+             "b.nbest": _lines(dict(RECORD, id="general-t0009"), RECORD)}),
+    })
 
 
 class TestInvalidUtf8:

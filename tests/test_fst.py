@@ -397,7 +397,8 @@ class TestCheckParity:
         flat = [arc for state_arcs in arcs for arc in state_arcs]
         for _ in range(data.draw(st.integers(0, 2))):
             kind = data.draw(st.sampled_from(
-                ["word", "weight", "target", "drop arc", "unfinal", "start", "stray final"]))
+                ["word", "weight", "target", "drop arc", "swap words", "unfinal", "start",
+                 "stray final"]))
             if kind == "word" and flat:
                 rnd.choice(flat)[0] = data.draw(st.sampled_from(["", "a", "zz", "é"]))
             elif kind == "weight" and flat:
@@ -407,6 +408,11 @@ class TestCheckParity:
             elif kind == "drop arc" and any(arcs):
                 state_arcs = rnd.choice([a for a in arcs if a])
                 state_arcs.remove(rnd.choice(state_arcs))
+            elif kind == "swap words" and any(len(a) > 1 for a in arcs):
+                # Targets stay put, so a level-order automaton keeps its
+                # numbering and only its words fall inside a state.
+                a, b = rnd.sample(rnd.choice([a for a in arcs if len(a) > 1]), 2)
+                a[0], b[0] = b[0], a[0]
             elif kind == "unfinal":
                 finals.discard(rnd.choice(range(n)))
             elif kind == "start":
