@@ -473,13 +473,16 @@ def _typed(value, kind: type, field: str):
 
 
 def _number(value, field: str) -> float:
-    """A JSON number, int or float but not bool, as a float."""
+    """A JSON number, int or float but not bool, as a finite float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f'"{field}" needs a number, got {value!r}')
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:  # an integer past the float range
         raise ValueError(f'"{field}" is out of range') from None
+    if not math.isfinite(number):  # NaN or Infinity, which json.loads accepts
+        raise ValueError(f'"{field}" is not finite')
+    return number
 
 
 def _hypothesis(h: dict, lam: float) -> Hypothesis:
@@ -501,6 +504,8 @@ def read_nbest(path) -> list[NBestList]:
             try:
                 obj = _typed(json.loads(line), dict, "record")
                 lam = _number(obj.get("lambda", 1.0), "lambda")
+                if lam < 0:
+                    raise ValueError('"lambda" is negative')
                 raw = [_typed(h, dict, "hypothesis") for h in _typed(obj["hyps"], list, "hyps")]
                 hyps = [_hypothesis(h, lam) for h in raw]
                 if not hyps:

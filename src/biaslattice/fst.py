@@ -23,12 +23,13 @@ trie level by level, as LOUDS does (Jacobson 1989; Delpratt, Rahman and
 Raman 2006): the start, then every state one word deep, then two, each level
 in sorted order.  The arc into state t is then arc t - 1, so the columns of
 each level come from C-level passes over the sorted phrases, with no node
-objects and no sort of the arcs by state.  The ``BLFST2`` file holds the
-same columns: writing it joins their bytes, and reading it copies them back
-into arrays and splits one block of words.  One routine checks every
-automaton, however its columns were made; a level-order one it proves sound
-with C-level loops over them and one set test, that adjacent words fall out
-of order only where a state's arcs begin.
+objects and no sort of the arcs by state.  A built automaton depends on its
+phrases and weights alone, and ``CatalogEntry`` stores -0.0 as 0.0.  The
+``BLFST2`` file holds the same columns: writing it joins their bytes, and
+reading it copies them back into arrays and splits one block of words.  One
+routine checks every automaton, however its columns were made; a level-order
+one it proves sound with C-level loops over them and one set test, that
+adjacent words fall out of order only where a state's arcs begin.
 
 Automata are immutable after construction and safe to share across threads;
 all mutation happens inside the builder and the reader.  The columns are a
@@ -89,6 +90,8 @@ class CatalogEntry:
             raise self.error(f"malformed catalog phrase: {self.phrase!r}")
         if not math.isfinite(self.weight):
             raise self.error(f"non-finite weight for phrase {self.phrase!r}")
+        if not self.weight:  # -0.0 scores as 0.0, so it is stored as 0.0
+            object.__setattr__(self, "weight", 0.0)
 
     @classmethod
     def from_text(cls, text: str, weight: float = DEFAULT_WEIGHT,
@@ -190,8 +193,8 @@ def build_catalog_fst(entries: Iterable[CatalogEntry]) -> WordFst:
     phrase makes a state for each word past those.  States are numbered level
     by level, each level in sorted order, so the arc into state t is arc t - 1:
     C-level passes over the phrases lay out each level's columns, and loading
-    the automaton skips the state-by-state check.  A shared arc keeps the
-    weight of the earliest entry through it, so 0.0 and -0.0 keep their sign.
+    the automaton skips the state-by-state check.  Input order matters only
+    to name a faulty entry.
 
     The automaton knows no vocabulary, so any word builds; decoding refuses a
     word holding its vocabulary's delimiter.  Raises CatalogError on an empty
@@ -204,7 +207,7 @@ def build_catalog_fst(entries: Iterable[CatalogEntry]) -> WordFst:
     ordered = sorted(entries, key=attrgetter("phrase"))
     phrases, weights = [e.phrase for e in ordered], [e.weight for e in ordered]
     # Sorted phrase j shares its first shared[j] words, and their states, with phrase j - 1.
-    shared, signs = [0] * len(phrases), []
+    shared = [0] * len(phrases)
     for j, prev, phrase in zip(count(1), phrases, islice(phrases, 1, None)):
         if phrase[0] != prev[0]:
             continue  # then it shares no state with phrase j - 1
@@ -213,8 +216,6 @@ def build_catalog_fst(entries: Iterable[CatalogEntry]) -> WordFst:
             k += 1
         if k == len(phrase) or weights[j] != weights[j - 1]:
             _first_fault(entries)
-        if not weights[j]:  # 0.0 == -0.0: the earliest entry through a state gives its sign
-            signs.append(j)
         shared[j] = k
     # Phrase j makes a depth-d state where shared[j] < d <= len(phrase j), and
     # the arc into state t, arc t - 1, takes the weight of phrase owners[t - 1].
@@ -236,15 +237,6 @@ def build_catalog_fst(entries: Iterable[CatalogEntry]) -> WordFst:
         ids, shares, lens, phrases = (
             list(compress(column, longer)) for column in (ids, shares, lens, phrases))
     offsets.append(firsts[-1] - 1)
-    # Input order matters only where 0.0 and -0.0 share a state; the phrases
-    # through a state are adjacent, so some j in signs then differs from j - 1.
-    if len({math.copysign(1.0, weights[i]) for j in signs for i in (j - 1, j)}) > 1:
-        position = dict(zip(map(id, entries), count()))
-        order = list(map(position.__getitem__, map(id, ordered)))  # input position of phrase j
-        for j in signs:  # owners[i] <= j < owners[i + 1] at each depth-d state that j shares
-            for d in range(1, shared[j] + 1):
-                i = bisect.bisect_right(owners, j, firsts[d] - 1, firsts[d + 1] - 1) - 1
-                owners[i] = min(owners[i], j, key=order.__getitem__)
     return WordFst(
         start=0, final=bytes(final), offsets=offsets, arc_words=words,
         weights=array("d", map(weights.__getitem__, owners)),

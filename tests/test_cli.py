@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -499,7 +500,8 @@ class TestEmptyNBestRecord:
 
 
 class TestNBestFieldTypes:
-    """An n-best record, field, ``hyps`` value or hypothesis of the wrong JSON type."""
+    """An n-best record, field, ``hyps`` value or hypothesis of the wrong JSON
+    type, or a number out of its field's range."""
 
     test_exits_2 = refused_each({
         **{f"{command}-{field}-{case}": (
@@ -529,6 +531,11 @@ class TestNBestFieldTypes:
                ("rnnt_logp", "-1.5", "string", "\"rnnt_logp\" needs a number, got '-1.5'"),
                ("sf_score", False, "false", '"sf_score" needs a number, got False'),
                ("rnnt_logp", -10 ** 400, "huge", '"rnnt_logp" is out of range'),
+               ("lambda", math.nan, "nan", '"lambda" is not finite'),
+               ("lambda", math.inf, "infinity", '"lambda" is not finite'),
+               ("lambda", -1.0, "negative", '"lambda" is negative'),
+               ("rnnt_logp", -math.inf, "infinity", '"rnnt_logp" is not finite'),
+               ("sf_score", math.nan, "nan", '"sf_score" is not finite'),
            ]
            for command, argv in READS_NBEST.items()},
     })

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import random
 import re
 import sys
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -427,10 +429,10 @@ _words = st.text(alphabet="abc", min_size=1, max_size=4)
 
 
 @st.composite
-def _catalogs(draw):
+def _catalogs(draw, weights=st.floats(-5.0, 5.0)):
     """Mixed-sign one- and two-word catalogs; a phrase weighs what its first word does,
     so phrases sharing a prefix agree on its arc weight."""
-    firsts = draw(st.dictionaries(_words, st.floats(-5.0, 5.0), min_size=1, max_size=8))
+    firsts = draw(st.dictionaries(_words, weights, min_size=1, max_size=8))
     seconds = draw(st.sets(st.tuples(st.sampled_from(sorted(firsts)), _words), max_size=4))
     return [CatalogEntry((w,), x) for w, x in firsts.items()] + [
         CatalogEntry(p, firsts[p[0]]) for p in sorted(seconds)
@@ -664,6 +666,37 @@ class TestReferenceEquivalence:
         got = beam_search(*args, **kwargs)
         assert _bits(got) == _bits(want)
         assert got == want
+
+
+def _signed_twin(fst):
+    """``fst`` with every zero weight stored as -0.0, as a file from an earlier
+    version may hold it."""
+    return dataclasses.replace(fst, weights=array("d", [w or -0.0 for w in fst.weights]))
+
+
+class TestZeroSign:
+    """No score tells 0.0 from -0.0, so the builder may store every zero
+    weight unsigned: an automaton and its twin whose zero arcs are -0.0
+    decode to the same n-best file, byte for byte."""
+
+    @pytest.mark.parametrize("biaser_cls", [
+        WordBiaser, SubwordBiaser, pytest.param(_tag_only_context, id="ContextualBiaser"),
+    ])
+    @given(oracle=_last_token_oracles(),
+           catalog=_catalogs(st.sampled_from([0.0, -1.5, 2.0]) | st.floats(-5.0, 5.0)),
+           lam=st.sampled_from([1.0, 2.5]))
+    @settings(max_examples=100, deadline=None)
+    def test_signed_zero_arcs_decode_alike(self, mini_vocab, tmp_path_factory, biaser_cls,
+                                           oracle, catalog, lam):
+        fst = build_catalog_fst(catalog)
+        path = tmp_path_factory.getbasetemp() / "zero-sign.nbest"
+        files = []
+        for automaton in (fst, _signed_twin(fst)):
+            nbest = beam_search(oracle, biaser_cls(automaton), mini_vocab, lam, 6, 4,
+                                utt_id="u", ref="r", max_steps=oracle.length + 1)
+            write_nbest([nbest], path)
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
 
 
 @pytest.fixture(scope="module")
