@@ -63,7 +63,7 @@ def show(title, tokens, weight=-8.0):
             f"{'-' if dead else pushed:>8}"
             f"{increment:>8.3g}"
         )
-    reached = None if arc is None else fst.targets[arc]
+    reached = None if arc is None else fst.next_state(arc)
     print(f"  word state reached: {reached}   total: {sum(row[1] for row in rows):g}")
 
 

@@ -209,21 +209,21 @@ class ContextualBiaser:
             tag: PhraseWalk(fst, cache=caches.setdefault(id(fst), {}))
             for tag, fst in self.bindings.items()
         }
-        # Each tagged position's tag -> target arcs, and the race it opens:
+        # Each tagged position's tag -> next state, and the race it opens:
         # every tag's walk at its start.
         fst = class_fst.fst
-        self._tag_targets: dict[int, dict[str, int]] = {}
+        self._tag_states: dict[int, dict[str, int]] = {}
         for state in range(fst.num_states):
             tagged = {
-                fst.arc_words[i]: fst.targets[i]
+                fst.arc_words[i]: fst.next_state(i)
                 for i in range(fst.offsets[state], fst.offsets[state + 1])
                 if fst.arc_words[i].startswith("@")
             }
             if tagged:
-                self._tag_targets[state] = tagged
+                self._tag_states[state] = tagged
         self._races = {
             state: (tuple((tag, self.walks[tag].initial(), 0.0) for tag in tagged), 0.0, None)
-            for state, tagged in self._tag_targets.items()
+            for state, tagged in self._tag_states.items()
         }
 
     def initial(self) -> tuple:
@@ -267,7 +267,7 @@ class ContextualBiaser:
         if race is not None:
             return increment, None, (pos, race, "")
         if tag is not None:
-            pos = self._tag_targets[pos][tag]
+            pos = self._tag_states[pos][tag]
         if not consumed and word:
             pos = self._skeleton_step(pos, word)
         return increment, tag, (pos, None, "")
@@ -292,7 +292,7 @@ class ContextualBiaser:
     def _skeleton_step(self, pos, word):
         fst = self.class_fst.fst
         i = fst.arc_id(pos, word)
-        return fst.start if i is None else fst.targets[i]
+        return fst.start if i is None else fst.next_state(i)
 
 
 def _settle(race, closed):

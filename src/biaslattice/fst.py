@@ -9,27 +9,27 @@ pays nothing and stays put.
 
 An automaton is stored as flat columns, the layout of OpenFst's ``ConstFst``
 (Allauzen et al. 2007): the arcs of every state sit one after another in a
-list of words, an ``array('d')`` of weights and an ``array('I')`` of next
-states, and ``offsets[s]:offsets[s + 1]`` are the positions of state ``s``'s
-arcs.  A position in the columns is an arc id.  No tuple or list exists per
-arc or per state (the words are strings, which the cyclic garbage collector
-does not track), so building or loading a large catalog leaves it almost
-nothing to walk.  Final states are a column too: ``final`` holds one byte
-per state, 1 for a final state, as the ``BLFST2`` file's flag bytes hold
-them, so no set of state numbers exists either.
+list of words and an ``array('d')`` of weights, and
+``offsets[s]:offsets[s + 1]`` are the positions of state ``s``'s arcs.  A
+position in the columns is an arc id.  No tuple or list exists per arc or
+per state (the words are strings, which the cyclic garbage collector does
+not track), so building or loading a large catalog leaves it almost nothing
+to walk.  Final states are a column too: ``final`` holds one byte per state,
+1 for a final state, as the ``BLFST3`` file's flag bytes hold them, so no
+set of state numbers exists either.
 
-The builder sweeps the sorted phrases once, then numbers the states of the
-trie level by level, as LOUDS does (Jacobson 1989; Delpratt, Rahman and
-Raman 2006): the start, then every state one word deep, then two, each level
-in sorted order.  The arc into state t is then arc t - 1, so the columns of
-each level come from C-level passes over the sorted phrases, with no node
-objects and no sort of the arcs by state.  A built automaton depends on its
-phrases and weights alone, and ``CatalogEntry`` stores -0.0 as 0.0.  The
-``BLFST2`` file holds the same columns: writing it joins their bytes, and
-reading it copies them back into arrays and splits one block of words.  One
-routine checks every automaton, however its columns were made; a level-order
-one it proves sound with C-level loops over them and one set test, that
-adjacent words fall out of order only where a state's arcs begin.
+States are numbered level by level, as LOUDS numbers a tree (Jacobson 1989;
+Delpratt, Rahman and Raman 2006): the start 0, then every state one word
+deep, then two, each level in sorted order.  The arc into state t is then
+arc t - 1, so no column of next states exists: :meth:`WordFst.next_state`
+derives it.  The builder lays out each level's columns with C-level passes
+over the sorted phrases, with no node objects and no sort of the arcs by
+state.  A built automaton depends on its phrases and weights alone, and
+``CatalogEntry`` stores -0.0 as 0.0.  The ``BLFST3`` file holds the same
+columns: writing it joins their bytes, and reading it copies them back into
+arrays and splits one block of words.  One routine checks every automaton,
+however its columns were made, with C-level loops over them and one set
+test, that adjacent words fall out of order only where a state's arcs begin.
 
 Automata are immutable after construction and safe to share across threads;
 all mutation happens inside the builder and the reader.  The columns are a
@@ -56,7 +56,7 @@ from .errors import InputFormatError, open_text, records
 
 DEFAULT_WEIGHT = -1.0
 
-_MAGIC = b"BLFST2"
+_MAGIC = b"BLFST3"
 
 # The score convention: of two biasing weights or totals, the stronger one.
 # Every pick of a band's weight and of a tag race's total goes through this
@@ -111,13 +111,15 @@ class CatalogEntry:
 class WordFst:
     """Trie-shaped weighted automaton over whole words, stored as columns.
 
-    ``arc_words``, ``weights`` and ``targets`` hold every arc's input word,
-    weight and next state; state ``s`` owns positions
-    ``offsets[s]:offsets[s + 1]``, in strict lexicographic order of their
-    word (no duplicate words at one state).  ``final[s]`` is 1 if state ``s``
-    ends a phrase and 0 if not: one byte per state, and no per-state object.
+    ``arc_words`` and ``weights`` hold every arc's input word and weight;
+    state ``s`` owns positions ``offsets[s]:offsets[s + 1]``, in strict
+    lexicographic order of their word (no duplicate words at one state).
+    States are numbered level by level, so arc ``i`` leads to state
+    ``i + 1``: :meth:`next_state` says so, and no column of next states
+    exists.  ``final[s]`` is 1 if state ``s`` ends a phrase and 0 if not:
+    one byte per state, and no per-state object.
 
-    The constructor takes the six columns as keywords and keeps them without
+    The constructor takes the five columns as keywords and keeps them without
     copying or checking them; :func:`validate_fst` checks them.
     """
 
@@ -126,7 +128,6 @@ class WordFst:
     offsets: array  # 'I', num_states + 1 entries
     arc_words: list[str]
     weights: array  # 'd'
-    targets: array  # 'I'
 
     @cached_property
     def _band_index(self) -> tuple[array, array]:
@@ -149,6 +150,11 @@ class WordFst:
     @property
     def num_arcs(self) -> int:
         return len(self.arc_words)
+
+    @staticmethod
+    def next_state(arc: int) -> int:
+        """The state arc ``arc`` leads to: under level-order numbering, ``arc + 1``."""
+        return arc + 1
 
     def arc_count(self, state: int) -> int:
         """The number of arcs leaving ``state``."""
@@ -192,9 +198,9 @@ def build_catalog_fst(entries: Iterable[CatalogEntry]) -> WordFst:
     previous one, as Daciuk et al. (2000) do before they minimize a trie; a
     phrase makes a state for each word past those.  States are numbered level
     by level, each level in sorted order, so the arc into state t is arc t - 1:
-    C-level passes over the phrases lay out each level's columns, and loading
-    the automaton skips the state-by-state check.  Input order matters only
-    to name a faulty entry.
+    C-level passes over the phrases lay out each level's columns, and no
+    column of next states is needed.  Input order matters only to name a
+    faulty entry.
 
     The automaton knows no vocabulary, so any word builds; decoding refuses a
     word holding its vocabulary's delimiter.  Raises CatalogError on an empty
@@ -239,8 +245,7 @@ def build_catalog_fst(entries: Iterable[CatalogEntry]) -> WordFst:
     offsets.append(firsts[-1] - 1)
     return WordFst(
         start=0, final=bytes(final), offsets=offsets, arc_words=words,
-        weights=array("d", map(weights.__getitem__, owners)),
-        targets=array("I", range(1, firsts[-1])))
+        weights=array("d", map(weights.__getitem__, owners)))
 
 
 def _first_fault(entries: list[CatalogEntry]) -> NoReturn:
@@ -266,34 +271,20 @@ def empty_fst() -> WordFst:
     """A single-state automaton accepting nothing (used for empty corpora)."""
     return WordFst(
         start=0, final=b"\0", offsets=array("I", [0, 0]),
-        arc_words=[], weights=array("d"), targets=array("I"),
+        arc_words=[], weights=array("d"),
     )
-
-
-def _count_reachable(start: int, offsets: array, targets: array) -> int:
-    """The number of states reachable from ``start`` (next states in range)."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        s = frontier.pop()
-        new = set(targets[offsets[s] : offsets[s + 1]]) - seen
-        seen |= new
-        frontier += new
-    return len(seen)
 
 
 def _check_columns(fst: WordFst) -> str | None:
     """The first structural problem of ``fst``, or None if it has none.
 
-    The normal path proves soundness with C-level loops over whole columns,
-    for automata numbered level by level, as the builder numbers them: arc
-    t - 1 enters state t and ``offsets[s] >= s``, so each arc leads past its
-    source, and every state is reachable from the start 0 by induction.
-    Words are in order within each state if every position where a word is
-    not greater than the one before it starts a state: one set test of those
-    positions against the offsets, boxed once.  Any failure or other
-    numbering, such as the preorder of earlier versions' files, falls to
-    :func:`_first_problem`.
+    C-level loops over whole columns prove an automaton sound.  Arc t - 1
+    enters state t, and ``offsets[s] >= s`` puts each state's arcs past it,
+    so every parent is numbered below its children and every state is
+    reachable from the start 0 by induction.  Words are in order within each
+    state if every position where a word is not greater than the one before
+    it starts a state: one set test of those positions against the offsets,
+    boxed once.  On a failure :func:`_first_problem` names the first one.
     """
     n, offsets, words, final = fst.num_states, fst.offsets.tolist(), fst.arc_words, fst.final
     sizes = list(map(sub, islice(offsets, 1, None), offsets))
@@ -301,7 +292,6 @@ def _check_columns(fst: WordFst) -> str | None:
     falls = compress(range(1, len(words)), map(ge, words, islice(words, 1, None)))
     if (
         fst.start == 0 < n and len(words) == len(fst.weights) == n - 1
-        and fst.targets == array("I", range(1, n))
         and offsets[0] == 0 and offsets[n] == n - 1 and min(sizes) >= 0
         and all(map(ge, offsets, range(n))) and all(map(math.isfinite, fst.weights))
         and all(words) and not set(falls).difference(offsets)
@@ -315,9 +305,8 @@ def _check_columns(fst: WordFst) -> str | None:
 def _first_problem(fst: WordFst) -> str | None:
     """The first violation in state order, found one state at a time."""
     n, offsets, words, final = fst.num_states, fst.offsets, fst.arc_words, fst.final
-    if not len(words) == len(fst.weights) == len(fst.targets):
-        return (f"{len(words)} arc words, {len(fst.weights)} weights "
-                f"and {len(fst.targets)} targets")
+    if len(words) != len(fst.weights):
+        return f"{len(words)} arc words and {len(fst.weights)} weights"
     if len(final) < n:
         return f"{len(final)} final flags for {n} states"
     if offsets[0] != 0 or offsets[n] != len(words):
@@ -327,27 +316,31 @@ def _first_problem(fst: WordFst) -> str | None:
             return f"state {s}: arc offsets decrease"
     if not 0 <= fst.start < n:
         return f"start state {fst.start} out of range"
+    if fst.start:
+        return f"start state {fst.start} is not state 0, the one no arc enters"
     for s in range(n):
         lo, hi = offsets[s], offsets[s + 1]
         prev = ""
         for i in range(lo, hi):
-            word, weight, nextstate = words[i], fst.weights[i], fst.targets[i]
+            word, weight = words[i], fst.weights[i]
             if not word:
                 return f"state {s}: empty arc word"
             if word <= prev:
                 return f"state {s}: arcs not strictly sorted at {word!r}"
             if not math.isfinite(weight):
                 return f"state {s}: non-finite weight on {word!r}"
-            if nextstate >= n:
-                return f"state {s}: next state {nextstate} out of range"
+            if fst.next_state(i) >= n:
+                return f"state {s}: next state {fst.next_state(i)} out of range"
             prev = word
         if lo == hi and not final[s] and s != fst.start:
             return f"state {s} is a non-final dead end"
     stray = final.find(1, n)
     if stray >= 0:
         return f"state {stray} out of range"
-    unreachable = n - _count_reachable(fst.start, offsets, fst.targets)
-    return f"{unreachable} states unreachable from start" if unreachable else None
+    # Below the first state s with offsets[s] < s, states 1..offsets[s] hang
+    # off lower parents; no arc from those enters the states past them.
+    s = next(compress(count(), map(gt, range(n), offsets)), None)
+    return None if s is None else f"{n - 1 - offsets[s]} states unreachable from start"
 
 
 def validate_fst(fst: WordFst) -> None:
@@ -393,22 +386,21 @@ def load_catalog(path) -> list[CatalogEntry]:
 
 # -- binary serialization ----------------------------------------------------
 #
-# Versioned columnar layout, magic ``BLFST2``, little-endian throughout:
+# Versioned columnar layout, magic ``BLFST3``, little-endian throughout:
 #
 #   magic | u32 num_states | u32 start | u32 num_arcs |
-#   u8 flags[num_states] (bit0 final, bit1 phi) |
-#   u32 offsets[num_states + 1] | u32 targets[num_arcs] | f64 weights[num_arcs] |
+#   u8 final[num_states] (0 or 1) |
+#   u32 offsets[num_states + 1] | f64 weights[num_arcs] |
 #   u32 len | UTF-8 arc words joined by "\n"
 #
-# The header fixes every length but the word blob's.  Bit 1 marks the
-# start state's any-word self-loop: the writer sets it on the start state,
-# and the reader accepts it on any state and ignores it, since the walk
-# treats the start state as the phi state in any case.  ``BLFST1``, which
-# interleaved each arc's word, weight and target, is no longer read.
+# The header fixes every length but the word blob's.  States are numbered
+# level by level, so arc i enters state i + 1 and no next states are
+# stored.  Files of the earlier formats, which stored them, are refused with
+# a request to rebuild.
 
 _HEADER = struct.Struct("<6sIII")  # magic, num_states, start, num_arcs
 _U32 = struct.Struct("<I")
-_FINAL_BIT = bytes(b & 1 for b in range(256))
+_RETIRED = (b"BLFST1", b"BLFST2")
 
 
 def _little_endian(column: array) -> array:
@@ -420,36 +412,35 @@ def _little_endian(column: array) -> array:
 
 
 def serialize(fst: WordFst) -> bytes:
-    """``BLFST2`` bytes of ``fst``; raises ValueError for a word holding a newline."""
+    """``BLFST3`` bytes of ``fst``; raises ValueError for a word holding a newline."""
     blob = "\n".join(fst.arc_words).encode("utf-8")
     if blob.count(b"\n") != max(fst.num_arcs - 1, 0):
         word = next(w for w in fst.arc_words if "\n" in w)
         raise ValueError(f"arc word {word!r} contains a newline")
-    flags = bytearray(memoryview(fst.final)[: fst.num_states])
-    flags[fst.start] |= 2
-    columns = (_little_endian(c).tobytes() for c in (fst.offsets, fst.targets, fst.weights))
+    final = memoryview(fst.final)[: fst.num_states]
+    columns = (_little_endian(c).tobytes() for c in (fst.offsets, fst.weights))
     header = _HEADER.pack(_MAGIC, fst.num_states, fst.start, fst.num_arcs)
-    return b"".join([header, flags, *columns, _U32.pack(len(blob)), blob])
+    return b"".join([header, final, *columns, _U32.pack(len(blob)), blob])
 
 
 def deserialize(data: bytes) -> WordFst:
-    """Parse a ``BLFST2`` buffer: one length check, array copies, one column check.
+    """Parse a ``BLFST3`` buffer: one length check, array copies, one column check.
 
     Byte-level errors name their offset and come first: bad magic, then
     truncation or trailing bytes, then unknown state flags, invalid UTF-8
     and a word count that differs from the header's arc count.  Structural
     errors are :func:`validate_fst`'s and name the first offending state.
     """
-    if data[: len(_MAGIC)] != _MAGIC:
-        if data[: len(_MAGIC)] == b"BLFST1":
-            raise InputFormatError(
-                "BLFST1 automata are no longer read; rebuild with `biaslattice build-fst`"
-            )
+    magic = data[: len(_MAGIC)]
+    if magic != _MAGIC:
+        if magic in _RETIRED:
+            raise InputFormatError(f"{magic.decode()} automata are no longer read; "
+                                   "rebuild with `biaslattice build-fst`")
         raise InputFormatError("bad magic: not a serialized biasing automaton")
     end, need = len(data), _HEADER.size
     if end >= need:
         _, n, start, num_arcs = _HEADER.unpack_from(data)
-        blob_at = need + n + 4 * (n + 1 + num_arcs) + 8 * num_arcs
+        blob_at = need + n + 4 * (n + 1) + 8 * num_arcs
         need = blob_at + 4
         if end >= need:
             need += _U32.unpack_from(data, blob_at)[0]
@@ -458,18 +449,18 @@ def deserialize(data: bytes) -> WordFst:
     if end > need:
         raise InputFormatError(f"{end - need} trailing bytes at offset {need}")
     at = _HEADER.size
-    flags = data[at : at + n]
-    if flags.translate(None, b"\0\1\2\3"):
-        s = next(s for s, f in enumerate(flags) if f > 3)
-        raise InputFormatError(f"unknown state flags {flags[s]:#x} at offset {at + s}")
+    final = bytes(data[at : at + n])
+    if final.translate(None, b"\0\1"):
+        s = next(s for s, f in enumerate(final) if f > 1)
+        raise InputFormatError(f"unknown state flags {final[s]:#x} at offset {at + s}")
     at += n
     columns = []
-    for typecode, count in ("I", n + 1), ("I", num_arcs), ("d", num_arcs):
+    for typecode, count in ("I", n + 1), ("d", num_arcs):
         column = array(typecode)
         column.frombytes(memoryview(data)[at : at + column.itemsize * count])
         columns.append(_little_endian(column))
         at += column.itemsize * count
-    offsets, targets, weights = columns
+    offsets, weights = columns
     try:
         text = data[blob_at + 4 :].decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -477,11 +468,7 @@ def deserialize(data: bytes) -> WordFst:
     words = text.split("\n") if text or num_arcs else []
     if len(words) != num_arcs:
         raise InputFormatError(f"{len(words)} arc words for {num_arcs} arcs")
-    fst = WordFst(
-        start=start,
-        final=flags.translate(_FINAL_BIT),
-        offsets=offsets, arc_words=words, weights=weights, targets=targets,
-    )
+    fst = WordFst(start=start, final=final, offsets=offsets, arc_words=words, weights=weights)
     problem = _check_columns(fst)
     if problem:
         raise InputFormatError(f"malformed automaton: {problem}")

@@ -264,7 +264,7 @@ class PhraseWalk:
         if i is None:
             q, outcome, increment, pending = fst.start, _FAILED, increment - pending, 0.0
         else:
-            q = fst.targets[i]
+            q = fst.next_state(i)
             if not fst.final[q]:
                 outcome, pending = _CONTINUED, pending + fst.weights[i]
             elif offsets[q] != offsets[q + 1]:

@@ -3,7 +3,7 @@
 Everything here is written the slow, obvious way (linear scans, plain
 recursion, full enumeration) and deliberately shares no code with the
 package modules it checks; only the reference beam search, automaton
-builder and automaton readers reuse the package's value types, the beam
+builder and automaton reader reuse the package's value types, the beam
 search its oracle check, and the tag-race reference the phrase walk it
 races.
 """
@@ -396,21 +396,23 @@ def reference_tag_race(
 
 
 # -- automata, built by hand -------------------------------------------------------
+#
+# States are numbered level by level, so arc i enters state i + 1: the arcs
+# below give no next state, and the readers here take it as i + 1.
 
 
 def hand_fst(
-    *, start: int, finals: Iterable[int], arcs: Iterable[Iterable[tuple[str, float, int]]]
+    *, start: int, finals: Iterable[int], arcs: Iterable[Iterable[tuple[str, float]]]
 ) -> WordFst:
-    """The automaton of per-state ``(word, weight, next state)`` lists and the
-    final states, unchecked, so malformed automata can be made too.  A final
-    state past the last state lengthens the final column, so that
-    ``validate_fst`` can name it."""
-    arc_words, weights, targets, offsets = [], array("d"), array("I"), array("I", [0])
+    """The automaton of per-state ``(word, weight)`` lists and the final
+    states, unchecked, so malformed automata can be made too.  A final state
+    past the last state lengthens the final column, so that ``validate_fst``
+    can name it."""
+    arc_words, weights, offsets = [], array("d"), array("I", [0])
     for state_arcs in arcs:
-        for word, weight, nextstate in state_arcs:
+        for word, weight in state_arcs:
             arc_words.append(word)
             weights.append(weight)
-            targets.append(nextstate)
         offsets.append(len(arc_words))
     final = bytearray(len(offsets) - 1)
     for s in finals:
@@ -418,7 +420,7 @@ def hand_fst(
             final.extend(bytes(s + 1 - len(final)))
         final[s] = 1
     return WordFst(start=start, final=bytes(final), offsets=offsets,
-                   arc_words=arc_words, weights=weights, targets=targets)
+                   arc_words=arc_words, weights=weights)
 
 
 # -- catalog automata, built through an object trie ------------------------------
@@ -462,42 +464,18 @@ def reference_build_catalog_fst(entries: Iterable[CatalogEntry]) -> WordFst:
             node = node.edges[word][1]
         node.final = True
 
-    # Deterministic numbering: first-in first-out walk with edges in sorted order.
+    # Deterministic numbering: first-in first-out walk with edges in sorted
+    # order, so the child of the arc at position i is the (i + 1)-th state.
     order: list[_Node] = []
-    ids: dict[int, int] = {}
     queue = deque([root])
     while queue:
         node = queue.popleft()
-        ids[id(node)] = len(order)
         order.append(node)
         for word in sorted(node.edges):
             queue.append(node.edges[word][1])
 
-    arcs = tuple(
-        tuple(
-            (word, node.edges[word][0], ids[id(node.edges[word][1])])
-            for word in sorted(node.edges)
-        )
-        for node in order
-    )
-    finals = frozenset(ids[id(n)] for n in order if n.final)
-    return hand_fst(start=0, finals=finals, arcs=arcs)
-
-
-def preorder_relabel(fst: WordFst) -> WordFst:
-    """``fst`` with its states renumbered in the preorder walk from the start
-    over each state's arcs in column order: the numbering of the automata
-    that versions before level-order numbering built and wrote."""
-    number: dict[int, int] = {}
-    stack = [fst.start]
-    while stack:
-        state = stack.pop()
-        number[state] = len(number)
-        stack += reversed(fst.targets[fst.offsets[state] : fst.offsets[state + 1]])
-    arcs = [()] * len(number)
-    for state, new in number.items():
-        arcs[new] = [(word, weight, number[t]) for word, weight, t in _state_arcs(fst, state)]
-    finals = [new for state, new in number.items() if fst.final[state]]
+    arcs = [[(word, node.edges[word][0]) for word in sorted(node.edges)] for node in order]
+    finals = [s for s, node in enumerate(order) if node.final]
     return hand_fst(start=0, finals=finals, arcs=arcs)
 
 
@@ -514,7 +492,7 @@ def phrase_end(fst: WordFst, phrase: Iterable[str]) -> tuple[int, float] | None:
         if not hits:
             return None
         total += fst.weights[hits[0]]
-        state = fst.targets[hits[0]]
+        state = hits[0] + 1
     return state, total
 
 
@@ -523,13 +501,14 @@ def _positions(fst: WordFst, state: int) -> range:
 
 
 def _state_arcs(fst: WordFst, state: int) -> list[tuple[str, float, int]]:
-    return [(fst.arc_words[i], fst.weights[i], fst.targets[i]) for i in _positions(fst, state)]
+    return [(fst.arc_words[i], fst.weights[i], i + 1) for i in _positions(fst, state)]
 
 
 # -- automaton checks, state by state ---------------------------------------------
 #
 # The structural checks as one loop per state, in the order whose first
-# violation the package reports; reachability is a plain graph walk.
+# violation the package reports; reachability is a plain graph walk.  The
+# start must be state 0, the one state no arc enters.
 
 
 def reference_validate(fst: WordFst) -> None:
@@ -537,6 +516,8 @@ def reference_validate(fst: WordFst) -> None:
     finals = {s for s, flag in enumerate(fst.final) if flag}
     if not 0 <= fst.start < n:
         raise ValueError(f"start state {fst.start} out of range")
+    if fst.start != 0:
+        raise ValueError(f"start state {fst.start} is not state 0, the one no arc enters")
     for s in range(n):
         arcs = _state_arcs(fst, s)
         prev = ""
@@ -566,118 +547,28 @@ def reference_validate(fst: WordFst) -> None:
         raise ValueError(f"{n - len(seen)} states unreachable from start")
 
 
-def _validated(fst: WordFst) -> WordFst:
-    try:
-        reference_validate(fst)
-    except ValueError as exc:
-        raise InputFormatError(f"malformed automaton: {exc}") from None
-    return fst
-
-
-# -- BLFST1 automata, written and read field by field ---------------------------
+# -- BLFST3 automata, read element by element -------------------------------------
 #
-# The retired interleaved format: one length-prefixed word, weight and next
-# state per arc.  The reader is the one-``take``-per-field reader it had
-# before the one-loop rewrite.  Both keep their own copy of the format
-# constants.
+# The columnar format read one struct unpack per value into per-state arc
+# lists, with the package's error messages and their precedence.  It keeps
+# its own copy of the format constants.
 
-_MAGIC = b"BLFST1"
 _U32 = struct.Struct("<I")
 _F64 = struct.Struct("<d")
 
 
-def reference_serialize(fst: WordFst) -> bytes:
-    """``BLFST1`` bytes of ``fst``."""
-    out = bytearray(_MAGIC)
-    out += struct.pack("<II", fst.num_states, fst.start)
-    for s in range(fst.num_states):
-        arcs = _state_arcs(fst, s)
-        flags = fst.final[s] | (2 if s == fst.start else 0)
-        out += struct.pack("<BI", flags, len(arcs))
-        for word, weight, nextstate in arcs:
-            raw = word.encode("utf-8")
-            out += _U32.pack(len(raw)) + raw + struct.pack("<dI", weight, nextstate)
-    return bytes(out)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise InputFormatError(
-                f"truncated automaton: needed {n} bytes at offset {self.pos}"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def f64(self) -> float:
-        return _F64.unpack(self.take(8))[0]
-
-    def string(self) -> str:
-        n = self.u32()
-        at = self.pos
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError:
-            raise InputFormatError(f"invalid UTF-8 string at offset {at}") from None
-
-
-def reference_deserialize(data: bytes) -> WordFst:
-    """The automaton of ``BLFST1`` bytes."""
-    r = _Reader(data)
-    if r.take(len(_MAGIC)) != _MAGIC:
-        raise InputFormatError("bad magic: not a serialized biasing automaton")
-    num_states = r.u32()
-    start = r.u32()
-    finals = set()
-    arcs = []
-    for s in range(num_states):
-        at = r.pos
-        flags = r.u8()
-        if flags & ~3:
-            raise InputFormatError(f"unknown state flags {flags:#x} at offset {at}")
-        if flags & 1:
-            finals.add(s)
-        state_arcs = []
-        for _ in range(r.u32()):
-            word = r.string()
-            weight = r.f64()
-            nextstate = r.u32()
-            state_arcs.append((word, weight, nextstate))
-        arcs.append(tuple(state_arcs))
-    if r.pos != len(data):
-        raise InputFormatError(f"{len(data) - r.pos} trailing bytes at offset {r.pos}")
-    return _validated(hand_fst(start=start, finals=finals, arcs=arcs))
-
-
-# -- BLFST2 automata, read element by element -------------------------------------
-#
-# The columnar format read one struct unpack per value into per-state arc
-# lists, with the package's error messages and their precedence.
-
-
 def reference_deserialize_columnar(data: bytes) -> WordFst:
-    """The automaton of ``BLFST2`` bytes."""
-    if data[:6] == b"BLFST1":
-        raise InputFormatError(
-            "BLFST1 automata are no longer read; rebuild with `biaslattice build-fst`"
-        )
-    if data[:6] != b"BLFST2":
+    """The automaton of ``BLFST3`` bytes."""
+    for retired in b"BLFST1", b"BLFST2":
+        if data[:6] == retired:
+            raise InputFormatError(f"{retired.decode()} automata are no longer read; "
+                                   "rebuild with `biaslattice build-fst`")
+    if data[:6] != b"BLFST3":
         raise InputFormatError("bad magic: not a serialized biasing automaton")
     need = 18
     if len(data) >= need:
         n, start, num_arcs = struct.unpack_from("<III", data, 6)
-        blob_at = need + n + 4 * (n + 1) + 4 * num_arcs + 8 * num_arcs
+        blob_at = need + n + 4 * (n + 1) + 8 * num_arcs
         need = blob_at + 4
         if len(data) >= need:
             need += _U32.unpack_from(data, blob_at)[0]
@@ -688,15 +579,13 @@ def reference_deserialize_columnar(data: bytes) -> WordFst:
     if len(data) > need:
         raise InputFormatError(f"{len(data) - need} trailing bytes at offset {need}")
     for s in range(n):
-        if data[18 + s] > 3:
+        if data[18 + s] > 1:
             raise InputFormatError(
                 f"unknown state flags {data[18 + s]:#x} at offset {18 + s}"
             )
     at = 18 + n
     offsets = [_U32.unpack_from(data, at + 4 * i)[0] for i in range(n + 1)]
     at += 4 * (n + 1)
-    targets = [_U32.unpack_from(data, at + 4 * i)[0] for i in range(num_arcs)]
-    at += 4 * num_arcs
     weights = [_F64.unpack_from(data, at + 8 * i)[0] for i in range(num_arcs)]
     raw = data[blob_at + 4 :]
     words = []
@@ -717,15 +606,17 @@ def reference_deserialize_columnar(data: bytes) -> WordFst:
     for s in range(n):
         if offsets[s] > offsets[s + 1]:
             raise InputFormatError(f"malformed automaton: state {s}: arc offsets decrease")
-    arcs = [
-        [(words[i], weights[i], targets[i]) for i in range(offsets[s], offsets[s + 1])]
-        for s in range(n)
-    ]
-    return _validated(hand_fst(
+    fst = hand_fst(
         start=start,
-        finals={s for s in range(n) if data[18 + s] & 1},
-        arcs=arcs,
-    ))
+        finals={s for s in range(n) if data[18 + s]},
+        arcs=[[(words[i], weights[i]) for i in range(offsets[s], offsets[s + 1])]
+              for s in range(n)],
+    )
+    try:
+        reference_validate(fst)
+    except ValueError as exc:
+        raise InputFormatError(f"malformed automaton: {exc}") from None
+    return fst
 
 
 # -- Kneser-Ney training, one line at a time --------------------------------------

@@ -12,7 +12,6 @@ from biaslattice.metrics import write_refs
 from biaslattice.wordpiece import save_vocab
 from biaslattice.synthdata import default_vocab
 from conftest import BAD_ARPA, UNDERFLOW_ARPA
-from oracles import reference_serialize
 
 
 CATALOG = "# contacts\nbodu\t1.8\nkela\t1.8\nmora tivu\t1.8\n"
@@ -169,10 +168,16 @@ def _bar_vocab(w):
     return "#delimiter |\n" + (w / "vocab.txt").read_text()
 
 
-def _corrupt_flags(w):
-    data = bytearray((w / "contacts.fst").read_bytes())
-    data[18] = 0x80  # the start state's flag byte, after magic and three u32s
-    return bytes(data)
+def _flag_set(value):
+    def corrupt(w):
+        data = bytearray((w / "contacts.fst").read_bytes())
+        data[18] = value  # the start state's flag byte, after magic and three u32s
+        return bytes(data)
+    return corrupt
+
+
+def _magic_set(magic):
+    return lambda w: magic + (w / "class.fst").read_bytes()[len(magic):]
 
 
 def _member_twice(w):
@@ -453,18 +458,26 @@ class TestBlamedLine:
 
 
 class TestCorruptAutomata:
-    """An automaton file that does not load; the class.fst of ``built`` is 134 bytes."""
+    """An automaton file that does not load; the class.fst of ``built`` is 118 bytes."""
 
     test_truncated_class_fst = refused(
-        CONTEXT, "{w}/class.fst: truncated automaton: ends at offset 131, needed 134 bytes",
+        CONTEXT, "{w}/class.fst: truncated automaton: ends at offset 115, needed 118 bytes",
         {"class.fst": lambda w: (w / "class.fst").read_bytes()[:-3]})
+    # A retired format is named by its magic alone.
     test_blfst1_class_fst_asks_for_a_rebuild = refused(
         CONTEXT, "{w}/class.fst: BLFST1 automata are no longer read; rebuild with "
-        "`biaslattice build-fst`",
-        {"class.fst": lambda w: reference_serialize(load_fst(w / "class.fst"))})
+        "`biaslattice build-fst`", {"class.fst": _magic_set(b"BLFST1")})
+    test_blfst2_class_fst_asks_for_a_rebuild = refused(
+        CONTEXT, "{w}/class.fst: BLFST2 automata are no longer read; rebuild with "
+        "`biaslattice build-fst`", {"class.fst": _magic_set(b"BLFST2")})
     test_bound_automaton_with_corrupt_flags = refused(
         CONTEXT, "{w}/contacts.fst: unknown state flags 0x80 at offset 18",
-        {"contacts.fst": _corrupt_flags})
+        {"contacts.fst": _flag_set(0x80)})
+    # Bit 1 marked the start state in BLFST2; a BLFST3 flag byte holds bit 0 only.
+    test_bound_automaton_with_the_bit_blfst2_set_on_the_start = refused_each({
+        f"{value:#x}": (CONTEXT, f"{{w}}/contacts.fst: unknown state flags {value:#x} at offset 18",
+                        {"contacts.fst": _flag_set(value)})
+        for value in (2, 3)})
 
 
 @pytest.mark.usefixtures("built")

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import random
+import struct
 import tracemalloc
 from array import array
 from unittest import mock
@@ -11,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biaslattice import fst as fst_module
-from biaslattice.context import ContextualBiaser, build_class_fst, load_class_fst
-from biaslattice.decode import SubwordBiaser, SynthOracle, WordBiaser, decode_corpus
+from biaslattice.context import build_class_fst
 from biaslattice.errors import InputFormatError
 from biaslattice.fst import (
     CatalogEntry,
@@ -21,9 +21,7 @@ from biaslattice.fst import (
     build_catalog_fst,
     deserialize,
     empty_fst,
-    load_fst,
     read_catalog,
-    save_fst,
     serialize,
     validate_fst,
 )
@@ -32,11 +30,8 @@ from conftest import random_catalog
 from oracles import (
     hand_fst,
     phrase_end,
-    preorder_relabel,
     reference_build_catalog_fst,
-    reference_deserialize,
     reference_deserialize_columnar,
-    reference_serialize,
     reference_validate,
     trie_arc_count,
 )
@@ -54,8 +49,8 @@ class TestBuild:
     def test_single_entry(self):
         f = build_catalog_fst([CatalogEntry(("call",), -1.0)])
         assert f.num_states == 2
-        assert (f.offsets.tolist(), f.arc_words, f.weights.tolist(), f.targets.tolist()) == (
-            [0, 1, 1], ["call"], [-1.0], [1])
+        assert (f.offsets.tolist(), f.arc_words, f.weights.tolist()) == (
+            [0, 1, 1], ["call"], [-1.0])
         assert f.final == b"\0\1"
 
     def test_arc_count_matches_brute_force_trie(self):
@@ -158,12 +153,17 @@ class TestSerialization:
         with pytest.raises(InputFormatError, match="trailing"):
             deserialize(serialize(play_fst) + b"\x00")
 
+    # A retired format is named by its magic alone.
     def test_blfst1_asks_for_a_rebuild(self, play_fst):
-        with pytest.raises(InputFormatError, match="rebuild with `biaslattice build-fst`"):
-            deserialize(reference_serialize(play_fst))
+        with pytest.raises(InputFormatError, match="^BLFST1 .* rebuild with `biaslattice build"):
+            deserialize(b"BLFST1" + serialize(play_fst)[6:])
+
+    def test_blfst2_asks_for_a_rebuild(self, play_fst):
+        with pytest.raises(InputFormatError, match="^BLFST2 .* rebuild with `biaslattice build"):
+            deserialize(b"BLFST2" + serialize(play_fst)[6:])
 
     def test_newline_in_word_rejected_by_writer(self):
-        f = hand_fst(start=0, finals={1}, arcs=[[("a\nb", -1.0, 1)], []])
+        f = hand_fst(start=0, finals={1}, arcs=[[("a\nb", -1.0)], []])
         with pytest.raises(ValueError, match="newline"):
             serialize(f)
 
@@ -213,7 +213,7 @@ class TestValidate:
         f = hand_fst(
             start=0,
             finals=frozenset({1, 2}),
-            arcs=((("b", -1.0, 1), ("a", -1.0, 2)), (), ()),
+            arcs=((("b", -1.0), ("a", -1.0)), (), ()),
         )
         with pytest.raises(ValueError, match="sorted"):
             validate_fst(f)
@@ -222,7 +222,7 @@ class TestValidate:
         f = hand_fst(
             start=0,
             finals=frozenset({1, 2}),
-            arcs=((("a", -1.0, 1),), (), ()),
+            arcs=((("a", -1.0),), (), ()),
         )
         with pytest.raises(ValueError, match="unreachable"):
             validate_fst(f)
@@ -231,26 +231,16 @@ class TestValidate:
         f = hand_fst(
             start=0,
             finals=frozenset(),
-            arcs=((("a", -1.0, 1),), ()),
+            arcs=((("a", -1.0),), ()),
         )
         with pytest.raises(ValueError, match="dead end"):
             validate_fst(f)
 
-    @pytest.mark.parametrize("column", ["weights", "targets"])
-    @pytest.mark.parametrize("numbering", ["level order", "preorder"])
-    def test_short_column_rejected(self, column, numbering):
-        # Level order numbers the states after "a", "a b" and "c" 1, 3 and 2;
-        # the preorder of earlier versions numbers them 1, 2 and 3.
+    def test_short_column_rejected(self):
         f = build_catalog_fst([CatalogEntry(("a", "b"), 1.0), CatalogEntry(("c",), 1.0)])
-        if numbering == "preorder":
-            f = preorder_relabel(f)
-        columns = dict(weights=f.weights, targets=f.targets)
-        columns[column] = columns[column][:-1]
         g = WordFst(start=f.start, final=f.final, offsets=f.offsets, arc_words=f.arc_words,
-                    **columns)
-        short = {"weights": "3 arc words, 2 weights and 3 targets",
-                 "targets": "3 arc words, 3 weights and 2 targets"}[column]
-        assert _message(validate_fst, g) == short
+                    weights=f.weights[:-1])
+        assert _message(validate_fst, g) == "3 arc words and 2 weights"
 
 
 # Words over a small alphabet with a non-ASCII letter, so phrases share
@@ -370,40 +360,44 @@ def _message(fn, fst):
 
 class TestCheckParity:
     """``validate_fst`` names the same first violation as the state-by-state
-    reference, under any state numbering, sound or broken."""
+    reference, on sound and broken columns."""
 
     @given(catalogs(), st.randoms(use_true_random=False), st.data())
     @settings(max_examples=300, deadline=None)
     def test_same_first_problem(self, entries, rnd, data):
         f = build_catalog_fst(entries)
         n = f.num_states
-        number = list(range(n))
-        if data.draw(st.booleans()):
-            rnd.shuffle(number)
-        arcs = [None] * n
-        for s in range(n):
-            lo, hi = f.offsets[s], f.offsets[s + 1]
-            arcs[number[s]] = [[w, wt, number[t]] for w, wt, t in
-                               zip(f.arc_words[lo:hi], f.weights[lo:hi], f.targets[lo:hi])]
-        finals = {number[s] for s in range(n) if f.final[s]}
-        start = number[f.start]
+        arcs = [[[f.arc_words[i], f.weights[i]] for i in range(f.offsets[s], f.offsets[s + 1])]
+                for s in range(n)]
+        finals = {s for s in range(n) if f.final[s]}
+        start = f.start
         flat = [arc for state_arcs in arcs for arc in state_arcs]
         for _ in range(data.draw(st.integers(0, 2))):
             kind = data.draw(st.sampled_from(
-                ["word", "weight", "target", "drop arc", "swap words", "unfinal", "start",
-                 "stray final"]))
+                ["word", "weight", "offset", "add arc", "drop arc", "swap words", "unfinal",
+                 "start", "stray final"]))
             if kind == "word" and flat:
                 rnd.choice(flat)[0] = data.draw(st.sampled_from(["", "a", "zz", "é"]))
             elif kind == "weight" and flat:
                 rnd.choice(flat)[1] = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
-            elif kind == "target" and flat:
-                rnd.choice(flat)[2] = data.draw(st.integers(0, n + 1))
+            elif kind == "offset" and n > 1:
+                # offsets[s] moves by one: the arc at it changes owner, from
+                # state s - 1 to s or back, and may become the arc into its owner.
+                s = data.draw(st.integers(1, n - 1))
+                if data.draw(st.booleans()):
+                    if arcs[s - 1]:
+                        arcs[s].insert(0, arcs[s - 1].pop())
+                elif arcs[s]:
+                    arcs[s - 1].append(arcs[s].pop(0))
+            elif kind == "add arc":
+                # One arc more than states but one: some arc leads past the last state.
+                rnd.choice(arcs).append([data.draw(st.sampled_from(["a", "éé"])), -1.0])
             elif kind == "drop arc" and any(arcs):
                 state_arcs = rnd.choice([a for a in arcs if a])
                 state_arcs.remove(rnd.choice(state_arcs))
             elif kind == "swap words" and any(len(a) > 1 for a in arcs):
-                # Targets stay put, so a level-order automaton keeps its
-                # numbering and only its words fall inside a state.
+                # Next states stay with the positions, so only the words fall
+                # out of order inside a state.
                 a, b = rnd.sample(rnd.choice([a for a in arcs if len(a) > 1]), 2)
                 a[0], b[0] = b[0], a[0]
             elif kind == "unfinal":
@@ -415,22 +409,21 @@ class TestCheckParity:
         g = hand_fst(start=start, finals=finals, arcs=arcs)
         assert _message(validate_fst, g) == _message(reference_validate, g)
 
-    def test_cycle_behind_distinct_targets(self):
-        """Start 0 and every state but 0 a target once, yet 2 -> 3 -> 2 is cut off."""
-        f = hand_fst(
-            start=0,
-            finals={1, 4},
-            arcs=[[("a", -1.0, 1)], [], [("a", -1.0, 3)], [("a", -1.0, 4), ("b", -1.0, 2)], []],
-        )
-        assert _message(validate_fst, f) == "3 states unreachable from start"
-        assert _message(reference_validate, f) == "3 states unreachable from start"
+    def test_states_owning_the_arcs_into_them(self):
+        """Offsets ``[0, 0, 1, 2]``: ``offsets[s] < s`` for states 1 and 2, so
+        each owns the arc into itself and neither is reachable, though every
+        state but the start has an arc into it."""
+        f = hand_fst(start=0, finals=(), arcs=[[], [("a", -1.0)], [("b", -1.0)]])
+        assert f.offsets.tolist() == [0, 0, 1, 2]
+        assert _message(validate_fst, f) == "2 states unreachable from start"
+        assert _message(reference_validate, f) == "2 states unreachable from start"
 
 
 class TestLevelOrder:
     """The builder numbers states level by level: the arc into state t is
-    arc t - 1, so the check proves a built or loaded automaton sound without
-    the state-by-state walk, which makes loading a 100k-entry automaton about
-    2.5 times slower.  A builder change that breaks level order fails here."""
+    arc t - 1, so no column of next states is kept and the column check
+    proves a built or loaded automaton sound without naming a state one at a
+    time.  A builder change that breaks level order fails here."""
 
     @given(catalogs())
     @settings(max_examples=200, deadline=None)
@@ -441,47 +434,7 @@ class TestLevelOrder:
             validate_fst(built)
             loaded = deserialize(serialize(built))
         for f in built, loaded:
-            assert f.targets.tolist() == list(range(1, f.num_states))
-
-
-class TestPreorderFiles:
-    """Versions before level-order numbering wrote their automata in
-    preorder.  Such a file loads unchanged, through the state-by-state
-    check, and decodes as its level-order twin does."""
-
-    @given(catalogs())
-    @settings(max_examples=100, deadline=None)
-    def test_loads_equal_through_the_state_by_state_check(self, entries):
-        old = preorder_relabel(build_catalog_fst(entries))
-        with mock.patch.object(fst_module, "_first_problem",
-                               wraps=fst_module._first_problem) as first_problem:
-            assert deserialize(serialize(old)) == old
-        level_order = old.targets.tolist() == list(range(1, old.num_states))
-        assert first_problem.call_count == (not level_order)
-
-    def test_decodes_as_its_level_order_twin(self, tmp_path):
-        task = make_task(7, n_test=10)
-        built = {name: build_catalog_fst(entries) for name, entries in (
-            ("all", task.all_bias_entries()), ("@contactname", task.contacts),
-            ("@devicename", task.devices), ("@appname", task.apps))}
-        classes = build_class_fst(task.class_corpus, min_count=10)
-        for i, f in enumerate([*built.values(), classes.fst]):
-            save_fst(preorder_relabel(f), tmp_path / f"{i}.fst")
-        loaded = {name: load_fst(tmp_path / f"{i}.fst") for i, name in enumerate(built)}
-        old_classes = load_class_fst(tmp_path / f"{len(built)}.fst")
-        assert loaded["all"] == preorder_relabel(built["all"]) != built["all"]
-        assert old_classes.fst == preorder_relabel(classes.fst) != classes.fst
-
-        def biasers(fsts, class_fst):
-            bindings = {tag: f for tag, f in fsts.items() if tag.startswith("@")}
-            return (WordBiaser(fsts["all"]), SubwordBiaser(fsts["all"]),
-                    ContextualBiaser(class_fst, bindings))
-
-        oracle = SynthOracle(task.vocab, task.refs_test, noise=0.3, seed=7,
-                             noisy_words=task.noisy_words)
-        for new, old in zip(biasers(built, classes), biasers(loaded, old_classes)):
-            assert (decode_corpus(oracle, old, task.vocab, 2.5)
-                    == decode_corpus(oracle, new, task.vocab, 2.5))
+            assert f.num_arcs == f.num_states - 1
 
 
 class TestReaderParity:
@@ -501,7 +454,7 @@ class TestReaderParity:
     def test_round_trip_and_every_truncation(self, entries):
         data = serialize(build_catalog_fst(entries))
         assert serialize(deserialize(data)) == data
-        for cut in range(len(data)):
+        for cut in range(len(data) + 1):
             self.check(data[:cut])
             # The same prefix ending in a byte that is neither a valid flag
             # byte nor valid UTF-8, so a bad field and a short one compete.
@@ -510,16 +463,34 @@ class TestReaderParity:
     @given(catalogs())
     @settings(max_examples=200, deadline=None)
     def test_same_automaton_as_blfst1(self, entries):
+        """``BLFST1`` listed each state's arcs as (word, weight, next state)
+        records.  Read back from ``BLFST3`` bytes, which store no next state,
+        by the package and by the reference, the automaton gives the same
+        records, derived here from the phrases alone: the state of a prefix
+        is its rank among all prefixes sorted by length, then by words."""
         f = build_catalog_fst(entries)
         data = serialize(f)
-        assert deserialize(data) == reference_deserialize(reference_serialize(f)) == f
+        prefixes = sorted({e.phrase[:k] for e in entries for k in range(len(e.phrase) + 1)},
+                          key=lambda p: (len(p), p))
+        number = {p: s for s, p in enumerate(prefixes)}
+        weight = {e.phrase[:k]: e.weight for e in entries for k in range(1, len(e.phrase) + 1)}
+        records = [[] for _ in prefixes]
+        for p in prefixes[1:]:
+            records[number[p[:-1]]].append((p[-1], weight[p], number[p]))
+        finals = sorted(number[e.phrase] for e in entries)
+        for loaded in deserialize(data), reference_deserialize_columnar(data):
+            assert loaded == f
+            assert [[(loaded.arc_words[i], loaded.weights[i], loaded.next_state(i))
+                     for i in range(loaded.offsets[s], loaded.offsets[s + 1])]
+                    for s in range(loaded.num_states)] == records
+            assert [s for s, flag in enumerate(loaded.final) if flag] == finals
         assert serialize(deserialize(data)) == data
 
     @given(catalogs())
     @settings(max_examples=30, deadline=None)
     def test_every_single_byte_flag_value(self, entries):
-        """Each byte set to each flag value, so any state may gain the final
-        and phi bits, and to an invalid one."""
+        """Each byte set to each flag value, so any state may gain or lose
+        the final flag or hold an unknown one."""
         data = serialize(build_catalog_fst(entries))
         for at in range(len(data)):
             for value in (0, 1, 2, 3, 0x80):
@@ -527,15 +498,18 @@ class TestReaderParity:
 
     @given(catalogs())
     @settings(max_examples=30, deadline=None)
-    def test_phi_bit_is_written_on_the_start_and_ignored_on_read(self, entries):
+    def test_flag_bytes_are_the_final_column(self, entries):
+        """A flag byte holds the final flag only; bit 1, which ``BLFST2`` set
+        on the start state, is refused."""
         f = build_catalog_fst(entries)
-        data = bytearray(serialize(f))
+        data = serialize(f)
         flags = range(18, 18 + f.num_states)  # after magic and three u32s
-        assert [data[at] & 2 for at in flags] == [2 if s == f.start else 0
-                                                   for s in range(f.num_states)]
+        assert data[flags.start : flags.stop] == f.final
         for at in flags:
-            data[at] ^= 2
-        assert deserialize(bytes(data)) == f
+            value = data[at] | 2
+            with pytest.raises(InputFormatError) as info:
+                deserialize(data[:at] + bytes([value]) + data[at + 1 :])
+            assert str(info.value) == f"unknown state flags {value:#x} at offset {at}"
 
     @given(catalogs(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -557,15 +531,8 @@ class TestReaderParity:
 
 
 def _hand_built(state_arcs, finals) -> bytes:
-    """``BLFST2`` bytes of an automaton built by hand, unchecked.
-
-    The ``BLFST1`` reference must report the same structural error on its
-    own bytes of the automaton."""
-    f = hand_fst(start=0, finals=finals, arcs=state_arcs)
-    data = serialize(f)
-    assert str(outcome(reference_deserialize, reference_serialize(f))) == str(
-        outcome(deserialize, data))
-    return data
+    """``BLFST3`` bytes of an automaton built by hand, unchecked."""
+    return serialize(hand_fst(start=0, finals=finals, arcs=state_arcs))
 
 
 class TestReaderPrecedence:
@@ -581,7 +548,7 @@ class TestReaderPrecedence:
 
     def test_truncation_beats_an_earlier_sort_violation(self):
         data = _hand_built(
-            [[("a", -1.0, 1), ("c", -1.0, 4)], [("z", -1.0, 2), ("b", -1.0, 3)], [], [], []],
+            [[("a", -1.0), ("c", -1.0)], [("z", -1.0), ("b", -1.0)], [], [], []],
             finals={2, 3, 4},
         )
         self.reject(data, "state 1: arcs not strictly sorted at 'b'")
@@ -589,35 +556,34 @@ class TestReaderPrecedence:
         self.reject(data + b"\x00", "trailing bytes")
 
     def test_earlier_violation_wins(self):
-        unsorted = [("z", -1.0, 3), ("b", -1.0, 4)]
-        infinite = [("c", math.inf, 5)]
+        unsorted = [("z", -1.0), ("b", -1.0)]
+        infinite = [("c", math.inf)]
         leaves = [[], [], []]
         self.reject(
-            _hand_built([[("a", -1.0, 1), ("b", -1.0, 2)], unsorted, infinite] + leaves,
+            _hand_built([[("a", -1.0), ("b", -1.0)], unsorted, infinite] + leaves,
                         finals={3, 4, 5}),
             "state 1: arcs not strictly sorted at 'b'",
         )
         self.reject(
-            _hand_built([[("a", -1.0, 1), ("b", -1.0, 2)], infinite, unsorted] + leaves,
+            _hand_built([[("a", -1.0), ("b", -1.0)], infinite, unsorted] + leaves,
                         finals={3, 4, 5}),
             "state 1: non-finite weight on 'c'",
         )
         # Within one arc the checks keep validate_fst's order.
         self.reject(
-            _hand_built([[("a", -1.0, 1)], [("z", -1.0, 2), ("b", math.nan, 9)], []],
-                        finals={2}),
+            _hand_built([[("a", -1.0)], [("z", -1.0), ("b", math.nan)], []], finals={2}),
             "state 1: arcs not strictly sorted at 'b'",
         )
 
     def test_dead_end_beats_a_later_arc_violation(self):
         self.reject(
-            _hand_built([[("a", -1.0, 1), ("b", -1.0, 2)], [], [("z", -1.0, 3), ("c", -1.0, 4)],
-                         [], []], finals={3, 4}),
+            _hand_built([[("a", -1.0), ("b", -1.0)], [], [("z", -1.0), ("c", -1.0)], [], []],
+                        finals={3, 4}),
             "state 1 is a non-final dead end",
         )
 
     def test_start_out_of_range_beats_arc_violations(self):
-        data = bytearray(_hand_built([[("b", -1.0, 1), ("a", -1.0, 2)], [], []], finals={1, 2}))
+        data = bytearray(_hand_built([[("b", -1.0), ("a", -1.0)], [], []], finals={1, 2}))
         data[10:14] = (7).to_bytes(4, "little")  # the start, after magic and num_states
         self.reject(bytes(data), "start state 7 out of range")
 
@@ -625,13 +591,13 @@ class TestReaderPrecedence:
 class TestFinalColumn:
     """Final states are one flag byte per state, however the automaton was made."""
 
-    ARCS = [[("a", -1.0, 1), ("b", -1.0, 2)], [], [("c", -1.0, 3)], []]
+    ARCS = [[("a", -1.0), ("b", -1.0)], [], [("c", -1.0)], []]
 
     def test_hand_built_from_columns_and_loaded_give_the_same_set(self):
         f = hand_fst(start=0, finals={1, 3}, arcs=self.ARCS)
         assert f.final == b"\0\1\0\1"
         g = WordFst(start=0, final=bytes([0, 1, 0, 1]), offsets=f.offsets,
-                    arc_words=f.arc_words, weights=f.weights, targets=f.targets)
+                    arc_words=f.arc_words, weights=f.weights)
         assert g == f  # every column, the final flags too
         loaded = deserialize(serialize(f))
         assert loaded == f
@@ -662,66 +628,66 @@ class TestFinalColumn:
     def test_short_final_column_is_named(self):
         f = hand_fst(start=0, finals={1, 3}, arcs=self.ARCS)
         g = WordFst(start=0, final=f.final[:3], offsets=f.offsets,
-                    arc_words=f.arc_words, weights=f.weights, targets=f.targets)
+                    arc_words=f.arc_words, weights=f.weights)
         assert _message(validate_fst, g) == "3 final flags for 4 states"
 
     def test_the_constructor_takes_only_columns(self):
         with pytest.raises(TypeError):
             WordFst(start=0, finals=(), arcs=((),))
         with pytest.raises(TypeError):
-            WordFst(0, b"\0", array("I", [0, 0]), [], array("d"), array("I"))
+            WordFst(0, b"\0", array("I", [0, 0]), [], array("d"))
         assert empty_fst() == WordFst(start=0, final=b"\0", offsets=array("I", [0, 0]),
-                                      arc_words=[], weights=array("d"), targets=array("I"))
+                                      arc_words=[], weights=array("d"))
         validate_fst(empty_fst())
 
 
 class TestFormatPin:
-    """Bytes of the seed-7 task's automata, pinned by sha256.
+    """``BLFST3`` bytes of the seed-7 task's catalog and class automata,
+    pinned as (bytes, sha256).  They are the level-order ``BLFST2`` files
+    pinned before, less the next-state block and the start state's bit 1: put
+    back, those give the old pins' hashes."""
 
-    Each format pins (bytes, sha256) of the catalog and the class automaton
-    as the builder numbers them, level by level, and then relabelled to the
-    preorder of earlier versions.  The preorder values were recorded before
-    level-order numbering: the ``BLFST1`` ones from the writer that kept one
-    tuple per arc, now the reference writer, and the ``BLFST2`` ones from an
-    element-by-element writer, before the columnar writer existed."""
-
-    PINS = {
-        "BLFST1": [
-            (23409, "fc7435d45b98cacb445ae8ccdb6e7d2f37b461dbb16c67405bb755c459f41955"),
-            (527, "78c6b9f18479fc27dd682c9b03ea693a5d1fc2df56135ab1238dcede9169fb65"),
-            (23409, "72803fbdc7530ef8202d5dbdf93bdf188728f42097c428816ec425c539b2efe3"),
-            (527, "e15e69a9bc506a3bd59aa26c6907f6a5e297af4c9e2bf828a5f3b87538232583"),
-        ],
-        "BLFST2": [
-            (20792, "10eee60ae3de90d1cf02d35fbd9b1d0525602e128967f32cc2c51c9777a9214d"),
-            (484, "a10146e96c404efea3fffa3805449ddcb5162bcd75b331210552040de2c0256a"),
-            (20792, "902c90c7ef78fa3755428dccf4a042f9d67b027c617224ec5359b0b3a766c216"),
-            (484, "c16d967341f675ac8e1bb092113cab471157813cd2497a600e66cf7b2822ea28"),
-        ],
-    }
+    PINS = [
+        (17288, "6ff1c2fa241399c4f52f35b13edde0f8131cc6bb9b18ac8da7a24b1f0714e1ca"),
+        (412, "0d9531168742cd98922cc9ca2dde6bf270ec65bde11b3405efc322aca41cfca5"),
+    ]
+    BLFST2_PINS = [
+        (20792, "10eee60ae3de90d1cf02d35fbd9b1d0525602e128967f32cc2c51c9777a9214d"),
+        (484, "a10146e96c404efea3fffa3805449ddcb5162bcd75b331210552040de2c0256a"),
+    ]
 
     def automata(self):
         task = make_task(7)
-        built = (build_catalog_fst(task.all_bias_entries()),
-                 build_class_fst(task.class_corpus, min_count=10).fst)
-        return [*built, *map(preorder_relabel, built)]
+        return [build_catalog_fst(task.all_bias_entries()),
+                build_class_fst(task.class_corpus, min_count=10).fst]
 
     def pinned(self, data: bytes):
         return len(data), hashlib.sha256(data).hexdigest()
 
     def test_seed7_bytes(self):
-        files = list(map(reference_serialize, self.automata()))
-        assert list(map(self.pinned, files)) == self.PINS["BLFST1"]
-        for data in files:
-            assert reference_serialize(reference_deserialize(data)) == data
-
-    def test_seed7_columnar_bytes(self):
         automata = self.automata()
         files = list(map(serialize, automata))
-        assert list(map(self.pinned, files)) == self.PINS["BLFST2"]
+        assert list(map(self.pinned, files)) == self.PINS
         assert list(map(deserialize, files)) == automata
         for data in files:
             assert serialize(deserialize(data)) == data
+
+    def test_seed7_columnar_bytes(self):
+        """The columns ``BLFST3`` keeps are the ``BLFST2`` columns byte for
+        byte: with the magic, the start state's bit 1 and the next states
+        1 .. n - 1 put back, each file hashes to its ``BLFST2`` pin."""
+
+        def as_blfst2(data: bytes) -> bytes:
+            n, start, num_arcs = struct.unpack_from("<III", data, 6)
+            assert num_arcs == n - 1
+            flags = bytearray(data[18 : 18 + n])
+            flags[start] |= 2
+            weights_at = 18 + n + 4 * (n + 1)  # after the flags and the offsets
+            return (b"BLFST2" + data[6:18] + bytes(flags) + data[18 + n : weights_at]
+                    + struct.pack(f"<{num_arcs}I", *range(1, n)) + data[weights_at:])
+
+        files = list(map(serialize, self.automata()))
+        assert [self.pinned(as_blfst2(data)) for data in files] == self.BLFST2_PINS
 
 
 def _retained_bytes(fn, *args):
@@ -739,8 +705,8 @@ def _retained_bytes(fn, *args):
 class TestRetainedMemory:
     """An automaton keeps its columns and its words, and no object per state.
 
-    On a 20k-entry catalog a built automaton keeps about 30 B per arc (its
-    words are the catalog's strings) and a loaded one about 82 B (its own
+    On a 20k-entry catalog a built automaton keeps about 22 B per arc (its
+    words are the catalog's strings) and a loaded one about 77 B (its own
     strings, one list slot each, and the columns).  A frozenset of final
     states alone costs about 70 B per arc at this size, so it breaks both
     bounds."""
