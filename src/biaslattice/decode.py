@@ -48,7 +48,8 @@ class EmissionOracle(Protocol):
 
         Only tokens with nonzero probability need appear; the values must
         log-sum-exp to 0 within 1e-6.  Beam search calls this once per live
-        hypothesis and checks each distinct map once: it compares a map by
+        hypothesis, visiting the beam in token order (not score order), and
+        checks each distinct map once: it compares a map by
         value with the last one that passed, never by identity, so an
         oracle may return one object and mutate it between calls.
         """
@@ -76,7 +77,7 @@ def fuse_step(rnnt_logp: float, sf_increment: float, lam: float) -> float:
     return rnnt_logp + lam * sf_increment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hypothesis:
     tokens: tuple[str, ...]
     text: str
@@ -85,7 +86,7 @@ class Hypothesis:
     fused: float      # rnnt_logp + lam * sf_score under the decode-time lam
 
 
-@dataclass
+@dataclass(slots=True)
 class NBestList:
     utt_id: str
     ref: str
@@ -341,14 +342,20 @@ def beam_search(
     if biaser is None:
         biaser = NullBiaser()
     inf = math.inf
-    # A beam, live or done, is (-fused, tokens, rnnt_logp, sf_score, session).
-    # Token sequences are unique, so sorting the tuples orders by descending
-    # fused score, then by tokens, and never compares two sessions.
+    # A finished hypothesis is (-fused, tokens, rnnt_logp, sf_score, session).
+    # Token sequences are unique, so sorting these tuples orders by
+    # descending fused score, then by tokens, and never compares two sessions.
     #
     # Search is breadth-synchronous: every live hypothesis at a step has the
-    # same length.  So an extended candidate is (-fused, tokens, token, r, b,
-    # session), and comparing (tokens, token) orders exactly as comparing
-    # tokens + (token,) would; the child tuple is built for the survivors only.
+    # same length.  The live beam, (tokens, rnnt_logp, sf_score, session), is
+    # kept in token order and each map's items are visited in token order, so
+    # candidates (-fused, tokens, token, r, b, session) are made in the order
+    # of tokens + (token,).  A stable sort keyed on -fused alone, a float that
+    # compares in C, then gives the order of the whole-tuple sort, ties
+    # included.  A step that makes more than beam_size candidates keeps the
+    # first beam_size indices of that argsort, put back in index order so the
+    # next step again visits the beam in token order; a step making no more
+    # sorts nothing.  The child tuple is built for the survivors only.
     #
     # Oracles such as SynthOracle hand every hypothesis at a step a map equal
     # in value, so the last map that passed _check_normalized is kept, as a
@@ -362,14 +369,14 @@ def beam_search(
     # A non-finite part always makes it non-finite, so only a score that fails
     # -inf < f < inf goes to fuse_step, which raises on a non-finite part and
     # otherwise returns the same overflowed sum.
-    live = [(0.0, (), 0.0, 0.0, biaser.open_session())]
+    live = [((), 0.0, 0.0, biaser.open_session())]
     done = []
     checked = items = None
     for _ in range(max_steps):
         if not live:
             break
         extended = []
-        for _, tokens, rnnt, sf, parent in live:
+        for tokens, rnnt, sf, parent in live:
             scores = oracle.score(utt_id, tokens)
             if scores != checked:
                 scores = dict(scores)
@@ -392,12 +399,15 @@ def beam_search(
                     done.append((-f, tokens, r, b, session))
                 else:
                     extended.append((-f, tokens, token, r, b, session))
-        extended.sort()
-        live = [(neg_f, tokens + (token,), r, b, session)
-                for neg_f, tokens, token, r, b, session in extended[:beam_size]]
+        if len(extended) > beam_size:
+            keys = [candidate[0] for candidate in extended]
+            keep = sorted(range(len(keys)), key=keys.__getitem__)[:beam_size]
+            extended = [extended[i] for i in sorted(keep)]
+        live = [(tokens + (token,), r, b, session)
+                for _, tokens, token, r, b, session in extended]
     else:
         # Step cap reached: settle whatever is still on the beam.
-        for _, tokens, r, sf, session in live:
+        for tokens, r, sf, session in live:
             b = sf + session.finalize()
             f = r + lam * b
             if not -inf < f < inf:

@@ -74,7 +74,7 @@ class CatalogError(InputFormatError, ValueError):
     """A phrase catalog violates the builder's preconditions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CatalogEntry:
     """One catalog phrase; ``weight`` is applied to every word arc of it.
     Errors blaming it name ``where``, the ``file:line`` it was read from."""

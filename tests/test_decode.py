@@ -651,7 +651,26 @@ def _bits(nbest):
 class TestReferenceEquivalence:
     """Beam search returns exactly what the one-clone-per-candidate loop returns."""
 
-    @pytest.mark.parametrize("biaser_cls", [None, WordBiaser, SubwordBiaser])
+    def test_cross_parent_tie_breaks_by_tokens(self, mini_vocab):
+        # ("a", "c") and ("b", "c") tie at low - 0.25 for the second beam
+        # slot.  Parent "b" scores higher, so a beam kept in score order
+        # extends it first, and a selection that is stable only over that
+        # order keeps ("b", "c"); the tie must go to the smaller sequence.
+        low = math.log(1 - math.exp(-0.25))
+        oracle = _LastTokenOracle({
+            None: {"b": -0.25, "a": low},
+            "b": {"c": low, "d": -0.25},
+            "a": {"c": -0.25, "d": low},
+        }, 2)
+        args = (oracle, None, mini_vocab, 0.0, 2, 2)
+        got = beam_search(*args)
+        assert [h.tokens for h in got.hyps] == [("b", "d"), ("a", "c")]
+        assert got.hyps[1].fused == low - 0.25
+        assert got == reference_beam_search(*args)
+
+    @pytest.mark.parametrize("biaser_cls", [
+        None, WordBiaser, SubwordBiaser, pytest.param(_tag_only_context, id="ContextualBiaser"),
+    ])
     @given(oracle=_last_token_oracles(), catalog=_catalogs(), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_reference(self, mini_vocab, biaser_cls, oracle, catalog, data):
