@@ -31,12 +31,12 @@ arrays and splits one block of words.  One routine checks every automaton,
 however its columns were made, with C-level loops over them and one set
 test, that adjacent words fall out of order only where a state's arcs begin.
 
-Automata are immutable after construction and safe to share across threads;
-all mutation happens inside the builder and the reader.  The columns are a
-list, arrays and bytes, shared rather than copied, so callers must not
-change them either; they are the only way to read an automaton.  The one
-derived structure, the band index, is built lazily on first use; threads
-racing on it only compute the same value twice.
+An automaton is its columns: it derives and caches nothing from them, so a
+``WordFst`` is a slotted, frozen record of four columns.  Automata are
+immutable after construction and safe to share across threads; all mutation
+happens inside the builder and the reader.  The columns are a list, arrays
+and bytes, shared rather than copied, so callers must not change them
+either; they are the only way to read an automaton.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import and_, attrgetter, ge, gt, itemgetter, not_, or_, sub
 from typing import Iterable, NoReturn
 
@@ -64,10 +63,6 @@ _MAGIC = b"BLFST3"
 # adds biasing scores, so higher is better there); that flip changes this
 # line and the tests that pin the old picks.
 strongest = min
-
-# Block size of the band index: bands of more than 2 * BAND_BLOCK arcs are
-# summarized from per-block summaries, in O(BAND_BLOCK + band/BAND_BLOCK).
-BAND_BLOCK = 32
 
 
 class CatalogError(InputFormatError, ValueError):
@@ -107,7 +102,7 @@ class CatalogEntry:
         return " ".join(self.phrase)
 
 
-@dataclass(frozen=True, repr=False, kw_only=True)
+@dataclass(frozen=True, slots=True, repr=False, kw_only=True)
 class WordFst:
     """Trie-shaped weighted automaton over whole words, stored as columns.
 
@@ -119,29 +114,15 @@ class WordFst:
     exists.  ``final[s]`` is 1 if state ``s`` ends a phrase and 0 if not:
     one byte per state, and no per-state object.
 
-    The constructor takes the five columns as keywords and keeps them without
+    The constructor takes the four columns as keywords and keeps them without
     copying or checking them; :func:`validate_fst` checks them.
     """
 
-    start: int
+    start = 0  # not a field: level order makes state 0, which no arc enters, the start
     final: bytes  # one byte per state, 1 for a final state
     offsets: array  # 'I', num_states + 1 entries
     arc_words: list[str]
     weights: array  # 'd'
-
-    @cached_property
-    def _band_index(self) -> tuple[array, array]:
-        """(max word length, strongest weight) of each ``BAND_BLOCK`` arcs of the columns.
-
-        Blocks are aligned to column positions, not to states; a band summary
-        uses only the blocks that lie wholly inside its band.
-        """
-        b, words, weights = BAND_BLOCK, self.arc_words, self.weights
-        starts = range(0, len(words), b)
-        return (
-            array("I", [max(map(len, words[i : i + b])) for i in starts]),
-            array("d", [strongest(weights[i : i + b]) for i in starts]),
-        )
 
     @property
     def num_states(self) -> int:
@@ -166,18 +147,7 @@ class WordFst:
         The band must be non-empty.  Ties on the weight resolve to the first
         arc in positional order, as a left-to-right scan would.
         """
-        words, weights = self.arc_words, self.weights
-        if hi - lo <= 2 * BAND_BLOCK:
-            return max(map(len, words[lo:hi])), strongest(weights[lo:hi])
-        block_len, block_weight = self._band_index
-        # Head slice up to the first block boundary, whole blocks, tail slice.
-        b0 = -(-lo // BAND_BLOCK)
-        b1 = hi // BAND_BLOCK
-        head, tail = b0 * BAND_BLOCK, b1 * BAND_BLOCK
-        return (
-            max(chain(map(len, words[lo:head]), block_len[b0:b1], map(len, words[tail:hi]))),
-            strongest(chain(weights[lo:head], block_weight[b0:b1], weights[tail:hi])),
-        )
+        return max(map(len, self.arc_words[lo:hi])), strongest(self.weights[lo:hi])
 
     def arc_id(self, state: int, word: str) -> int | None:
         """Column position of ``state``'s arc labelled ``word``, or None."""
@@ -243,9 +213,8 @@ def build_catalog_fst(entries: Iterable[CatalogEntry]) -> WordFst:
         ids, shares, lens, phrases = (
             list(compress(column, longer)) for column in (ids, shares, lens, phrases))
     offsets.append(firsts[-1] - 1)
-    return WordFst(
-        start=0, final=bytes(final), offsets=offsets, arc_words=words,
-        weights=array("d", map(weights.__getitem__, owners)))
+    return WordFst(final=bytes(final), offsets=offsets, arc_words=words,
+                   weights=array("d", map(weights.__getitem__, owners)))
 
 
 def _first_fault(entries: list[CatalogEntry]) -> NoReturn:
@@ -269,10 +238,7 @@ def _first_fault(entries: list[CatalogEntry]) -> NoReturn:
 
 def empty_fst() -> WordFst:
     """A single-state automaton accepting nothing (used for empty corpora)."""
-    return WordFst(
-        start=0, final=b"\0", offsets=array("I", [0, 0]),
-        arc_words=[], weights=array("d"),
-    )
+    return WordFst(final=b"\0", offsets=array("I", [0, 0]), arc_words=[], weights=array("d"))
 
 
 def _check_columns(fst: WordFst) -> str | None:
@@ -291,7 +257,7 @@ def _check_columns(fst: WordFst) -> str | None:
     # Adjacent words may fall only where a state's arcs begin.
     falls = compress(range(1, len(words)), map(ge, words, islice(words, 1, None)))
     if (
-        fst.start == 0 < n and len(words) == len(fst.weights) == n - 1
+        len(words) == len(fst.weights) == n - 1
         and offsets[0] == 0 and offsets[n] == n - 1 and min(sizes) >= 0
         and all(map(ge, offsets, range(n))) and all(map(math.isfinite, fst.weights))
         and all(words) and not set(falls).difference(offsets)
@@ -314,10 +280,8 @@ def _first_problem(fst: WordFst) -> str | None:
     for s in range(n):
         if offsets[s] > offsets[s + 1]:
             return f"state {s}: arc offsets decrease"
-    if not 0 <= fst.start < n:
-        return f"start state {fst.start} out of range"
-    if fst.start:
-        return f"start state {fst.start} is not state 0, the one no arc enters"
+    if not n:
+        return "start state 0 out of range"
     for s in range(n):
         lo, hi = offsets[s], offsets[s + 1]
         prev = ""
@@ -332,7 +296,7 @@ def _first_problem(fst: WordFst) -> str | None:
             if fst.next_state(i) >= n:
                 return f"state {s}: next state {fst.next_state(i)} out of range"
             prev = word
-        if lo == hi and not final[s] and s != fst.start:
+        if lo == hi and not final[s] and s:
             return f"state {s} is a non-final dead end"
     stray = final.find(1, n)
     if stray >= 0:
@@ -388,7 +352,7 @@ def load_catalog(path) -> list[CatalogEntry]:
 #
 # Versioned columnar layout, magic ``BLFST3``, little-endian throughout:
 #
-#   magic | u32 num_states | u32 start | u32 num_arcs |
+#   magic | u32 num_states | u32 start (always 0) | u32 num_arcs |
 #   u8 final[num_states] (0 or 1) |
 #   u32 offsets[num_states + 1] | f64 weights[num_arcs] |
 #   u32 len | UTF-8 arc words joined by "\n"
@@ -426,10 +390,11 @@ def serialize(fst: WordFst) -> bytes:
 def deserialize(data: bytes) -> WordFst:
     """Parse a ``BLFST3`` buffer: one length check, array copies, one column check.
 
-    Byte-level errors name their offset and come first: bad magic, then
-    truncation or trailing bytes, then unknown state flags, invalid UTF-8
-    and a word count that differs from the header's arc count.  Structural
-    errors are :func:`validate_fst`'s and name the first offending state.
+    Byte-level errors come first and name their offset or header field: bad
+    magic, then truncation or trailing bytes, a start state other than 0,
+    unknown state flags, invalid UTF-8 and a word count that differs from
+    the header's arc count.  Structural errors are :func:`validate_fst`'s
+    and name the first offending state.
     """
     magic = data[: len(_MAGIC)]
     if magic != _MAGIC:
@@ -448,6 +413,8 @@ def deserialize(data: bytes) -> WordFst:
         raise InputFormatError(f"truncated automaton: ends at offset {end}, needed {need} bytes")
     if end > need:
         raise InputFormatError(f"{end - need} trailing bytes at offset {need}")
+    if start:
+        raise InputFormatError(f"start state {start} is not state 0, the one no arc enters")
     at = _HEADER.size
     final = bytes(data[at : at + n])
     if final.translate(None, b"\0\1"):
@@ -468,7 +435,7 @@ def deserialize(data: bytes) -> WordFst:
     words = text.split("\n") if text or num_arcs else []
     if len(words) != num_arcs:
         raise InputFormatError(f"{len(words)} arc words for {num_arcs} arcs")
-    fst = WordFst(start=start, final=final, offsets=offsets, arc_words=words, weights=weights)
+    fst = WordFst(final=final, offsets=offsets, arc_words=words, weights=weights)
     problem = _check_columns(fst)
     if problem:
         raise InputFormatError(f"malformed automaton: {problem}")

@@ -31,9 +31,11 @@ misses the cache bisects the band within the word column once.  If the
 prefix fell out of every arc, that is all it costs: a dead prefix is never
 cached.  A live band costs a second bisect, for its upper end, plus
 :meth:`WordFst.band_summary`, which finds the band's longest word and
-strongest weight (``fst.strongest``) in O(B + band/B) for the automaton's
-block size B.  No step scans the band in Python, and a word's
-exact match, if any, is the word at ``lo``.
+strongest weight (``fst.strongest``) in C over the band's slice.  A cache
+never evicts, stores each live ``(state, prefix)`` once, and an arc lies in
+the bands of at most ``len(word)`` prefixes, so the bands a cache ever
+summarizes sum to at most the arc words' total length.  No step scans the
+band in Python, and a word's exact match, if any, is the word at ``lo``.
 
 Scoring is a set of pure transitions over word content: the decoder splits
 each token once (:func:`wordpiece.word_end`), so no walk knows the delimiter.
@@ -175,7 +177,8 @@ class PhraseWalk:
     so a biaser's one walk shares it across all the utterances it decodes.
     It maps ``(q, prefix)`` to ``(lo, hi, pushed)`` for live bands only,
     never for a prefix that matches no arc, so it holds at most one entry
-    per (state, prefix of one of that state's arc words).
+    per (state, prefix of one of that state's arc words).  Every decoding
+    biaser passes one: without it, each step summarizes its band again.
     """
 
     __slots__ = ("fst", "cache", "counter")
@@ -191,15 +194,11 @@ class PhraseWalk:
         self.cache = cache
         self.counter = counter
 
-    def initial(self, q: int | None = None) -> tuple:
-        """The state of a walk about to read its first word from ``q``.
-
-        ``q`` defaults to the start state; any other value must name a state.
-        """
+    def initial(self, q: int = 0) -> tuple:
+        """The state of a walk about to read its first word from state ``q``,
+        by default the start state 0."""
         fst = self.fst
-        if q is None:
-            q = fst.start
-        elif not 0 <= q < fst.num_states:
+        if not 0 <= q < fst.num_states:
             raise IndexError(f"state {q} out of range (0..{fst.num_states - 1})")
         return (q, "", fst.offsets[q], fst.offsets[q + 1], 0.0, False, 0.0, False)
 

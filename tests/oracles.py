@@ -401,9 +401,7 @@ def reference_tag_race(
 # below give no next state, and the readers here take it as i + 1.
 
 
-def hand_fst(
-    *, start: int, finals: Iterable[int], arcs: Iterable[Iterable[tuple[str, float]]]
-) -> WordFst:
+def hand_fst(*, finals: Iterable[int], arcs: Iterable[Iterable[tuple[str, float]]]) -> WordFst:
     """The automaton of per-state ``(word, weight)`` lists and the final
     states, unchecked, so malformed automata can be made too.  A final state
     past the last state lengthens the final column, so that ``validate_fst``
@@ -419,8 +417,7 @@ def hand_fst(
         if s >= len(final):
             final.extend(bytes(s + 1 - len(final)))
         final[s] = 1
-    return WordFst(start=start, final=bytes(final), offsets=offsets,
-                   arc_words=arc_words, weights=weights)
+    return WordFst(final=bytes(final), offsets=offsets, arc_words=arc_words, weights=weights)
 
 
 # -- catalog automata, built through an object trie ------------------------------
@@ -476,7 +473,7 @@ def reference_build_catalog_fst(entries: Iterable[CatalogEntry]) -> WordFst:
 
     arcs = [[(word, node.edges[word][0]) for word in sorted(node.edges)] for node in order]
     finals = [s for s, node in enumerate(order) if node.final]
-    return hand_fst(start=0, finals=finals, arcs=arcs)
+    return hand_fst(finals=finals, arcs=arcs)
 
 
 # -- automata, read state by state ------------------------------------------------
@@ -486,7 +483,7 @@ def phrase_end(fst: WordFst, phrase: Iterable[str]) -> tuple[int, float] | None:
     """``(end state, summed weight)`` of ``phrase`` walked from the start
     state, each word found by a linear scan of the state's arcs, or None if
     some word has no arc."""
-    state, total = fst.start, 0.0
+    state, total = 0, 0.0
     for word in phrase:
         hits = [i for i in _positions(fst, state) if fst.arc_words[i] == word]
         if not hits:
@@ -507,17 +504,15 @@ def _state_arcs(fst: WordFst, state: int) -> list[tuple[str, float, int]]:
 # -- automaton checks, state by state ---------------------------------------------
 #
 # The structural checks as one loop per state, in the order whose first
-# violation the package reports; reachability is a plain graph walk.  The
-# start must be state 0, the one state no arc enters.
+# violation the package reports; reachability is a plain graph walk from
+# the start state 0, which must exist.
 
 
 def reference_validate(fst: WordFst) -> None:
     n = fst.num_states
     finals = {s for s, flag in enumerate(fst.final) if flag}
-    if not 0 <= fst.start < n:
-        raise ValueError(f"start state {fst.start} out of range")
-    if fst.start != 0:
-        raise ValueError(f"start state {fst.start} is not state 0, the one no arc enters")
+    if n == 0:
+        raise ValueError("start state 0 out of range")
     for s in range(n):
         arcs = _state_arcs(fst, s)
         prev = ""
@@ -531,13 +526,13 @@ def reference_validate(fst: WordFst) -> None:
             if nextstate >= n:
                 raise ValueError(f"state {s}: next state {nextstate} out of range")
             prev = word
-        if not arcs and s not in finals and s != fst.start:
+        if not arcs and s not in finals and s != 0:
             raise ValueError(f"state {s} is a non-final dead end")
     for s in finals:
         if not 0 <= s < n:
             raise ValueError(f"state {s} out of range")
-    seen = {fst.start}
-    frontier = [fst.start]
+    seen = {0}
+    frontier = [0]
     while frontier:
         for _, _, nextstate in _state_arcs(fst, frontier.pop()):
             if nextstate not in seen:
@@ -578,6 +573,8 @@ def reference_deserialize_columnar(data: bytes) -> WordFst:
         )
     if len(data) > need:
         raise InputFormatError(f"{len(data) - need} trailing bytes at offset {need}")
+    if start != 0:
+        raise InputFormatError(f"start state {start} is not state 0, the one no arc enters")
     for s in range(n):
         if data[18 + s] > 1:
             raise InputFormatError(
@@ -607,7 +604,6 @@ def reference_deserialize_columnar(data: bytes) -> WordFst:
         if offsets[s] > offsets[s + 1]:
             raise InputFormatError(f"malformed automaton: state {s}: arc offsets decrease")
     fst = hand_fst(
-        start=start,
         finals={s for s in range(n) if data[18 + s]},
         arcs=[[(words[i], weights[i]) for i in range(offsets[s], offsets[s + 1])]
               for s in range(n)],

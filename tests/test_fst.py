@@ -163,7 +163,7 @@ class TestSerialization:
             deserialize(b"BLFST2" + serialize(play_fst)[6:])
 
     def test_newline_in_word_rejected_by_writer(self):
-        f = hand_fst(start=0, finals={1}, arcs=[[("a\nb", -1.0)], []])
+        f = hand_fst(finals={1}, arcs=[[("a\nb", -1.0)], []])
         with pytest.raises(ValueError, match="newline"):
             serialize(f)
 
@@ -211,7 +211,6 @@ class TestCatalogFiles:
 class TestValidate:
     def test_unsorted_arcs_rejected(self):
         f = hand_fst(
-            start=0,
             finals=frozenset({1, 2}),
             arcs=((("b", -1.0), ("a", -1.0)), (), ()),
         )
@@ -220,7 +219,6 @@ class TestValidate:
 
     def test_unreachable_state_rejected(self):
         f = hand_fst(
-            start=0,
             finals=frozenset({1, 2}),
             arcs=((("a", -1.0),), (), ()),
         )
@@ -229,7 +227,6 @@ class TestValidate:
 
     def test_dead_end_rejected(self):
         f = hand_fst(
-            start=0,
             finals=frozenset(),
             arcs=((("a", -1.0),), ()),
         )
@@ -238,7 +235,7 @@ class TestValidate:
 
     def test_short_column_rejected(self):
         f = build_catalog_fst([CatalogEntry(("a", "b"), 1.0), CatalogEntry(("c",), 1.0)])
-        g = WordFst(start=f.start, final=f.final, offsets=f.offsets, arc_words=f.arc_words,
+        g = WordFst(final=f.final, offsets=f.offsets, arc_words=f.arc_words,
                     weights=f.weights[:-1])
         assert _message(validate_fst, g) == "3 arc words and 2 weights"
 
@@ -370,12 +367,11 @@ class TestCheckParity:
         arcs = [[[f.arc_words[i], f.weights[i]] for i in range(f.offsets[s], f.offsets[s + 1])]
                 for s in range(n)]
         finals = {s for s in range(n) if f.final[s]}
-        start = f.start
         flat = [arc for state_arcs in arcs for arc in state_arcs]
         for _ in range(data.draw(st.integers(0, 2))):
             kind = data.draw(st.sampled_from(
                 ["word", "weight", "offset", "add arc", "drop arc", "swap words", "unfinal",
-                 "start", "stray final"]))
+                 "stray final"]))
             if kind == "word" and flat:
                 rnd.choice(flat)[0] = data.draw(st.sampled_from(["", "a", "zz", "é"]))
             elif kind == "weight" and flat:
@@ -402,18 +398,16 @@ class TestCheckParity:
                 a[0], b[0] = b[0], a[0]
             elif kind == "unfinal":
                 finals.discard(rnd.choice(range(n)))
-            elif kind == "start":
-                start = data.draw(st.integers(0, n))
             else:
                 finals.add(n + 3)
-        g = hand_fst(start=start, finals=finals, arcs=arcs)
+        g = hand_fst(finals=finals, arcs=arcs)
         assert _message(validate_fst, g) == _message(reference_validate, g)
 
     def test_states_owning_the_arcs_into_them(self):
         """Offsets ``[0, 0, 1, 2]``: ``offsets[s] < s`` for states 1 and 2, so
         each owns the arc into itself and neither is reachable, though every
         state but the start has an arc into it."""
-        f = hand_fst(start=0, finals=(), arcs=[[], [("a", -1.0)], [("b", -1.0)]])
+        f = hand_fst(finals=(), arcs=[[], [("a", -1.0)], [("b", -1.0)]])
         assert f.offsets.tolist() == [0, 0, 1, 2]
         assert _message(validate_fst, f) == "2 states unreachable from start"
         assert _message(reference_validate, f) == "2 states unreachable from start"
@@ -532,7 +526,7 @@ class TestReaderParity:
 
 def _hand_built(state_arcs, finals) -> bytes:
     """``BLFST3`` bytes of an automaton built by hand, unchecked."""
-    return serialize(hand_fst(start=0, finals=finals, arcs=state_arcs))
+    return serialize(hand_fst(finals=finals, arcs=state_arcs))
 
 
 class TestReaderPrecedence:
@@ -582,10 +576,24 @@ class TestReaderPrecedence:
             "state 1 is a non-final dead end",
         )
 
-    def test_start_out_of_range_beats_arc_violations(self):
-        data = bytearray(_hand_built([[("b", -1.0), ("a", -1.0)], [], []], finals={1, 2}))
-        data[10:14] = (7).to_bytes(4, "little")  # the start, after magic and num_states
-        self.reject(bytes(data), "start state 7 out of range")
+    def test_the_header_start_must_be_0(self):
+        """The start field of the header is always 0.  Any other value is a
+        byte-level error: it beats every structural one and an unknown flag
+        byte, and a short or long file is refused for its length first."""
+        data = _hand_built([[("b", -1.0), ("a", -1.0)], [], []], finals={1, 2})
+        self.reject(data, "state 0: arcs not strictly sorted at 'a'")
+        for start in 1, 2, 3, 7, 2**32 - 1:
+            bad = bytearray(data)
+            bad[10:14] = start.to_bytes(4, "little")  # after magic and num_states
+            refusal = f"start state {start} is not state 0, the one no arc enters"
+            self.reject(bytes(bad), refusal)
+            bad[18] = 2  # the first flag byte
+            self.reject(bytes(bad), refusal)
+            self.reject(bytes(bad[:-1]), "truncated automaton")
+            self.reject(bytes(bad) + b"\0", "trailing bytes")
+
+    def test_no_states_means_no_start_state(self):
+        self.reject(_hand_built([], finals=()), "malformed automaton: start state 0 out of range")
 
 
 class TestFinalColumn:
@@ -594,9 +602,9 @@ class TestFinalColumn:
     ARCS = [[("a", -1.0), ("b", -1.0)], [], [("c", -1.0)], []]
 
     def test_hand_built_from_columns_and_loaded_give_the_same_set(self):
-        f = hand_fst(start=0, finals={1, 3}, arcs=self.ARCS)
+        f = hand_fst(finals={1, 3}, arcs=self.ARCS)
         assert f.final == b"\0\1\0\1"
-        g = WordFst(start=0, final=bytes([0, 1, 0, 1]), offsets=f.offsets,
+        g = WordFst(final=bytes([0, 1, 0, 1]), offsets=f.offsets,
                     arc_words=f.arc_words, weights=f.weights)
         assert g == f  # every column, the final flags too
         loaded = deserialize(serialize(f))
@@ -613,7 +621,7 @@ class TestFinalColumn:
 
     def test_stray_final_is_named_out_of_range(self):
         n = len(self.ARCS)
-        f = hand_fst(start=0, finals={1, 3, n + 3}, arcs=self.ARCS)
+        f = hand_fst(finals={1, 3, n + 3}, arcs=self.ARCS)
         assert f.final == bytes([0, 1, 0, 1, 0, 0, 0, 1])
         assert _message(validate_fst, f) == f"state {n + 3} out of range"
         assert _message(reference_validate, f) == f"state {n + 3} out of range"
@@ -621,13 +629,13 @@ class TestFinalColumn:
         assert deserialize(serialize(f)).final == b"\0\1\0\1"
 
     def test_earlier_violation_beats_a_stray_final(self):
-        f = hand_fst(start=0, finals={3, 9}, arcs=self.ARCS)
+        f = hand_fst(finals={3, 9}, arcs=self.ARCS)
         assert _message(validate_fst, f) == "state 1 is a non-final dead end"
         assert _message(reference_validate, f) == "state 1 is a non-final dead end"
 
     def test_short_final_column_is_named(self):
-        f = hand_fst(start=0, finals={1, 3}, arcs=self.ARCS)
-        g = WordFst(start=0, final=f.final[:3], offsets=f.offsets,
+        f = hand_fst(finals={1, 3}, arcs=self.ARCS)
+        g = WordFst(final=f.final[:3], offsets=f.offsets,
                     arc_words=f.arc_words, weights=f.weights)
         assert _message(validate_fst, g) == "3 final flags for 4 states"
 
@@ -635,10 +643,26 @@ class TestFinalColumn:
         with pytest.raises(TypeError):
             WordFst(start=0, finals=(), arcs=((),))
         with pytest.raises(TypeError):
-            WordFst(0, b"\0", array("I", [0, 0]), [], array("d"))
-        assert empty_fst() == WordFst(start=0, final=b"\0", offsets=array("I", [0, 0]),
+            WordFst(start=0, final=b"\0", offsets=array("I", [0, 0]), arc_words=[],
+                    weights=array("d"))
+        with pytest.raises(TypeError):
+            WordFst(b"\0", array("I", [0, 0]), [], array("d"))
+        assert empty_fst() == WordFst(final=b"\0", offsets=array("I", [0, 0]),
                                       arc_words=[], weights=array("d"))
         validate_fst(empty_fst())
+
+    @given(catalogs())
+    @settings(max_examples=30, deadline=None)
+    def test_an_automaton_holds_its_columns_and_nothing_else(self, entries):
+        """Built or loaded, a ``WordFst`` has four slots and no ``__dict__``,
+        so nothing derived from the columns can be cached on it."""
+        built = build_catalog_fst(entries)
+        for f in built, deserialize(serialize(built)):
+            assert not hasattr(f, "__dict__")
+            assert f.__slots__ == ("final", "offsets", "arc_words", "weights")
+            assert f.start == 0
+            with pytest.raises(AttributeError):
+                f.final = b""
 
 
 class TestFormatPin:

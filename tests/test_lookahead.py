@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from biaslattice.fst import BAND_BLOCK, CatalogEntry, build_catalog_fst
+from biaslattice.decode import SubwordBiaser
+from biaslattice.fst import CatalogEntry, build_catalog_fst
 from biaslattice.lookahead import (
     PhraseWalk,
     ProbeCounter,
@@ -369,7 +370,7 @@ def _large_catalog(rng, prefixed=0):
     """100-3000 random words with mixed-sign weights, plus ``prefixed`` "q" words.
 
     The "q" words sort after every random word, so their band starts at an
-    arbitrary offset within a block and has exactly ``prefixed`` arcs.
+    arbitrary column offset and has exactly ``prefixed`` arcs.
     """
     entries = []
     while len(entries) < 100:
@@ -381,9 +382,7 @@ def _large_catalog(rng, prefixed=0):
 
 
 class TestLargeBands:
-    """Catalogs big enough for the keyless prefix search and the band index."""
-
-    B = BAND_BLOCK
+    """Catalogs big enough for the keyless prefix search and bands of hundreds of arcs."""
 
     def test_band_summary_matches_scan(self):
         rng = random.Random(2024)
@@ -391,37 +390,21 @@ class TestLargeBands:
             f = build_catalog_fst(_large_catalog(rng))
             base = f.offsets[f.start]
             n = f.arc_count(f.start)
-            widths = {1, self.B, 2 * self.B, 2 * self.B + 1, 2 * self.B + 2, 5 * self.B + 7, n}
-            for width in sorted(w for w in widths if w <= n):
-                starts = {0, self.B - 1, self.B, self.B + 1, n - width}
+            for width in sorted(w for w in {1, 2, 32, 64, 65, 66, 167, n} if w <= n):
+                starts = {0, 1, 31, 32, 33, n - width}
                 starts |= {rng.randrange(n - width + 1) for _ in range(20)}
                 for lo in sorted(s for s in starts if 0 <= s <= n - width):
                     hi = lo + width
                     assert f.band_summary(base + lo, base + hi) == band_scan(
                         f.arc_words, f.weights, base + lo, base + hi)
 
-    def test_band_summary_finds_a_lone_extreme_anywhere(self):
-        # One longer, lower-weighted word among equal ones, at every position
-        # of the head, block and tail parts of every indexed band around it.
-        n = 3 * self.B + 5
-        words = [f"a{i:03d}" for i in range(n)]
-        for i in range(n):
-            f = build_catalog_fst([
-                CatalogEntry((w + "zz",), -5.0) if j == i else CatalogEntry((w,), 1.0)
-                for j, w in enumerate(words)
-            ])
-            base = f.offsets[f.start]
-            for lo in range(0, i + 1):
-                for hi in range(max(i + 1, lo + 2 * self.B + 1), n + 1):
-                    assert f.band_summary(base + lo, base + hi) == (6, -5.0)
-
     def test_bands_at_a_state_past_the_start(self):
-        # The state after "x" has more than 3 * B arcs and starts at a column
-        # offset off every block boundary, behind states whose words are
-        # longer and whose weights differ, so an offset slip shows.
+        # The state after "x" has more than 100 arcs and sits behind states
+        # whose words are longer and whose weights differ, so an offset slip
+        # shows.
         rng = random.Random(5)
         seconds = set()
-        while len(seconds) < 3 * self.B + 9:
+        while len(seconds) < 105:
             seconds.add("".join(rng.choice("abcdef") for _ in range(rng.randint(1, 9))))
         entries = [CatalogEntry(("x", w), -2.5) for w in sorted(seconds)]
         for first, count in (("a", 7), ("b", 11), ("c", 20), ("y", 3)):
@@ -429,13 +412,12 @@ class TestLargeBands:
         f = build_catalog_fst(entries)
         q = f.next_state(f.arc_id(f.start, "x"))
         base = f.offsets[q]
-        assert base % self.B != 0
         ref = reference_build_catalog_fst(entries)
         n = ref.arc_count(q)
         ref_base = ref.offsets[q]
         words = ref.arc_words[ref_base : ref_base + n]
         weights = ref.weights[ref_base : ref_base + n]
-        assert n > 3 * self.B and f.arc_count(q) == n
+        assert n > 100 and f.arc_count(q) == n
         assert (f.arc_words[base : base + n], f.weights[base : base + n]) == (words, weights)
         assert base == ref_base  # so the next states, which follow the positions, agree too
         for lo in range(n):
@@ -458,7 +440,7 @@ class TestLargeBands:
 
     def test_increments_match_reference_profile(self):
         rng = random.Random(77)
-        for size in (2 * self.B - 1, 2 * self.B, 2 * self.B + 1, 3 * self.B + 5):
+        for size in (63, 64, 65, 101):
             entries = _large_catalog(rng, prefixed=size)
             f = build_catalog_fst(entries)
             q_lo, q_hi = prefix_range(
@@ -523,17 +505,21 @@ _cache_words = st.text(alphabet="abc", min_size=1, max_size=4)
 
 
 @st.composite
-def _catalog_and_streams(draw):
+def _catalog_and_streams(draw, words=_cache_words, filler=0):
     """A mixed-sign catalog of one- and two-word phrases and several token
     streams over its words and stray words, each word cut into random pieces
-    and closed by a bare or fused delimiter."""
-    firsts = draw(st.dictionaries(_cache_words, st.floats(-5.0, 5.0), min_size=1, max_size=8))
-    seconds = draw(st.sets(st.tuples(st.sampled_from(sorted(firsts)), _cache_words), max_size=4))
+    and closed by a bare or fused delimiter.  ``filler`` more one-word
+    phrases "q00", "q01", ... of mixed-sign weights widen the start state
+    without making a failing example slow to shrink."""
+    firsts = draw(st.dictionaries(words, st.floats(-5.0, 5.0), min_size=1, max_size=8))
+    if filler:
+        scale = draw(st.floats(0.5, 5.0))
+        firsts |= {f"q{i:02d}": scale * (i % 5 - 2) for i in range(filler)}
+    seconds = draw(st.sets(st.tuples(st.sampled_from(sorted(firsts)), words), max_size=4))
     catalog = [CatalogEntry((w,), x) for w, x in firsts.items()] + [
         CatalogEntry(p, firsts[p[0]]) for p in sorted(seconds)
     ]
-    words = st.one_of(
-        st.sampled_from(sorted({w for e in catalog for w in e.phrase})), _cache_words)
+    words = st.one_of(st.sampled_from(sorted({w for e in catalog for w in e.phrase})), words)
     streams = []
     for _ in range(draw(st.integers(1, 4))):
         tokens = []
@@ -584,3 +570,33 @@ class TestSharedWalkCache:
             assert (q, prefix) in prefixes
             assert (lo, hi) == prefix_range(f.arc_words, f.offsets[q], f.offsets[q + 1], prefix)
             assert pushed == pushed_weight(len(prefix), *f.band_summary(lo, hi))
+
+    @given(case=_catalog_and_streams(_cache_words.map("q".__add__), filler=65))
+    @settings(max_examples=60, deadline=None)
+    def test_a_biaser_summarizes_each_arc_at_most_once_per_letter(self, case):
+        """A decoding biaser never evicts its cache and caches each live
+        ``(state, prefix)`` once, and an arc lies in the band of at most
+        ``len(word)`` prefixes at its state.  So over the biaser's life the
+        bands it summarizes are at most as wide, summed, as its arc words
+        are long, however wide one band is: every word here starts with "q",
+        so the band of prefix "q" holds all of the start state's 66 or more
+        arcs."""
+        catalog, streams = case
+        f = build_catalog_fst(catalog)
+        assert f.arc_count(f.start) > 64
+        biaser = SubwordBiaser(f)
+        word = catalog[0].phrase[0]
+        for tokens in [[*word[:-1], word[-1] + "_"], *streams]:  # one letter a token first
+            session = biaser.open_session()
+            for t in tokens:
+                if t.endswith("_"):
+                    session.finish_word(t[:-1])
+                else:
+                    session.expand(t)
+            session.finalize()
+        for (q, prefix), (lo, hi, pushed) in biaser.cache.items():
+            assert (lo, hi) == prefix_range(f.arc_words, f.offsets[q], f.offsets[q + 1], prefix)
+            assert pushed == pushed_weight(len(prefix), *f.band_summary(lo, hi))
+        widths = [hi - lo for lo, hi, _ in biaser.cache.values()]
+        assert max(widths) == f.arc_count(f.start)
+        assert sum(widths) <= sum(map(len, f.arc_words))
