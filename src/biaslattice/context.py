@@ -209,22 +209,15 @@ class ContextualBiaser:
             tag: PhraseWalk(fst, cache=caches.setdefault(id(fst), {}))
             for tag, fst in self.bindings.items()
         }
-        # Each tagged position's tag -> next state, and the race it opens:
-        # every tag's walk at its start.
+        # The race each tagged position opens: every tag's walk at its start.
         fst = class_fst.fst
-        self._tag_states: dict[int, dict[str, int]] = {}
+        self._races = {}
         for state in range(fst.num_states):
-            tagged = {
-                fst.arc_words[i]: fst.next_state(i)
-                for i in range(fst.offsets[state], fst.offsets[state + 1])
-                if fst.arc_words[i].startswith("@")
-            }
-            if tagged:
-                self._tag_states[state] = tagged
-        self._races = {
-            state: (tuple((tag, self.walks[tag].initial(), 0.0) for tag in tagged), 0.0, None)
-            for state, tagged in self._tag_states.items()
-        }
+            arcs = fst.arc_words[fst.offsets[state] : fst.offsets[state + 1]]
+            tags = [word for word in arcs if word.startswith("@")]
+            if tags:
+                self._races[state] = (
+                    tuple((tag, self.walks[tag].initial(), 0.0) for tag in tags), 0.0, None)
 
     def initial(self) -> tuple:
         """The state of a hypothesis before its first token."""
@@ -267,7 +260,7 @@ class ContextualBiaser:
         if race is not None:
             return increment, None, (pos, race, "")
         if tag is not None:
-            pos = self._tag_states[pos][tag]
+            pos = self._skeleton_step(pos, tag)
         if not consumed and word:
             pos = self._skeleton_step(pos, word)
         return increment, tag, (pos, None, "")

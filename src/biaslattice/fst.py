@@ -28,8 +28,8 @@ state.  A built automaton depends on its phrases and weights alone, and
 ``CatalogEntry`` stores -0.0 as 0.0.  The ``BLFST3`` file holds the same
 columns: writing it joins their bytes, and reading it copies them back into
 arrays and splits one block of words.  One routine checks every automaton,
-however its columns were made, with C-level loops over them and one set
-test, that adjacent words fall out of order only where a state's arcs begin.
+however its columns were made, and names its first problem: each rule is one
+C-level pass over whole columns, and only a rule that fails looks for where.
 
 An automaton is its columns: it derives and caches nothing from them, so a
 ``WordFst`` is a slotted, frozen record of four columns.  Automata are
@@ -244,67 +244,66 @@ def empty_fst() -> WordFst:
 def _check_columns(fst: WordFst) -> str | None:
     """The first structural problem of ``fst``, or None if it has none.
 
-    C-level loops over whole columns prove an automaton sound.  Arc t - 1
-    enters state t, and ``offsets[s] >= s`` puts each state's arcs past it,
-    so every parent is numbered below its children and every state is
-    reachable from the start 0 by induction.  Words are in order within each
-    state if every position where a word is not greater than the one before
-    it starts a state: one set test of those positions against the offsets,
-    boxed once.  On a failure :func:`_first_problem` names the first one.
+    Each rule is one C-level pass over whole columns; only a failing rule
+    makes a second pass, to find where.  Problems come in this order: column
+    lengths, offsets; then state by state, its arcs in position order (empty
+    word, word not past the one before, non-finite weight, next state past
+    the last), then the state (flag not 0 or 1, non-final dead end); then a
+    final flag past the last state; then reachability.  Words may fall out of
+    order only where a state's arcs begin: one set test against the offsets.
+    Arc t - 1 enters state t, so ``offsets[s] >= s`` numbers every parent
+    below its children: by induction every state is reachable from 0.
     """
-    n, offsets, words, final = fst.num_states, fst.offsets.tolist(), fst.arc_words, fst.final
-    sizes = list(map(sub, islice(offsets, 1, None), offsets))
-    # Adjacent words may fall only where a state's arcs begin.
-    falls = compress(range(1, len(words)), map(ge, words, islice(words, 1, None)))
-    if (
-        len(words) == len(fst.weights) == n - 1
-        and offsets[0] == 0 and offsets[n] == n - 1 and min(sizes) >= 0
-        and all(map(ge, offsets, range(n))) and all(map(math.isfinite, fst.weights))
-        and all(words) and not set(falls).difference(offsets)
-        # Every state but the start has arcs or is final.
-        and len(final) == n and all(map(or_, islice(final, 1, None), islice(sizes, 1, None)))
-    ):
-        return None
-    return _first_problem(fst)
-
-
-def _first_problem(fst: WordFst) -> str | None:
-    """The first violation in state order, found one state at a time."""
-    n, offsets, words, final = fst.num_states, fst.offsets, fst.arc_words, fst.final
-    if len(words) != len(fst.weights):
-        return f"{len(words)} arc words and {len(fst.weights)} weights"
+    words, weights, final = fst.arc_words, fst.weights, fst.final
+    if len(words) != len(weights):
+        return f"{len(words)} arc words and {len(weights)} weights"
+    if not fst.offsets:
+        return "empty arc offsets column"
+    n, offsets = fst.num_states, fst.offsets.tolist()
     if len(final) < n:
         return f"{len(final)} final flags for {n} states"
     if offsets[0] != 0 or offsets[n] != len(words):
         return f"arc offsets run {offsets[0]}..{offsets[n]}, not 0..{len(words)}"
-    for s in range(n):
-        if offsets[s] > offsets[s + 1]:
-            return f"state {s}: arc offsets decrease"
+    sizes = list(map(sub, islice(offsets, 1, None), offsets))
+    if offsets != sorted(offsets):
+        return f"state {list(map(ge, sizes, repeat(0))).index(False)}: arc offsets decrease"
     if not n:
         return "start state 0 out of range"
-    for s in range(n):
-        lo, hi = offsets[s], offsets[s + 1]
-        prev = ""
-        for i in range(lo, hi):
-            word, weight = words[i], fst.weights[i]
-            if not word:
-                return f"state {s}: empty arc word"
-            if word <= prev:
-                return f"state {s}: arcs not strictly sorted at {word!r}"
-            if not math.isfinite(weight):
-                return f"state {s}: non-finite weight on {word!r}"
-            if fst.next_state(i) >= n:
-                return f"state {s}: next state {fst.next_state(i)} out of range"
-            prev = word
-        if lo == hi and not final[s] and s:
-            return f"state {s} is a non-final dead end"
+    arcs = []  # (position, rule, problem) of each failing arc rule's first arc
+    if not all(words):
+        arcs.append((words.index(""), 0, "empty arc word"))
+    falls = compress(range(1, len(words)), map(ge, words, islice(words, 1, None)))
+    unsorted = set(falls).difference(offsets)
+    if unsorted:
+        i = min(unsorted)
+        arcs.append((i, 1, f"arcs not strictly sorted at {words[i]!r}"))
+    if not all(map(math.isfinite, weights)):
+        i = list(map(math.isfinite, weights)).index(False)
+        arcs.append((i, 2, f"non-finite weight on {words[i]!r}"))
+    if len(words) >= n:
+        arcs.append((n - 1, 3, f"next state {n} out of range"))
+    states = []  # (state, 0 for a problem of its arcs or 1 for its own, message)
+    if arcs:
+        i, _, problem = min(arcs)
+        s = bisect.bisect_right(offsets, i) - 1
+        states.append((s, 0, f"state {s}: {problem}"))
+    flags = final[:n]
+    if flags.translate(None, b"\0\1"):
+        s = list(map(gt, flags, repeat(1))).index(True)
+        states.append((s, 1, f"state {s}: unknown flags {flags[s]:#x}"))
+    if not all(map(or_, islice(flags, 1, None), islice(sizes, 1, None))):
+        s = list(map(or_, islice(flags, 1, None), islice(sizes, 1, None))).index(0) + 1
+        states.append((s, 1, f"state {s} is a non-final dead end"))
+    if states:
+        return min(states)[2]
     stray = final.find(1, n)
     if stray >= 0:
         return f"state {stray} out of range"
-    # Below the first state s with offsets[s] < s, states 1..offsets[s] hang
-    # off lower parents; no arc from those enters the states past them.
-    s = next(compress(count(), map(gt, range(n), offsets)), None)
-    return None if s is None else f"{n - 1 - offsets[s]} states unreachable from start"
+    if not all(map(ge, offsets, range(n))):
+        # States 0..offsets[s] for the first such s are reachable and enter no others.
+        s = list(map(ge, offsets, range(n))).index(False)
+        return f"{n - 1 - offsets[s]} states unreachable from start"
+    return None
 
 
 def validate_fst(fst: WordFst) -> None:

@@ -526,6 +526,8 @@ def reference_validate(fst: WordFst) -> None:
             if nextstate >= n:
                 raise ValueError(f"state {s}: next state {nextstate} out of range")
             prev = word
+        if fst.final[s] > 1:
+            raise ValueError(f"state {s}: unknown flags {fst.final[s]:#x}")
         if not arcs and s not in finals and s != 0:
             raise ValueError(f"state {s} is a non-final dead end")
     for s in finals:

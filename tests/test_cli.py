@@ -168,10 +168,10 @@ def _bar_vocab(w):
     return "#delimiter |\n" + (w / "vocab.txt").read_text()
 
 
-def _flag_set(value):
+def _flag_set(value, state=0):
     def corrupt(w):
         data = bytearray((w / "contacts.fst").read_bytes())
-        data[18] = value  # the start state's flag byte, after magic and three u32s
+        data[18 + state] = value  # the flag bytes follow magic and three u32s
         return bytes(data)
     return corrupt
 
@@ -478,6 +478,16 @@ class TestCorruptAutomata:
         f"{value:#x}": (CONTEXT, f"{{w}}/contacts.fst: unknown state flags {value:#x} at offset 18",
                         {"contacts.fst": _flag_set(value)})
         for value in (2, 3)})
+    # Well-formed bytes whose columns are unsound: the column check names the first fault.
+    test_bound_automaton_with_a_structural_fault = refused_each({
+        case: (CONTEXT, f"{{w}}/contacts.fst: malformed automaton: {problem}",
+               {"contacts.fst": corrupt})
+        for case, problem, corrupt in [
+            ("two-words-swapped", "state 0: arcs not strictly sorted at 'bodu'",
+             lambda w: (w / "contacts.fst").read_bytes().replace(b"bodu\nkela", b"kela\nbodu")),
+            # State 1 is the leaf that ends "bodu".
+            ("leaf-unfinal", "state 1 is a non-final dead end", _flag_set(0, state=1)),
+        ]})
 
 
 @pytest.mark.usefixtures("built")

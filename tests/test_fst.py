@@ -5,13 +5,11 @@ import random
 import struct
 import tracemalloc
 from array import array
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaslattice import fst as fst_module
 from biaslattice.context import build_class_fst
 from biaslattice.errors import InputFormatError
 from biaslattice.fst import (
@@ -239,6 +237,21 @@ class TestValidate:
                     weights=f.weights[:-1])
         assert _message(validate_fst, g) == "3 arc words and 2 weights"
 
+    def test_empty_offsets_column_rejected(self):
+        g = WordFst(final=b"", offsets=array("I"), arc_words=[], weights=array("d"))
+        assert _message(validate_fst, g) == "empty arc offsets column"
+
+    @pytest.mark.parametrize("flag", [2, 3, 0x80, 0xFF])
+    def test_flag_other_than_0_or_1_rejected(self, flag):
+        """A flag byte that no file may hold is refused before it is written:
+        ``deserialize`` would refuse the bytes ``serialize`` makes of it."""
+        f = WordFst(final=bytes([0, flag]), offsets=array("I", [0, 1, 1]), arc_words=["a"],
+                    weights=array("d", [1.0]))
+        assert _message(validate_fst, f) == f"state 1: unknown flags {flag:#x}"
+        assert _message(reference_validate, f) == f"state 1: unknown flags {flag:#x}"
+        with pytest.raises(InputFormatError, match=f"unknown state flags {flag:#x} at offset 19"):
+            deserialize(serialize(f))
+
 
 # Words over a small alphabet with a non-ASCII letter, so phrases share
 # leading words and words share leading letters; weights of both signs,
@@ -367,11 +380,12 @@ class TestCheckParity:
         arcs = [[[f.arc_words[i], f.weights[i]] for i in range(f.offsets[s], f.offsets[s + 1])]
                 for s in range(n)]
         finals = {s for s in range(n) if f.final[s]}
+        flags = {}  # state -> a flag byte other than 0 or 1
         flat = [arc for state_arcs in arcs for arc in state_arcs]
         for _ in range(data.draw(st.integers(0, 2))):
             kind = data.draw(st.sampled_from(
                 ["word", "weight", "offset", "add arc", "drop arc", "swap words", "unfinal",
-                 "stray final"]))
+                 "stray final", "flag"]))
             if kind == "word" and flat:
                 rnd.choice(flat)[0] = data.draw(st.sampled_from(["", "a", "zz", "é"]))
             elif kind == "weight" and flat:
@@ -398,9 +412,16 @@ class TestCheckParity:
                 a[0], b[0] = b[0], a[0]
             elif kind == "unfinal":
                 finals.discard(rnd.choice(range(n)))
+            elif kind == "flag":
+                flags[rnd.choice(range(n))] = data.draw(st.sampled_from([2, 3, 0x80, 0xFF]))
             else:
                 finals.add(n + 3)
         g = hand_fst(finals=finals, arcs=arcs)
+        final = bytearray(g.final)
+        for s, flag in flags.items():
+            final[s] = flag
+        g = WordFst(final=bytes(final), offsets=g.offsets, arc_words=g.arc_words,
+                    weights=g.weights)
         assert _message(validate_fst, g) == _message(reference_validate, g)
 
     def test_states_owning_the_arcs_into_them(self):
@@ -415,20 +436,19 @@ class TestCheckParity:
 
 class TestLevelOrder:
     """The builder numbers states level by level: the arc into state t is
-    arc t - 1, so no column of next states is kept and the column check
-    proves a built or loaded automaton sound without naming a state one at a
-    time.  A builder change that breaks level order fails here."""
+    arc t - 1, so no column of next states is kept, and ``offsets[s] >= s``
+    puts every state's arcs past it.  A builder change that breaks level
+    order fails here."""
 
     @given(catalogs())
     @settings(max_examples=200, deadline=None)
-    def test_built_and_loaded_automata_take_the_fast_path(self, entries):
+    def test_built_and_loaded_automata_are_level_ordered(self, entries):
         built = build_catalog_fst(entries)
-        with mock.patch.object(fst_module, "_first_problem",
-                               side_effect=AssertionError("state-by-state check")):
-            validate_fst(built)
-            loaded = deserialize(serialize(built))
+        validate_fst(built)
+        loaded = deserialize(serialize(built))
         for f in built, loaded:
             assert f.num_arcs == f.num_states - 1
+            assert all(f.offsets[s] >= s for s in range(f.num_states))
 
 
 class TestReaderParity:
@@ -567,6 +587,10 @@ class TestReaderPrecedence:
         self.reject(
             _hand_built([[("a", -1.0)], [("z", -1.0), ("b", math.nan)], []], finals={2}),
             "state 1: arcs not strictly sorted at 'b'",
+        )
+        self.reject(
+            _hand_built([[("a", -1.0)], [("z", -1.0), ("", math.nan)], []], finals={2}),
+            "state 1: empty arc word",
         )
 
     def test_dead_end_beats_a_later_arc_violation(self):
